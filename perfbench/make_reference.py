@@ -10,8 +10,8 @@ It runs the ``zsrpsim`` CLI from ``src/`` and records:
   ``fig4`` altitude grid (the single-point workload's altitude, 150 m, is
   one of its points), as the CSV prints it;
 * ``mc``: high-trial MC values of the three single connected schemes on the
-  same grid, on a seed the benchmark never passes (it accepts seeds below
-  1e9 only);
+  same grid, on a seed the benchmark never passes (it passes the CLI its
+  own seed modulo 1e9);
 * ``search``: the analytic optimum of ``fcr-rs`` and a high-trial MC search
   of ``scr-gcsi-pfs`` on another such seed.
 

@@ -45,7 +45,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 #: Set-up-only processes per run, half before the loop and half after it,
 #: so that the set-up median does not rest on one moment of a shared machine.
 SETUP_SPAWNS = 8
-#: Seeds at or above this are kept for the reference runs.
+#: The CLI gets the benchmark's seed modulo this, so any integer is
+#: accepted and the reference runs' seeds (at or above it) are never used.
 MAX_SEED = 10 ** 9
 #: A hung invocation is stopped after this long and counted as failed.
 INVOCATION_TIMEOUT_S = 150.0
@@ -109,8 +110,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    if not 0 <= args.seed < MAX_SEED:
-        ap.error(f"--seed must be in [0, {MAX_SEED})")
+    seed = args.seed % MAX_SEED
     if not (ROOT / "src" / "zsrpsim" / "cli.py").is_file():
         print(f"no zsrpsim sources under {ROOT / 'src'}; run from a checkout "
               "of the repository", file=sys.stderr)
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     trace = bool(args.trace)
 
     def setup_only() -> list:
-        return [spawn(args.workload, args.seed, work / "setup", False, True)["setup_s"]
+        return [spawn(args.workload, seed, work / "setup", False, True)["setup_s"]
                 for _ in range(SETUP_SPAWNS // 2)]
 
     setups = setup_only()
@@ -131,8 +131,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     while True:
         inv_dir = work / "invocation"
-        res = spawn(args.workload, args.seed, inv_dir, trace, False)
-        res["mc"] = check_invocation(commands, res, inv_dir, args.seed,
+        res = spawn(args.workload, seed, inv_dir, trace, False)
+        res["mc"] = check_invocation(commands, res, inv_dir, seed,
                                      reference, outcome)
         invocations.append(res)
         setups.append(res["setup_s"])
@@ -144,7 +144,8 @@ def main(argv=None) -> int:
         print(f"check failed: {p}", file=sys.stderr)
 
     context = {
-        "workload": args.workload, "seed": args.seed, "trace": args.trace,
+        "workload": args.workload, "seed": args.seed, "cli_seed": seed,
+        "trace": args.trace,
         "commands": [" ".join(c.argv) for c in commands],
         "trials": [c.trials for c in commands],
         "threads": [c.threads for c in commands],

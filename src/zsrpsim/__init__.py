@@ -29,7 +29,8 @@ from .propagation import (AirGroundParams, EvePlacement, ScenarioGeometry,
 from .scheduling import (SchemeId, select_fcsi_pfs, select_gcsi_pfs,
                          select_round_robin)
 from .secrecy import (ScenarioConfig, ZsrpEstimate, capacity_eve,
-                      capacity_main, run_monte_carlo, zsr_indicator)
+                      capacity_main, run_monte_carlo, run_monte_carlo_many,
+                      zsr_indicator)
 from .specfun import UnderflowWarning, bessel_k, ln_gamma, meijer_g_m0
 
 __version__ = "0.1.0"
@@ -47,7 +48,8 @@ __all__ = [
     "fc_cascaded_gain_via_theta", "format_csv", "golden_section_min",
     "ln_gamma", "load_config", "los_probability", "meijer_g_m0",
     "optimal_altitude", "optimal_phases", "pathloss_exponent_air", "pdf_W",
-    "ris_user_gain", "run_experiment", "run_monte_carlo", "sample_S",
+    "ris_user_gain", "run_experiment", "run_monte_carlo",
+    "run_monte_carlo_many", "sample_S",
     "sample_W", "sample_eve_distance", "sample_eve_placement",
     "sc_cascaded_gain", "select_fcsi_pfs", "select_gcsi_pfs",
     "select_round_robin", "write_csv", "zsr_indicator", "zsrp_for_scheme",

@@ -575,7 +575,9 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
     schemes raise :class:`AnalyticUnavailableError`.  Mixed RIS-user
     distances are supported for round-robin (slot average of per-user
     results); proportional fairness requires identical users.  The
-    formulas also require the free-space wiretap exponent.
+    formulas also require the free-space wiretap exponent and an
+    eavesdropper ball centred on the BS: a ``fixed`` centre offset from
+    the current BS altitude is refused.
     """
     if not scheme.fully_connected:
         raise AnalyticUnavailableError(
@@ -586,6 +588,13 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
             "analytic ZSRP requires the free-space wiretap exponent 2; "
             f"got alpha_eve={config.alpha_eve}")
     geometry = config.geometry
+    if (config.eve_center == "fixed" and config.eve_center_h_m is not None
+            and config.eve_center_h_m != geometry.h_br_m):
+        raise AnalyticUnavailableError(
+            "analytic ZSRP requires the eavesdropper ball centred on the BS; "
+            f"its fixed centre at {config.eve_center_h_m:g} m is offset from "
+            f"the BS altitude {geometry.h_br_m:g} m; use the Monte-Carlo "
+            "evaluator")
     environment = config.air
     fading = config.fading
     sigma2_sq = bs_ris_gain(geometry, environment)

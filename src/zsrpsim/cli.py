@@ -174,9 +174,6 @@ def cmd_optimize_altitude(args: argparse.Namespace) -> int:
         scheme = SchemeId.from_string(args.scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.evaluator == "analytic" and not scheme.fully_connected:
-        raise ConfigError(f"no analytic route for {scheme.value}; "
-                          f"use --evaluator mc")
     try:
         search = AltitudeSearchSpec(
             config=dataclasses.replace(scenario, scheme=scheme),
@@ -185,7 +182,10 @@ def cmd_optimize_altitude(args: argparse.Namespace) -> int:
             threads=spec.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    res = optimal_altitude(search)
+    try:
+        res = optimal_altitude(search)
+    except AnalyticUnavailableError as exc:
+        raise ConfigError(str(exc)) from None
     text = ("h_star_m,zsrp,scheme,evaluator,n_evaluations\n"
             f"{res.h_m:.10g},{res.zsrp:.10g},{scheme.value},"
             f"{args.evaluator},{res.n_evaluations}\n")

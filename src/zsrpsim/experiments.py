@@ -6,7 +6,10 @@ canned sweeps cover the quantities the study varies: eavesdropper radius
 ``single`` evaluates the configured operating point only.  Every Monte-Carlo
 row reuses the same seed, so sweeps are common-random-number comparisons and
 the emitted CSV is byte-stable for a fixed (config, seed) regardless of the
-thread count.
+thread count.  All Monte-Carlo rows of a run go to one
+:func:`~zsrpsim.secrecy.run_monte_carlo_many` call, which draws each block
+once per draw layout (one layout per element count on ``fig3``, one for the
+whole run otherwise) and returns the same values as separate runs would.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .errors import AnalyticUnavailableError, ConfigError
 from .fading import FadingParams
 from .propagation import DEFAULT_REF_GAIN, AirGroundParams, ScenarioGeometry
 from .scheduling import SchemeId
-from .secrecy import ScenarioConfig, run_monte_carlo
+from .secrecy import ScenarioConfig, run_monte_carlo_many
+# kept importable here: perfbench/tracer.py wraps it by module name
+from .secrecy import run_monte_carlo  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +141,11 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in _float_list(raw))
+    values = _float_list(raw)
+    for v in values:
+        if not v.is_integer():
+            raise ValueError(f"{v:g} is not an integer")
+    return tuple(int(v) for v in values)
 
 
 def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
@@ -253,7 +262,8 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
     it blank.  Schemes without an analytic route (the SC-RIS family) skip
     their analytic rows with a stderr note instead of failing the sweep.
     Wall-clock stamps are collected only when ``timing`` is set, keeping
-    the default output byte-reproducible.
+    the default output byte-reproducible; the Monte-Carlo rows share one
+    batch, so each gets an even share of its wall time.
     """
     sweep_var, values = spec.grid()
     base = scenario
@@ -261,19 +271,26 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
             and base.eve_center_h_m is None):
         # pin the wiretap region before the sweep moves the BS
         base = dataclasses.replace(base, eve_center_h_m=base.geometry.h_br_m)
+    points = [(value, _at_grid_point(base, sweep_var, value))
+              for value in values]
+    mc_configs = [dataclasses.replace(at_point, scheme=scheme)
+                  for _, at_point in points for scheme in spec.schemes
+                  if "mc" in spec.evaluators]
+    t0 = time.perf_counter()
+    estimates = iter(run_monte_carlo_many(mc_configs, spec.trials, spec.seed,
+                                          threads=spec.threads))
+    mc_ms = (time.perf_counter() - t0) * 1e3 / max(len(mc_configs), 1)
     rows: list[dict] = []
     skipped: set[SchemeId] = set()
-    for value in values:
-        at_point = _at_grid_point(base, sweep_var, value)
+    for value, at_point in points:
         for scheme in spec.schemes:
             cfg = dataclasses.replace(at_point, scheme=scheme)
             for evaluator in spec.evaluators:
-                t0 = time.perf_counter()
                 if evaluator == "mc":
-                    est = run_monte_carlo(cfg, spec.trials, spec.seed,
-                                          threads=spec.threads)
-                    zsrp, std_err = est.p_hat, est.std_err
+                    est = next(estimates)
+                    zsrp, std_err, wall_ms = est.p_hat, est.std_err, mc_ms
                 else:
+                    t0 = time.perf_counter()
                     try:
                         zsrp = zsrp_for_scheme(scheme, cfg).value
                     except AnalyticUnavailableError as exc:
@@ -283,7 +300,7 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
                                            scheme.value, exc)
                         continue
                     std_err = None
-                wall_ms = (time.perf_counter() - t0) * 1e3 if timing else None
+                    wall_ms = (time.perf_counter() - t0) * 1e3
                 rows.append({
                     "sweep_var": sweep_var,
                     "sweep_value": value,
@@ -293,7 +310,7 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
                     "std_err": std_err,
                     "trials": spec.trials,
                     "seed": spec.seed,
-                    "wall_ms": wall_ms,
+                    "wall_ms": wall_ms if timing else None,
                 })
     return rows
 

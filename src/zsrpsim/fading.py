@@ -30,8 +30,10 @@ class FadingParams:
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "n_elements"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not float(v).is_integer() or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            # integral floats (m1 = 2.0) are stored as int for the closed forms
+            object.__setattr__(self, name, int(v))
 
 
 def sample_gamma(rng: np.random.Generator, shape: float, scale: float,

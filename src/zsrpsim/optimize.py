@@ -5,7 +5,11 @@ altitude changes, producing a single-dip ZSRP curve; a golden-section
 search refines a coarse pre-scan bracket.  With the Monte-Carlo
 evaluator every altitude reuses the same seed (common random numbers),
 so the objective is a deterministic function of altitude and the argmin
-is repeatable.
+is repeatable.  The Monte-Carlo pre-scan altitudes share one draw layout,
+so they are estimated in one :func:`~zsrpsim.secrecy.run_monte_carlo_many`
+call that draws each block once; the golden-section steps depend on the
+previous values and run one :func:`~zsrpsim.secrecy.run_monte_carlo` each.
+Both give the values that separate runs would.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analytic import zsrp_for_scheme
-from .secrecy import ScenarioConfig, run_monte_carlo
+from .secrecy import ScenarioConfig, run_monte_carlo, run_monte_carlo_many
 
 logger = logging.getLogger(__name__)
 
@@ -89,8 +93,14 @@ class AltitudeResult:
     n_evaluations: int
 
 
-def _bind_objective(spec: AltitudeSearchSpec) -> tuple[Callable[[float], float],
-                                                       Callable[[], int]]:
+def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
+        Callable[[float], float], Callable[[list[float]], list[float]],
+        Callable[[], int]]:
+    """(objective, batch objective, evaluation count) of one search.
+
+    Both objectives fill one cache, so the count is the number of
+    distinct altitudes evaluated.
+    """
     base = spec.config
     if base.eve_center == "fixed" and base.eve_center_h_m is None:
         # pin the eavesdropper ball at the configured altitude so the
@@ -98,23 +108,29 @@ def _bind_objective(spec: AltitudeSearchSpec) -> tuple[Callable[[float], float],
         base = dataclasses.replace(base,
                                    eve_center_h_m=base.geometry.h_br_m)
     cache: dict[float, float] = {}
-    calls = [0]
+
+    def at(h: float) -> ScenarioConfig:
+        geometry = dataclasses.replace(base.geometry, h_br_m=h)
+        return dataclasses.replace(base, geometry=geometry)
 
     def objective(h: float) -> float:
-        if h in cache:
-            return cache[h]
-        calls[0] += 1
-        geometry = dataclasses.replace(base.geometry, h_br_m=h)
-        cfg = dataclasses.replace(base, geometry=geometry)
-        if spec.evaluator == "analytic":
-            val = zsrp_for_scheme(cfg.scheme, cfg).value
-        else:
-            val = run_monte_carlo(cfg, spec.trials, spec.seed,
-                                  threads=spec.threads).p_hat
-        cache[h] = val
-        return val
+        if h not in cache:
+            cfg = at(h)
+            if spec.evaluator == "analytic":
+                cache[h] = zsrp_for_scheme(cfg.scheme, cfg).value
+            else:
+                cache[h] = run_monte_carlo(cfg, spec.trials, spec.seed,
+                                           threads=spec.threads).p_hat
+        return cache[h]
 
-    return objective, (lambda: calls[0])
+    def objective_many(hs: list[float]) -> list[float]:
+        if spec.evaluator == "mc":
+            estimates = run_monte_carlo_many([at(h) for h in hs], spec.trials,
+                                             spec.seed, threads=spec.threads)
+            cache.update((h, est.p_hat) for h, est in zip(hs, estimates))
+        return [objective(h) for h in hs]
+
+    return objective, objective_many, (lambda: len(cache))
 
 
 def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
@@ -125,10 +141,10 @@ def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
     its neighbors.  The MC evaluator holds the seed fixed across
     altitudes, so repeated searches return the same argmin.
     """
-    objective, n_calls = _bind_objective(spec)
+    objective, objective_many, n_calls = _bind_objective(spec)
     step = (spec.h_hi_m - spec.h_lo_m) / (PRESCAN_POINTS - 1)
     scan = [spec.h_lo_m + i * step for i in range(PRESCAN_POINTS)]
-    scan_vals = [objective(h) for h in scan]
+    scan_vals = objective_many(scan)
     best = min(range(PRESCAN_POINTS), key=lambda i: scan_vals[i])
     lo = scan[max(best - 1, 0)]
     hi = scan[min(best + 1, PRESCAN_POINTS - 1)]

@@ -315,3 +315,31 @@ def test_scheme_dispatch_heterogeneous_users(air, fading):
     # greedy selection across unequal users has no expansion here
     with pytest.raises(AnalyticUnavailableError):
         an.zsrp_for_scheme(SchemeId.FCR_GCSI_PFS, cfg)
+
+
+def test_offset_fixed_centre_refused(geometry, air, fading):
+    import dataclasses
+
+    from zsrpsim.propagation import ScenarioGeometry
+
+    high = ScenarioGeometry(h_br_m=600.0)
+    offset = ScenarioConfig(geometry=high, air=air, fading=fading, scheme=SchemeId.FCR_RS,
+                            eve_center="fixed", eve_center_h_m=150.0)
+    for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
+        with pytest.raises(AnalyticUnavailableError, match="centred on the BS"):
+            an.zsrp_for_scheme(scheme, offset)
+    # a fixed centre at the BS altitude (or defaulting to it) is the BS ball
+    bs = dataclasses.replace(offset, eve_center="bs", eve_center_h_m=None)
+    want = an.zsrp_for_scheme(SchemeId.FCR_RS, bs).value
+    for h0 in (600.0, None):
+        at_bs = dataclasses.replace(offset, eve_center_h_m=h0)
+        assert an.zsrp_for_scheme(SchemeId.FCR_RS, at_bs).value == want
+
+
+def test_integral_float_shapes_accepted(geometry, air):
+    from zsrpsim.fading import FadingParams
+
+    cfg = ScenarioConfig(geometry=geometry, air=air, fading=FadingParams(m1=2.0, m2=2.0),
+                         scheme=SchemeId.FCR_RS)
+    out = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
+    assert math.isclose(out.value, RS_DEFAULT, rel_tol=1e-10)

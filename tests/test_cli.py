@@ -17,8 +17,8 @@ Proves:
 
  Group 4 — altitude search
    a short closed-form search emits the result row; inverted bounds exit
-   with the configuration code; phase-only schemes cannot use the
-   closed-form objective.
+   with the configuration code; phase-only schemes and an eavesdropper
+   centre offset from the BS cannot use the closed-form objective.
 
  Group 5 — diagnostics and exit codes
    the self-check suite passes and prints one line per check; accuracy
@@ -195,6 +195,22 @@ def test_altitude_analytic_needs_closed_form(capsys):
         capsys, "optimize-altitude", "--scheme", "scr-rs", "--evaluator", "analytic"
     )
     assert rc == 2
+
+
+def test_offset_fixed_centre_refuses_closed_form(capsys, caplog, tmp_path):
+    ini = tmp_path / "offset.ini"
+    ini.write_text("[geometry]\nh_br_m = 600\n"
+                   "[environment]\neve_center = fixed\neve_center_h_m = 150\n")
+    rc, out, _ = run_cli(capsys, "optimize-altitude", "--config", str(ini))
+    assert rc == 2 and out == ""
+    assert "centred on the BS" in caplog.text
+    rc, _, _ = run_cli(capsys, "zsrp", "--config", str(ini), "--evaluator", "analytic")
+    assert rc == 2
+    # the simulation still answers at the same point
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(ini), "--evaluator", "both",
+                         "--trials", "2048", "--seed", "3")
+    assert rc == 0
+    assert [ln.split(",")[3] for ln in out.strip().split("\n")[1:]] == ["mc"]
 
 
 # --- Group 5: diagnostics and exit codes ---

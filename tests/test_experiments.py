@@ -5,7 +5,8 @@ Proves:
    absent and empty files give the documented defaults; missing files,
    malformed INI, unknown sections/keys, and bad values raise the
    configuration error; a scalar user distance is replicated across users
-   while a mismatched list is rejected.
+   while a mismatched list is rejected; integer lists reject fractional
+   entries instead of truncating them.
 
  Group 2 — experiment specification
    kind/scheme/evaluator/grid/trials/threads validation; each sweep kind
@@ -15,7 +16,9 @@ Proves:
    the radius sweep yields one simulation row per scheme-radius pair plus
    closed-form rows only where the expression exists (phase-only schemes
    are skipped); wall-clock stamps appear only when timing is requested;
-   reruns are bit-identical and worker-count independent.
+   reruns are bit-identical and worker-count independent; a fig4 sweep
+   around a fixed eavesdropper centre keeps its closed-form row only at
+   the centre's altitude.
 
  Group 4 — CSV contract
    fixed header order, LF line endings, trailing newline, 10-significant-
@@ -123,6 +126,15 @@ def test_experiment_section_parsed(tmp_path):
     assert spec.trials == 2000 and spec.seed == 9 and spec.threads == 2
 
 
+def test_int_list_rejects_fractions(tmp_path):
+    path = write_ini(tmp_path, "[experiment]\nl_grid = 4.7, 8.2\n")
+    with pytest.raises(ConfigError, match="l_grid"):
+        ex.load_config(path)
+    path = write_ini(tmp_path, "[experiment]\nl_grid = 4.0, 8\n")
+    _, spec = ex.load_config(path)
+    assert spec.l_grid == (4, 8)
+
+
 # --- Group 2: experiment specification ---
 
 
@@ -198,6 +210,20 @@ def test_rerun_and_worker_invariance():
     b = ex.format_csv(ex.run_experiment(scenario, spec_with(1)))
     c = ex.format_csv(ex.run_experiment(scenario, spec_with(2)))
     assert a == b == c
+
+
+def test_fixed_centre_sweep_keeps_only_centred_closed_form():
+    import dataclasses
+
+    scenario, base = ex.load_config(None)
+    scenario = dataclasses.replace(scenario, eve_center="fixed")
+    spec = ex.ExperimentSpec(**{
+        **base.__dict__, "kind": "fig4", "h_grid_m": (100.0, 150.0, 600.0),
+        "trials": 1000, "schemes": (SchemeId.FCR_RS,), "evaluators": ("analytic",),
+    })
+    rows = ex.run_experiment(scenario, spec)
+    # the ball stays centred at the configured 150 m while the BS moves
+    assert [r["sweep_value"] for r in rows] == [150.0]
 
 
 # --- Group 4: CSV contract ---

@@ -53,6 +53,17 @@ def test_fading_params_validation():
         fd.FadingParams(n_elements=0)
     with pytest.raises(ValueError):
         fd.FadingParams(m1=1.5)
+    with pytest.raises(ValueError):
+        fd.FadingParams(m2=2.5)
+    with pytest.raises(ValueError):
+        fd.FadingParams(n_elements=float("inf"))
+
+
+def test_fading_params_store_integral_floats_as_int():
+    p = fd.FadingParams(m1=2.0, m2=3.0, n_elements=16.0)
+    assert (p.m1, p.m2, p.n_elements) == (2, 3, 16)
+    assert all(type(v) is int for v in (p.m1, p.m2, p.n_elements))
+    assert p == fd.FadingParams(m1=2, m2=3, n_elements=16)
 
 
 # --- Group 2: CDF / PDF kernels ---

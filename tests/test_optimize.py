@@ -18,7 +18,9 @@ Proves:
 
  Group 4 — full search, simulation objective
    fixed-seed objectives make the search deterministic end to end, and
-   the pre-scan plus refinement stays within its evaluation budget.
+   the pre-scan plus refinement stays within its evaluation budget; the
+   batched pre-scan returns the same (h*, ZSRP, evaluation count) as
+   evaluating every altitude on its own did (pinned values).
 """
 
 from __future__ import annotations
@@ -156,3 +158,24 @@ def test_mc_search_deterministic(geometry, air, fading):
     assert first.zsrp == second.zsrp
     # pre-scan of 16 plus a short refinement
     assert first.n_evaluations <= 16 + iteration_bound(100.0, 600.0, 25.0) + 4
+
+
+# pinned before the pre-scan was batched, when every altitude ran alone:
+# (scheme, eve_center, trials) -> (h*, zsrp, n_evaluations), seed 7
+MC_SEARCH_PINNED = {
+    (SchemeId.SCR_GCSI_PFS, "bs", 20_000): (264.1618111437648, 0.0003, 30),
+    (SchemeId.FCR_RS, "fixed", 20_000): (715.420032695829, 0.0, 30),
+    (SchemeId.SCR_RS, "bs", 9_000): (296.70701570425604, 0.0006666666666666666, 30),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MC_SEARCH_PINNED, key=str))
+def test_mc_search_matches_pinned(geometry, air, fading, key):
+    import dataclasses
+
+    scheme, center, trials = key
+    cfg = dataclasses.replace(make_config(geometry, air, fading, scheme),
+                              eve_center=center)
+    res = op.optimal_altitude(op.AltitudeSearchSpec(
+        config=cfg, evaluator="mc", trials=trials, seed=7))
+    assert (res.h_m, res.zsrp, res.n_evaluations) == MC_SEARCH_PINNED[key]

@@ -24,16 +24,28 @@ Proves:
    not hurt the served user; phase-only surfaces lose to fully connected
    ones by a clear statistical margin at matched settings; the estimate
    agrees with the closed-form references at moderate depth.
+
+ Group 6 — batched rows over shared draws
+   ``run_monte_carlo_many`` equals a per-config ``run_monte_carlo`` loop
+   exactly (p_hat and std_err) on the fig2 radius grid, fig3 with mixed
+   element counts, fig4 around a fixed eavesdropper centre and mixed
+   RIS-user distances and user counts, over all five schemes, 1-3 worker
+   threads and a trial count that is not a multiple of the block size;
+   each block is drawn once per draw layout, not once per row.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from zsrpsim import secrecy as sec
+from zsrpsim.fading import FadingParams
+from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
 from zsrpsim.scheduling import SchemeId
 
 # closed-form references for the default scenario (independently validated
@@ -206,3 +218,76 @@ def test_fixed_center_runs(geometry, air, fading):
     cfg = make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=200.0)
     est = sec.run_monte_carlo(cfg, trials=8_192, seed=17)
     assert 0.0 <= est.p_hat <= 1.0
+
+
+# --- Group 6: batched rows over shared draws ---
+
+#: two full blocks plus a partial one
+BATCH_TRIALS = 2 * sec.BLOCK_TRIALS + 808
+BATCH_SEED = 4242
+
+
+def _batch_cases() -> dict[str, list[sec.ScenarioConfig]]:
+    base = sec.ScenarioConfig(geometry=ScenarioGeometry(), air=AirGroundParams(),
+                              fading=FadingParams(), scheme=SchemeId.FCR_RS)
+
+    def at(config, scheme, **geometry):
+        return dataclasses.replace(
+            config, scheme=scheme,
+            geometry=dataclasses.replace(config.geometry, **geometry))
+
+    fixed = dataclasses.replace(base, eve_center="fixed", eve_center_h_m=150.0)
+    distances = ((30.0, 50.0, 80.0, 120.0), (50.0,) * 4, (40.0, 60.0, 90.0))
+    return {
+        "fig2": [at(base, s, r_eve_m=r) for r in (100.0, 200.0, 300.0, 400.0, 500.0)
+                 for s in SchemeId],
+        # element counts interleave, so the merge must restore input order
+        "fig3-mixed-l": [dataclasses.replace(base, scheme=s,
+                                             fading=FadingParams(n_elements=n))
+                         for s in SchemeId for n in (4, 8, 16)],
+        "fig4-fixed": [at(fixed, s, h_br_m=h) for h in (60.0, 150.0, 450.0, 1000.0)
+                       for s in SchemeId],
+        "mixed-d-rn": [at(base, s, d_rn_m=d, r_eve_m=r) for d in distances
+                       for s in SchemeId for r in (250.0, 500.0)],
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_reference(case: str) -> list[tuple[float, float]]:
+    return [(e.p_hat, e.std_err)
+            for e in (sec.run_monte_carlo(c, BATCH_TRIALS, BATCH_SEED)
+                      for c in _batch_cases()[case])]
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("case", sorted(_batch_cases()))
+def test_batch_equals_per_config_loop(case, threads):
+    batch = sec.run_monte_carlo_many(_batch_cases()[case], BATCH_TRIALS, BATCH_SEED,
+                                     threads=threads)
+    assert [(e.p_hat, e.std_err) for e in batch] == _loop_reference(case)
+    assert all(e.trials == BATCH_TRIALS and e.seed == BATCH_SEED for e in batch)
+
+
+def test_batch_draws_once_per_layout_and_block(monkeypatch):
+    calls = []
+
+    def counting(rng, r_max_m, size=None):
+        calls.append(size)
+        return np.cbrt(rng.random(size)) * r_max_m
+
+    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    configs = _batch_cases()["fig3-mixed-l"] + _batch_cases()["fig2"]
+    sec.run_monte_carlo_many(configs, BATCH_TRIALS, BATCH_SEED, threads=2)
+    # three element counts make three layouts; fig2 shares the L = 16 one
+    assert sorted(calls) == sorted([sec.BLOCK_TRIALS, sec.BLOCK_TRIALS, 808] * 3)
+
+
+def test_batch_edge_cases(geometry, air, fading):
+    cfg = make_config(geometry, air, fading)
+    assert sec.run_monte_carlo_many([], 5_000, seed=1, threads=2) == []
+    twice = sec.run_monte_carlo_many([cfg, cfg], 5_000, seed=1)
+    assert twice[0] == twice[1] == sec.run_monte_carlo(cfg, 5_000, seed=1)
+    with pytest.raises(ValueError):
+        sec.run_monte_carlo_many([cfg], 0, seed=1)
+    with pytest.raises(ValueError):
+        sec.run_monte_carlo_many([cfg], 5_000, seed=1, threads=0)

@@ -25,9 +25,9 @@ Evaluation routes, cross-checked against each other:
   functions, reported as ``closed_form`` next to the quadrature
   ``value`` with their relative gap.
 
-Proportional-fair order statistics are expanded two ways: collapsed
-polynomial coefficients (production) and an explicit subset-term
-enumeration (validation), tied together by an exact identity.
+Proportional-fair order statistics enter through collapsed polynomial
+coefficients of the N-fold truncated exponential product; one series
+routine sums them for both the Bessel-K CDF and the Meijer-G composite.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -51,15 +51,12 @@ from .scheduling import SchemeId
 
 logger = logging.getLogger(__name__)
 
-#: Largest user count accepted by the series/enumeration expansions; the
+#: Largest user count accepted by the order-statistic series; the
 #: quadrature path has no such cap and stays authoritative beyond it.
 MAX_ORDER_STAT_USERS = 12
 
 #: Cap on the number of Meijer-G composite terms in one closed-form call.
 MAX_COMPOSITE_TERMS = 5000
-
-#: Cap on explicitly enumerated subset terms (memory guard).
-MAX_SUBSET_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -145,6 +142,46 @@ def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
     return np.exp(np.array(_log_ordered_sum_coefficients(j, m1_elements)))
 
 
+def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
+                       lead: float, log_arg: float,
+                       log_kernel: Callable[[int, int], tuple[float, float]]
+                       ) -> float:
+    """1 + sum over (j, B) of the collapsed order-statistic expansion.
+
+    Term (j, B) is (-1)^j C(N, j) gamma_{j,B} j^{(m2 L - B)/2}
+    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel, whose
+    (log|kernel|, sign) ``log_kernel(j, B)`` returns.  Summed in log
+    space; the result is clamped to [0, 1].  Shared by the Bessel-K
+    series CDF and the Meijer-G composite, which differ only in ``lead``,
+    the argument and the kernel.
+    """
+    ln_gamma_m2 = specfun.ln_gamma(m_2)
+    logs: list[float] = []
+    signs: list[float] = []
+    for j in range(1, n_users + 1):
+        log_row = _log_ordered_sum_coefficients(j, m1_elements)
+        log_j = math.log(j)
+        sign_j = -1.0 if j % 2 else 1.0
+        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(n_users, j)
+        for b, log_coef in enumerate(log_row):
+            log_k, sign_k = log_kernel(j, b)
+            log_term = (log_lead + log_coef
+                        + 0.5 * (m_2 + b) * (log_j + log_arg) - b * log_j
+                        + log_k)
+            logs.append(log_term)
+            signs.append(sign_j * sign_k)
+    total_log, total_sign = specfun.log_sum_exp(
+        np.array(logs), np.array(signs))
+    if total_log == -math.inf:
+        return 1.0
+    if total_sign < 0.0:
+        # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
+        val = -math.expm1(total_log) if total_log < 0.0 else 0.0
+    else:
+        val = 1.0 + math.exp(total_log)
+    return min(1.0, max(0.0, val))
+
+
 def _cdf_cascade_series(z: float, m1: int, m2: int, n_elements: int,
                         sigma1_sq: float, sigma2_sq: float,
                         n_users: int) -> float:
@@ -159,32 +196,12 @@ def _cdf_cascade_series(z: float, m1: int, m2: int, n_elements: int,
         return 0.0
     m_2 = m2 * n_elements
     xi = m1 * m2 * z / (sigma1_sq * sigma2_sq)
-    log_xi = math.log(xi)
-    ln_gamma_m2 = specfun.ln_gamma(m_2)
-    logs: list[float] = []
-    signs: list[float] = []
-    for j in range(1, n_users + 1):
-        log_row = _log_ordered_sum_coefficients(j, m1 * n_elements)
-        log_j = math.log(j)
-        arg = 2.0 * math.sqrt(j * xi)
-        sign_j = -1.0 if j % 2 else 1.0
-        log_lead = math.log(2.0) - ln_gamma_m2 + _log_binom(n_users, j)
-        for b, log_coef in enumerate(log_row):
-            log_term = (log_lead + log_coef
-                        + 0.5 * (m_2 + b) * (log_j + log_xi) - b * log_j
-                        + specfun.log_bessel_k(abs(m_2 - b), arg))
-            logs.append(log_term)
-            signs.append(sign_j)
-    total_log, total_sign = specfun.log_sum_exp(
-        np.array(logs), np.array(signs))
-    if total_log == -math.inf:
-        return 1.0
-    if total_sign < 0.0:
-        # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
-        val = -math.expm1(total_log) if total_log < 0.0 else 0.0
-    else:
-        val = 1.0 + math.exp(total_log)
-    return min(1.0, max(0.0, val))
+
+    def bessel(j: int, b: int) -> tuple[float, float]:
+        return specfun.log_bessel_k(abs(m_2 - b), 2.0 * math.sqrt(j * xi)), 1.0
+
+    return _order_stat_series(n_users, m1 * n_elements, m_2, 2.0,
+                              math.log(xi), bessel)
 
 
 def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
@@ -199,8 +216,13 @@ def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
                                p.sigma1_sq, p.sigma2_sq, n_users=1)
 
 
+@lru_cache(maxsize=None)
 def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
-    """Upper limit w_hi with Gamma(shape, rate) tail mass below abs_tol."""
+    """Upper limit w_hi with Gamma(shape, rate) tail mass below abs_tol.
+
+    Cached: it depends on its arguments only, and every node of the outer
+    distance average asks for the same cutoff.
+    """
     w_hi = max(1.0, 2.0 * shape / rate)
     for _ in range(200):
         if specfun.regularized_upper_gamma(shape, rate * w_hi) < abs_tol:
@@ -259,105 +281,6 @@ def cdf_Z_quadrature(z: float, p: ClosedFormParams, pfs: bool = False,
 
     val = _adaptive_gl(integrand, 0.0, w_hi, abs_tol)
     return min(1.0, max(0.0, val))
-
-
-# ---------------------------------------------------------------------------
-# Subset-term expansion of the order-statistics CDF
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One subset x composition entry of the expanded N-fold product.
-
-    F_S^N expands over the 2^N - 1 non-empty user subsets; a subset of
-    ``cardinality`` j contributes e^{-j m1 s} times the j-fold truncated
-    sum, which the generalized multinomial theorem splits into weak
-    compositions ``composition`` (n_t = how many factors contributed
-    power t).  ``a1`` is the composite coefficient
-
-        a1 = prod_t (1/t!)^{n_t} / (B1! prod_t n_t!),
-
-    ``b1`` the aggregate power sum t n_t, and the actual polynomial
-    weight of (m1 s)^{b1} is a1 * Gamma(b1 + 1) * Gamma(j + 1).
-    """
-
-    cardinality: int
-    composition: tuple[int, ...]
-    a1: float
-    b1: int
-
-    @property
-    def weight(self) -> float:
-        return (self.a1 * math.gamma(self.b1 + 1)
-                * math.gamma(self.cardinality + 1))
-
-
-def _make_subset_term(j: int, composition: tuple[int, ...]) -> SubsetTerm:
-    b1 = sum(t * n for t, n in enumerate(composition))
-    log_a1 = -math.lgamma(b1 + 1)
-    for t, n in enumerate(composition):
-        log_a1 -= math.lgamma(n + 1) + n * math.lgamma(t + 1)
-    return SubsetTerm(cardinality=j, composition=composition,
-                      a1=math.exp(log_a1), b1=b1)
-
-
-def _compositions(j: int, parts: int):
-    """Weak compositions of j into ``parts`` nonnegative slots."""
-    if parts == 1:
-        yield (j,)
-        return
-    for first in range(j + 1):
-        for rest in _compositions(j - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_subset_terms(n_users: int, m1_elements: int) -> list[SubsetTerm]:
-    """All subset x composition terms of the N-user order-statistic CDF.
-
-    Emits one entry per non-empty user subset (2^N - 1 of them, entered
-    through their cardinality multiplicity) crossed with every weak
-    composition of the subset size into m1 L parts.  Guarded by
-    :class:`CapacityError`; callers beyond the cap must use the
-    quadrature path.
-    """
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if n_users > MAX_ORDER_STAT_USERS:
-        raise CapacityError(
-            f"subset enumeration supports at most {MAX_ORDER_STAT_USERS} "
-            f"users, got {n_users}; use the quadrature path")
-    if m1_elements < 1:
-        raise ValueError("m1_elements must be >= 1")
-    total = sum(math.comb(n_users, j) * math.comb(j + m1_elements - 1, j)
-                for j in range(1, n_users + 1))
-    if total > MAX_SUBSET_TERMS:
-        raise CapacityError(
-            f"subset enumeration would need {total} terms; "
-            f"reduce the user count or element count")
-    terms: list[SubsetTerm] = []
-    for j in range(1, n_users + 1):
-        base = [_make_subset_term(j, comp)
-                for comp in _compositions(j, m1_elements)]
-        terms.extend(base * math.comb(n_users, j))
-    return terms
-
-
-def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
-                             n_users: int) -> float:
-    """F_S(s)^N rebuilt from the explicit subset-term expansion.
-
-    Exists to validate the expansion; production paths use the collapsed
-    coefficients from :func:`ordered_sum_coefficients`.
-    """
-    if s <= 0.0:
-        return 0.0
-    m1s = m1 * s
-    total = 1.0  # empty subset
-    for term in enumerate_subset_terms(n_users, m1 * n_elements):
-        j = term.cardinality
-        total += ((-1.0) ** j * term.weight * m1s ** term.b1
-                  * math.exp(-j * m1s))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +369,6 @@ def _closed_form(params: ClosedFormParams) -> float:
             f"{MAX_ORDER_STAT_USERS} users, got {params.n_users}")
     m_2 = params.m2 * params.n_elements
     big_x = params.big_x
-    log_x = math.log(big_x)
-    ln_gamma_m2 = specfun.ln_gamma(m_2)
     n_terms = sum(
         j * (params.m1 * params.n_elements - 1) + 1
         for j in range(1, params.n_users + 1))
@@ -455,33 +376,12 @@ def _closed_form(params: ClosedFormParams) -> float:
         raise CapacityError(
             f"closed-form composite needs {n_terms} Meijer terms "
             f"(cap {MAX_COMPOSITE_TERMS}); reduce users or elements")
-    logs: list[float] = []
-    signs: list[float] = []
-    for j in range(1, params.n_users + 1):
-        log_row = _log_ordered_sum_coefficients(
-            j, params.m1 * params.n_elements)
-        log_j = math.log(j)
-        sign_j = -1.0 if j % 2 else 1.0
-        log_lead = (math.log(1.5) - ln_gamma_m2
-                    + _log_binom(params.n_users, j))
-        for b, log_coef in enumerate(log_row):
-            mu = m_2 + b - 4
-            nu = m_2 - b
-            log_g, sign_g = _log_meijer_composite(mu, nu, j * big_x)
-            log_term = (log_lead + log_coef
-                        + 0.5 * (m_2 + b) * (log_j + log_x) - b * log_j
-                        + log_g)
-            logs.append(log_term)
-            signs.append(sign_j * sign_g)
-    total_log, total_sign = specfun.log_sum_exp(
-        np.array(logs), np.array(signs))
-    if total_log == -math.inf:
-        return 1.0
-    if total_sign < 0.0:
-        val = -math.expm1(total_log) if total_log < 0.0 else 0.0
-    else:
-        val = 1.0 + math.exp(total_log)
-    return min(1.0, max(0.0, val))
+
+    def meijer(j: int, b: int) -> tuple[float, float]:
+        return _log_meijer_composite(m_2 + b - 4, m_2 - b, j * big_x)
+
+    return _order_stat_series(params.n_users, params.m1 * params.n_elements,
+                              m_2, 1.5, math.log(big_x), meijer)
 
 
 def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,

@@ -26,7 +26,7 @@ from .errors import (AccuracyError, AnalyticUnavailableError, CapacityError,
                      ConfigError)
 from .experiments import (ExperimentSpec, format_csv, load_config,
                           run_experiment)
-from .fading import FadingParams, cdf_S, sample_power_sum
+from .fading import FadingParams
 from .optimize import AltitudeSearchSpec, golden_section_min, optimal_altitude
 from .propagation import AirGroundParams, ScenarioGeometry, bs_ris_gain, ris_user_gain
 from .scheduling import SchemeId, select_fcsi_pfs, select_gcsi_pfs
@@ -237,16 +237,13 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
                 for z in (0.5, 2.0, 8.0))
     check("series-vs-quadrature", worst < 1e-8, f"worst abs {worst:.2e}")
 
-    # order-statistic subset expansion vs direct power F_S^N
-    worst = 0.0
-    for n_users in (2, 3):
-        for s in (1.0, 2.0, 4.0):
-            direct = analytic.cdf_power_sum_order_stat(s, m1=2, n_elements=2,
-                                                       n_users=n_users)
-            ref = float(cdf_S(s, 2, 2)) ** n_users
-            if ref > 1e-12:
-                worst = max(worst, abs(direct - ref) / ref)
-    check("order-stat-identity", worst < 1e-9, f"worst rel {worst:.2e}")
+    # order-statistic series CDF vs quadrature of F_S^N
+    worst = max(abs(analytic._cdf_cascade_series(z, 2, 2, 2, 1.0, 1.0, n_users)
+                    - analytic.cdf_Z_quadrature(
+                        z, dataclasses.replace(p_2, n_users=n_users),
+                        pfs=True))
+                for n_users in (2, 3) for z in (0.5, 2.0, 8.0))
+    check("pfs-series-vs-quadrature", worst < 1e-8, f"worst abs {worst:.2e}")
 
     # closed form vs quadrature at the default operating point
     geo, air = ScenarioGeometry(), AirGroundParams()
@@ -287,8 +284,8 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
 
     # scheduling: GCSI and normalized-FCSI agree under a common BS factor
     fp = FadingParams(m1=2, m2=2, n_elements=16)
-    s_draws = sample_power_sum(rng, fp.m1, fp.n_elements, size=(2000, 4))
-    w_draws = sample_power_sum(rng, fp.m2, fp.n_elements, size=(2000, 1))
+    s_draws = rng.gamma(fp.m1 * fp.n_elements, 1.0 / fp.m1, (2000, 4))
+    w_draws = rng.gamma(fp.m2 * fp.n_elements, 1.0 / fp.m2, (2000, 1))
     gcsi = select_gcsi_pfs(s_draws, fp.n_elements)
     fcsi = select_fcsi_pfs(s_draws * w_draws, fp.m1, fp.m2, fp.n_elements)
     check("pfs-equivalence", bool(np.all(gcsi == fcsi)))

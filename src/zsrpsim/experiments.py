@@ -332,8 +332,3 @@ def format_csv(rows: Iterable[dict]) -> str:
         lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
-
-def write_csv(rows: Iterable[dict], path: Union[str, Path]) -> None:
-    text = format_csv(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -36,54 +36,6 @@ class FadingParams:
             object.__setattr__(self, name, int(v))
 
 
-def sample_gamma(rng: np.random.Generator, shape: float, scale: float,
-                 size=None) -> np.ndarray:
-    """Gamma draws with explicit validation (thin wrapper over the generator)."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
-    return rng.gamma(shape, scale, size)
-
-
-def sample_element_powers(rng: np.random.Generator, m: int, n_elements: int,
-                          size=None) -> np.ndarray:
-    """Per-element power gains ~ Gamma(m, 1/m); trailing axis is the element."""
-    if size is None:
-        shape = (n_elements,)
-    elif isinstance(size, int):
-        shape = (size, n_elements)
-    else:
-        shape = tuple(size) + (n_elements,)
-    return sample_gamma(rng, float(m), 1.0 / m, shape)
-
-
-def sample_power_sum(rng: np.random.Generator, m: int, n_elements: int,
-                     size=None) -> np.ndarray:
-    """Squared-norm draws S ~ Gamma(m*L, 1/m) taken in one shot."""
-    return sample_gamma(rng, float(m) * n_elements, 1.0 / m, size)
-
-
-def sample_S(rng: np.random.Generator, m1: int, n_elements: int,
-             size=None) -> np.ndarray:
-    """User-side power sum S ~ Gamma(m1*L, 1/m1); matches cdf_S."""
-    return sample_power_sum(rng, m1, n_elements, size)
-
-
-def sample_W(rng: np.random.Generator, m2: int, n_elements: int,
-             size=None) -> np.ndarray:
-    """BS-side power sum W ~ Gamma(m2*L, 1/m2); matches pdf_W."""
-    return sample_power_sum(rng, m2, n_elements, size)
-
-
-def sample_channel_vector(rng: np.random.Generator, m: int, sigma_sq: float,
-                          n_elements: int) -> np.ndarray:
-    """One complex channel vector: sqrt(sigma^2 * power) with uniform phases."""
-    if sigma_sq <= 0.0:
-        raise ValueError("large-scale gain must be positive")
-    p = sample_element_powers(rng, m, n_elements)
-    phases = rng.uniform(0.0, 2.0 * math.pi, n_elements)
-    return np.sqrt(sigma_sq * p) * np.exp(1j * phases)
-
-
 def cdf_S(s, m1: int, n_elements: int):
     """CDF of S ~ Gamma(m1*L, 1/m1): 1 - exp(-m1 s) sum_{t<m1 L} (m1 s)^t/t!.
 

@@ -18,7 +18,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .analytic import zsrp_for_scheme
 from .secrecy import ScenarioConfig, run_monte_carlo, run_monte_carlo_many

@@ -8,9 +8,10 @@ elevation-dependent LoS probability
     P_los(theta) = 1 / (1 + a2 * exp(-b2 * (theta_deg - a2)))
 
 with theta in degrees.  RIS-to-user links are terrestrial and use alpha(0);
-the eavesdropper overhears the BS directly over a free-space leg with
-exponent 2.  All large-scale gains follow G = G0 * d^(-alpha) with G0 the
-linear reference gain at 1 m.
+the eavesdropper overhears the BS directly over a leg whose exponent is
+the scenario's ``alpha_eve`` config key (default 2, free space).  All
+large-scale gains follow G = G0 * d^(-alpha) with G0 the linear reference
+gain at 1 m.
 
 The eavesdropper location is uniform inside a radius-R sphere centered on
 the BS, so its BS distance has pdf 3 psi^2 / R^3 on [0, R].
@@ -19,7 +20,7 @@ the BS, so its BS distance has pdf 3 psi^2 / R^3 on [0, R].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,23 +62,6 @@ class AirGroundParams:
         return self.alpha_ground
 
 
-#: Free-space exponent of the BS-to-eavesdropper leg (not configurable).
-EVE_PATHLOSS_EXPONENT = 2.0
-
-
-@dataclass(frozen=True)
-class NodePosition:
-    """Cartesian position in meters (z up)."""
-
-    x: float
-    y: float
-    z: float
-
-    def distance_to(self, other: "NodePosition") -> float:
-        return math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
-                         + (self.z - other.z) ** 2)
-
-
 @dataclass(frozen=True)
 class ScenarioGeometry:
     """Static layout: aerial BS, RIS, users, and the eavesdropper sphere."""
@@ -103,23 +87,6 @@ class ScenarioGeometry:
     def d_br_3d_m(self) -> float:
         """Slant BS-RIS distance."""
         return math.hypot(self.r_br_m, self.h_br_m)
-
-
-@dataclass(frozen=True)
-class EvePlacement:
-    """One sampled eavesdropper position in BS-centered spherical coordinates.
-
-    Only ``d_be_m`` enters the secrecy test; the angles are carried for
-    completeness of the placement model.
-    """
-
-    d_be_m: float
-    azimuth_rad: float
-    polar_rad: float
-
-    def __post_init__(self) -> None:
-        if self.d_be_m < 0.0:
-            raise ValueError("distance must be nonnegative")
 
 
 def elevation_angle(h_m: float, r_m: float) -> float:
@@ -180,13 +147,6 @@ def ris_user_gain(geom: ScenarioGeometry, params: AirGroundParams, user: int) ->
     return large_scale_gain(params.ref_gain, geom.d_rn_m[user], params.alpha_user)
 
 
-def eve_wiretap_gain(ref_gain: float, d_be_m: float) -> float:
-    """Deterministic free-space wiretap gain G0 / d^2 of the BS-eve leg."""
-    if d_be_m <= 0.0:
-        raise ValueError("eavesdropper distance must be positive")
-    return large_scale_gain(ref_gain, d_be_m, EVE_PATHLOSS_EXPONENT)
-
-
 def sample_eve_distance(rng: np.random.Generator, r_max_m: float,
                         size: int | None = None):
     """Draw BS-eve distances with density 3 psi^2 / R^3 (inverse CDF R u^{1/3})."""
@@ -194,11 +154,3 @@ def sample_eve_distance(rng: np.random.Generator, r_max_m: float,
         raise ValueError("sphere radius must be positive")
     u = rng.random(size)
     return r_max_m * np.cbrt(u)
-
-
-def sample_eve_placement(rng: np.random.Generator, r_max_m: float) -> EvePlacement:
-    """Full spherical placement; only the distance feeds the secrecy test."""
-    d = float(sample_eve_distance(rng, r_max_m))
-    azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
-    polar = float(math.acos(1.0 - 2.0 * rng.random()))
-    return EvePlacement(d_be_m=d, azimuth_rad=azimuth, polar_rad=polar)

@@ -3,7 +3,8 @@
 Two families are covered for both RIS architectures:
 
 * round-robin (RS): slot ``t`` serves user ``t mod N`` independently of any
-  channel state, the fairness baseline;
+  channel state, the fairness baseline; its ZSRP is the average over users,
+  so the estimator counts every user's event in every trial;
 * proportional-fair (PFS): serve the user whose scheduling metric, an
   instantaneous channel quantity normalized by its own statistical mean, is
   largest.  With global CSI (GCSI) the metric is the per-user element power
@@ -48,19 +49,6 @@ class SchemeId(enum.Enum):
         except ValueError:
             valid = ", ".join(s.value for s in cls)
             raise ValueError(f"unknown scheme {text!r}; expected one of {valid}") from None
-
-
-def select_round_robin(slot: int, n_users: int) -> int:
-    """Deterministic slot-cycling selection, independent of channel state."""
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    return int(slot) % int(n_users)
-
-
-def mean_power_sum(m: int, n_elements: int) -> float:
-    """E[sum_l |g_l|^2] for unit-mean element powers: just the element count."""
-    del m  # the shape parameter scales variance, not the mean
-    return float(n_elements)
 
 
 def sc_amplitude_correlation(m1: int, m2: int) -> float:

@@ -4,7 +4,8 @@ The secrecy rate of the served user is [C_main - C_eve]+ with
 C = log2(1 + gamma_B * gain) on both links, so the zero-secrecy-rate
 event {C_main < C_eve} reduces to the gain comparison
 {main_gain < eve_gain}: the transmit SNR gamma_B cancels exactly and
-never enters the estimator.
+never enters the estimator.  The comparison is strict, so ties (a null
+event) count as secure.
 
 Trials are simulated in fixed-size blocks, each with its own
 counter-derived random stream keyed by (seed, block index).  Workers
@@ -75,15 +76,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One full realization: BS-RIS vector, per-user vectors, eve distance."""
-
-    h_br: np.ndarray
-    h_rn: np.ndarray
-    d_be: float
-
-
-@dataclass(frozen=True)
 class ZsrpEstimate:
     """Monte-Carlo ZSRP with its binomial standard error."""
 
@@ -91,46 +83,6 @@ class ZsrpEstimate:
     std_err: float
     trials: int
     seed: int
-
-
-def capacity_main(gamma_b: float, cascaded_gain: float) -> float:
-    """Main-link capacity log2(1 + gamma_B * gain) in bits/s/Hz."""
-    if cascaded_gain < 0.0:
-        raise ValueError("gain must be nonnegative")
-    return math.log2(1.0 + gamma_b * cascaded_gain)
-
-
-def capacity_eve(gamma_b: float, wiretap_gain: float) -> float:
-    """Wiretap-link capacity; identical formula to the main link."""
-    return capacity_main(gamma_b, wiretap_gain)
-
-
-def zsr_indicator(main_gain: float, eve_gain: float) -> bool:
-    """Zero-secrecy-rate event: strict gain comparison.
-
-    Equivalent to C_main < C_eve for every positive transmit SNR by
-    monotonicity of log2(1 + gamma x); ties (measure zero) are secure.
-    """
-    return main_gain < eve_gain
-
-
-def sample_channel_draw(rng: np.random.Generator,
-                        config: ScenarioConfig) -> ChannelDraw:
-    """One explicit realization with large-scale gains folded in.
-
-    Convenience for inspection and tests; the estimator itself draws in
-    vectorized blocks (same distributions, different draw layout).
-    """
-    from .fading import sample_channel_vector
-    geom, air, fad = config.geometry, config.air, config.fading
-    sigma2_sq = bs_ris_gain(geom, air)
-    h_br = sample_channel_vector(rng, fad.m2, sigma2_sq, fad.n_elements)
-    h_rn = np.stack([
-        sample_channel_vector(rng, fad.m1, ris_user_gain(geom, air, u),
-                              fad.n_elements)
-        for u in range(geom.n_users)])
-    d_be = float(sample_eve_distance(rng, geom.r_eve_m))
-    return ChannelDraw(h_br=h_br, h_rn=h_rn, d_be=d_be)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -184,7 +136,6 @@ def _simulate_block(configs: list[ScenarioConfig], seed: int,
     dir_z = None
     if configs[0].eve_center == "fixed":
         dir_z = 1.0 - 2.0 * rng.random(n)
-        rng.random(n)  # azimuth: drawn for placement, no effect on distance
 
     user_sums = gr_pow.sum(axis=2)
     small: dict[bool, np.ndarray] = {}  # fully connected? -> cascade

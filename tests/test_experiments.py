@@ -22,8 +22,8 @@ Proves:
 
  Group 4 — CSV contract
    fixed header order, LF line endings, trailing newline, 10-significant-
-   digit floats, empty cells for absent values; the file writer emits the
-   same bytes as the formatter.
+   digit floats, empty cells for absent values; the CLI's file writer
+   emits the same bytes as the formatter.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from zsrpsim import cli
 from zsrpsim import experiments as ex
 from zsrpsim.errors import ConfigError
 from zsrpsim.scheduling import SchemeId
@@ -249,11 +250,13 @@ def test_csv_layout(small_fig2_spec):
 
 
 def test_writer_matches_formatter(tmp_path, small_fig2_spec):
+    # the CLI's file writer is the one writer: same bytes as the formatter,
+    # no newline translation
     scenario, _ = ex.load_config(None)
     spec = ex.ExperimentSpec(
         **{**small_fig2_spec.__dict__, "schemes": (SchemeId.SCR_RS,), "evaluators": ("mc",)}
     )
     rows = ex.run_experiment(scenario, spec)
     out = tmp_path / "rows.csv"
-    ex.write_csv(rows, out)
+    cli._emit(ex.format_csv(rows), str(out))
     assert out.read_bytes() == ex.format_csv(rows).encode()

@@ -1,4 +1,4 @@
-"""Air-to-ground link model: angles, LoS logistic, exponents, gains, eavesdropper placement.
+"""Air-to-ground link model: angles, LoS logistic, exponents, gains, eavesdropper distance.
 
 Proves:
  Group 1 — elevation geometry
@@ -16,20 +16,22 @@ Proves:
  Group 3 — power-law gains
    reference arithmetic 1e-3 * 100^-2 = 1e-7; homogeneity
    gain(c d) = c^-alpha gain(d); array broadcast; frozen default link
-   variances recomputed from first principles; eavesdropper exponent is
-   pinned to free space independent of the environment.
+   variances recomputed from first principles.
 
  Group 4 — random eavesdropper placement
    inverse-cube-root sampling: mean 3R/4 within 1 m at 1e6 draws, an
    eighth of the mass below R/2, KS distance to (r/R)^3 below 0.002;
-   placement angles land in their ranges.
+   the estimator's distances stay in range: the sampled radius for a
+   BS-centred ball, within |rho -+ |dz|| of it for a ball centred |dz|
+   away from the BS.
 
  Group 5 — containers
-   3-4-5 point distance, user count, 3-D mast distance, validation.
+   user count, 3-D mast distance, validation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +41,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from zsrpsim import propagation as pr
+from zsrpsim.fading import FadingParams
+from zsrpsim.scheduling import SchemeId
+from zsrpsim.secrecy import ScenarioConfig, _eve_distance
 
 # frozen default link variances, recomputed from scratch in Group 3
 BS_RIS_VARIANCE = 0.1379736692021992
@@ -183,13 +188,6 @@ def test_default_link_variances(geometry, air):
     assert math.isclose(pr.ris_user_gain(geometry, air, 0), RIS_USER_VARIANCE, rel_tol=1e-12)
 
 
-def test_eve_wiretap_gain_free_space():
-    assert math.isclose(pr.eve_wiretap_gain(1e-3, 500.0), 4e-9, rel_tol=1e-12)
-    assert pr.EVE_PATHLOSS_EXPONENT == 2.0
-    # the wiretap exponent does not follow the terrestrial environment
-    assert math.isclose(pr.eve_wiretap_gain(1.0, 7.0), 7.0**-2.0, rel_tol=1e-12)
-
-
 # --- Group 4: random eavesdropper placement ---
 
 
@@ -207,22 +205,29 @@ def test_eve_distance_statistics(rng):
     assert ks.statistic < 0.002
 
 
-def test_eve_placement_ranges(rng):
-    r_max = 350.0
-    for _ in range(200):
-        pl = pr.sample_eve_placement(rng, r_max)
-        assert 0.0 < pl.d_be_m <= r_max
-        assert 0.0 <= pl.azimuth_rad < 2.0 * math.pi
-        assert 0.0 <= pl.polar_rad <= math.pi
+def test_eve_placement_ranges(rng, air):
+    # the estimator's placement: a unit-radius draw scaled per row and, for
+    # a fixed centre, the polar direction cosine fixing the offset leg
+    r_max, n = 350.0, 2000
+    cbrt_u = pr.sample_eve_distance(rng, 1.0, size=n)
+    dir_z = 1.0 - 2.0 * rng.random(n)
+    rho = r_max * cbrt_u
+    geometry = pr.ScenarioGeometry(h_br_m=400.0, r_eve_m=r_max)
+    centred = ScenarioConfig(geometry=geometry, air=air, fading=FadingParams(),
+                             scheme=SchemeId.FCR_RS)
+    assert np.array_equal(_eve_distance(centred, cbrt_u, None), rho)
+    offset = dataclasses.replace(centred, eve_center="fixed",
+                                 eve_center_h_m=150.0)
+    d = _eve_distance(offset, cbrt_u, dir_z)
+    dz = 400.0 - 150.0
+    assert np.all(d >= np.abs(rho - dz) - 1e-9)
+    assert np.all(d <= rho + dz + 1e-9)
+    # straight above and below the centre the legs add and subtract exactly
+    ends = _eve_distance(offset, np.full(2, 0.5), np.array([1.0, -1.0]))
+    assert np.allclose(ends, [dz - 0.5 * r_max, dz + 0.5 * r_max], rtol=1e-12)
 
 
 # --- Group 5: containers ---
-
-
-def test_node_position_distance():
-    a = pr.NodePosition(3.0, 0.0, 0.0)
-    b = pr.NodePosition(0.0, 4.0, 0.0)
-    assert a.distance_to(b) == 5.0
 
 
 def test_geometry_defaults_and_derived(geometry):

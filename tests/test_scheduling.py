@@ -1,19 +1,16 @@
-"""User selection rules: round robin, power-sum and full-gain greedy picks.
+"""User selection rules: power-sum and full-gain greedy picks.
 
 Proves:
  Group 1 — scheme identifiers
    string round-trip for every scheme, architecture/rule predicates,
    unknown ids rejected with the valid list in the message.
 
- Group 2 — round robin
-   modular rotation, periodicity, validation.
-
- Group 3 — selection statistics helpers
-   mean power sum equals the element count; the amplitude correlation for
+ Group 2 — selection statistics helpers
+   the amplitude correlation for
    Rayleigh elements is (pi/4)^2; partially coherent cascade mean
    L (1 + (L-1) rho) matches simulation.
 
- Group 4 — greedy selectors
+ Group 3 — greedy selectors
    first-index argmax semantics incl. ties; batch shape conventions;
    exact invariance under power-of-two rescaling (binary-float exact);
    with a shared second hop, power-sum selection and normalized full-gain
@@ -55,31 +52,7 @@ def test_scheme_unknown_id():
         sch.SchemeId.from_string("fc-random")
 
 
-# --- Group 2: round robin ---
-
-
-def test_round_robin_rotation():
-    assert sch.select_round_robin(5, 3) == 2
-    assert [sch.select_round_robin(t, 4) for t in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_round_robin_periodicity():
-    for slot in (0, 7, 123):
-        assert sch.select_round_robin(slot, 5) == sch.select_round_robin(slot + 5, 5)
-
-
-def test_round_robin_validation():
-    with pytest.raises(ValueError):
-        sch.select_round_robin(0, 0)
-
-
-# --- Group 3: statistics helpers ---
-
-
-def test_mean_power_sum():
-    for m in (1, 2, 5):
-        for n_elements in (1, 16, 64):
-            assert sch.mean_power_sum(m, n_elements) == n_elements
+# --- Group 2: statistics helpers ---
 
 
 def test_amplitude_correlation_rayleigh():
@@ -110,7 +83,7 @@ def test_sc_cascade_mean_vs_simulation(rng):
     assert abs(g.mean() - expect) < 4.0 * se
 
 
-# --- Group 4: greedy selectors ---
+# --- Group 3: greedy selectors ---
 
 
 def test_gcsi_argmax_semantics():

@@ -1,31 +1,24 @@
-"""Monte-Carlo zero-secrecy-rate estimator: capacities, indicator, determinism.
+"""Monte-Carlo zero-secrecy-rate estimator: scenario, determinism, schemes.
 
 Proves:
- Group 1 — per-trial primitives
-   Shannon capacities at reference points, strict-inequality indicator
-   with the tie convention, negative-gain rejection.
-
- Group 2 — scenario container
+ Group 1 — scenario container
    linear SNR conversion, user count passthrough, validation of the SNR,
    wiretap exponent, and eavesdropper-center settings.
 
- Group 3 — draw layout
-   explicit single-draw shapes and the wiretap distance range.
-
- Group 4 — estimator behavior
+ Group 2 — estimator behavior
    dominating wiretap (vanishing sphere) drives the estimate to one; the
    estimate is bit-identical across the configured SNR (it cancels in the
    rate difference), across worker counts, and across repeated runs;
    partial trailing blocks are handled; the standard error follows the
    binomial formula; trials = 0 rejected.
 
- Group 5 — scheme behavior
+ Group 3 — scheme behavior
    all five schemes produce proper probabilities; greedy selection does
    not hurt the served user; phase-only surfaces lose to fully connected
    ones by a clear statistical margin at matched settings; the estimate
    agrees with the closed-form references at moderate depth.
 
- Group 6 — batched rows over shared draws
+ Group 4 — batched rows over shared draws
    ``run_monte_carlo_many`` equals a per-config ``run_monte_carlo`` loop
    exactly (p_hat and std_err) on the fig2 radius grid, fig3 with mixed
    element counts, fig4 around a fixed eavesdropper centre and mixed
@@ -58,30 +51,7 @@ def make_config(geometry, air, fading, scheme=SchemeId.FCR_RS, **kw):
     return sec.ScenarioConfig(geometry=geometry, air=air, fading=fading, scheme=scheme, **kw)
 
 
-# --- Group 1: per-trial primitives ---
-
-
-def test_capacity_reference_points():
-    assert math.isclose(sec.capacity_main(100.0, 0.03), 2.0, rel_tol=1e-12)
-    assert sec.capacity_main(100.0, 0.0) == 0.0
-    assert math.isclose(sec.capacity_eve(100.0, 0.03), 2.0, rel_tol=1e-12)
-
-
-def test_capacity_negative_gain():
-    with pytest.raises(ValueError):
-        sec.capacity_main(100.0, -1e-9)
-    with pytest.raises(ValueError):
-        sec.capacity_eve(100.0, -1e-9)
-
-
-def test_indicator_convention():
-    assert not sec.zsr_indicator(2.0, 1.0)
-    assert sec.zsr_indicator(1.0, 2.0)
-    # ties are a zero-probability boundary, counted as positive secrecy
-    assert not sec.zsr_indicator(1.0, 1.0)
-
-
-# --- Group 2: scenario container ---
+# --- Group 1: scenario container ---
 
 
 def test_config_derived_fields(geometry, air, fading):
@@ -101,18 +71,7 @@ def test_config_validation(geometry, air, fading):
         make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=-5.0)
 
 
-# --- Group 3: draw layout ---
-
-
-def test_single_draw_shapes(geometry, air, fading, rng):
-    cfg = make_config(geometry, air, fading)
-    draw = sec.sample_channel_draw(rng, cfg)
-    assert draw.h_br.shape == (fading.n_elements,)
-    assert draw.h_rn.shape == (geometry.n_users, fading.n_elements)
-    assert 0.0 < draw.d_be <= geometry.r_eve_m
-
-
-# --- Group 4: estimator behavior ---
+# --- Group 2: estimator behavior ---
 
 
 def test_vanishing_sphere_saturates(geometry, air, fading):
@@ -159,7 +118,7 @@ def test_zero_trials_rejected(geometry, air, fading):
         sec.run_monte_carlo(cfg, trials=0, seed=1)
 
 
-# --- Group 5: scheme behavior ---
+# --- Group 3: scheme behavior ---
 
 
 @pytest.mark.parametrize(
@@ -220,7 +179,7 @@ def test_fixed_center_runs(geometry, air, fading):
     assert 0.0 <= est.p_hat <= 1.0
 
 
-# --- Group 6: batched rows over shared draws ---
+# --- Group 4: batched rows over shared draws ---
 
 #: two full blocks plus a partial one
 BATCH_TRIALS = 2 * sec.BLOCK_TRIALS + 808

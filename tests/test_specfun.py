@@ -7,7 +7,9 @@ Proves:
 
  Group 2 — regularized upper incomplete gamma Q(a, x)
    frozen Q(4,2) against the finite Poisson sum and Q(1,1) = 1/e; agreement
-   with scipy.special.gammaincc including the x > 700 continued-path; bounds
+   with scipy.special.gammaincc including the x > 700 continued-path, in
+   scalar and vector form alike (bit-equal to each other); below x = 700
+   the vector form equals the term-by-term loop bit for bit; bounds
    0 <= Q <= 1 and monotone decay in x (property); Q(a, 0) = 1.
 
  Group 3 — modified Bessel K
@@ -40,6 +42,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from zsrpsim import specfun
+
+from oracles import upper_gamma_poisson_loop
 from zsrpsim.specfun import UnderflowWarning
 
 # Frozen from the quadrature oracle below (scipy agrees to the same digits).
@@ -118,6 +122,22 @@ def test_upper_gamma_large_x_path():
             assert math.isclose(got, ref, rel_tol=1e-8), (a, x)
     # hopeless underflow collapses to exactly zero
     assert specfun.regularized_upper_gamma(1.0, 800.0) == 0.0
+    # the vector form takes the same path element by element, mixed with
+    # points below the switch, and matches the scalar form bit for bit
+    for a in (4, 32, 120, 800):
+        x = np.array([0.0, 5.0, 650.0, 699.9, 700.0, 750.0, 900.0, 1e5])
+        got = specfun.regularized_upper_gamma_vec(a, x)
+        ref = special.gammaincc(a, x)
+        assert np.allclose(got, ref, rtol=1e-8, atol=1e-300), a
+        assert [specfun.regularized_upper_gamma(a, xi) for xi in x] == list(got)
+
+
+def test_upper_gamma_matches_poisson_loop():
+    # the accumulated array form keeps the loop's operation order exactly
+    grid = np.concatenate([[0.0, 1e-300], np.geomspace(1e-3, 699.99, 400)])
+    for a in (1, 2, 7, 32, 64, 200):
+        got = specfun.regularized_upper_gamma_vec(a, grid)
+        assert np.array_equal(got, upper_gamma_poisson_loop(a, grid)), a
 
 
 def test_upper_gamma_at_zero_and_domain():

@@ -34,6 +34,7 @@ here and raise :class:`AnalyticUnavailableError`.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import warnings
@@ -399,17 +400,8 @@ def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,
     return min(1.0, max(0.0, val))
 
 
-def _with_users(p: ClosedFormParams, n_users: int) -> ClosedFormParams:
-    if p.n_users == n_users:
-        return p
-    return ClosedFormParams(
-        m1=p.m1, m2=p.m2, n_elements=p.n_elements,
-        sigma1_sq=p.sigma1_sq, sigma2_sq=p.sigma2_sq,
-        ref_gain=p.ref_gain, r_eve_m=p.r_eve_m, n_users=n_users)
-
-
 def _report(value: float, closed: Optional[float],
-            rel_warn: float) -> AnalyticZsrp:
+            rel_warn: float = 1e-6) -> AnalyticZsrp:
     if closed is None:
         return AnalyticZsrp(value=value, closed_form=None, rel_gap=None)
     rel_gap = abs(closed - value) / max(value, 1e-300)
@@ -423,23 +415,28 @@ def _report(value: float, closed: Optional[float],
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
+def _closed_form_or_none(p: ClosedFormParams) -> Optional[float]:
+    """The Meijer composite, or None where it refuses (cap or accuracy)."""
+    try:
+        return _closed_form(p)
+    except (AccuracyError, CapacityError) as exc:
+        logger.info("closed-form composite unavailable here (%s); "
+                    "quadrature value returned alone", exc)
+        return None
+
+
 def zsrp_rs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     """Round-robin ZSRP: psi-average of the single-user cascade CDF.
 
     ``value`` comes from 1-D quadrature of the series CDF over the
-    eavesdropper distance; ``closed_form`` from the Meijer composite.
+    eavesdropper distance; ``closed_form`` from the Meijer composite,
+    omitted where it refuses.
     """
-    single = _with_users(p, 1)
+    single = dataclasses.replace(p, n_users=1)
     value = psi_average(
         lambda r: cdf_Z_single(single.ref_gain / r ** 2, single),
         single.r_eve_m)
-    try:
-        closed = _closed_form(single)
-    except AccuracyError as exc:
-        logger.info("closed-form composite unavailable here (%s); "
-                    "quadrature value returned alone", exc)
-        closed = None
-    return _report(value, closed, rel_warn)
+    return _report(value, _closed_form_or_none(single), rel_warn)
 
 
 def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
@@ -447,24 +444,13 @@ def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
 
     ``value`` comes from the F_S^N quadrature path (authoritative for
     any N); the series/Meijer ``closed_form`` is attached when the user
-    count is within the expansion cap, otherwise omitted.
+    count and term count are within the expansion caps, otherwise omitted.
     """
     value = psi_average(
         lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, pfs=True,
                                    abs_tol=1e-12),
         p.r_eve_m, abs_tol=1e-10)
-    try:
-        closed = _closed_form(p)
-    except CapacityError:
-        logger.info("closed-form composite omitted for N=%d users "
-                    "(series cap); quadrature value returned alone",
-                    p.n_users)
-        closed = None
-    except AccuracyError as exc:
-        logger.info("closed-form composite unavailable here (%s); "
-                    "quadrature value returned alone", exc)
-        closed = None
-    return _report(value, closed, rel_warn)
+    return _report(value, _closed_form_or_none(p), rel_warn)
 
 
 def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
@@ -488,7 +474,7 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
             "analytic ZSRP requires the free-space wiretap exponent 2; "
             f"got alpha_eve={config.alpha_eve}")
     geometry = config.geometry
-    if (config.eve_center == "fixed" and config.eve_center_h_m is not None
+    if (config.eve_center == "fixed"
             and config.eve_center_h_m != geometry.h_br_m):
         raise AnalyticUnavailableError(
             "analytic ZSRP requires the eavesdropper ball centred on the BS; "
@@ -516,11 +502,9 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
             return zsrp_rs(make(sigma1[0], 1))
         parts = [zsrp_rs(make(s, 1)) for s in sigma1]
         value = sum(part.value for part in parts) / n_users
-        if any(part.closed_form is None for part in parts):
-            return AnalyticZsrp(value=value, closed_form=None, rel_gap=None)
-        closed = sum(part.closed_form for part in parts) / n_users
-        return AnalyticZsrp(value=value, closed_form=closed,
-                            rel_gap=abs(closed - value) / max(value, 1e-300))
+        closed = (None if any(part.closed_form is None for part in parts)
+                  else sum(part.closed_form for part in parts) / n_users)
+        return _report(value, closed)
     if not homogeneous:
         raise AnalyticUnavailableError(
             "proportional-fair closed form requires a common RIS-user "

@@ -113,6 +113,13 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
     return scenario, dataclasses.replace(spec, **updates)
 
 
+def _scheme(args: argparse.Namespace) -> SchemeId:
+    try:
+        return SchemeId.from_string(args.scheme)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _emit(text: str, path: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -137,43 +144,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_zsrp(args: argparse.Namespace) -> int:
+    """One operating point: ``run --experiment single`` for one scheme."""
     scenario, spec = _resolved(args)
-    try:
-        scheme = SchemeId.from_string(args.scheme)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg = dataclasses.replace(scenario, scheme=scheme)
-    rows = []
-    if args.evaluator in ("mc", "both"):
-        est = run_monte_carlo(cfg, spec.trials, spec.seed, threads=spec.threads)
-        rows.append({"sweep_var": "none", "scheme": scheme.value,
-                     "evaluator": "mc", "zsrp": est.p_hat,
-                     "std_err": est.std_err, "trials": spec.trials,
-                     "seed": spec.seed})
-    if args.evaluator in ("analytic", "both"):
-        try:
-            res = analytic.zsrp_for_scheme(scheme, cfg)
-        except AnalyticUnavailableError as exc:
-            if args.evaluator == "analytic":
-                raise ConfigError(str(exc)) from None
-            logger.warning("no analytic value: %s", exc)
-        else:
-            rows.append({"sweep_var": "none", "scheme": scheme.value,
-                         "evaluator": "analytic", "zsrp": res.value,
-                         "trials": spec.trials, "seed": spec.seed})
-            if res.rel_gap is not None:
-                logger.info("closed form %.10g agrees with quadrature to "
-                            "%.2e relative", res.closed_form, res.rel_gap)
+    scheme = _scheme(args)
+    evaluators = (("mc", "analytic") if args.evaluator == "both"
+                  else (args.evaluator,))
+    spec = dataclasses.replace(spec, kind="single", schemes=(scheme,),
+                               evaluators=evaluators)
+    rows = run_experiment(scenario, spec)
+    if not rows:
+        # run_experiment has logged why the closed form is unavailable
+        raise ConfigError(f"no analytic value for scheme {scheme.value!r}")
     _emit(format_csv(rows), spec.output)
     return 0
 
 
 def cmd_optimize_altitude(args: argparse.Namespace) -> int:
     scenario, spec = _resolved(args)
-    try:
-        scheme = SchemeId.from_string(args.scheme)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scheme = _scheme(args)
     try:
         search = AltitudeSearchSpec(
             config=dataclasses.replace(scenario, scheme=scheme),

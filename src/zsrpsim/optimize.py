@@ -102,11 +102,6 @@ def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
     distinct altitudes evaluated.
     """
     base = spec.config
-    if base.eve_center == "fixed" and base.eve_center_h_m is None:
-        # pin the eavesdropper ball at the configured altitude so the
-        # sweep moves the BS relative to a fixed region
-        base = dataclasses.replace(base,
-                                   eve_center_h_m=base.geometry.h_br_m)
     cache: dict[float, float] = {}
 
     def at(h: float) -> ScenarioConfig:

@@ -45,7 +45,11 @@ BLOCK_TRIALS = 4096
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full parameterization of one simulated downlink."""
+    """Full parameterization of one simulated downlink.
+
+    A ``fixed`` eavesdropper ball built without ``eve_center_h_m`` is
+    pinned at the configured BS altitude; copies keep that centre.
+    """
 
     geometry: ScenarioGeometry
     air: AirGroundParams
@@ -63,6 +67,12 @@ class ScenarioConfig:
             raise ValueError("alpha_eve must be positive")
         if self.eve_center not in ("bs", "fixed"):
             raise ValueError("eve_center must be 'bs' or 'fixed'")
+        if self.eve_center == "bs" and self.eve_center_h_m is not None:
+            raise ValueError("eve_center_h_m applies only to eve_center = fixed")
+        if self.eve_center == "fixed" and self.eve_center_h_m is None:
+            # pin the ball at the configured altitude once, so sweeps and
+            # searches move the BS relative to a fixed region
+            object.__setattr__(self, "eve_center_h_m", self.geometry.h_br_m)
         if self.eve_center_h_m is not None and self.eve_center_h_m <= 0.0:
             raise ValueError("eve_center_h_m must be positive")
 
@@ -103,17 +113,14 @@ def _eve_distance(config: ScenarioConfig, cbrt_u: np.ndarray,
     ``cbrt_u`` is the unit-radius distance draw: scaling it by the row's
     radius is bit-equal to drawing at that radius.  'bs' keeps the
     uniform ball centered on the BS, so the distance is the sampled
-    radius.  'fixed' pins the ball's center at the reference altitude
-    (eve_center_h_m, defaulting to the configured altitude) and measures
-    distance to the possibly different current BS altitude along the
-    polar direction ``dir_z``.
+    radius.  'fixed' keeps the ball's center at eve_center_h_m and
+    measures distance to the possibly different current BS altitude
+    along the polar direction ``dir_z``.
     """
     rho = config.geometry.r_eve_m * cbrt_u
     if dir_z is None:
         return rho
-    h0 = (config.eve_center_h_m if config.eve_center_h_m is not None
-          else config.geometry.h_br_m)
-    dz = config.geometry.h_br_m - h0
+    dz = config.geometry.h_br_m - config.eve_center_h_m
     return np.sqrt(np.maximum(rho ** 2 - 2.0 * rho * dir_z * dz + dz ** 2,
                               0.0))
 

@@ -216,38 +216,18 @@ def _bessel_k01_scaled(x: float) -> tuple[float, float]:
 def bessel_k(nu: int, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x), integer nu >= 0.
 
-    K0/K1 come from the ascending series (x <= 2) or the CF2 continued
-    fraction (x > 2); higher orders use the stable upward recurrence
-    K_{n+1} = K_{n-1} + (2n/x) K_n.  Results that underflow to zero in
-    double precision return 0.0 and emit an UnderflowWarning.
+    The exponential of :func:`log_bessel_k`, so both share one recurrence.
+    A value beyond the double range returns inf; one that underflows to
+    zero returns 0.0 and emits an UnderflowWarning.
     """
-    if nu < 0 or int(nu) != nu:
-        raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
-    if not x > 0.0:
-        raise ValueError(f"argument must be > 0, got {x!r}")
-    nu = int(nu)
-    if x > 700.0:
-        # exp(-x) alone may underflow; go through the log form
-        lk = log_bessel_k(nu, x)
-        val = math.exp(lk) if lk > -745.0 else 0.0
-        if val == 0.0:
-            warnings.warn(
-                f"bessel_k({nu}, {x:g}) underflowed to zero", UnderflowWarning,
-                stacklevel=2,
-            )
-        return val
-    k0s, k1s = _bessel_k01_scaled(x)
-    ex = math.exp(-x)
-    if nu == 0:
-        return k0s * ex
-    if nu == 1:
-        return k1s * ex
-    km, kc = k0s, k1s
-    for n in range(1, nu):
-        km, kc = kc, km + (2.0 * n / x) * kc
-        if math.isinf(kc):
-            return math.inf
-    return kc * ex
+    try:
+        val = math.exp(log_bessel_k(nu, x))
+    except OverflowError:
+        return math.inf
+    if val == 0.0:
+        warnings.warn(f"bessel_k({nu}, {x:g}) underflowed to zero",
+                      UnderflowWarning, stacklevel=2)
+    return val
 
 
 def log_bessel_k(nu: int, x: float) -> float:

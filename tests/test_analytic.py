@@ -23,7 +23,8 @@ Proves:
  Group 5 — end-to-end probabilities
    frozen default-scenario values for rotation and greedy serving with the
    contour route agreeing to better than 1e-6 (and frozen gaps near 1e-12);
-   user-count limits; greedy never hurts; monotone response to the sphere
+   user-count limits; past the Meijer term cap both serving rules return
+   the quadrature value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; the scheme
    dispatcher and its documented refusals.
 """
@@ -263,6 +264,16 @@ def test_many_users_fall_back_to_quadrature(closed_params):
     out = an.zsrp_pfs(closed_params(n_users=13))
     assert out.closed_form is None
     assert 0.0 < out.value < 1.0
+
+
+def test_both_rules_fall_back_past_the_term_cap(closed_params, monkeypatch):
+    p = closed_params(n_users=4)
+    want = {fn: fn(p).value for fn in (an.zsrp_rs, an.zsrp_pfs)}
+    # below the term count of either composite: the quadrature value stands alone
+    monkeypatch.setattr(an, "MAX_COMPOSITE_TERMS", 1)
+    for fn, value in want.items():
+        out = fn(p)
+        assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), fn
 
 
 def test_route_disagreement_surfaced_as_warning(air, fading):

@@ -8,7 +8,8 @@ those names would otherwise surface only in a traced benchmark run.
 
 Proves: in a fresh interpreter with ``perfbench/`` and ``src/`` on the path,
 ``tracer.install`` succeeds, the two patched names exist, and a short traced
-MC command records spans through the wrapped names.
+MC ``zsrp`` command records spans through the wrapped names, its one-point
+``run_experiment`` among them.
 """
 
 from __future__ import annotations
@@ -42,4 +43,5 @@ def test_tracer_installs_and_records(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     names = set(out.stdout.split())
-    assert {"cli.main", "propagation.eve_draw", "propagation.gain"} <= names
+    assert {"cli.main", "experiments.run_experiment", "propagation.eve_draw",
+            "propagation.gain"} <= names

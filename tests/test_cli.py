@@ -6,9 +6,10 @@ Proves:
 
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
-   and evaluator selection; requesting a closed form that does not exist
-   exits with the configuration code; the configured SNR does not move
-   the estimate.
+   and evaluator selection; a query prints the same bytes as a one-point
+   ``run``; requesting a closed form that does not exist exits with the
+   configuration code, while one whose Meijer composite is capped still
+   answers from quadrature; the configured SNR does not move the estimate.
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
@@ -92,6 +93,27 @@ def test_zsrp_analytic_unavailable_is_config_error(capsys, caplog):
     )
     assert rc == 2
     assert "config error" in caplog.text
+
+
+def test_zsrp_is_a_one_point_run(tmp_path, capsys):
+    cfg = tmp_path / "one.ini"
+    cfg.write_text("[experiment]\nschemes = scr-gcsi-pfs\nevaluators = mc\n")
+    flags = ("--config", str(cfg), "--trials", "2048", "--seed", "5")
+    rc_z, out_z, _ = run_cli(capsys, "zsrp", "--scheme", "scr-gcsi-pfs",
+                             "--evaluator", "mc", *flags)
+    rc_r, out_r, _ = run_cli(capsys, "run", "--experiment", "single", *flags)
+    assert rc_z == rc_r == 0
+    assert out_z == out_r
+
+
+def test_zsrp_round_robin_past_term_cap(capsys, monkeypatch):
+    # the composite refuses; the quadrature value is still the answer
+    from zsrpsim import analytic
+
+    monkeypatch.setattr(analytic, "MAX_COMPOSITE_TERMS", 1)
+    rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--trials", "2048")
+    assert rc == 0
+    assert ",fcr-rs,analytic," in out
 
 
 def test_zsrp_unknown_scheme_is_config_error(capsys):

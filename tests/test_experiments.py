@@ -5,8 +5,10 @@ Proves:
    absent and empty files give the documented defaults; missing files,
    malformed INI, unknown sections/keys, and bad values raise the
    configuration error; a scalar user distance is replicated across users
-   while a mismatched list is rejected; integer lists reject fractional
-   entries instead of truncating them.
+   while a mismatched list is rejected; a centre altitude is accepted only
+   for a fixed eavesdropper centre, which otherwise pins the configured
+   altitude; integer lists reject fractional entries instead of truncating
+   them.
 
  Group 2 — experiment specification
    kind/scheme/evaluator/grid/trials/threads validation; each sweep kind
@@ -18,7 +20,7 @@ Proves:
    are skipped); wall-clock stamps appear only when timing is requested;
    reruns are bit-identical and worker-count independent; a fig4 sweep
    around a fixed eavesdropper centre keeps its closed-form row only at
-   the centre's altitude.
+   the centre's altitude; every analytic row logs its closed-form gap.
 
  Group 4 — CSV contract
    fixed header order, LF line endings, trailing newline, 10-significant-
@@ -127,6 +129,16 @@ def test_experiment_section_parsed(tmp_path):
     assert spec.trials == 2000 and spec.seed == 9 and spec.threads == 2
 
 
+def test_centre_altitude_needs_fixed_centre(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[environment]\neve_center = bs\neve_center_h_m = 150\n")
+    with pytest.raises(ConfigError, match="eve_center_h_m"):
+        ex.load_config(cfg)
+    cfg.write_text("[environment]\neve_center = fixed\n[geometry]\nh_br_m = 220\n")
+    scenario, _ = ex.load_config(cfg)
+    assert scenario.eve_center_h_m == 220.0
+
+
 def test_int_list_rejects_fractions(tmp_path):
     path = write_ini(tmp_path, "[experiment]\nl_grid = 4.7, 8.2\n")
     with pytest.raises(ConfigError, match="l_grid"):
@@ -225,6 +237,22 @@ def test_fixed_centre_sweep_keeps_only_centred_closed_form():
     rows = ex.run_experiment(scenario, spec)
     # the ball stays centred at the configured 150 m while the BS moves
     assert [r["sweep_value"] for r in rows] == [150.0]
+
+
+def test_every_analytic_row_logs_its_gap(caplog):
+    import logging
+
+    scenario, base = ex.load_config(None)
+    spec = ex.ExperimentSpec(**{
+        **base.__dict__, "kind": "fig2", "r_grid_m": (200.0, 500.0),
+        "schemes": (SchemeId.FCR_RS, SchemeId.SCR_RS), "evaluators": ("analytic",),
+    })
+    with caplog.at_level(logging.INFO, logger="zsrpsim.experiments"):
+        rows = ex.run_experiment(scenario, spec)
+    gaps = [r.getMessage() for r in caplog.records
+            if "agrees with quadrature" in r.getMessage()]
+    assert len(rows) == len(gaps) == 2
+    assert gaps[0].startswith("fcr-rs at r_eve_m = 200: closed form ")
 
 
 # --- Group 4: CSV contract ---

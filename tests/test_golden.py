@@ -1,4 +1,4 @@
-"""Seed → bytes contract: committed Monte-Carlo CSVs are reproduced exactly.
+"""Seed → bytes contract: committed CSVs are reproduced exactly.
 
 Proves:
  Group 1 — golden fixtures
@@ -6,6 +6,10 @@ Proves:
    and a fig4 sweep around a fixed eavesdropper centre print the same bytes
    as the fixtures under ``tests/data`` (see its README for the generating
    commit and commands).
+
+ Group 2 — one-point queries
+   ``zsrp`` with both evaluators for greedy fully connected serving, and by
+   simulation around a fixed eavesdropper centre, prints the fixture bytes.
 """
 
 from __future__ import annotations
@@ -37,5 +41,24 @@ def test_cli_reproduces_fixture(name, tmp_path, monkeypatch):
     rc = cli.main(["run", "--experiment", experiment,
                    "--config", str(DATA / config), "--trials", trials,
                    "--seed", "7", "--threads", threads, "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+# --- Group 2: one-point queries ---
+
+ZSRP_CASES = {
+    "zsrp-fcr-gcsi-pfs-both": ("--scheme", "fcr-gcsi-pfs", "--evaluator", "both"),
+    "zsrp-scr-fcsi-pfs-fixed": ("--config", str(DATA / "mc-fixed.ini"),
+                                "--scheme", "scr-fcsi-pfs", "--evaluator", "mc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZSRP_CASES))
+def test_zsrp_reproduces_fixture(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    out = tmp_path / f"{name}.csv"
+    rc = cli.main(["zsrp", *ZSRP_CASES[name], "--trials", "5000", "--seed", "7",
+                   "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()

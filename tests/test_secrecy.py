@@ -3,7 +3,9 @@
 Proves:
  Group 1 — scenario container
    linear SNR conversion, user count passthrough, validation of the SNR,
-   wiretap exponent, and eavesdropper-center settings.
+   wiretap exponent, and eavesdropper-center settings (a centre altitude
+   only with a fixed centre); a fixed centre is pinned at the configured
+   altitude once and stays there when the BS moves.
 
  Group 2 — estimator behavior
    dominating wiretap (vanishing sphere) drives the estimate to one; the
@@ -69,6 +71,20 @@ def test_config_validation(geometry, air, fading):
         make_config(geometry, air, fading, eve_center="moon")
     with pytest.raises(ValueError):
         make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=-5.0)
+    # a centre altitude means nothing for a BS-centred ball
+    with pytest.raises(ValueError, match="eve_center_h_m"):
+        make_config(geometry, air, fading, eve_center="bs", eve_center_h_m=150.0)
+
+
+def test_fixed_centre_pinned_once(geometry, air, fading):
+    import dataclasses
+
+    cfg = make_config(geometry, air, fading, eve_center="fixed")
+    assert cfg.eve_center_h_m == geometry.h_br_m
+    # moving the BS keeps the ball where it was pinned
+    moved = dataclasses.replace(cfg, geometry=dataclasses.replace(geometry, h_br_m=600.0))
+    assert moved.eve_center_h_m == geometry.h_br_m
+    assert make_config(geometry, air, fading).eve_center_h_m is None
 
 
 # --- Group 2: estimator behavior ---

@@ -19,15 +19,17 @@ Evaluation routes, cross-checked against each other:
 * ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
   rounding), the fast route for the single-user cascade;
 * ``cdf_Z_quadrature``: independent direct integration over the BS-side
-  power sum, the adjudicating oracle; the proportional-fair variant
-  replaces F_S by F_S^N (CDF of the served maximum);
+  power sum, the adjudicating oracle; it raises F_S to the user count N
+  (CDF of the served maximum), so proportional fairness needs no
+  separate route;
 * a closed-form composite reducing the psi-average to Meijer G
   functions, reported as ``closed_form`` next to the quadrature
   ``value`` with their relative gap.
 
 Proportional-fair order statistics enter through collapsed polynomial
 coefficients of the N-fold truncated exponential product; one series
-routine sums them for both the Bessel-K CDF and the Meijer-G composite.
+routine sums them for the Meijer-G composite and, at N = 1, for the
+Bessel-K CDF.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -52,7 +54,7 @@ from .scheduling import SchemeId
 
 logger = logging.getLogger(__name__)
 
-#: Largest user count accepted by the order-statistic series; the
+#: Largest user count accepted by the closed-form composite; the
 #: quadrature path has no such cap and stays authoritative beyond it.
 MAX_ORDER_STAT_USERS = 12
 
@@ -128,21 +130,6 @@ def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]
     return tuple(cur)
 
 
-def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
-    """Coefficients gamma_{j,B} of x^B in (sum_{t<m1 L} x^t / t!)^j.
-
-    These collapse the multinomial expansion of the j-fold truncated
-    exponential product; B runs from 0 to j (m1 L - 1).  Entries below
-    the double-precision floor come back as zero; the internal series
-    routes consume the log-space representation instead.
-    """
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if j == 0:
-        return np.array([1.0])
-    return np.exp(np.array(_log_ordered_sum_coefficients(j, m1_elements)))
-
-
 def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
                        lead: float, log_arg: float,
                        log_kernel: Callable[[int, int], tuple[float, float]]
@@ -183,38 +170,25 @@ def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
     return min(1.0, max(0.0, val))
 
 
-def _cdf_cascade_series(z: float, m1: int, m2: int, n_elements: int,
-                        sigma1_sq: float, sigma2_sq: float,
-                        n_users: int) -> float:
-    """Bessel-K series CDF of Z = sigma1^2 sigma2^2 S_(N) W (log-space)."""
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if n_users > MAX_ORDER_STAT_USERS:
-        raise CapacityError(
-            f"order-statistics series supports at most "
-            f"{MAX_ORDER_STAT_USERS} users, got {n_users}")
-    if z <= 0.0:
-        return 0.0
-    m_2 = m2 * n_elements
-    xi = m1 * m2 * z / (sigma1_sq * sigma2_sq)
-
-    def bessel(j: int, b: int) -> tuple[float, float]:
-        return specfun.log_bessel_k(abs(m_2 - b), 2.0 * math.sqrt(j * xi)), 1.0
-
-    return _order_stat_series(n_users, m1 * n_elements, m_2, 2.0,
-                              math.log(xi), bessel)
-
-
 def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
     """Series CDF of the single-user cascade Z = sigma1^2 sigma2^2 S W.
 
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
-           K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2).
+           K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
-    Validated against :func:`cdf_Z_quadrature`; returns 0 for z <= 0.
+    summed in log space.  Validated against :func:`cdf_Z_quadrature`;
+    returns 0 for z <= 0.
     """
-    return _cdf_cascade_series(z, p.m1, p.m2, p.n_elements,
-                               p.sigma1_sq, p.sigma2_sq, n_users=1)
+    if z <= 0.0:
+        return 0.0
+    m_2 = p.m2 * p.n_elements
+    xi = p.m1 * p.m2 * z / (p.sigma1_sq * p.sigma2_sq)
+
+    def bessel(j: int, b: int) -> tuple[float, float]:
+        return specfun.log_bessel_k(abs(m_2 - b), 2.0 * math.sqrt(j * xi)), 1.0
+
+    return _order_stat_series(1, p.m1 * p.n_elements, m_2, 2.0,
+                              math.log(xi), bessel)
 
 
 @lru_cache(maxsize=None)
@@ -259,25 +233,24 @@ def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return recurse(lo, hi, panel(lo, hi), abs_tol, 0)
 
 
-def cdf_Z_quadrature(z: float, p: ClosedFormParams, pfs: bool = False,
+def cdf_Z_quadrature(z: float, p: ClosedFormParams,
                      abs_tol: float = 1e-10) -> float:
-    """Cascade CDF by direct integration over the BS-side power sum.
+    """CDF of the N-user maximum cascade by direct integration over W.
 
-    Independent of the Bessel route: integrates F_S(z~ / w) (raised to
-    the N-th power when ``pfs``, the CDF of the served maximum) against
+    Independent of the Bessel route: integrates F_S(z~ / w)^N (the CDF
+    of the served maximum, the single-user cascade when N = 1) against
     the Gamma density of W by adaptive quadrature; the truncated tail is
     bounded through the regularized upper gamma function.  Works for any
     user count.
     """
     if z <= 0.0:
         return 0.0
-    n_users = p.n_users if pfs else 1
     z_tilde = z / (p.sigma1_sq * p.sigma2_sq)
     w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         w = np.maximum(w, 1e-300)
-        return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** n_users
+        return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** p.n_users
                 * pdf_W(w, p.m2, p.n_elements))
 
     val = _adaptive_gl(integrand, 0.0, w_hi, abs_tol)
@@ -447,8 +420,7 @@ def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     count and term count are within the expansion caps, otherwise omitted.
     """
     value = psi_average(
-        lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, pfs=True,
-                                   abs_tol=1e-12),
+        lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, abs_tol=1e-12),
         p.r_eve_m, abs_tol=1e-10)
     return _report(value, _closed_form_or_none(p), rel_warn)
 

@@ -136,15 +136,6 @@ def fc_cascaded_gain(h_br: np.ndarray, h_rn: np.ndarray) -> float:
     return float((nb * nr) ** 2)
 
 
-def fc_cascaded_gain_via_theta(h_br: np.ndarray, h_rn: np.ndarray) -> float:
-    """Same gain evaluated through the explicit scattering matrix."""
-    v = construct_aligning_unitary(h_br, h_rn)
-    phi = optimal_phases(v, h_br, h_rn)
-    theta = assemble_theta(PhaseDecomposition(v=v, phi=phi))
-    amp = np.conj(h_rn) @ theta @ h_br
-    return float(np.abs(amp) ** 2)
-
-
 def sc_cascaded_gain(h_br: np.ndarray, h_rn: np.ndarray) -> float:
     """Single-connected benchmark gain (sum_l |h_br,l| |h_rn,l|)^2."""
     return float(np.sum(np.abs(h_br) * np.abs(h_rn)) ** 2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,10 +81,12 @@ class ExperimentSpec:
                            (self.h_grid_m, "h_grid_m")):
             if len(grid) == 0:
                 raise ConfigError(f"{name} must be non-empty")
-            if any(v <= 0 for v in grid):
-                raise ConfigError(f"{name} values must be positive")
+            if not all(0 < v < math.inf for v in grid):
+                raise ConfigError(f"{name} values must be positive and finite")
         if self.trials < 1000:
             raise ConfigError("trials must be >= 1000")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 

@@ -40,10 +40,10 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     its objective value.  Unimodality is assumed, not verified; a
     monotone objective converges to the appropriate endpoint.
     """
-    if lo >= hi:
+    if not lo < hi:
         raise ValueError("lo must be strictly below hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
@@ -74,10 +74,10 @@ class AltitudeSearchSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.h_lo_m < self.h_hi_m:
-            raise ValueError("need 0 < h_lo_m < h_hi_m")
-        if self.tol_m <= 0.0:
-            raise ValueError("tol_m must be positive")
+        if not 0.0 < self.h_lo_m < self.h_hi_m < math.inf:
+            raise ValueError("need 0 < h_lo_m < h_hi_m < inf")
+        if not 0.0 < self.tol_m < math.inf:
+            raise ValueError("tol_m must be positive and finite")
         if self.evaluator not in ("analytic", "mc"):
             raise ValueError("evaluator must be 'analytic' or 'mc'")
         if self.trials < 1:

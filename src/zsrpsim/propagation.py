@@ -47,14 +47,16 @@ class AirGroundParams:
     ref_gain: float = DEFAULT_REF_GAIN
 
     def __post_init__(self) -> None:
-        if self.a2 <= 0.0 or self.b2 <= 0.0:
-            raise ValueError("a2 and b2 must be positive")
-        if self.alpha_zenith <= 0.0 or self.alpha_ground <= 0.0:
-            raise ValueError("path-loss exponents must be positive")
+        # 0 < v < inf is False for NaN, so non-finite values are refused too
+        if not (0.0 < self.a2 < math.inf and 0.0 < self.b2 < math.inf):
+            raise ValueError("a2 and b2 must be positive and finite")
+        if not (0.0 < self.alpha_zenith < math.inf
+                and 0.0 < self.alpha_ground < math.inf):
+            raise ValueError("path-loss exponents must be positive and finite")
         if self.alpha_zenith > self.alpha_ground:
             raise ValueError("alpha_zenith must not exceed alpha_ground")
-        if self.ref_gain <= 0.0:
-            raise ValueError("ref_gain must be positive")
+        if not 0.0 < self.ref_gain < math.inf:
+            raise ValueError("ref_gain must be positive and finite")
 
     @property
     def alpha_user(self) -> float:
@@ -72,12 +74,16 @@ class ScenarioGeometry:
     r_eve_m: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.r_br_m <= 0.0 or self.h_br_m <= 0.0:
-            raise ValueError("BS horizontal distance and altitude must be positive")
-        if len(self.d_rn_m) == 0 or any(d <= 0.0 for d in self.d_rn_m):
-            raise ValueError("need at least one user with positive RIS distance")
-        if self.r_eve_m <= 0.0:
-            raise ValueError("eavesdropper sphere radius must be positive")
+        if not (0.0 < self.r_br_m < math.inf and 0.0 < self.h_br_m < math.inf):
+            raise ValueError("BS horizontal distance and altitude must be "
+                             "positive and finite")
+        if (len(self.d_rn_m) == 0
+                or not all(0.0 < d < math.inf for d in self.d_rn_m)):
+            raise ValueError("need at least one user, each with a positive, "
+                             "finite RIS distance")
+        if not 0.0 < self.r_eve_m < math.inf:
+            raise ValueError("eavesdropper sphere radius must be positive "
+                             "and finite")
 
     @property
     def n_users(self) -> int:

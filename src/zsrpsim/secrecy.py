@@ -63,8 +63,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma_b_db):
             raise ValueError("gamma_b_db must be finite")
-        if self.alpha_eve <= 0.0:
-            raise ValueError("alpha_eve must be positive")
+        if not 0.0 < self.alpha_eve < math.inf:
+            raise ValueError("alpha_eve must be positive and finite")
         if self.eve_center not in ("bs", "fixed"):
             raise ValueError("eve_center must be 'bs' or 'fixed'")
         if self.eve_center == "bs" and self.eve_center_h_m is not None:
@@ -73,8 +73,9 @@ class ScenarioConfig:
             # pin the ball at the configured altitude once, so sweeps and
             # searches move the BS relative to a fixed region
             object.__setattr__(self, "eve_center_h_m", self.geometry.h_br_m)
-        if self.eve_center_h_m is not None and self.eve_center_h_m <= 0.0:
-            raise ValueError("eve_center_h_m must be positive")
+        if (self.eve_center_h_m is not None
+                and not 0.0 < self.eve_center_h_m < math.inf):
+            raise ValueError("eve_center_h_m must be positive and finite")
 
     @property
     def n_users(self) -> int:
@@ -196,6 +197,8 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
         raise ValueError("trials must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     configs = list(configs)
     groups: dict[tuple, list[int]] = {}
     for k, config in enumerate(configs):

@@ -3,10 +3,13 @@
 The subset-term enumeration below expands the proportional-fair order
 statistic F_S(s)^N over every non-empty user subset and every weak
 composition of its size, term by term.  The package sums the same
-expansion through collapsed coefficients
-(:func:`zsrpsim.analytic.ordered_sum_coefficients`); this explicit form
-exists only to check that collapse (acceptance criterion 3 and
-``test_analytic``).
+expansion through collapsed coefficients, whose linear-space form is
+:func:`ordered_sum_coefficients`; this explicit form exists only to
+check that collapse (acceptance criterion 3 and ``test_analytic``).
+
+``fc_cascaded_gain_via_theta`` evaluates the fully connected gain
+through the explicit scattering matrix; the package's norm-product gain
+must match it (``test_bdris``).
 
 ``upper_gamma_poisson_loop`` is the plain term-by-term loop for
 Q(a, x); the package's array form must match it bit for bit wherever
@@ -20,8 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zsrpsim.analytic import MAX_ORDER_STAT_USERS
+from zsrpsim.analytic import (MAX_ORDER_STAT_USERS,
+                              _log_ordered_sum_coefficients)
+from zsrpsim.bdris import (PhaseDecomposition, assemble_theta,
+                           construct_aligning_unitary, optimal_phases)
 from zsrpsim.errors import CapacityError
+
+
+def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
+    """Coefficients gamma_{j,B} of x^B in (sum_{t<m1 L} x^t / t!)^j.
+
+    These collapse the multinomial expansion of the j-fold truncated
+    exponential product; B runs from 0 to j (m1 L - 1).  Entries below
+    the double-precision floor come back as zero; the internal series
+    routes consume the log-space representation instead.
+    """
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    if j == 0:
+        return np.array([1.0])
+    return np.exp(np.array(_log_ordered_sum_coefficients(j, m1_elements)))
+
 
 #: Cap on explicitly enumerated subset terms (memory guard).
 MAX_SUBSET_TERMS = 2_000_000
@@ -109,8 +131,7 @@ def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
     """F_S(s)^N rebuilt from the explicit subset-term expansion.
 
     Exists to validate the expansion; production paths use the collapsed
-    coefficients from
-    :func:`zsrpsim.analytic.ordered_sum_coefficients`.
+    coefficients of :func:`ordered_sum_coefficients`.
     """
     if s <= 0.0:
         return 0.0
@@ -132,3 +153,12 @@ def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:
         term = term * (x / t)
         total += term
     return np.minimum(total, 1.0)
+
+
+def fc_cascaded_gain_via_theta(h_br: np.ndarray, h_rn: np.ndarray) -> float:
+    """Same gain evaluated through the explicit scattering matrix."""
+    v = construct_aligning_unitary(h_br, h_rn)
+    phi = optimal_phases(v, h_br, h_rn)
+    theta = assemble_theta(PhaseDecomposition(v=v, phi=phi))
+    amp = np.conj(h_rn) @ theta @ h_br
+    return float(np.abs(amp) ** 2)

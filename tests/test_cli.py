@@ -2,7 +2,7 @@
 
 Proves:
  Group 1 — parser surface
-   all four subcommands exist; the installed console script answers.
+   the three subcommands exist; the installed console script answers.
 
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
@@ -13,17 +13,17 @@ Proves:
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
-   resolution order is flag over environment over file; a bad
-   environment seed exits with the configuration code.
+   resolution order is flag over environment over file; a bad or
+   negative seed (flag, environment or file) and NaN or infinite config
+   values exit with the configuration code.
 
  Group 4 — altitude search
-   a short closed-form search emits the result row; inverted bounds exit
-   with the configuration code; phase-only schemes and an eavesdropper
+   a short closed-form search emits the result row; inverted, infinite or
+   NaN bounds and tolerances exit with the configuration code; phase-only schemes and an eavesdropper
    centre offset from the BS cannot use the closed-form objective.
 
- Group 5 — diagnostics and exit codes
-   the self-check suite passes and prints one line per check; accuracy
-   and capacity failures map to their documented exit codes.
+ Group 5 — exit codes
+   accuracy and capacity failures map to their documented exit codes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 def test_subcommands_present():
     parser = cli.build_parser()
     sub = {a.dest: a for a in parser._actions}.get("command")
-    assert set(cli._DISPATCH) == {"run", "zsrp", "optimize-altitude", "selftest"}
+    assert set(cli._DISPATCH) == {"run", "zsrp", "optimize-altitude"}
     assert sub is not None
 
 
@@ -191,6 +191,30 @@ def test_bad_env_seed_is_config_error(sweep_config, capsys, caplog, monkeypatch)
     assert "must be an integer" in caplog.text
 
 
+@pytest.mark.parametrize("ini,flags,env_seed", [
+    ("", ("--seed", "-1"), None),
+    ("", (), "-1"),
+    ("[experiment]\nseed = -1\n", (), None),
+    ("[geometry]\nr_eve_m = nan\n", (), None),
+    ("[geometry]\nh_br_m = inf\n", (), None),
+    ("[environment]\nalpha_eve = nan\n", (), None),
+    ("[experiment]\nr_grid_m = 100, nan\n", (), None),
+], ids=["seed-flag", "seed-env", "seed-file", "r_eve_m-nan", "h_br_m-inf",
+        "alpha_eve-nan", "r_grid_m-nan"])
+def test_negative_seed_and_non_finite_values_are_config_errors(
+        tmp_path, capsys, caplog, monkeypatch, ini, flags, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    else:
+        monkeypatch.setenv(cli.ENV_SEED, env_seed)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--evaluator", "mc",
+                         "--trials", "2048", *flags)
+    assert rc == 2 and out == ""
+    assert "config error" in caplog.text
+
+
 # --- Group 4: altitude search ---
 
 
@@ -209,6 +233,14 @@ def test_altitude_search_emits_result(capsys):
 def test_altitude_bounds_validated(capsys, caplog):
     rc, _, _ = run_cli(capsys, "optimize-altitude", "--h-lo", "600", "--h-hi", "100")
     assert rc == 2
+    assert "config error" in caplog.text
+
+
+@pytest.mark.parametrize("flags", [("--h-hi", "inf"), ("--h-lo", "nan"), ("--tol", "nan"),
+                                   ("--tol", "inf")])
+def test_altitude_non_finite_bounds_are_config_errors(capsys, caplog, flags):
+    rc, out, _ = run_cli(capsys, "optimize-altitude", *flags)
+    assert rc == 2 and out == ""
     assert "config error" in caplog.text
 
 
@@ -235,16 +267,7 @@ def test_offset_fixed_centre_refuses_closed_form(capsys, caplog, tmp_path):
     assert [ln.split(",")[3] for ln in out.strip().split("\n")[1:]] == ["mc"]
 
 
-# --- Group 5: diagnostics and exit codes ---
-
-
-def test_selftest_passes(capsys):
-    rc, out, _ = run_cli(capsys, "selftest")
-    assert rc == 0
-    lines = [ln for ln in out.strip().split("\n") if ln]
-    assert len(lines) >= 10
-    assert all(ln.startswith("ok") for ln in lines[:-1])
-    assert lines[-1] == "selftest: all checks passed"
+# --- Group 5: exit codes ---
 
 
 def test_accuracy_exit_code(capsys, caplog, monkeypatch):

@@ -8,10 +8,12 @@ Proves:
    while a mismatched list is rejected; a centre altitude is accepted only
    for a fixed eavesdropper centre, which otherwise pins the configured
    altitude; integer lists reject fractional entries instead of truncating
-   them.
+   them; NaN or infinite values and a negative seed are configuration
+   errors.
 
  Group 2 — experiment specification
-   kind/scheme/evaluator/grid/trials/threads validation; each sweep kind
+   kind/scheme/evaluator/grid/trials/seed/threads validation, NaN and
+   infinite grid values included; each sweep kind
    exposes the right sweep variable and grid.
 
  Group 3 — sweep execution
@@ -30,6 +32,7 @@ Proves:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -148,6 +151,23 @@ def test_int_list_rejects_fractions(tmp_path):
     assert spec.l_grid == (4, 8)
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("geometry", "r_eve_m", "nan"),
+    ("geometry", "h_br_m", "inf"),
+    ("geometry", "d_rn_m", "50, nan"),
+    ("environment", "alpha_eve", "nan"),
+    ("environment", "ref_gain", "inf"),
+    ("experiment", "r_grid_m", "100, nan"),
+    ("experiment", "h_grid_m", "60, inf"),
+    ("experiment", "seed", "-1"),
+])
+def test_non_finite_values_and_negative_seed_rejected(tmp_path, section, key, raw):
+    users = "users = 2\n" if key == "d_rn_m" else ""
+    path = write_ini(tmp_path, f"[{section}]\n{users}{key} = {raw}\n")
+    with pytest.raises(ConfigError):
+        ex.load_config(path)
+
+
 # --- Group 2: experiment specification ---
 
 
@@ -165,6 +185,16 @@ def test_spec_validation():
         ex.ExperimentSpec(**{**base.__dict__, "threads": 0})
     with pytest.raises(ConfigError):
         ex.ExperimentSpec(**{**base.__dict__, "kind": "fig2", "r_grid_m": (100.0, -5.0)})
+
+
+def test_spec_refuses_non_finite_grids_and_negative_seed():
+    _, base = ex.load_config(None)
+    for name in ("r_grid_m", "h_grid_m"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{name} values must be positive and finite"):
+                ex.ExperimentSpec(**{**base.__dict__, name: (100.0, bad)})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ex.ExperimentSpec(**{**base.__dict__, "seed": -1})
 
 
 def test_sweep_grids():

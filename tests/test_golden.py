@@ -1,4 +1,4 @@
-"""Seed → bytes contract: committed CSVs are reproduced exactly.
+"""Committed fixtures: CSVs reproduced byte for byte, analytic values to 1e-12.
 
 Proves:
  Group 1 — golden fixtures
@@ -10,15 +10,25 @@ Proves:
  Group 2 — one-point queries
    ``zsrp`` with both evaluators for greedy fully connected serving, and by
    simulation around a fixed eavesdropper centre, prints the fixture bytes.
+
+ Group 3 — analytic precision
+   the quadrature value and the closed form of both fully connected rules
+   stay within 1e-12 relative of the fixture at three altitudes and two
+   more element counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
 from zsrpsim import cli
+from zsrpsim.analytic import zsrp_for_scheme
+from zsrpsim.experiments import load_config
+from zsrpsim.scheduling import SchemeId
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -62,3 +72,22 @@ def test_zsrp_reproduces_fixture(name, tmp_path, monkeypatch):
                    "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+# --- Group 3: analytic precision ---
+
+ANALYTIC_CASES = json.loads((DATA / "analytic-fc.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", ANALYTIC_CASES,
+    ids=[f"{c['scheme']}-h{c['h_br_m']:g}-L{c['elements']}" for c in ANALYTIC_CASES])
+def test_analytic_matches_fixture(case):
+    scenario, _ = load_config(None)
+    cfg = dataclasses.replace(
+        scenario, geometry=dataclasses.replace(scenario.geometry, h_br_m=case["h_br_m"]),
+        fading=dataclasses.replace(scenario.fading, n_elements=case["elements"]))
+    res = zsrp_for_scheme(SchemeId.from_string(case["scheme"]), cfg)
+    for key in ("value", "closed_form"):
+        want = float.fromhex(case[key])
+        assert abs(getattr(res, key) - want) <= 1e-12 * want, key

@@ -5,10 +5,11 @@ Proves:
    recovers quadratic minima within tolerance anywhere in the bracket
    (property); monotone objectives push to the matching endpoint; the
    call count respects the 0.618-contraction iteration bound; degenerate
-   brackets and tolerances rejected.
+   brackets and tolerances rejected, NaN and infinite tolerances included.
 
  Group 2 — search specification
-   bound ordering, tolerance, evaluator name, and trial-count validation.
+   bound ordering, tolerance, evaluator name, and trial-count validation;
+   NaN and infinite bounds or tolerances are refused.
 
  Group 3 — full search, closed-form objective
    the default fully connected rotation scenario has an interior optimum
@@ -107,6 +108,21 @@ def test_spec_validation(geometry, air, fading):
         op.AltitudeSearchSpec(config=cfg, evaluator="exact")
     with pytest.raises(ValueError):
         op.AltitudeSearchSpec(config=cfg, evaluator="mc", trials=0)
+
+
+@pytest.mark.parametrize("kw", [dict(h_hi_m=math.inf), dict(h_lo_m=math.nan),
+                                dict(h_hi_m=math.nan), dict(tol_m=math.nan),
+                                dict(tol_m=math.inf)])
+def test_spec_refuses_non_finite(geometry, air, fading, kw):
+    cfg = make_config(geometry, air, fading)
+    with pytest.raises(ValueError):
+        op.AltitudeSearchSpec(config=cfg, **kw)
+
+
+def test_kernel_refuses_non_finite_tolerance():
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            op.golden_section_min(lambda x: x, 0.0, 1.0, tol)
 
 
 # --- Group 3: closed-form objective ---

@@ -26,7 +26,8 @@ Proves:
    away from the BS.
 
  Group 5 — containers
-   user count, 3-D mast distance, validation.
+   user count, 3-D mast distance, validation; NaN and infinite lengths,
+   distances and environment constants are refused.
 """
 
 from __future__ import annotations
@@ -255,3 +256,15 @@ def test_air_params_validation():
         pr.AirGroundParams(b2=-0.1)
     with pytest.raises(ValueError):
         pr.AirGroundParams(alpha_zenith=3.6, alpha_ground=3.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_containers_refuse_non_finite(bad):
+    for kw in (dict(r_br_m=bad), dict(h_br_m=bad), dict(d_rn_m=(50.0, bad)),
+               dict(r_eve_m=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            pr.ScenarioGeometry(**kw)
+    for kw in (dict(a2=bad), dict(b2=bad), dict(alpha_zenith=bad),
+               dict(alpha_ground=bad), dict(ref_gain=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            pr.AirGroundParams(**kw)

@@ -4,15 +4,16 @@ Proves:
  Group 1 — scenario container
    linear SNR conversion, user count passthrough, validation of the SNR,
    wiretap exponent, and eavesdropper-center settings (a centre altitude
-   only with a fixed centre); a fixed centre is pinned at the configured
-   altitude once and stays there when the BS moves.
+   only with a fixed centre, NaN and infinite values refused); a fixed
+   centre is pinned at the configured altitude once and stays there when
+   the BS moves.
 
  Group 2 — estimator behavior
    dominating wiretap (vanishing sphere) drives the estimate to one; the
    estimate is bit-identical across the configured SNR (it cancels in the
    rate difference), across worker counts, and across repeated runs;
    partial trailing blocks are handled; the standard error follows the
-   binomial formula; trials = 0 rejected.
+   binomial formula; trials = 0 and a negative seed rejected.
 
  Group 3 — scheme behavior
    all five schemes produce proper probabilities; greedy selection does
@@ -76,6 +77,14 @@ def test_config_validation(geometry, air, fading):
         make_config(geometry, air, fading, eve_center="bs", eve_center_h_m=150.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_refuses_non_finite(geometry, air, fading, bad):
+    with pytest.raises(ValueError, match="alpha_eve must be positive and finite"):
+        make_config(geometry, air, fading, alpha_eve=bad)
+    with pytest.raises(ValueError, match="eve_center_h_m must be positive and finite"):
+        make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=bad)
+
+
 def test_fixed_centre_pinned_once(geometry, air, fading):
     import dataclasses
 
@@ -132,6 +141,12 @@ def test_zero_trials_rejected(geometry, air, fading):
     cfg = make_config(geometry, air, fading)
     with pytest.raises(ValueError):
         sec.run_monte_carlo(cfg, trials=0, seed=1)
+
+
+def test_negative_seed_rejected(geometry, air, fading):
+    cfg = make_config(geometry, air, fading)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sec.run_monte_carlo_many([cfg], 5_000, seed=-1)
 
 
 # --- Group 3: scheme behavior ---

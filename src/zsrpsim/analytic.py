@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, AnalyticUnavailableError, CapacityError
+from .errors import AccuracyError, AnalyticUnavailableError
 from .fading import cdf_S, pdf_W
 from .propagation import bs_ris_gain, ris_user_gain
 from .scheduling import SchemeId
@@ -143,7 +143,7 @@ def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
     series CDF and the Meijer-G composite, which differ only in ``lead``,
     the argument and the kernel.
     """
-    ln_gamma_m2 = specfun.ln_gamma(m_2)
+    ln_gamma_m2 = math.lgamma(m_2)
     logs: list[float] = []
     signs: list[float] = []
     for j in range(1, n_users + 1):
@@ -324,8 +324,8 @@ def _log_meijer_composite(mu: float, nu: float, x: float) -> tuple[float, float]
         return _log_g31_tail(mu, nu, x), 1.0
 
 
-def _closed_form(params: ClosedFormParams) -> float:
-    """Meijer-G composite for the psi-averaged ZSRP.
+def _closed_form(params: ClosedFormParams) -> Optional[float]:
+    """Meijer-G composite for the psi-averaged ZSRP, or None where it refuses.
 
     Each Bessel term of the cascade CDF integrates in closed form over
     the eavesdropper distance:
@@ -335,27 +335,32 @@ def _closed_form(params: ClosedFormParams) -> float:
                                           nu/2, -nu/2, -(mu+1)/2),
 
     with X = theta^2 / 4 the composite argument at r = R and
-    mu = k - 4 for the k-th power weight.
+    mu = k - 4 for the k-th power weight.  Past the user or term cap, or
+    where neither Meijer route reaches its tolerance, it logs why and
+    returns None, leaving the quadrature value alone.
     """
-    if params.n_users > MAX_ORDER_STAT_USERS:
-        raise CapacityError(
-            f"closed-form composite supports at most "
-            f"{MAX_ORDER_STAT_USERS} users, got {params.n_users}")
-    m_2 = params.m2 * params.n_elements
+    m_1, m_2 = params.m1 * params.n_elements, params.m2 * params.n_elements
     big_x = params.big_x
-    n_terms = sum(
-        j * (params.m1 * params.n_elements - 1) + 1
-        for j in range(1, params.n_users + 1))
-    if n_terms > MAX_COMPOSITE_TERMS:
-        raise CapacityError(
-            f"closed-form composite needs {n_terms} Meijer terms "
-            f"(cap {MAX_COMPOSITE_TERMS}); reduce users or elements")
+    n_terms = sum(j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1))
 
     def meijer(j: int, b: int) -> tuple[float, float]:
         return _log_meijer_composite(m_2 + b - 4, m_2 - b, j * big_x)
 
-    return _order_stat_series(params.n_users, params.m1 * params.n_elements,
-                              m_2, 1.5, math.log(big_x), meijer)
+    if params.n_users > MAX_ORDER_STAT_USERS:
+        reason = (f"closed-form composite supports at most "
+                  f"{MAX_ORDER_STAT_USERS} users, got {params.n_users}")
+    elif n_terms > MAX_COMPOSITE_TERMS:
+        reason = (f"closed-form composite needs {n_terms} Meijer terms "
+                  f"(cap {MAX_COMPOSITE_TERMS}); reduce users or elements")
+    else:
+        try:
+            return _order_stat_series(params.n_users, m_1, m_2, 1.5,
+                                      math.log(big_x), meijer)
+        except AccuracyError as exc:
+            reason = str(exc)
+    logger.info("closed-form composite unavailable here (%s); "
+                "quadrature value returned alone", reason)
+    return None
 
 
 def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,
@@ -388,16 +393,6 @@ def _report(value: float, closed: Optional[float],
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
-def _closed_form_or_none(p: ClosedFormParams) -> Optional[float]:
-    """The Meijer composite, or None where it refuses (cap or accuracy)."""
-    try:
-        return _closed_form(p)
-    except (AccuracyError, CapacityError) as exc:
-        logger.info("closed-form composite unavailable here (%s); "
-                    "quadrature value returned alone", exc)
-        return None
-
-
 def zsrp_rs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     """Round-robin ZSRP: psi-average of the single-user cascade CDF.
 
@@ -409,7 +404,7 @@ def zsrp_rs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     value = psi_average(
         lambda r: cdf_Z_single(single.ref_gain / r ** 2, single),
         single.r_eve_m)
-    return _report(value, _closed_form_or_none(single), rel_warn)
+    return _report(value, _closed_form(single), rel_warn)
 
 
 def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
@@ -422,7 +417,7 @@ def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     value = psi_average(
         lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, abs_tol=1e-12),
         p.r_eve_m, abs_tol=1e-10)
-    return _report(value, _closed_form_or_none(p), rel_warn)
+    return _report(value, _closed_form(p), rel_warn)
 
 
 def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:

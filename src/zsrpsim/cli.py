@@ -6,10 +6,10 @@ Subcommands
     optimize-altitude  golden-section altitude search
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical-accuracy
-failure, 4 capacity guard tripped.  Diagnostics go to stderr; results go
-to stdout or ``--out``.  Numerical validation lives in the test suite;
-at run time every analytic row checks its closed form against its
-quadrature value (see :func:`~zsrpsim.experiments.run_experiment`).
+failure.  Diagnostics go to stderr; results go to stdout or ``--out``.
+Numerical validation lives in the test suite; at run time every analytic
+row checks its closed form against its quadrature value (see
+:func:`~zsrpsim.experiments.run_experiment`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import (AccuracyError, AnalyticUnavailableError, CapacityError,
-                     ConfigError)
+from .errors import AccuracyError, AnalyticUnavailableError, ConfigError
 from .experiments import (ExperimentSpec, format_csv, load_config,
                           run_experiment)
 from .optimize import AltitudeSearchSpec, optimal_altitude
@@ -197,9 +196,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AccuracyError as exc:
         logger.error("accuracy failure: %s", exc)
         return 3
-    except CapacityError as exc:
-        logger.error("capacity guard: %s", exc)
-        return 4
 
 
 if __name__ == "__main__":

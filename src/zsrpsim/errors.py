@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes (see cli.main): configuration
-problems exit 2, numerical-accuracy failures exit 3, capacity guards exit 4.
+problems exit 2 and numerical-accuracy failures exit 3.  An unavailable
+closed form is reported by the CLI as a configuration problem.
 """
 
 
@@ -11,10 +12,6 @@ class ConfigError(Exception):
 
 class AccuracyError(Exception):
     """A numerical routine could not reach its stated tolerance."""
-
-
-class CapacityError(Exception):
-    """A request exceeds a hard size guard (e.g. series enumeration limits)."""
 
 
 class AnalyticUnavailableError(Exception):

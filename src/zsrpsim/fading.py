@@ -62,7 +62,7 @@ def pdf_W(w, m2: int, n_elements: int):
     if np.any(pos):
         wp = arr[pos]
         out[pos] = np.exp((a - 1) * np.log(wp) + a * math.log(m2) - m2 * wp
-                          - specfun.ln_gamma(float(a)))
+                          - math.lgamma(a))
     if a == 1:
         out[arr == 0.0] = float(m2)
     if np.ndim(w) == 0:

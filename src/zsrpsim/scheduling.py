@@ -8,16 +8,17 @@ Two families are covered for both RIS architectures:
 * proportional-fair (PFS): serve the user whose scheduling metric, an
   instantaneous channel quantity normalized by its own statistical mean, is
   largest.  With global CSI (GCSI) the metric is the per-user element power
-  sum; with full CSI (FCSI) it is the realized cascaded gain.  For a
-  fully-connected RIS the cascaded gain factors as a common BS-side norm
-  times the user power sum, so the two selections coincide; they differ
-  only for the single-connected architecture.
+  sum; with full CSI (FCSI) it is the realized cascaded gain.  All users
+  share the same fading statistics, so every mean is the same constant
+  and the pick is the argmax of the raw quantity.  For a fully-connected
+  RIS the cascaded gain factors as a common BS-side norm times the user
+  power sum, so the two selections coincide; they differ only for the
+  single-connected architecture.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -51,35 +52,14 @@ class SchemeId(enum.Enum):
             raise ValueError(f"unknown scheme {text!r}; expected one of {valid}") from None
 
 
-def sc_amplitude_correlation(m1: int, m2: int) -> float:
-    """(E|g_b| E|g_r|)^2 for unit-power Nakagami envelopes.
-
-    E|g| = Gamma(m + 1/2) / (Gamma(m) sqrt(m)); the square of the product
-    is the cross term driving the mean of the single-connected gain.
-    """
-    rho1 = math.gamma(m1 + 0.5) / (math.gamma(m1) * math.sqrt(m1))
-    rho2 = math.gamma(m2 + 0.5) / (math.gamma(m2) * math.sqrt(m2))
-    return (rho1 * rho2) ** 2
-
-
-def sc_cascade_mean(m1: int, m2: int, n_elements: int) -> float:
-    """E[(sum_l |g_b,l| |g_r,l|)^2] = L (1 + (L - 1) rho), unit-power terms."""
-    rho = sc_amplitude_correlation(m1, m2)
-    return n_elements * (1.0 + (n_elements - 1) * rho)
-
-
-def select_gcsi_pfs(power_sums: np.ndarray, n_elements: int) -> np.ndarray:
+def select_gcsi_pfs(power_sums: np.ndarray) -> np.ndarray:
     """PFS pick from per-user element power sums, shape (..., N) -> (...,).
 
-    Metric is S_n / E[S_n]; ties resolve to the lowest user index.
+    Ties resolve to the lowest user index.
     """
-    metric = np.asarray(power_sums, dtype=float) / float(n_elements)
-    return np.argmax(metric, axis=-1)
+    return np.argmax(power_sums, axis=-1)
 
 
-def select_fcsi_pfs(sc_gains: np.ndarray, m1: int, m2: int,
-                    n_elements: int) -> np.ndarray:
+def select_fcsi_pfs(sc_gains: np.ndarray) -> np.ndarray:
     """PFS pick from realized single-connected gains, shape (..., N) -> (...,)."""
-    mean = sc_cascade_mean(m1, m2, n_elements)
-    metric = np.asarray(sc_gains, dtype=float) / mean
-    return np.argmax(metric, axis=-1)
+    return np.argmax(sc_gains, axis=-1)

@@ -88,7 +88,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ZsrpEstimate:
-    """Monte-Carlo ZSRP with its binomial standard error."""
+    """Monte-Carlo ZSRP with its standard error.
+
+    The error is binomial for a served user; for round robin it is the
+    standard error of the per-trial average over users.
+    """
 
     p_hat: float
     std_err: float
@@ -127,8 +131,12 @@ def _eve_distance(config: ScenarioConfig, cbrt_u: np.ndarray,
 
 
 def _simulate_block(configs: list[ScenarioConfig], seed: int,
-                    block_index: int, n: int) -> list[tuple[int, int]]:
-    """Event and opportunity counts of one block for every config.
+                    block_index: int, n: int) -> list[tuple[int, int, int]]:
+    """Event, opportunity and squared per-trial event counts of one block.
+
+    One triple per config.  A trial's event count k is 0 or 1 for a
+    served user and 0..N for round robin; the third entry is the sum of
+    k^2 over the block's trials.
 
     All configs share one draw layout (see :func:`_layout`); the draws,
     both cascade types and the PFS selections are computed once and each
@@ -155,7 +163,7 @@ def _simulate_block(configs: list[ScenarioConfig], seed: int,
         del amplitude
     del gb_pow, gr_pow
     # GCSI ranks user power sums, so both architectures share its pick
-    picks: dict[tuple[str, bool], np.ndarray] = {}
+    picks: dict[str, np.ndarray] = {}
 
     counts = []
     for config in configs:
@@ -172,15 +180,16 @@ def _simulate_block(configs: list[ScenarioConfig], seed: int,
         rule = scheme.rule
         if rule == "rs":
             # slot average over all users: every user contributes an indicator
-            hits = int(np.count_nonzero(main_gain < eve_gain[:, None]))
-            counts.append((hits, n * n_users))
+            per_trial = np.count_nonzero(main_gain < eve_gain[:, None], axis=1)
+            counts.append((int(per_trial.sum()), n * n_users,
+                           int(np.dot(per_trial, per_trial))))
             continue
-        key = (rule, rule == "fcsi" and scheme.fully_connected)
-        if key not in picks:
-            picks[key] = (select_gcsi_pfs(user_sums, n_el) if rule == "gcsi"
-                          else select_fcsi_pfs(cascade, fad.m1, fad.m2, n_el))
-        served = main_gain[np.arange(n), picks[key]]
-        counts.append((int(np.count_nonzero(served < eve_gain)), n))
+        if rule not in picks:
+            picks[rule] = (select_gcsi_pfs(user_sums) if rule == "gcsi"
+                           else select_fcsi_pfs(cascade))
+        served = main_gain[np.arange(n), picks[rule]]
+        hits = int(np.count_nonzero(served < eve_gain))
+        counts.append((hits, n, hits))
     return counts
 
 
@@ -208,7 +217,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     tasks = [(members, i, n) for members in groups.values()
              for i, n in blocks]
 
-    def simulate(task: tuple[list[int], int, int]) -> list[tuple[int, int]]:
+    def simulate(task: tuple[list[int], int, int]) -> list[tuple[int, int, int]]:
         members, i, n = task
         return _simulate_block([configs[k] for k in members], seed, i, n)
 
@@ -217,17 +226,21 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(simulate, tasks))
-    hits = [0] * len(configs)
-    opportunities = [0] * len(configs)
+    totals = [(0, 0, 0)] * len(configs)
     for (members, _, _), counts in zip(tasks, results):
-        for k, (h, o) in zip(members, counts):
-            hits[k] += h
-            opportunities[k] += o
+        for k, block_counts in zip(members, counts):
+            totals[k] = tuple(a + b for a, b in zip(totals[k], block_counts))
     estimates = []
-    for h, o in zip(hits, opportunities):
+    for config, (h, o, sq) in zip(configs, totals):
         p_hat = h / o
-        std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-        estimates.append(ZsrpEstimate(p_hat=p_hat, std_err=std_err,
+        if config.scheme.rule == "rs":
+            # p_hat is the mean of T per-trial means k / N: its variance is
+            # their plug-in variance over T, formed exactly in integers
+            var = ((sq * trials - h * h)
+                   / (config.n_users ** 2 * trials ** 3))
+        else:
+            var = p_hat * (1.0 - p_hat) / trials
+        estimates.append(ZsrpEstimate(p_hat=p_hat, std_err=math.sqrt(var),
                                       trials=trials, seed=seed))
     return estimates
 

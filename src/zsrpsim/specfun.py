@@ -3,12 +3,13 @@
 Everything here is implemented from first principles on top of the Python
 math module and numpy arrays: no scipy.  Provided primitives:
 
-* ``ln_gamma``                 -- real log-gamma, Lanczos approximation
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
   for integer shape a, scalar and array forms of one implementation
-* ``bessel_k`` / ``log_bessel_k`` -- modified Bessel K_nu, integer order
-* ``meijer_g_m0`` / ``meijer_g_m0_log`` -- Meijer G^{m,0}_{p,q} for q > p
-  via Mellin-Barnes contour quadrature
+* ``log_bessel_k``    -- ln K_nu(x), modified Bessel K, integer order
+* ``log_sum_exp``     -- signed sum of exponentials in log space
+* ``meijer_g_m0_log`` -- (log|G|, sign) of Meijer G^{m,0}_{p,q} for q > p
+  via Mellin-Barnes contour quadrature (complex Lanczos log-gamma inside;
+  real log-gamma values elsewhere come from ``math.lgamma``)
 
 The Meijer evaluator uses the convention
 
@@ -25,7 +26,6 @@ large parameter sets neither overflow nor underflow.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -50,29 +50,6 @@ _LANCZOS_COEF = (
 )
 
 _LN_SQRT_2PI = 0.9189385332046727418
-
-
-class UnderflowWarning(RuntimeWarning):
-    """Signals that a result underflowed to zero in double precision."""
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for real x > 0.
-
-    Raises ValueError for x <= 0 (poles and the reflection half-line are
-    outside this package's needs).
-    """
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # recurrence keeps the Lanczos sum in its sweet spot
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _ln_gamma_complex(z: np.ndarray) -> np.ndarray:
@@ -211,23 +188,6 @@ def _bessel_k01_scaled(x: float) -> tuple[float, float]:
         ex = math.exp(x)
         return k0 * ex, k1 * ex
     return _bessel_k01_cf2(x)
-
-
-def bessel_k(nu: int, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), integer nu >= 0.
-
-    The exponential of :func:`log_bessel_k`, so both share one recurrence.
-    A value beyond the double range returns inf; one that underflows to
-    zero returns 0.0 and emits an UnderflowWarning.
-    """
-    try:
-        val = math.exp(log_bessel_k(nu, x))
-    except OverflowError:
-        return math.inf
-    if val == 0.0:
-        warnings.warn(f"bessel_k({nu}, {x:g}) underflowed to zero",
-                      UnderflowWarning, stacklevel=2)
-    return val
 
 
 def log_bessel_k(nu: int, x: float) -> float:
@@ -382,11 +342,3 @@ def meijer_g_m0_log(a: Sequence[float], b: Sequence[float], x: float,
             f"(a={a}, b={b}, x={x:g})")
     return m_ref + math.log(abs(scaled)), math.copysign(1.0, scaled)
 
-
-def meijer_g_m0(a: Sequence[float], b: Sequence[float], x: float,
-                rel_tol: float = 1e-8) -> float:
-    """Meijer G^{m,0}(x) as a plain float (see meijer_g_m0_log)."""
-    log_abs, sign = meijer_g_m0_log(a, b, x, rel_tol=rel_tol)
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(log_abs)

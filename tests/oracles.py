@@ -7,9 +7,15 @@ expansion through collapsed coefficients, whose linear-space form is
 :func:`ordered_sum_coefficients`; this explicit form exists only to
 check that collapse (acceptance criterion 3 and ``test_analytic``).
 
-``fc_cascaded_gain_via_theta`` evaluates the fully connected gain
-through the explicit scattering matrix; the package's norm-product gain
-must match it (``test_bdris``).
+The package uses the fully connected cascade gain ||h_br||^2 ||h_rn||^2
+as a formula.  The scattering-matrix construction at the end of this
+file builds the matrix that attains it, and ``fc_cascaded_gain_via_theta``
+evaluates the gain through that matrix, so the formula can be checked
+against it (acceptance criterion 5 and ``test_bdris``).
+
+``bessel_k`` and ``meijer_g_m0`` give the package's log-space Bessel K
+and Meijer G values as plain floats, for comparison with linear-space
+references.
 
 ``upper_gamma_poisson_loop`` is the plain term-by-term loop for
 Q(a, x); the package's array form must match it bit for bit wherever
@@ -18,6 +24,7 @@ exp(-x) does not underflow.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,9 +32,7 @@ import numpy as np
 
 from zsrpsim.analytic import (MAX_ORDER_STAT_USERS,
                               _log_ordered_sum_coefficients)
-from zsrpsim.bdris import (PhaseDecomposition, assemble_theta,
-                           construct_aligning_unitary, optimal_phases)
-from zsrpsim.errors import CapacityError
+from zsrpsim.specfun import log_bessel_k, meijer_g_m0_log
 
 
 def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
@@ -100,14 +105,14 @@ def enumerate_subset_terms(n_users: int, m1_elements: int) -> list[SubsetTerm]:
 
     Emits one entry per non-empty user subset (2^N - 1 of them, entered
     through their cardinality multiplicity) crossed with every weak
-    composition of the subset size into m1 L parts.  Guarded by
-    :class:`CapacityError`; callers beyond the cap must use the
+    composition of the subset size into m1 L parts.  Past the user or
+    term cap it raises ValueError; callers beyond the cap must use the
     quadrature path.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if n_users > MAX_ORDER_STAT_USERS:
-        raise CapacityError(
+        raise ValueError(
             f"subset enumeration supports at most {MAX_ORDER_STAT_USERS} "
             f"users, got {n_users}; use the quadrature path")
     if m1_elements < 1:
@@ -115,7 +120,7 @@ def enumerate_subset_terms(n_users: int, m1_elements: int) -> list[SubsetTerm]:
     total = sum(math.comb(n_users, j) * math.comb(j + m1_elements - 1, j)
                 for j in range(1, n_users + 1))
     if total > MAX_SUBSET_TERMS:
-        raise CapacityError(
+        raise ValueError(
             f"subset enumeration would need {total} terms; "
             f"reduce the user count or element count")
     terms: list[SubsetTerm] = []
@@ -144,6 +149,17 @@ def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
     return total
 
 
+def bessel_k(nu: int, x: float) -> float:
+    """K_nu(x), integer nu >= 0, from :func:`log_bessel_k`."""
+    return math.exp(log_bessel_k(nu, x))
+
+
+def meijer_g_m0(a, b, x: float) -> float:
+    """G^{m,0}_{p,q}(x) from the signed log of :func:`meijer_g_m0_log`."""
+    log_abs, sign = meijer_g_m0_log(a, b, x)
+    return sign * math.exp(log_abs)
+
+
 def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:
     """Q(a, x) = exp(-x) sum_{t<a} x^t / t!, one recurrence step per loop pass."""
     x = np.asarray(x, dtype=float)
@@ -153,6 +169,140 @@ def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:
         term = term * (x / t)
         total += term
     return np.minimum(total, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Fully connected scattering matrices
+# ---------------------------------------------------------------------------
+#
+# A fully-connected (FC) RIS applies an L x L complex symmetric unitary
+# scattering matrix Theta, realized through the Takagi-style factorization
+# Theta = V diag(exp(-j phi)) V^T with V unitary.  Choosing V so that the
+# transformed vectors V^T conj(h_rn) and V^T h_br both have flat magnitude
+# profiles makes the Cauchy-Schwarz bound on |h_rn^H Theta h_br|^2 tight
+# once the per-branch phases phi are aligned, giving the cascaded gain
+# ||h_br||^2 ||h_rn||^2.  A conventional single-connected (SC) RIS only
+# co-phases element-by-element products and reaches
+# (sum_l |h_br,l| |h_rn,l|)^2 <= the FC gain.
+
+
+@dataclass(frozen=True)
+class PhaseDecomposition:
+    """Takagi factors (V, phi) with Theta = V diag(exp(-j phi)) V^T."""
+
+    v: np.ndarray
+    phi: np.ndarray
+
+
+def _orthonormal_frame(cols: np.ndarray) -> np.ndarray:
+    """Square unitary whose leading columns Gram-Schmidt the inputs.
+
+    QR with the diagonal of R rotated to the positive real axis, so column
+    k of the result equals the k-th Gram-Schmidt vector of ``cols``.
+    """
+    n, k = cols.shape
+    full = np.concatenate([cols, np.eye(n, dtype=complex)], axis=1)
+    q, r = np.linalg.qr(full, mode="reduced")
+    d = np.diagonal(r)[:n].copy()
+    mag = np.abs(d)
+    d = np.where(mag == 0.0, 1.0, d) / np.where(mag == 0.0, 1.0, mag)
+    return q[:, :n] * d[None, :]
+
+
+def _flat_profile_with_overlap(c: complex, n: int) -> np.ndarray:
+    """Unit vector with |y_l| = 1/sqrt(n) and <flat, y> = c, |c| <= 1.
+
+    Built from two phase groups at +/-delta around arg(c); odd sizes keep
+    one element on the bisector and widen the group angle accordingly.
+    """
+    mag = min(abs(c), 1.0)
+    ph = cmath.phase(c)
+    if n == 1:
+        return np.array([np.exp(1j * ph)])
+    psis = np.empty(n)
+    if n % 2 == 0:
+        delta = math.acos(mag)
+        half = n // 2
+        psis[:half] = ph + delta
+        psis[half:] = ph - delta
+    else:
+        pairs = (n - 1) // 2
+        cosd = (n * mag - 1.0) / (n - 1.0)
+        delta = math.acos(max(-1.0, min(1.0, cosd)))
+        psis[0] = ph
+        psis[1:1 + pairs] = ph + delta
+        psis[1 + pairs:] = ph - delta
+    return np.exp(1j * psis) / math.sqrt(n)
+
+
+def construct_aligning_unitary(h_br: np.ndarray, h_rn: np.ndarray) -> np.ndarray:
+    """Unitary V flattening both transformed channel magnitude profiles.
+
+    Returns V such that p = V^T conj(h_rn) and q = V^T h_br satisfy
+    |p_l| / ||p|| = |q_l| / ||q|| = 1/sqrt(L) for every branch l.  The map
+    sends the normalized pair (conj(h_rn), h_br) onto a pair of flat-
+    magnitude vectors with the same inner product (so a two-frame isometry
+    exists) and acts as the identity on the orthogonal complement.
+    """
+    h_br = np.asarray(h_br, dtype=complex)
+    h_rn = np.asarray(h_rn, dtype=complex)
+    if h_br.ndim != 1 or h_br.shape != h_rn.shape:
+        raise ValueError("channel vectors must be 1-D with equal length")
+    nb = np.linalg.norm(h_br)
+    nr = np.linalg.norm(h_rn)
+    if nb == 0.0 or nr == 0.0:
+        raise ValueError("channel vectors must be nonzero")
+    n = h_br.shape[0]
+    a = np.conj(h_rn) / nr
+    b = h_br / nb
+    c = complex(np.vdot(a, b))  # <a, b>
+    x = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    y = _flat_profile_with_overlap(c, n)
+    if n == 1:
+        w = np.array([[np.conj(a[0])]])  # maps a -> 1 = x
+        return w.T
+    # Work inside U = span{a, b, x, y} so the map is the identity on U^perp;
+    # a two-frame isometry a,b -> x,y exists there because <a,b> = <x,y>.
+    if n <= 4:
+        w = _orthonormal_frame(np.stack([x, y], axis=1)) \
+            @ _orthonormal_frame(np.stack([a, b], axis=1)).conj().T
+        return w.T
+    qu = _orthonormal_frame(np.stack([a, b, x, y], axis=1))[:, :4]
+    eh = qu.conj().T @ np.stack([a, b], axis=1)   # coordinates of a, b in U
+    fh = qu.conj().T @ np.stack([x, y], axis=1)   # coordinates of x, y in U
+    w_core = _orthonormal_frame(fh) @ _orthonormal_frame(eh).conj().T
+    w = np.eye(n, dtype=complex) + qu @ (w_core - np.eye(4, dtype=complex)) @ qu.conj().T
+    return w.T
+
+
+def optimal_phases(v: np.ndarray, h_br: np.ndarray, h_rn: np.ndarray) -> np.ndarray:
+    """Branch phases aligning every summand of h_rn^H Theta h_br.
+
+    With p = V^T conj(h_rn) and q = V^T h_br, the bilinear form is
+    sum_l p_l exp(-j phi_l) q_l, so phi_l = arg(p_l) + arg(q_l) (mod 2 pi)
+    makes each summand real and nonnegative.
+    """
+    p = v.T @ np.conj(h_rn)
+    q = v.T @ h_br
+    return np.mod(np.angle(p) + np.angle(q), 2.0 * math.pi)
+
+
+def assemble_theta(decomp: PhaseDecomposition) -> np.ndarray:
+    """Scattering matrix V diag(exp(-j phi)) V^T (symmetric unitary)."""
+    v, phi = decomp.v, decomp.phi
+    return (v * np.exp(-1j * phi)[None, :]) @ v.T
+
+
+def fc_cascaded_gain(h_br: np.ndarray, h_rn: np.ndarray) -> float:
+    """Optimal FC-RIS cascaded gain ||h_br||^2 ||h_rn||^2 (fast path)."""
+    nb = np.linalg.norm(h_br)
+    nr = np.linalg.norm(h_rn)
+    return float((nb * nr) ** 2)
+
+
+def sc_cascaded_gain(h_br: np.ndarray, h_rn: np.ndarray) -> float:
+    """Single-connected benchmark gain (sum_l |h_br,l| |h_rn,l|)^2."""
+    return float(np.sum(np.abs(h_br) * np.abs(h_rn)) ** 2)
 
 
 def fc_cascaded_gain_via_theta(h_br: np.ndarray, h_rn: np.ndarray) -> float:

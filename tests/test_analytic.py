@@ -25,8 +25,10 @@ Proves:
    contour route agreeing to better than 1e-6 (and frozen gaps near 1e-12);
    user-count limits; past the Meijer term cap both serving rules return
    the quadrature value alone; greedy never hurts; monotone response to the sphere
-   radius; agreement across a surface-size/radius grid; the scheme
-   dispatcher and its documented refusals.
+   radius; agreement across a surface-size/radius grid; where the contour
+   engine refuses, the tail-integral fallback of the Meijer composite
+   matches mpmath to 1e-12; the scheme dispatcher and its documented
+   refusals.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from zsrpsim import analytic as an
-from zsrpsim.errors import AnalyticUnavailableError, CapacityError
+from zsrpsim import specfun
+from zsrpsim.errors import AccuracyError, AnalyticUnavailableError
 from zsrpsim.fading import cdf_S
 from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
@@ -171,11 +174,11 @@ def test_coefficient_rows_edge_cases():
 
 
 def test_combinatorial_guards():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="at most"):
         enumerate_subset_terms(13, 2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="terms"):
         enumerate_subset_terms(12, 64)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="at most"):
         cdf_power_sum_order_stat(1.0, 2, 1, 13)
 
 
@@ -251,6 +254,22 @@ def test_closed_form_grid_agreement(closed_params):
                 out = fn(p)
                 assert out.closed_form is not None, (n_elements, r, fn.__name__)
                 assert out.rel_gap < 1e-6, (n_elements, r, fn.__name__, out.rel_gap)
+
+
+#: log G^{3,0}_{1,3}(0.01 | -59.5; 2, -2, -60.5), the composite at
+#: (mu, nu, x) = (120, 4, 0.01), from mpmath.meijerg at 40 digits
+TAIL_LOG_G = 651.8373093920151053
+
+
+def test_tail_integral_fallback_matches_mpmath():
+    mu, nu, x = 120.0, 4.0, 0.01
+    # the contour engine refuses this point, so the tail integral answers
+    with pytest.raises(AccuracyError):
+        specfun.meijer_g_m0_log([0.5 * (1.0 - mu)],
+                                [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
+    log_g, sign = an._log_meijer_composite(mu, nu, x)
+    assert sign == 1.0
+    assert abs(log_g - TAIL_LOG_G) <= 1e-12
 
 
 def test_many_users_fall_back_to_quadrature(closed_params):

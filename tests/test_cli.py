@@ -23,7 +23,7 @@ Proves:
    centre offset from the BS cannot use the closed-form objective.
 
  Group 5 — exit codes
-   accuracy and capacity failures map to their documented exit codes.
+   an accuracy failure maps to its documented exit code.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 import pytest
 
 from zsrpsim import cli
-from zsrpsim.errors import AccuracyError, CapacityError
+from zsrpsim.errors import AccuracyError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -278,12 +278,3 @@ def test_accuracy_exit_code(capsys, caplog, monkeypatch):
     rc, _, _ = run_cli(capsys, "zsrp")
     assert rc == 3
     assert "accuracy failure" in caplog.text
-
-
-def test_capacity_exit_code(capsys, monkeypatch):
-    def boom(args):
-        raise CapacityError("forced")
-
-    monkeypatch.setitem(cli._DISPATCH, "zsrp", boom)
-    rc, _, _ = run_cli(capsys, "zsrp")
-    assert rc == 4

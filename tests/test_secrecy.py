@@ -12,8 +12,10 @@ Proves:
    dominating wiretap (vanishing sphere) drives the estimate to one; the
    estimate is bit-identical across the configured SNR (it cancels in the
    rate difference), across worker counts, and across repeated runs;
-   partial trailing blocks are handled; the standard error follows the
-   binomial formula; trials = 0 and a negative seed rejected.
+   partial trailing blocks are handled; a served-user row's standard
+   error follows the binomial formula, and a round-robin row's equals the
+   standard error of its per-trial user averages, rebuilt here from the
+   documented draw order; trials = 0 and a negative seed rejected.
 
  Group 3 — scheme behavior
    all five schemes produce proper probabilities; greedy selection does
@@ -41,7 +43,8 @@ import pytest
 
 from zsrpsim import secrecy as sec
 from zsrpsim.fading import FadingParams
-from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
+from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
+                                 large_scale_gain, ris_user_gain, sample_eve_distance)
 from zsrpsim.scheduling import SchemeId
 
 # closed-form references for the default scenario (independently validated
@@ -126,7 +129,7 @@ def test_worker_count_invariance(geometry, air, fading):
 
 
 def test_seed_reproducibility_and_fields(geometry, air, fading):
-    cfg = make_config(geometry, air, fading)
+    cfg = make_config(geometry, air, fading, scheme=SchemeId.FCR_GCSI_PFS)
     a = sec.run_monte_carlo(cfg, trials=5_000, seed=31)
     b = sec.run_monte_carlo(cfg, trials=5_000, seed=31)
     c = sec.run_monte_carlo(cfg, trials=5_000, seed=32)
@@ -135,6 +138,38 @@ def test_seed_reproducibility_and_fields(geometry, air, fading):
     assert a.trials == 5_000 and a.seed == 31
     expect_se = math.sqrt(a.p_hat * (1.0 - a.p_hat) / a.trials)
     assert math.isclose(a.std_err, expect_se, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.SCR_RS])
+def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
+    # p_hat averages N correlated user indicators per trial; its error is
+    # the (plug-in) standard error of those T per-trial means, not the
+    # binomial one of T * N independent indicators
+    cfg = make_config(geometry, air, fading, scheme=scheme)
+    trials, seed = 2 * sec.BLOCK_TRIALS + 808, 23
+    n_el, m1, m2 = fading.n_elements, fading.m1, fading.m2
+    sigma2_sq = bs_ris_gain(geometry, air)
+    sigma1_sq = np.array([ris_user_gain(geometry, air, u) for u in range(cfg.n_users)])
+    means = []
+    for i in range(3):
+        n = min(sec.BLOCK_TRIALS, trials - i * sec.BLOCK_TRIALS)
+        rng = sec._block_rng(seed, i)
+        gb = rng.gamma(float(m2), 1.0 / m2, (n, n_el))
+        gr = rng.gamma(float(m1), 1.0 / m1, (n, cfg.n_users, n_el))
+        d_be = sample_eve_distance(rng, 1.0, size=n) * geometry.r_eve_m
+        if scheme.fully_connected:
+            cascade = gb.sum(axis=1)[:, None] * gr.sum(axis=2)
+        else:
+            cascade = (np.sqrt(gb)[:, None, :] * np.sqrt(gr)).sum(axis=2) ** 2
+        main = sigma2_sq * sigma1_sq * cascade
+        eve = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9), cfg.alpha_eve)
+        means.append((main < eve[:, None]).mean(axis=1))
+    means = np.concatenate(means)
+    est = sec.run_monte_carlo(cfg, trials, seed)
+    assert math.isclose(est.p_hat, means.mean(), rel_tol=1e-12)
+    assert math.isclose(est.std_err, means.std() / math.sqrt(trials), rel_tol=1e-12)
+    binomial = math.sqrt(est.p_hat * (1.0 - est.p_hat) / trials)
+    assert not math.isclose(est.std_err, binomial, rel_tol=1e-3)
 
 
 def test_zero_trials_rejected(geometry, air, fading):

@@ -29,7 +29,10 @@ Evaluation routes, cross-checked against each other:
 Proportional-fair order statistics enter through collapsed polynomial
 coefficients of the N-fold truncated exponential product; one series
 routine sums them for the Meijer-G composite and, at N = 1, for the
-Bessel-K CDF.
+Bessel-K CDF.  Along one order-statistic row the Meijer-G terms are
+Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
+10.29.4), so a row costs three seed integrals (contour, or the tail
+integral where the contour refuses) plus one Bessel value per term.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -58,7 +61,8 @@ logger = logging.getLogger(__name__)
 #: quadrature path has no such cap and stays authoritative beyond it.
 MAX_ORDER_STAT_USERS = 12
 
-#: Cap on the number of Meijer-G composite terms in one closed-form call.
+#: Cap on the number of Meijer-G composite terms in one closed-form call;
+#: past the three seed integrals of a row, a term costs one Bessel value.
 MAX_COMPOSITE_TERMS = 5000
 
 
@@ -308,20 +312,67 @@ def _log_g31_tail(mu: float, nu: float, x: float) -> float:
     return -0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0) + log_j
 
 
-def _log_meijer_composite(mu: float, nu: float, x: float) -> tuple[float, float]:
+def _log_meijer_composite(mu: float, nu: float, x: float,
+                          routes: Optional[list[str]] = None
+                          ) -> tuple[float, float]:
     """(log|G|, sign) of the distance-averaged composite, robustly.
 
     The Mellin-Barnes engine is exact while its cancellation guard
     holds; beyond that (large m2*L pushes the lower parameters far from
     the contour saddle) the positive tail-integral identity takes over.
+    ``routes``, when given, gets "contour" or "tail" appended.
     """
     try:
-        return specfun.meijer_g_m0_log(
+        out = specfun.meijer_g_m0_log(
             a=[0.5 * (1.0 - mu)],
             b=[0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)],
             x=x)
+        route = "contour"
     except AccuracyError:
-        return _log_g31_tail(mu, nu, x), 1.0
+        out, route = (_log_g31_tail(mu, nu, x), 1.0), "tail"
+    if routes is not None:
+        routes.append(route)
+    return out
+
+
+def _log_composite_row(m_2: int, jx: float, n_b: int,
+                       routes: list[str]) -> list[tuple[float, float]]:
+    """(log|G|, sign) of the composite at argument jx for B = 0 .. n_b - 1.
+
+    With M = m_2, y = 2 sqrt(jx) and the tail integral
+    I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of :func:`_log_g31_tail`,
+    G = jx^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from
+    :func:`_log_meijer_composite`; every further I(B) from
+
+        I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
+
+    one Bessel value per term, adding only positive terms from B = 2 on.
+    I(B) is carried in linear space under a running log scale.
+    """
+    row = [_log_meijer_composite(m_2 + b - 4, m_2 - b, jx, routes)
+           for b in range(min(3, n_b))]
+    if n_b <= 3:
+        return row
+    log_g2, sign = row[2]
+    if sign < 0.0:
+        raise AccuracyError(f"composite seed at x={jx:g} came out negative")
+    log_jx, ln2 = math.log(jx), math.log(2.0)
+    y = 2.0 * math.sqrt(jx)
+    log_y = math.log(y)
+
+    def log_g_over_i(b: int) -> float:
+        return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
+
+    scale, mant = log_g2 - log_g_over_i(2), 1.0
+    for b in range(3, n_b):
+        log_step = ((m_2 + b - 4) * log_y
+                    + specfun.log_bessel_k(abs(m_2 - b + 1), y))
+        mant = math.exp(log_step - scale) + (2 * b - 5) * mant
+        if mant > 1e200:
+            scale += math.log(mant)
+            mant = 1.0
+        row.append((scale + math.log(mant) + log_g_over_i(b), 1.0))
+    return row
 
 
 def _closed_form(params: ClosedFormParams) -> Optional[float]:
@@ -335,17 +386,24 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
                                           nu/2, -nu/2, -(mu+1)/2),
 
     with X = theta^2 / 4 the composite argument at r = R and
-    mu = k - 4 for the k-th power weight.  Past the user or term cap, or
-    where neither Meijer route reaches its tolerance, it logs why and
-    returns None, leaving the quadrature value alone.
+    mu = k - 4 for the k-th power weight.  Along one order-statistic row
+    (argument jX, M = m2 L, mu = M + B - 4, nu = M - B) the composite is a
+    Bessel tail integral I(B), and DLMF 10.29.1 with
+    d/du[u^-nu K_nu(u)] = -u^-nu K_(nu+1)(u) (DLMF 10.29.4) give
+
+        I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),   y = 2 sqrt(jX),
+
+    so a row takes three seed integrals (B = 0, 1, 2) and one Bessel
+    value per further term (:func:`_log_composite_row`).  Logs the seed,
+    tail-fallback and term counts at DEBUG.  Past the user or term cap, or
+    where no seed reaches its tolerance, it logs why and returns None,
+    leaving the quadrature value alone.
     """
     m_1, m_2 = params.m1 * params.n_elements, params.m2 * params.n_elements
     big_x = params.big_x
     n_terms = sum(j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1))
-
-    def meijer(j: int, b: int) -> tuple[float, float]:
-        return _log_meijer_composite(m_2 + b - 4, m_2 - b, j * big_x)
-
+    routes: list[str] = []
+    closed = None
     if params.n_users > MAX_ORDER_STAT_USERS:
         reason = (f"closed-form composite supports at most "
                   f"{MAX_ORDER_STAT_USERS} users, got {params.n_users}")
@@ -354,13 +412,21 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
                   f"(cap {MAX_COMPOSITE_TERMS}); reduce users or elements")
     else:
         try:
-            return _order_stat_series(params.n_users, m_1, m_2, 1.5,
-                                      math.log(big_x), meijer)
+            rows = [_log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1,
+                                       routes)
+                    for j in range(1, params.n_users + 1)]
+            closed = _order_stat_series(params.n_users, m_1, m_2, 1.5,
+                                        math.log(big_x),
+                                        lambda j, b: rows[j - 1][b])
         except AccuracyError as exc:
             reason = str(exc)
-    logger.info("closed-form composite unavailable here (%s); "
-                "quadrature value returned alone", reason)
-    return None
+    logger.debug("closed-form composite: %d seed integrals (%d by the tail "
+                 "integral), %d terms", len(routes), routes.count("tail"),
+                 n_terms)
+    if closed is None:
+        logger.info("closed-form composite unavailable here (%s); "
+                    "quadrature value returned alone", reason)
+    return closed
 
 
 def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,

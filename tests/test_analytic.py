@@ -27,7 +27,13 @@ Proves:
    the quadrature value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
    engine refuses, the tail-integral fallback of the Meijer composite
-   matches mpmath to 1e-12; the scheme dispatcher and its documented
+   matches mpmath to 1e-12; the contiguous recurrence of one composite row
+   matches the tail integral term by term to 1e-12 at h = 150/1000 m, on
+   both sides of B = M; a closed form takes three seed integrals per row
+   (12 for default greedy serving, 3 for rotation) and logs the seed,
+   tail-fallback and term counts; rows shorter than three terms take only
+   their own seeds and still track quadrature to 1e-9; a negative seed
+   refuses the closed form; the scheme dispatcher and its documented
    refusals.
 """
 
@@ -270,6 +276,94 @@ def test_tail_integral_fallback_matches_mpmath():
     log_g, sign = an._log_meijer_composite(mu, nu, x)
     assert sign == 1.0
     assert abs(log_g - TAIL_LOG_G) <= 1e-12
+
+
+@pytest.mark.parametrize("h_br_m", [150.0, 1000.0])
+def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params):
+    from zsrpsim.propagation import ScenarioGeometry, bs_ris_gain, ris_user_gain
+
+    geom = ScenarioGeometry(h_br_m=h_br_m)
+    big_x = closed_params(sigma1_sq=bs_ris_gain(geom, air),
+                          sigma2_sq=ris_user_gain(geom, air, 0)).big_x
+    m_2, m_1 = 32, 32
+    spanned = set()
+    for j in (1, 4):
+        row = an._log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1, [])
+        assert len(row) == j * (m_1 - 1) + 1
+        for b, (log_g, sign) in enumerate(row):
+            # 1e-12 on log G is 1e-12 relative on the tail integral I(B)
+            want = an._log_g31_tail(m_2 + b - 4, m_2 - b, j * big_x)
+            assert sign == 1.0
+            assert abs(log_g - want) <= 1e-12, (j, b, log_g - want)
+            spanned.add((b > m_2) - (b < m_2))
+    # B < M, B = M and B > M (Bessel K of negative order)
+    assert spanned == {-1, 0, 1}
+
+
+def _count_seeds(monkeypatch) -> list:
+    calls = []
+    seed = an._log_meijer_composite
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return seed(*args, **kwargs)
+
+    monkeypatch.setattr(an, "_log_meijer_composite", counting)
+    return calls
+
+
+def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatch,
+                                               caplog):
+    cfg = ScenarioConfig(geometry=geometry, air=air, fading=fading,
+                         scheme=SchemeId.FCR_RS)
+    for scheme, n_seeds, n_terms in ((SchemeId.FCR_GCSI_PFS, 12, 314),
+                                     (SchemeId.FCR_RS, 3, 32)):
+        calls = _count_seeds(monkeypatch)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
+            out = an.zsrp_for_scheme(scheme, cfg)
+        assert out.closed_form is not None
+        # one contour (or tail) integral per seed, not one per term
+        assert len(calls) == n_seeds, scheme
+        lines = [r.getMessage() for r in caplog.records
+                 if "seed integrals" in r.getMessage()]
+        assert lines == [f"closed-form composite: {n_seeds} seed integrals "
+                         f"(0 by the tail integral), {n_terms} terms"]
+
+
+@pytest.mark.parametrize("n_elements, n_users, n_seeds",
+                         [(1, 1, 1), (1, 3, 3), (2, 1, 2), (2, 3, 8)])
+def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
+                                         n_elements, n_users, n_seeds):
+    # m1 L = n_elements: rows of j (m1 L - 1) + 1 terms, so 1 term per row
+    # at m1 L = 1 and 2, 3, 4 terms at m1 L = 2
+    p = closed_params(n_users=n_users, m1=1, n_elements=n_elements,
+                      r_eve_m=5000.0)
+    calls = _count_seeds(monkeypatch)
+    out = an.zsrp_pfs(p)
+    assert len(calls) == n_seeds
+    assert 1e-3 < out.value < 0.5
+    assert out.closed_form is not None
+    assert abs(out.closed_form - out.value) <= 1e-9 * out.value
+
+
+def test_tail_fallback_seeds_are_logged(closed_params, monkeypatch, caplog):
+    want = an._closed_form(closed_params(n_users=1))
+
+    def refuse(*args, **kwargs):
+        raise AccuracyError("contour refused")
+
+    monkeypatch.setattr(specfun, "meijer_g_m0_log", refuse)
+    with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
+        got = an._closed_form(closed_params(n_users=1))
+    assert "3 seed integrals (3 by the tail integral), 32 terms" in caplog.text
+    assert math.isclose(got, want, rel_tol=1e-9)
+
+
+def test_negative_seed_refuses_closed_form(closed_params, monkeypatch):
+    monkeypatch.setattr(an, "_log_meijer_composite",
+                        lambda *args, **kwargs: (0.0, -1.0))
+    assert an._closed_form(closed_params(n_users=1)) is None
 
 
 def test_many_users_fall_back_to_quadrature(closed_params):

@@ -17,7 +17,8 @@ comparison, so
 Evaluation routes, cross-checked against each other:
 
 * ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
-  rounding), the fast route for the single-user cascade;
+  rounding), the fast route for the single-user cascade; its terms
+  share one argument, so one Bessel-K recurrence gives every order;
 * ``cdf_Z_quadrature``: independent direct integration over the BS-side
   power sum, the adjudicating oracle; it raises F_S to the user count N
   (CDF of the served maximum), so proportional fairness needs no
@@ -32,7 +33,8 @@ routine sums them for the Meijer-G composite and, at N = 1, for the
 Bessel-K CDF.  Along one order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
 10.29.4), so a row costs three seed integrals (contour, or the tail
-integral where the contour refuses) plus one Bessel value per term.
+integral where the contour refuses) plus one Bessel-K recurrence at the
+row's argument, one step per term.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -62,7 +64,8 @@ logger = logging.getLogger(__name__)
 MAX_ORDER_STAT_USERS = 12
 
 #: Cap on the number of Meijer-G composite terms in one closed-form call;
-#: past the three seed integrals of a row, a term costs one Bessel value.
+#: past the three seed integrals of a row, a term costs one Bessel-K
+#: recurrence step.
 MAX_COMPOSITE_TERMS = 5000
 
 
@@ -180,19 +183,22 @@ def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
            K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
-    summed in log space.  Validated against :func:`cdf_Z_quadrature`;
-    returns 0 for z <= 0.
+    summed in log space.  Every order comes from one Bessel-K recurrence
+    at 2 sqrt(xi).  Validated against :func:`cdf_Z_quadrature`; returns 0
+    for z <= 0.
     """
     if z <= 0.0:
         return 0.0
     m_2 = p.m2 * p.n_elements
+    m_1 = p.m1 * p.n_elements
     xi = p.m1 * p.m2 * z / (p.sigma1_sq * p.sigma2_sq)
+    log_k = specfun.log_bessel_k_upto(max(m_2, abs(m_2 - m_1 + 1)),
+                                      2.0 * math.sqrt(xi))
 
     def bessel(j: int, b: int) -> tuple[float, float]:
-        return specfun.log_bessel_k(abs(m_2 - b), 2.0 * math.sqrt(j * xi)), 1.0
+        return log_k[abs(m_2 - b)], 1.0
 
-    return _order_stat_series(1, p.m1 * p.n_elements, m_2, 2.0,
-                              math.log(xi), bessel)
+    return _order_stat_series(1, m_1, m_2, 2.0, math.log(xi), bessel)
 
 
 @lru_cache(maxsize=None)
@@ -346,8 +352,9 @@ def _log_composite_row(m_2: int, jx: float, n_b: int,
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
 
-    one Bessel value per term, adding only positive terms from B = 2 on.
-    I(B) is carried in linear space under a running log scale.
+    adding only positive terms from B = 2 on.  The Bessel factors of the
+    row come from one Bessel-K recurrence at y, one step per term.  I(B)
+    is carried in linear space under a running log scale.
     """
     row = [_log_meijer_composite(m_2 + b - 4, m_2 - b, jx, routes)
            for b in range(min(3, n_b))]
@@ -359,14 +366,15 @@ def _log_composite_row(m_2: int, jx: float, n_b: int,
     log_jx, ln2 = math.log(jx), math.log(2.0)
     y = 2.0 * math.sqrt(jx)
     log_y = math.log(y)
+    log_k = specfun.log_bessel_k_upto(max(abs(m_2 - 2), abs(m_2 - n_b + 2)),
+                                      y)
 
     def log_g_over_i(b: int) -> float:
         return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
 
     scale, mant = log_g2 - log_g_over_i(2), 1.0
     for b in range(3, n_b):
-        log_step = ((m_2 + b - 4) * log_y
-                    + specfun.log_bessel_k(abs(m_2 - b + 1), y))
+        log_step = (m_2 + b - 4) * log_y + log_k[abs(m_2 - b + 1)]
         mant = math.exp(log_step - scale) + (2 * b - 5) * mant
         if mant > 1e200:
             scale += math.log(mant)
@@ -393,9 +401,10 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),   y = 2 sqrt(jX),
 
-    so a row takes three seed integrals (B = 0, 1, 2) and one Bessel
-    value per further term (:func:`_log_composite_row`).  Logs the seed,
-    tail-fallback and term counts at DEBUG.  Past the user or term cap, or
+    so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
+    recurrence at y, one step per further term
+    (:func:`_log_composite_row`).  Logs the seed, tail-fallback and term
+    counts at DEBUG.  Past the user or term cap, or
     where no seed reaches its tolerance, it logs why and returns None,
     leaving the quadrature value alone.
     """

@@ -5,7 +5,9 @@ math module and numpy arrays: no scipy.  Provided primitives:
 
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
   for integer shape a, scalar and array forms of one implementation
-* ``log_bessel_k``    -- ln K_nu(x), modified Bessel K, integer order
+* ``log_bessel_k_upto`` -- ln K_0(x) .. ln K_nu(x), modified Bessel K of
+  every integer order up to nu, from one upward recurrence
+* ``log_bessel_k``    -- ln K_nu(x) alone, the last of those values
 * ``log_sum_exp``     -- signed sum of exponentials in log space
 * ``meijer_g_m0_log`` -- (log|G|, sign) of Meijer G^{m,0}_{p,q} for q > p
   via Mellin-Barnes contour quadrature (complex Lanczos log-gamma inside;
@@ -190,29 +192,38 @@ def _bessel_k01_scaled(x: float) -> tuple[float, float]:
     return _bessel_k01_cf2(x)
 
 
-def log_bessel_k(nu: int, x: float) -> float:
-    """ln K_nu(x) with overflow-free upward recurrence (integer nu >= 0).
+def log_bessel_k_upto(nu_max: int, x: float) -> list[float]:
+    """[ln K_0(x), ..., ln K_nu_max(x)] from one upward recurrence.
 
     The recurrence runs on exp(x)-scaled values with an explicit exponent
     carry, so very large orders and very large arguments are both safe.
+    Each order is recorded after its rescale check, so entry n is exactly
+    what a recurrence stopped at order n returns.
     """
-    if nu < 0 or int(nu) != nu:
-        raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
+    if nu_max < 0 or int(nu_max) != nu_max:
+        raise ValueError(f"order must be a nonnegative integer, got {nu_max!r}")
     if not x > 0.0:
         raise ValueError(f"argument must be > 0, got {x!r}")
-    nu = int(nu)
     k0s, k1s = _bessel_k01_scaled(x)
-    if nu == 0:
-        return math.log(k0s) - x
+    out = [math.log(k0s) - x]
+    if nu_max == 0:
+        return out
+    out.append(math.log(k1s) - x)
     carry = 0.0
     km, kc = k0s, k1s
-    for n in range(1, nu):
+    for n in range(1, int(nu_max)):
         km, kc = kc, km + (2.0 * n / x) * kc
         if kc > 1e280:
             km *= 1e-280
             kc *= 1e-280
             carry += 280.0 * math.log(10.0)
-    return math.log(kc) + carry - x
+        out.append(math.log(kc) + carry - x)
+    return out
+
+
+def log_bessel_k(nu: int, x: float) -> float:
+    """ln K_nu(x), integer nu >= 0: the last entry of :func:`log_bessel_k_upto`."""
+    return log_bessel_k_upto(nu, x)[-1]
 
 
 def log_sum_exp(log_terms: Sequence[float], signs: Sequence[float] | None = None) -> tuple[float, float]:

@@ -20,6 +20,10 @@ references.
 ``upper_gamma_poisson_loop`` is the plain term-by-term loop for
 Q(a, x); the package's array form must match it bit for bit wherever
 exp(-x) does not underflow.
+
+``log_bessel_k_loop`` is the per-order upward recurrence for ln K_nu(x)
+that restarts from K_0, K_1 for every order; each entry of the package's
+one-pass ``log_bessel_k_upto`` must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from zsrpsim.analytic import (MAX_ORDER_STAT_USERS,
                               _log_ordered_sum_coefficients)
-from zsrpsim.specfun import log_bessel_k, meijer_g_m0_log
+from zsrpsim.specfun import _bessel_k01_scaled, log_bessel_k, meijer_g_m0_log
 
 
 def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
@@ -152,6 +156,22 @@ def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
 def bessel_k(nu: int, x: float) -> float:
     """K_nu(x), integer nu >= 0, from :func:`log_bessel_k`."""
     return math.exp(log_bessel_k(nu, x))
+
+
+def log_bessel_k_loop(nu: int, x: float) -> float:
+    """ln K_nu(x) by its own upward recurrence from K_0(x), K_1(x)."""
+    k0s, k1s = _bessel_k01_scaled(x)
+    if nu == 0:
+        return math.log(k0s) - x
+    carry = 0.0
+    km, kc = k0s, k1s
+    for n in range(1, nu):
+        km, kc = kc, km + (2.0 * n / x) * kc
+        if kc > 1e280:
+            km *= 1e-280
+            kc *= 1e-280
+            carry += 280.0 * math.log(10.0)
+    return math.log(kc) + carry - x
 
 
 def meijer_g_m0(a, b, x: float) -> float:

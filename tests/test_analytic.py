@@ -8,7 +8,9 @@ Proves:
  Group 2 — single-user cascade CDF
    the one-element unit case collapses to 1 - 2 K_1(2) (scipy cross-check);
    the log-space series matches direct 2-D quadrature to 1e-8 on log grids
-   for three fading settings; support edge, saturation, and monotonicity.
+   for three fading settings; support edge, saturation, and monotonicity;
+   one series CDF at the defaults (m1 L = m2 L = 32) starts one Bessel
+   K0/K1 evaluation, not one per term.
 
  Group 3 — greedy-selection order statistics
    the subset expansion reconstructs the N-th CDF power to 1e-9; term
@@ -123,6 +125,22 @@ def test_cascade_cdf_monotone(z, dz):
     hi = an.cdf_Z_single(z + dz, p)
     assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
     assert hi >= lo - 5e-16
+
+
+def test_series_cdf_takes_one_bessel_recurrence(closed_params, monkeypatch):
+    p = closed_params(n_users=1)
+    z = p.ref_gain / (0.5 * p.r_eve_m) ** 2
+    want = an.cdf_Z_single(z, p)
+    calls = []
+    k01 = specfun._bessel_k01_scaled
+
+    def counting(x):
+        calls.append(x)
+        return k01(x)
+
+    monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting)
+    assert an.cdf_Z_single(z, p) == want
+    assert len(calls) == 1
 
 
 # --- Group 3: order statistics ---

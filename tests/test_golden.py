@@ -9,7 +9,8 @@ Proves:
 
  Group 2 — one-point queries
    ``zsrp`` with both evaluators for greedy fully connected serving, and by
-   simulation around a fixed eavesdropper centre, prints the fixture bytes.
+   simulation around a fixed eavesdropper centre, prints the fixture bytes;
+   so does the analytic altitude search for round-robin serving.
 
  Group 3 — analytic precision
    the quadrature value and the closed form of both fully connected rules
@@ -73,6 +74,16 @@ def test_zsrp_reproduces_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     rc = cli.main(["zsrp", *ZSRP_CASES[name], "--trials", "5000", "--seed", "7",
                    "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def test_analytic_altitude_search_reproduces_fixture(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    name = "altitude-fcr-rs-analytic"
+    out = tmp_path / f"{name}.csv"
+    rc = cli.main(["optimize-altitude", "--evaluator", "analytic",
+                   "--scheme", "fcr-rs", "--seed", "7", "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 

@@ -23,7 +23,11 @@ Proves:
    with scipy.special.kv; three-term recurrence at 1e-9; large-argument
    asymptotic sqrt(pi/2x) e^{-x} within 1% at x = 50; log_bessel_k
    against log(kve) - x and, for order 200, against a shifted log-space
-   quadrature of the same integral representation.
+   quadrature of the same integral representation; every entry of the
+   one-pass log_bessel_k_upto equals the per-order recurrence oracle bit
+   for bit (orders 0 and 1, both K0/K1 branches, across the 1e280
+   rescale), log_bessel_k is its last entry, and both refuse negative or
+   fractional orders and arguments <= 0 or NaN.
 
  Group 4 — Mellin-Barnes Meijer G, all-poles-left kind
    G^{1,0}_{0,1}(x | -; 0) = e^{-x}; G^{2,0}_{0,2}(z | -; nu/2, -nu/2)
@@ -46,7 +50,8 @@ from scipy import integrate, special
 
 from zsrpsim import specfun
 
-from oracles import bessel_k, meijer_g_m0, upper_gamma_poisson_loop
+from oracles import (bessel_k, log_bessel_k_loop, meijer_g_m0,
+                     upper_gamma_poisson_loop)
 
 # Frozen from the quadrature oracle below (scipy agrees to the same digits).
 K0_AT_1 = 0.42102443824070834
@@ -268,6 +273,39 @@ def test_log_bessel_k_huge_order():
     )
     ref = shift + math.log(val)
     assert math.isclose(specfun.log_bessel_k(nu, x), ref, rel_tol=1e-8)
+
+
+# x <= 2 takes the ascending K0/K1 series, x > 2 the continued fraction
+UPTO_ARGS = (1e-3, 0.5, 2.0, 2.5, 30.0, 700.0)
+
+
+@pytest.mark.parametrize("x", UPTO_ARGS)
+@pytest.mark.parametrize("nu_max", [0, 1, 2, 32, 300])
+def test_log_bessel_k_upto_equals_per_order_loop(nu_max, x):
+    got = specfun.log_bessel_k_upto(nu_max, x)
+    assert len(got) == nu_max + 1
+    for n, log_k in enumerate(got):
+        assert log_k == log_bessel_k_loop(n, x), (n, x)
+    assert specfun.log_bessel_k(nu_max, x) == got[nu_max]
+
+
+def test_log_bessel_k_upto_crosses_rescale():
+    # ln K_300(1e-3) is several 1e280 rescales above the double range, so
+    # the grid above exercises the exponent carry
+    got = specfun.log_bessel_k_upto(300, 1e-3)
+    assert got[-1] > 3.0 * 280.0 * math.log(10.0)
+    assert all(math.isfinite(v) for v in got)
+
+
+@pytest.mark.parametrize("nu_max, x", [(-1, 1.0), (1.5, 1.0), (3, 0.0),
+                                       (3, -2.0), (3, math.nan)])
+def test_log_bessel_k_upto_domain(nu_max, x):
+    with pytest.raises(ValueError):
+        specfun.log_bessel_k_upto(nu_max, x)
+
+
+def test_log_bessel_k_upto_integral_float_order():
+    assert specfun.log_bessel_k_upto(3.0, 1.0) == specfun.log_bessel_k_upto(3, 1.0)
 
 
 # --- Group 4: Meijer G ---

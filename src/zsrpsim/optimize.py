@@ -5,11 +5,12 @@ altitude changes, producing a single-dip ZSRP curve; a golden-section
 search refines a coarse pre-scan bracket.  With the Monte-Carlo
 evaluator every altitude reuses the same seed (common random numbers),
 so the objective is a deterministic function of altitude and the argmin
-is repeatable.  The Monte-Carlo pre-scan altitudes share one draw layout,
-so they are estimated in one :func:`~zsrpsim.secrecy.run_monte_carlo_many`
-call that draws each block once; the golden-section steps depend on the
-previous values and run one :func:`~zsrpsim.secrecy.run_monte_carlo` each.
-Both give the values that separate runs would.
+is repeatable.  Every Monte-Carlo evaluation, pre-scan and golden-section
+step alike, is one :func:`~zsrpsim.secrecy.run_monte_carlo` call.  The
+altitudes of one search share its memo key (draw layout, scheme, seed,
+trials), so the first call draws each block once and every later call
+only compares the kept samples at its altitude, with the values that
+separate runs would give.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analytic import zsrp_for_scheme
-from .secrecy import ScenarioConfig, run_monte_carlo, run_monte_carlo_many
+from .secrecy import ScenarioConfig, run_monte_carlo
 
 logger = logging.getLogger(__name__)
 
@@ -94,23 +95,19 @@ class AltitudeResult:
 
 
 def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
-        Callable[[float], float], Callable[[list[float]], list[float]],
-        Callable[[], int]]:
-    """(objective, batch objective, evaluation count) of one search.
+        Callable[[float], float], Callable[[], int]]:
+    """(objective, evaluation count) of one search.
 
-    Both objectives fill one cache, so the count is the number of
+    The objective caches its values, so the count is the number of
     distinct altitudes evaluated.
     """
     base = spec.config
     cache: dict[float, float] = {}
 
-    def at(h: float) -> ScenarioConfig:
-        geometry = dataclasses.replace(base.geometry, h_br_m=h)
-        return dataclasses.replace(base, geometry=geometry)
-
     def objective(h: float) -> float:
         if h not in cache:
-            cfg = at(h)
+            geometry = dataclasses.replace(base.geometry, h_br_m=h)
+            cfg = dataclasses.replace(base, geometry=geometry)
             if spec.evaluator == "analytic":
                 cache[h] = zsrp_for_scheme(cfg.scheme, cfg).value
             else:
@@ -118,14 +115,7 @@ def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
                                            threads=spec.threads).p_hat
         return cache[h]
 
-    def objective_many(hs: list[float]) -> list[float]:
-        if spec.evaluator == "mc":
-            estimates = run_monte_carlo_many([at(h) for h in hs], spec.trials,
-                                             spec.seed, threads=spec.threads)
-            cache.update((h, est.p_hat) for h, est in zip(hs, estimates))
-        return [objective(h) for h in hs]
-
-    return objective, objective_many, (lambda: len(cache))
+    return objective, (lambda: len(cache))
 
 
 def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
@@ -136,10 +126,10 @@ def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
     its neighbors.  The MC evaluator holds the seed fixed across
     altitudes, so repeated searches return the same argmin.
     """
-    objective, objective_many, n_calls = _bind_objective(spec)
+    objective, n_calls = _bind_objective(spec)
     step = (spec.h_hi_m - spec.h_lo_m) / (PRESCAN_POINTS - 1)
     scan = [spec.h_lo_m + i * step for i in range(PRESCAN_POINTS)]
-    scan_vals = objective_many(scan)
+    scan_vals = [objective(h) for h in scan]
     best = min(range(PRESCAN_POINTS), key=lambda i: scan_vals[i])
     lo = scan[max(best - 1, 0)]
     hi = scan[min(best + 1, PRESCAN_POINTS - 1)]

@@ -20,15 +20,29 @@ exponent, environment), so :func:`run_monte_carlo_many` draws each block
 once for all of them and evaluates every row on the same samples.  Each
 row's estimate is bit-identical to running it alone, which is how
 sweeps become common-random-number comparisons at the cost of one draw
-per block instead of one per row.
+per block instead of one per row.  It streams: each block is drawn,
+counted for every row and dropped.
+
+Memoized blocks: a block is drawn by :func:`_draw_block` into reduced
+samples (the cascade or served-user pick each scheme needs, the unit
+distance draw and, for a fixed centre, the polar direction) and counted
+per row by :func:`_count_block`.  :func:`run_monte_carlo` keeps the
+reduced blocks of its last miss, read-only, in a one-entry memo keyed by
+(draw layout, scheme, seed, trials); the thread count is not in the key,
+since the draws do not depend on it.  A PFS scheme keeps its pick and
+the served user's cascade, round robin the (n, N) cascade, so the entry
+holds at most 8 (N + 2) bytes per trial.  Calls that differ only in the
+row's scalars, such as the altitudes of one search, draw once and then
+only compare, with the values separate runs would give.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -130,17 +144,28 @@ def _eve_distance(config: ScenarioConfig, cbrt_u: np.ndarray,
                               0.0))
 
 
-def _simulate_block(configs: list[ScenarioConfig], seed: int,
-                    block_index: int, n: int) -> list[tuple[int, int, int]]:
-    """Event, opportunity and squared per-trial event counts of one block.
+class _Block(NamedTuple):
+    """One block's reduced draws: what counting its rows needs.
 
-    One triple per config.  A trial's event count k is 0 or 1 for a
-    served user and 0..N for round robin; the third entry is the sum of
-    k^2 over the block's trials.
+    ``cascades`` maps fully connected? to the (n, N) cascade that
+    round-robin rows count; ``served`` maps (fully connected?, rule) to a
+    PFS rule's pick and the cascade of the user it serves, both (n,).
+    """
 
-    All configs share one draw layout (see :func:`_layout`); the draws,
-    both cascade types and the PFS selections are computed once and each
-    row then applies its own large-scale gains.
+    cbrt_u: np.ndarray
+    dir_z: Optional[np.ndarray]
+    cascades: dict[bool, np.ndarray]
+    served: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray]]
+
+
+def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
+                n: int) -> _Block:
+    """Reduced samples of one block for configs sharing one draw layout.
+
+    The draws, each needed cascade type and each needed PFS pick are
+    computed once for all configs (see :func:`_layout`); only what their
+    schemes count is kept, read-only, so no (n, L) array outlives the call
+    and a memoized block cannot be changed.
     """
     rng = _block_rng(seed, block_index)
     fad, n_users = configs[0].fading, configs[0].n_users
@@ -153,44 +178,93 @@ def _simulate_block(configs: list[ScenarioConfig], seed: int,
     if configs[0].eve_center == "fixed":
         dir_z = 1.0 - 2.0 * rng.random(n)
 
+    needs = sorted({(c.scheme.fully_connected, c.scheme.rule) for c in configs})
     user_sums = gr_pow.sum(axis=2)
     small: dict[bool, np.ndarray] = {}  # fully connected? -> cascade
-    if any(c.scheme.fully_connected for c in configs):
+    if any(fc for fc, _ in needs):
         small[True] = gb_pow.sum(axis=1)[:, None] * user_sums
-    if not all(c.scheme.fully_connected for c in configs):
+    if not all(fc for fc, _ in needs):
         amplitude = np.sqrt(gb_pow)[:, None, :] * np.sqrt(gr_pow)
         small[False] = amplitude.sum(axis=2) ** 2
         del amplitude
     del gb_pow, gr_pow
     # GCSI ranks user power sums, so both architectures share its pick
-    picks: dict[str, np.ndarray] = {}
+    gcsi = (select_gcsi_pfs(user_sums)
+            if any(rule == "gcsi" for _, rule in needs) else None)
+    served = {}
+    for fc, rule in needs:
+        if rule != "rs":
+            pick = gcsi if rule == "gcsi" else select_fcsi_pfs(small[fc])
+            served[fc, rule] = (pick, small[fc][np.arange(n), pick])
+    cascades = {fc: small[fc] for fc, rule in needs if rule == "rs"}
+    for array in (cbrt_u, dir_z, *cascades.values(), *(a for pair in served.values()
+                                                       for a in pair)):
+        if array is not None:
+            array.flags.writeable = False
+    return _Block(cbrt_u, dir_z, cascades, served)
 
-    counts = []
-    for config in configs:
-        geom, air, scheme = config.geometry, config.air, config.scheme
-        d_be = _eve_distance(config, cbrt_u, dir_z)
-        eve_gain = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9),
-                                    config.alpha_eve)
-        sigma2_sq = bs_ris_gain(geom, air)
-        sigma1_sq = np.array([ris_user_gain(geom, air, u)
-                              for u in range(n_users)])
-        cascade = small[scheme.fully_connected]
-        main_gain = sigma2_sq * sigma1_sq[None, :] * cascade
 
-        rule = scheme.rule
-        if rule == "rs":
-            # slot average over all users: every user contributes an indicator
-            per_trial = np.count_nonzero(main_gain < eve_gain[:, None], axis=1)
-            counts.append((int(per_trial.sum()), n * n_users,
-                           int(np.dot(per_trial, per_trial))))
-            continue
-        if rule not in picks:
-            picks[rule] = (select_gcsi_pfs(user_sums) if rule == "gcsi"
-                           else select_fcsi_pfs(cascade))
-        served = main_gain[np.arange(n), picks[rule]]
-        hits = int(np.count_nonzero(served < eve_gain))
-        counts.append((hits, n, hits))
-    return counts
+def _count_block(block: _Block, config: ScenarioConfig) -> tuple[int, int, int]:
+    """Event, opportunity and squared per-trial event counts of one row.
+
+    A trial's event count k is 0 or 1 for a served user and 0..N for
+    round robin; the third entry is the sum of k^2 over the block's
+    trials.  The row applies its own large-scale gains to the block's
+    shared small-scale samples.
+    """
+    geom, air, scheme = config.geometry, config.air, config.scheme
+    n = block.cbrt_u.size
+    d_be = _eve_distance(config, block.cbrt_u, block.dir_z)
+    eve_gain = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9),
+                                config.alpha_eve)
+    sigma2_sq = bs_ris_gain(geom, air)
+    sigma1_sq = np.array([ris_user_gain(geom, air, u)
+                          for u in range(config.n_users)])
+    if scheme.rule == "rs":
+        # slot average over all users: every user contributes an indicator
+        main_gain = (sigma2_sq * sigma1_sq[None, :]
+                     * block.cascades[scheme.fully_connected])
+        per_trial = np.count_nonzero(main_gain < eve_gain[:, None], axis=1)
+        return (int(per_trial.sum()), n * config.n_users,
+                int(np.dot(per_trial, per_trial)))
+    pick, served = block.served[scheme.fully_connected, scheme.rule]
+    hits = int(np.count_nonzero(sigma2_sq * sigma1_sq[pick] * served < eve_gain))
+    return hits, n, hits
+
+
+def _estimate(config: ScenarioConfig, counts: Sequence[tuple[int, int, int]],
+              trials: int, seed: int) -> ZsrpEstimate:
+    """One row's estimate from its per-block count triples."""
+    h, o, sq = map(sum, zip(*counts))
+    p_hat = h / o
+    if config.scheme.rule == "rs":
+        # p_hat is the mean of T per-trial means k / N: its variance is
+        # their plug-in variance over T, formed exactly in integers
+        var = (sq * trials - h * h) / (config.n_users ** 2 * trials ** 3)
+    else:
+        var = p_hat * (1.0 - p_hat) / trials
+    return ZsrpEstimate(p_hat=p_hat, std_err=math.sqrt(var), trials=trials,
+                        seed=seed)
+
+
+def _blocks(trials: int, threads: int, seed: int) -> list[tuple[int, int]]:
+    """(index, size) of every block, once the arguments are checked."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return [(i, min(BLOCK_TRIALS, trials - i * BLOCK_TRIALS))
+            for i in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
+
+
+def _map(fn: Callable, tasks: list, threads: int) -> list:
+    """``fn`` over ``tasks`` in order, on ``threads`` workers."""
+    if threads == 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
@@ -198,51 +272,36 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     """ZSRP estimates of several configs over common random numbers.
 
     Configs are grouped by draw layout; each (group, block) pair is one
-    task, mapped over ``threads`` workers, and only integer counts are
+    task, mapped over ``threads`` workers, that draws the block, counts
+    every row of the group and drops it, so only integer counts are
     merged.  Every estimate equals :func:`run_monte_carlo` on its config
     alone, for any thread count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    blocks = _blocks(trials, threads, seed)
     configs = list(configs)
     groups: dict[tuple, list[int]] = {}
     for k, config in enumerate(configs):
         groups.setdefault(_layout(config), []).append(k)
-    blocks = [(i, min(BLOCK_TRIALS, trials - i * BLOCK_TRIALS))
-              for i in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
     tasks = [(members, i, n) for members in groups.values()
              for i, n in blocks]
 
     def simulate(task: tuple[list[int], int, int]) -> list[tuple[int, int, int]]:
         members, i, n = task
-        return _simulate_block([configs[k] for k in members], seed, i, n)
+        block = _draw_block([configs[k] for k in members], seed, i, n)
+        return [_count_block(block, configs[k]) for k in members]
 
-    if threads == 1 or len(tasks) <= 1:
-        results = [simulate(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(simulate, tasks))
-    totals = [(0, 0, 0)] * len(configs)
-    for (members, _, _), counts in zip(tasks, results):
-        for k, block_counts in zip(members, counts):
-            totals[k] = tuple(a + b for a, b in zip(totals[k], block_counts))
-    estimates = []
-    for config, (h, o, sq) in zip(configs, totals):
-        p_hat = h / o
-        if config.scheme.rule == "rs":
-            # p_hat is the mean of T per-trial means k / N: its variance is
-            # their plug-in variance over T, formed exactly in integers
-            var = ((sq * trials - h * h)
-                   / (config.n_users ** 2 * trials ** 3))
-        else:
-            var = p_hat * (1.0 - p_hat) / trials
-        estimates.append(ZsrpEstimate(p_hat=p_hat, std_err=math.sqrt(var),
-                                      trials=trials, seed=seed))
-    return estimates
+    counts: list[list[tuple[int, int, int]]] = [[] for _ in configs]
+    for (members, _, _), task_counts in zip(tasks, _map(simulate, tasks, threads)):
+        for k, block_counts in zip(members, task_counts):
+            counts[k].append(block_counts)
+    return [_estimate(config, counts[k], trials, seed)
+            for k, config in enumerate(configs)]
+
+
+#: The blocks of the last :func:`run_monte_carlo` miss, keyed by
+#: (draw layout, scheme, seed, trials); one entry at most.
+_memo: dict[tuple, list[_Block]] = {}
+_memo_lock = threading.Lock()
 
 
 def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
@@ -251,6 +310,18 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
 
     The result depends only on (config, trials, seed): blocks own
     counter-derived streams and merging sums integers, so any thread
-    count produces bit-identical output.
+    count produces bit-identical output.  The reduced blocks are kept
+    read-only in a one-entry memo (see the module docstring), so a call
+    that differs from the previous one only in the row's scalars, such as
+    the altitude, counts the kept samples without drawing again.
     """
-    return run_monte_carlo_many([config], trials, seed, threads=threads)[0]
+    blocks = _blocks(trials, threads, seed)
+    key = (_layout(config), config.scheme, seed, trials)
+    with _memo_lock:
+        drawn = _memo.get(key)
+        if drawn is None:
+            _memo.clear()
+            drawn = _memo[key] = _map(
+                lambda b: _draw_block([config], seed, *b), blocks, threads)
+    return _estimate(config, [_count_block(b, config) for b in drawn],
+                     trials, seed)

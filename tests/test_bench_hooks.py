@@ -9,11 +9,15 @@ those names would otherwise surface only in a traced benchmark run.
 Proves: in a fresh interpreter with ``perfbench/`` and ``src/`` on the path,
 ``tracer.install`` succeeds, the two patched names exist, and a short traced
 MC ``zsrp`` command records spans through the wrapped names, its one-point
-``run_experiment`` among them.
+``run_experiment`` among them.  A wrapper of ``optimize.run_monte_carlo``
+with ``child.py``'s signature sees an estimate, with a nonzero standard
+error, at the h* that a short MC ``optimize-altitude`` prints: the search's
+time-to-precision metric is read from it.
 """
 
 from __future__ import annotations
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +49,31 @@ def test_tracer_installs_and_records(tmp_path):
     names = set(out.stdout.split())
     assert {"cli.main", "experiments.run_experiment", "propagation.eve_draw",
             "propagation.gain"} <= names
+
+
+def test_search_estimate_seen_at_printed_optimum(tmp_path, monkeypatch):
+    from zsrpsim import cli, optimize
+
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    estimates = {}
+    run_mc = optimize.run_monte_carlo
+
+    def run_monte_carlo(cfg, trials, seed, threads=1):
+        est = run_mc(cfg, trials, seed, threads=threads)
+        estimates[cfg.geometry.h_br_m] = (est.p_hat, est.std_err, est.trials)
+        return est
+
+    monkeypatch.setattr(optimize, "run_monte_carlo", run_monte_carlo)
+    out = tmp_path / "search.csv"
+    code = cli.main(["optimize-altitude", "--evaluator", "mc", "--scheme",
+                     "scr-gcsi-pfs", "--trials", "9000", "--seed", "7",
+                     "--out", str(out)])
+    assert code == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    h_star = float(row["h_star_m"])
+    nearest = min(estimates, key=lambda h: abs(h - h_star))
+    assert abs(nearest - h_star) <= 1e-9 * h_star
+    p_hat, std_err, trials = estimates[nearest]
+    assert f"{p_hat:.10g}" == row["zsrp"]
+    assert std_err > 0.0 and trials == 9000
+    assert len(estimates) == int(row["n_evaluations"])

@@ -10,7 +10,10 @@ Proves:
  Group 2 — one-point queries
    ``zsrp`` with both evaluators for greedy fully connected serving, and by
    simulation around a fixed eavesdropper centre, prints the fixture bytes;
-   so does the analytic altitude search for round-robin serving.
+   so do the analytic altitude search for round-robin serving and two
+   simulated searches over 2 x 4096 + 808 trials (a partial last block):
+   single connected GCSI serving around a BS-centred ball on two threads,
+   and round robin around a fixed centre.
 
  Group 3 — analytic precision
    the quadrature value and the closed form of both fully connected rules
@@ -84,6 +87,23 @@ def test_analytic_altitude_search_reproduces_fixture(tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     rc = cli.main(["optimize-altitude", "--evaluator", "analytic",
                    "--scheme", "fcr-rs", "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+MC_SEARCH_CASES = {
+    "altitude-scr-gcsi-pfs-mc": ("--scheme", "scr-gcsi-pfs", "--threads", "2"),
+    "altitude-fcr-rs-mc-fixed": ("--config", str(DATA / "mc-fixed.ini"),
+                                 "--scheme", "fcr-rs", "--h-hi", "400"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_SEARCH_CASES))
+def test_mc_altitude_search_reproduces_fixture(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    out = tmp_path / f"{name}.csv"
+    rc = cli.main(["optimize-altitude", *MC_SEARCH_CASES[name], "--evaluator", "mc",
+                   "--trials", "9000", "--seed", "7", "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 

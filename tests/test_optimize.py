@@ -21,7 +21,9 @@ Proves:
    fixed-seed objectives make the search deterministic end to end, and
    the pre-scan plus refinement stays within its evaluation budget; the
    batched pre-scan returns the same (h*, ZSRP, evaluation count) as
-   evaluating every altitude on its own did (pinned values).
+   evaluating every altitude on its own did (pinned values); a search
+   draws each block once, not once per objective call, and makes one
+   ``run_monte_carlo`` call per distinct altitude, h* among them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsrpsim import optimize as op
+from zsrpsim import secrecy as sec
 from zsrpsim.analytic import zsrp_for_scheme
 from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
 from zsrpsim.scheduling import SchemeId
@@ -195,3 +198,27 @@ def test_mc_search_matches_pinned(geometry, air, fading, key):
     res = op.optimal_altitude(op.AltitudeSearchSpec(
         config=cfg, evaluator="mc", trials=trials, seed=7))
     assert (res.h_m, res.zsrp, res.n_evaluations) == MC_SEARCH_PINNED[key]
+
+
+def test_mc_search_draws_each_block_once(geometry, air, fading, monkeypatch):
+    monkeypatch.setattr(sec, "_memo", {})
+    draws, altitudes = [], []
+    draw, run_mc = sec.sample_eve_distance, op.run_monte_carlo
+
+    def counting_draw(rng, r_max_m, size=None):
+        draws.append(size)
+        return draw(rng, r_max_m, size=size)
+
+    def counting_run(cfg, trials, seed, threads=1):
+        altitudes.append(cfg.geometry.h_br_m)
+        return run_mc(cfg, trials, seed, threads=threads)
+
+    monkeypatch.setattr(sec, "sample_eve_distance", counting_draw)
+    monkeypatch.setattr(op, "run_monte_carlo", counting_run)
+    cfg = make_config(geometry, air, fading, SchemeId.SCR_GCSI_PFS)
+    res = op.optimal_altitude(op.AltitudeSearchSpec(
+        config=cfg, evaluator="mc", trials=2 * sec.BLOCK_TRIALS + 808, seed=7,
+        threads=2))
+    assert sorted(draws) == [808, sec.BLOCK_TRIALS, sec.BLOCK_TRIALS]
+    assert len(altitudes) == len(set(altitudes)) == res.n_evaluations
+    assert res.h_m in altitudes

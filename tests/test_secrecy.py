@@ -30,6 +30,16 @@ Proves:
    RIS-user distances and user counts, over all five schemes, 1-3 worker
    threads and a trial count that is not a multiple of the block size;
    each block is drawn once per draw layout, not once per row.
+
+ Group 5 — memoized blocks behind ``run_monte_carlo``
+   for every scheme around a BS-centred and a fixed centre on 1-3 worker
+   threads, a cold call, a warm call made after another altitude and the
+   streaming ``run_monte_carlo_many`` agree exactly, and the blocks are
+   drawn once; a new seed, trial count, scheme or draw layout replaces
+   the one entry while the thread count does not; the kept arrays are
+   read-only and hold only what the scheme counts, at most 8 (N + 2)
+   bytes per trial; bad arguments raise before any draw and leave the
+   entry in place; threads racing over two keys get the streaming values.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -316,3 +328,142 @@ def test_batch_edge_cases(geometry, air, fading):
         sec.run_monte_carlo_many([cfg], 0, seed=1)
     with pytest.raises(ValueError):
         sec.run_monte_carlo_many([cfg], 5_000, seed=1, threads=0)
+
+
+# --- Group 5: memoized blocks behind run_monte_carlo ---
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Empty the memo and record the size of every block's distance draw."""
+    monkeypatch.setattr(sec, "_memo", {})
+    calls = []
+    draw = sec.sample_eve_distance
+
+    def counting(rng, r_max_m, size=None):
+        calls.append(size)
+        return draw(rng, r_max_m, size=size)
+
+    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    return calls
+
+
+def _memo_config(scheme: SchemeId, center: str, h_br_m: float = 220.0,
+                 **kw) -> sec.ScenarioConfig:
+    centre = {"eve_center": "fixed", "eve_center_h_m": 150.0} if center == "fixed" else {}
+    return sec.ScenarioConfig(geometry=ScenarioGeometry(h_br_m=h_br_m),
+                              air=AirGroundParams(), fading=FadingParams(),
+                              scheme=scheme, **centre, **kw)
+
+
+def _pair(est: sec.ZsrpEstimate) -> tuple[float, float]:
+    return est.p_hat, est.std_err
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("center", ("bs", "fixed"))
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_memo_cold_warm_and_streaming_agree(monkeypatch, scheme, center, threads):
+    draws = _counting_draws(monkeypatch)
+    cfg, other = _memo_config(scheme, center), _memo_config(scheme, center, 600.0)
+    cold = sec.run_monte_carlo(cfg, BATCH_TRIALS, BATCH_SEED, threads=threads)
+    # another altitude on another thread count shares the entry
+    moved = sec.run_monte_carlo(other, BATCH_TRIALS, BATCH_SEED, threads=threads % 3 + 1)
+    warm = sec.run_monte_carlo(cfg, BATCH_TRIALS, BATCH_SEED, threads=threads)
+    assert sorted(draws) == [808, sec.BLOCK_TRIALS, sec.BLOCK_TRIALS]
+    streaming = sec.run_monte_carlo_many([cfg, other], BATCH_TRIALS, BATCH_SEED,
+                                         threads=threads)
+    assert _pair(cold) == _pair(warm) == _pair(streaming[0])
+    assert _pair(moved) == _pair(streaming[1])
+    assert warm == cold and warm.trials == BATCH_TRIALS and warm.seed == BATCH_SEED
+
+
+def test_memo_entry_replaced_by_key(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    base = _memo_config(SchemeId.FCR_GCSI_PFS, "bs")
+    variants = [
+        (base, BATCH_TRIALS, BATCH_SEED),
+        (base, BATCH_TRIALS, BATCH_SEED + 1),
+        (base, BATCH_TRIALS - 1, BATCH_SEED + 1),
+        (dataclasses.replace(base, scheme=SchemeId.SCR_GCSI_PFS), BATCH_TRIALS, BATCH_SEED),
+        (dataclasses.replace(base, fading=FadingParams(n_elements=8)), BATCH_TRIALS,
+         BATCH_SEED),
+        (dataclasses.replace(base, geometry=ScenarioGeometry(d_rn_m=(40.0, 60.0, 90.0))),
+         BATCH_TRIALS, BATCH_SEED),
+        (_memo_config(SchemeId.FCR_GCSI_PFS, "fixed"), BATCH_TRIALS, BATCH_SEED),
+        (base, BATCH_TRIALS, BATCH_SEED),
+    ]
+    for k, (cfg, trials, seed) in enumerate(variants):
+        est = sec.run_monte_carlo(cfg, trials, seed, threads=2)
+        assert list(sec._memo) == [(sec._layout(cfg), cfg.scheme, seed, trials)]
+        assert len(draws) == 3 * (k + 1)
+        assert est == sec.run_monte_carlo_many([cfg], trials, seed)[0]
+        del draws[3 * (k + 1):]  # the streaming reference draws too
+
+
+@pytest.mark.parametrize("center", ("bs", "fixed"))
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_memo_arrays_read_only_and_reduced(monkeypatch, scheme, center):
+    _counting_draws(monkeypatch)
+    cfg = _memo_config(scheme, center)
+    sec.run_monte_carlo(cfg, BATCH_TRIALS, BATCH_SEED)
+    (blocks,) = sec._memo.values()
+    assert [b.cbrt_u.size for b in blocks] == [sec.BLOCK_TRIALS, sec.BLOCK_TRIALS, 808]
+    kept = 0
+    for block in blocks:
+        assert (block.dir_z is None) == (center == "bs")
+        if scheme.rule == "rs":
+            assert not block.served and list(block.cascades) == [scheme.fully_connected]
+        else:
+            assert not block.cascades
+            assert list(block.served) == [(scheme.fully_connected, scheme.rule)]
+        arrays = [block.cbrt_u, *block.cascades.values(),
+                  *(a for pair in block.served.values() for a in pair)]
+        if block.dir_z is not None:
+            arrays.append(block.dir_z)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        kept += sum(a.nbytes for a in arrays)
+    assert kept <= 8 * (cfg.n_users + 2) * BATCH_TRIALS
+
+
+def test_memo_bad_arguments_raise_before_any_draw(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    cfg = _memo_config(SchemeId.SCR_RS, "bs")
+    est = sec.run_monte_carlo(cfg, 1_000, seed=3)
+    entry = dict(sec._memo)
+    del draws[:]
+    for trials, seed, threads, what in ((0, 3, 1, "trials"), (1_000, 3, 0, "threads"),
+                                        (1_000, -1, 1, "seed")):
+        with pytest.raises(ValueError, match=what):
+            sec.run_monte_carlo(cfg, trials, seed, threads=threads)
+    assert draws == [] and sec._memo == entry
+    assert sec.run_monte_carlo(cfg, 1_000, seed=3) == est
+
+
+def test_memo_threads_racing_over_two_keys(monkeypatch):
+    monkeypatch.setattr(sec, "_memo", {})
+    cfgs = [_memo_config(SchemeId.FCR_RS, "bs"), _memo_config(SchemeId.SCR_FCSI_PFS, "fixed")]
+    want = [_pair(e) for e in sec.run_monte_carlo_many(cfgs, 1_500, seed=9)]
+    got: list = []
+
+    def worker(k: int) -> None:
+        for j in range(12):
+            which = (k + j) % 2
+            got.append((which, _pair(sec.run_monte_carlo(cfgs[which], 1_500, seed=9))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(got) == 6 * 12
+    assert all(pair == want[which] for which, pair in got)
+    assert len(sec._memo) == 1

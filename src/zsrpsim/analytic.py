@@ -68,6 +68,9 @@ MAX_ORDER_STAT_USERS = 12
 #: recurrence step.
 MAX_COMPOSITE_TERMS = 5000
 
+#: Closed-form vs quadrature relative gap above which a result warns.
+REL_GAP_WARN = 1e-6
+
 
 @dataclass(frozen=True)
 class ClosedFormParams:
@@ -217,10 +220,11 @@ def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_MAX_DEPTH = 16  # panel halvings before the quadrature gives up
 
 
 def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 abs_tol: float, max_depth: int = 16) -> float:
+                 abs_tol: float) -> float:
     """Adaptive Gauss-Legendre integral of a vectorized integrand."""
 
     def panel(a: float, b: float) -> float:
@@ -235,7 +239,7 @@ def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         right = panel(mid, b)
         if abs(left + right - whole) <= tol:
             return left + right
-        if depth >= max_depth:
+        if depth >= _GL_MAX_DEPTH:
             raise AccuracyError("quadrature failed to converge")
         return (recurse(a, mid, left, 0.5 * tol, depth + 1)
                 + recurse(mid, b, right, 0.5 * tol, depth + 1))
@@ -438,9 +442,8 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
     return closed
 
 
-def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,
-                abs_tol: float = 1e-10) -> float:
-    """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3."""
+def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float) -> float:
+    """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3, to 1e-10."""
     if r_eve_m <= 0.0:
         raise ValueError("r_eve_m must be positive")
 
@@ -449,18 +452,17 @@ def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float,
         return (np.array([cdf_at_distance(ri) for ri in r])
                 * 3.0 * r ** 2 / r_eve_m ** 3)
 
-    val = _adaptive_gl(integrand, 0.0, r_eve_m, abs_tol)
+    val = _adaptive_gl(integrand, 0.0, r_eve_m, 1e-10)
     return min(1.0, max(0.0, val))
 
 
-def _report(value: float, closed: Optional[float],
-            rel_warn: float = 1e-6) -> AnalyticZsrp:
+def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
     if closed is None:
         return AnalyticZsrp(value=value, closed_form=None, rel_gap=None)
     rel_gap = abs(closed - value) / max(value, 1e-300)
     logger.debug("closed-form composite vs quadrature: value=%.12e "
                  "closed=%.12e rel_gap=%.3e", value, closed, rel_gap)
-    if rel_gap > rel_warn:
+    if rel_gap > REL_GAP_WARN:
         warnings.warn(
             f"closed-form composite deviates from quadrature by "
             f"{rel_gap:.2e} (value={value:.6e}, closed={closed:.6e})",
@@ -468,7 +470,7 @@ def _report(value: float, closed: Optional[float],
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
-def zsrp_rs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
+def zsrp_rs(p: ClosedFormParams) -> AnalyticZsrp:
     """Round-robin ZSRP: psi-average of the single-user cascade CDF.
 
     ``value`` comes from 1-D quadrature of the series CDF over the
@@ -479,10 +481,10 @@ def zsrp_rs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     value = psi_average(
         lambda r: cdf_Z_single(single.ref_gain / r ** 2, single),
         single.r_eve_m)
-    return _report(value, _closed_form(single), rel_warn)
+    return _report(value, _closed_form(single))
 
 
-def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
+def zsrp_pfs(p: ClosedFormParams) -> AnalyticZsrp:
     """Proportional-fair ZSRP: the served cascade is the N-user maximum.
 
     ``value`` comes from the F_S^N quadrature path (authoritative for
@@ -491,8 +493,8 @@ def zsrp_pfs(p: ClosedFormParams, rel_warn: float = 1e-6) -> AnalyticZsrp:
     """
     value = psi_average(
         lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, abs_tol=1e-12),
-        p.r_eve_m, abs_tol=1e-10)
-    return _report(value, _closed_form(p), rel_warn)
+        p.r_eve_m)
+    return _report(value, _closed_form(p))
 
 
 def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:

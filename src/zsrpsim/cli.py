@@ -22,8 +22,8 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import AccuracyError, AnalyticUnavailableError, ConfigError
-from .experiments import (ExperimentSpec, format_csv, load_config,
-                          run_experiment)
+from .experiments import (EVALUATORS, EXPERIMENT_KINDS, ExperimentSpec,
+                          format_csv, load_config, run_experiment)
 from .optimize import AltitudeSearchSpec, optimal_altitude
 from .scheduling import SchemeId
 from .secrecy import ScenarioConfig
@@ -52,6 +52,9 @@ def _shared_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _shared_flags()
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--scheme", default="fcr-rs",
+                        help="scheme id (default %(default)s); see README for the roster")
     ap = argparse.ArgumentParser(
         prog="zsrpsim",
         description="Zero secrecy rate probability of RIS- and UAV-aided "
@@ -60,26 +63,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[shared],
                            help="run a sweep experiment and emit CSV")
-    p_run.add_argument("--experiment", choices=("single", "fig2", "fig3", "fig4"),
+    p_run.add_argument("--experiment", choices=EXPERIMENT_KINDS,
                        help="override the configured sweep kind")
     p_run.add_argument("--timing", action="store_true",
                        help="fill the wall_ms column (makes output "
                             "non-reproducible byte-for-byte)")
 
-    p_z = sub.add_parser("zsrp", parents=[shared],
+    p_z = sub.add_parser("zsrp", parents=[shared, scheme],
                          help="evaluate the ZSRP at one operating point")
-    p_z.add_argument("--scheme", default="fcr-rs",
-                     help="scheme id (default fcr-rs); see README for the roster")
-    p_z.add_argument("--evaluator", choices=("mc", "analytic", "both"),
+    p_z.add_argument("--evaluator", choices=EVALUATORS + ("both",),
                      default="both")
 
-    p_o = sub.add_parser("optimize-altitude", parents=[shared],
+    p_o = sub.add_parser("optimize-altitude", parents=[shared, scheme],
                          help="search the ZSRP-minimizing hovering altitude")
-    p_o.add_argument("--scheme", default="fcr-rs")
-    p_o.add_argument("--h-lo", type=float, default=40.0, help="lower bound, m")
-    p_o.add_argument("--h-hi", type=float, default=1500.0, help="upper bound, m")
-    p_o.add_argument("--tol", type=float, default=1.0, help="bracket tolerance, m")
-    p_o.add_argument("--evaluator", choices=("analytic", "mc"), default="analytic")
+    p_o.add_argument("--h-lo", type=float, default=AltitudeSearchSpec.h_lo_m,
+                     help="lower bound, m")
+    p_o.add_argument("--h-hi", type=float, default=AltitudeSearchSpec.h_hi_m,
+                     help="upper bound, m")
+    p_o.add_argument("--tol", type=float, default=AltitudeSearchSpec.tol_m,
+                     help="bracket tolerance, m")
+    p_o.add_argument("--evaluator", choices=EVALUATORS,
+                     default=AltitudeSearchSpec.evaluator)
     return ap
 
 
@@ -140,8 +144,7 @@ def cmd_zsrp(args: argparse.Namespace) -> int:
     """One operating point: ``run --experiment single`` for one scheme."""
     scenario, spec = _resolved(args)
     scheme = _scheme(args)
-    evaluators = (("mc", "analytic") if args.evaluator == "both"
-                  else (args.evaluator,))
+    evaluators = EVALUATORS if args.evaluator == "both" else (args.evaluator,)
     spec = dataclasses.replace(spec, kind="single", schemes=(scheme,),
                                evaluators=evaluators)
     rows = run_experiment(scenario, spec)
@@ -163,10 +166,7 @@ def cmd_optimize_altitude(args: argparse.Namespace) -> int:
             threads=spec.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        res = optimal_altitude(search)
-    except AnalyticUnavailableError as exc:
-        raise ConfigError(str(exc)) from None
+    res = optimal_altitude(search)
     text = ("h_star_m,zsrp,scheme,evaluator,n_evaluations\n"
             f"{res.h_m:.10g},{res.zsrp:.10g},{scheme.value},"
             f"{args.evaluator},{res.n_evaluations}\n")
@@ -190,7 +190,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, AnalyticUnavailableError) as exc:
+        # a closed form the scenario has none of is a configuration problem
         logger.error("config error: %s", exc)
         return 2
     except AccuracyError as exc:

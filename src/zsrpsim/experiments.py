@@ -21,12 +21,12 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .analytic import zsrp_for_scheme
 from .errors import AnalyticUnavailableError, ConfigError
 from .fading import FadingParams
-from .propagation import DEFAULT_REF_GAIN, AirGroundParams, ScenarioGeometry
+from .propagation import AirGroundParams, ScenarioGeometry
 from .scheduling import SchemeId
 from .secrecy import ScenarioConfig, run_monte_carlo_many
 # kept importable here: perfbench/tracer.py wraps it by module name
@@ -37,16 +37,11 @@ logger = logging.getLogger(__name__)
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 12345
 
-#: Sweep grids for the canned experiments.
-DEFAULT_R_GRID_M = (100.0, 200.0, 300.0, 400.0, 500.0)
-DEFAULT_L_GRID = (4, 8, 16, 32)
-DEFAULT_H_GRID_M = (60.0, 100.0, 150.0, 220.0, 310.0, 450.0, 700.0, 1000.0)
-
 CSV_COLUMNS = ("sweep_var", "sweep_value", "scheme", "evaluator", "zsrp",
                "std_err", "trials", "seed", "wall_ms")
 
-_EXPERIMENT_KINDS = ("single", "fig2", "fig3", "fig4")
-_EVALUATORS = ("mc", "analytic")
+EXPERIMENT_KINDS = ("single", "fig2", "fig3", "fig4")
+EVALUATORS = ("mc", "analytic")
 
 ALL_SCHEMES = tuple(SchemeId)
 
@@ -57,26 +52,30 @@ class ExperimentSpec:
 
     kind: str = "single"
     schemes: tuple[SchemeId, ...] = ALL_SCHEMES
-    evaluators: tuple[str, ...] = _EVALUATORS
-    r_grid_m: tuple[float, ...] = DEFAULT_R_GRID_M
-    l_grid: tuple[int, ...] = DEFAULT_L_GRID
-    h_grid_m: tuple[float, ...] = DEFAULT_H_GRID_M
+    evaluators: tuple[str, ...] = EVALUATORS
+    #: sweep grids of the canned experiments
+    r_grid_m: tuple[float, ...] = (100.0, 200.0, 300.0, 400.0, 500.0)
+    l_grid: tuple[int, ...] = (4, 8, 16, 32)
+    h_grid_m: tuple[float, ...] = (60.0, 100.0, 150.0, 220.0, 310.0, 450.0,
+                                   700.0, 1000.0)
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
     threads: int = 1
     output: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in _EXPERIMENT_KINDS:
+        if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; "
-                              f"expected one of {', '.join(_EXPERIMENT_KINDS)}")
+                              f"expected one of {', '.join(EXPERIMENT_KINDS)}")
         if not self.schemes:
             raise ConfigError("scheme list must be non-empty")
         if not self.evaluators:
             raise ConfigError("evaluator list must be non-empty")
         for ev in self.evaluators:
-            if ev not in _EVALUATORS:
+            if ev not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {ev!r}; expected mc or analytic")
+            if self.evaluators.count(ev) > 1:
+                raise ConfigError(f"evaluator {ev!r} is listed more than once")
         for grid, name in ((self.r_grid_m, "r_grid_m"), (self.l_grid, "l_grid"),
                            (self.h_grid_m, "h_grid_m")):
             if len(grid) == 0:
@@ -105,42 +104,15 @@ class ExperimentSpec:
 # config file
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "geometry": ("r_br_m", "h_br_m", "d_rn_m", "users", "r_eve_m"),
-    "environment": ("a2", "b2", "alpha_zenith", "alpha_ground", "ref_gain",
-                    "gamma_b_db", "alpha_eve", "eve_center", "eve_center_h_m"),
-    "fading": ("m1", "m2", "elements"),
-    "experiment": ("kind", "schemes", "evaluators", "r_grid_m", "l_grid",
-                   "h_grid_m", "trials", "seed", "threads", "output"),
-}
-
-
-def _check_schema(cp: configparser.ConfigParser) -> None:
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]; "
-                              f"expected one of {', '.join(_SCHEMA)}")
-        for key in cp.options(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str,
-         default, cast):
-    raw = cp.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        return cast(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
+def _str_list(raw: str) -> tuple[str, ...]:
     parts = [p for p in raw.replace(",", " ").split() if p]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(parts)
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in _str_list(raw))
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -152,28 +124,52 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
-    raw = raw.strip()
     if raw == "all":
         return ALL_SCHEMES
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty scheme list")
-    return tuple(SchemeId.from_string(p) for p in parts)
+    return tuple(SchemeId.from_string(p) for p in _str_list(raw))
 
 
-def _str_list(raw: str) -> tuple[str, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(parts)
+#: Config keys by section, each with the parser of its raw text.  A key
+#: names its dataclass field, except ``users`` and ``elements``.
+CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "geometry": {"r_br_m": float, "h_br_m": float, "users": int,
+                 "d_rn_m": _float_list, "r_eve_m": float},
+    "environment": {"a2": float, "b2": float, "alpha_zenith": float,
+                    "alpha_ground": float, "ref_gain": float,
+                    "gamma_b_db": float, "alpha_eve": float,
+                    "eve_center": str, "eve_center_h_m": float},
+    "fading": {"m1": int, "m2": int, "elements": int},
+    "experiment": {"kind": str, "schemes": _scheme_list,
+                   "evaluators": _str_list, "r_grid_m": _float_list,
+                   "l_grid": _int_list, "h_grid_m": _float_list,
+                   "trials": int, "seed": int, "threads": int, "output": str},
+}
+
+
+def _parsed(cp: configparser.ConfigParser) -> dict[str, dict[str, object]]:
+    """Parsed value of every key present, by section."""
+    values: dict[str, dict[str, object]] = {name: {} for name in CONFIG_KEYS}
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]; "
+                              f"expected one of {', '.join(CONFIG_KEYS)}")
+        for key, raw in cp.items(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            try:
+                values[section][key] = CONFIG_KEYS[section][key](raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return values
 
 
 def load_config(path: Union[str, Path, None]) -> tuple[ScenarioConfig, ExperimentSpec]:
     """Scenario and experiment spec from an INI-style file.
 
     Sections ``geometry``, ``environment``, ``fading`` and ``experiment``
-    are all optional, as is every key; a missing or empty file resolves to
-    the default desk-scale scenario.  Unknown sections or keys are rejected
+    are all optional, as is every key; a missing key keeps its
+    dataclass default, so a missing or empty file resolves to the default
+    desk-scale scenario.  Unknown sections or keys are rejected
     rather than ignored, so typos fail loudly.
     """
     cp = configparser.ConfigParser(interpolation=None)
@@ -185,56 +181,32 @@ def load_config(path: Union[str, Path, None]) -> tuple[ScenarioConfig, Experimen
             cp.read_string(p.read_text(encoding="utf-8"))
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {p}: {exc}") from None
-    _check_schema(cp)
+    values = _parsed(cp)
 
-    users = _get(cp, "geometry", "users", 4, int)
-    d_rn = _get(cp, "geometry", "d_rn_m", (50.0,), _float_list)
+    geometry_keys = values["geometry"]
+    default = ScenarioGeometry()
+    users = geometry_keys.pop("users", default.n_users)
+    d_rn = geometry_keys.pop("d_rn_m", default.d_rn_m[:1])
     if len(d_rn) == 1:
         d_rn = d_rn * users
     elif len(d_rn) != users:
         raise ConfigError(f"d_rn_m lists {len(d_rn)} distances for {users} users")
+    fading_keys = values["fading"]
+    if "elements" in fading_keys:
+        fading_keys["n_elements"] = fading_keys.pop("elements")
+    air_fields = {f.name for f in dataclasses.fields(AirGroundParams)}
+    environment = values["environment"]
 
     try:
-        geometry = ScenarioGeometry(
-            r_br_m=_get(cp, "geometry", "r_br_m", 300.0, float),
-            h_br_m=_get(cp, "geometry", "h_br_m", 150.0, float),
-            d_rn_m=d_rn,
-            r_eve_m=_get(cp, "geometry", "r_eve_m", 500.0, float),
-        )
-        air = AirGroundParams(
-            a2=_get(cp, "environment", "a2", 9.61, float),
-            b2=_get(cp, "environment", "b2", 0.16, float),
-            alpha_zenith=_get(cp, "environment", "alpha_zenith", 2.0, float),
-            alpha_ground=_get(cp, "environment", "alpha_ground", 3.5, float),
-            ref_gain=_get(cp, "environment", "ref_gain", DEFAULT_REF_GAIN, float),
-        )
-        fading = FadingParams(
-            m1=_get(cp, "fading", "m1", 2, int),
-            m2=_get(cp, "fading", "m2", 2, int),
-            n_elements=_get(cp, "fading", "elements", 16, int),
-        )
-        spec = ExperimentSpec(
-            kind=_get(cp, "experiment", "kind", "single", str),
-            schemes=_get(cp, "experiment", "schemes", ALL_SCHEMES, _scheme_list),
-            evaluators=_get(cp, "experiment", "evaluators", _EVALUATORS, _str_list),
-            r_grid_m=_get(cp, "experiment", "r_grid_m", DEFAULT_R_GRID_M, _float_list),
-            l_grid=_get(cp, "experiment", "l_grid", DEFAULT_L_GRID, _int_list),
-            h_grid_m=_get(cp, "experiment", "h_grid_m", DEFAULT_H_GRID_M, _float_list),
-            trials=_get(cp, "experiment", "trials", DEFAULT_TRIALS, int),
-            seed=_get(cp, "experiment", "seed", DEFAULT_SEED, int),
-            threads=_get(cp, "experiment", "threads", 1, int),
-            output=_get(cp, "experiment", "output", "", str),
-        )
+        geometry = ScenarioGeometry(d_rn_m=d_rn, **geometry_keys)
+        air = AirGroundParams(**{key: value for key, value in environment.items()
+                                 if key in air_fields})
+        fading = FadingParams(**fading_keys)
+        spec = ExperimentSpec(**values["experiment"])
         scenario = ScenarioConfig(
-            geometry=geometry,
-            air=air,
-            fading=fading,
-            scheme=spec.schemes[0],
-            gamma_b_db=_get(cp, "environment", "gamma_b_db", 20.0, float),
-            alpha_eve=_get(cp, "environment", "alpha_eve", 2.0, float),
-            eve_center=_get(cp, "environment", "eve_center", "bs", str),
-            eve_center_h_m=_get(cp, "environment", "eve_center_h_m", None, float),
-        )
+            geometry=geometry, air=air, fading=fading, scheme=spec.schemes[0],
+            **{key: value for key, value in environment.items()
+               if key not in air_fields})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return scenario, spec
@@ -245,15 +217,12 @@ def load_config(path: Union[str, Path, None]) -> tuple[ScenarioConfig, Experimen
 
 
 def _at_grid_point(scenario: ScenarioConfig, sweep_var: str, value) -> ScenarioConfig:
-    if sweep_var == "r_eve_m":
-        geometry = dataclasses.replace(scenario.geometry, r_eve_m=float(value))
+    if sweep_var in ("r_eve_m", "h_br_m"):
+        geometry = dataclasses.replace(scenario.geometry, **{sweep_var: float(value)})
         return dataclasses.replace(scenario, geometry=geometry)
     if sweep_var == "elements":
         fading = dataclasses.replace(scenario.fading, n_elements=int(value))
         return dataclasses.replace(scenario, fading=fading)
-    if sweep_var == "h_br_m":
-        geometry = dataclasses.replace(scenario.geometry, h_br_m=float(value))
-        return dataclasses.replace(scenario, geometry=geometry)
     return scenario
 
 
@@ -261,11 +230,12 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
                    timing: bool = False) -> list[dict]:
     """Row dicts for the cross product (grid point x scheme x evaluator).
 
-    Monte-Carlo rows carry a binomial standard error; analytic rows leave
-    it blank.  Schemes without an analytic route (the SC-RIS family) skip
-    their analytic rows with a stderr note instead of failing the sweep;
-    every analytic row with a closed form logs its gap to the quadrature
-    value at INFO.
+    Monte-Carlo rows carry their estimate's standard error (binomial for a
+    served user, the per-trial mean's for round robin); analytic rows
+    leave it blank.  Schemes without an analytic route (the SC-RIS family)
+    skip their analytic rows with a stderr note instead of failing the
+    sweep; every analytic row with a closed form logs its gap to the
+    quadrature value at INFO.
     Wall-clock stamps are collected only when ``timing`` is set, keeping
     the default output byte-reproducible; the Monte-Carlo rows share one
     batch, so each gets an even share of its wall time.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analytic import zsrp_for_scheme
+from .experiments import DEFAULT_SEED, DEFAULT_TRIALS, EVALUATORS
 from .secrecy import ScenarioConfig, run_monte_carlo
 
 logger = logging.getLogger(__name__)
@@ -70,8 +71,8 @@ class AltitudeSearchSpec:
     h_hi_m: float = 1500.0
     tol_m: float = 1.0
     evaluator: str = "analytic"
-    trials: int = 100_000
-    seed: int = 12345
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -79,7 +80,7 @@ class AltitudeSearchSpec:
             raise ValueError("need 0 < h_lo_m < h_hi_m < inf")
         if not 0.0 < self.tol_m < math.inf:
             raise ValueError("tol_m must be positive and finite")
-        if self.evaluator not in ("analytic", "mc"):
+        if self.evaluator not in EVALUATORS:
             raise ValueError("evaluator must be 'analytic' or 'mc'")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

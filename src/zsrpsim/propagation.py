@@ -24,27 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Desk-scale default environment.  a2/b2 are the usual dense-urban logistic
-# constants; the reference gain is calibrated so that the cascaded RIS link
-# and the eavesdropper's direct leg compete over the default geometry
-# (a physical ~1e-3 at 1 m makes the double path loss of the cascade
-# unwinnable and every secrecy probability saturates at 1).
-DEFAULT_A2 = 9.61
-DEFAULT_B2 = 0.16
-DEFAULT_ALPHA_ZENITH = 2.0
-DEFAULT_ALPHA_GROUND = 3.5
-DEFAULT_REF_GAIN = 5.0e5
-
-
 @dataclass(frozen=True)
 class AirGroundParams:
     """Environment constants of the air-to-ground exponent model."""
 
-    a2: float = DEFAULT_A2
-    b2: float = DEFAULT_B2
-    alpha_zenith: float = DEFAULT_ALPHA_ZENITH
-    alpha_ground: float = DEFAULT_ALPHA_GROUND
-    ref_gain: float = DEFAULT_REF_GAIN
+    # Desk-scale default environment.  a2/b2 are the usual dense-urban
+    # logistic constants; the reference gain is calibrated so that the
+    # cascaded RIS link and the eavesdropper's direct leg compete over the
+    # default geometry (a physical ~1e-3 at 1 m makes the double path loss
+    # of the cascade unwinnable and every secrecy probability saturates at 1).
+    a2: float = 9.61
+    b2: float = 0.16
+    alpha_zenith: float = 2.0
+    alpha_ground: float = 3.5
+    ref_gain: float = 5.0e5
 
     def __post_init__(self) -> None:
         # 0 < v < inf is False for NaN, so non-finite values are refused too

@@ -53,6 +53,9 @@ _LANCZOS_COEF = (
 
 _LN_SQRT_2PI = 0.9189385332046727418
 
+# Relative accuracy of every Meijer G contour quadrature.
+_MEIJER_REL_TOL = 1e-8
+
 
 def _ln_gamma_complex(z: np.ndarray) -> np.ndarray:
     """Vectorized log-gamma for complex arrays with Re(z) >= 0.5.
@@ -256,8 +259,8 @@ def _mb_log_integrand(a: tuple[float, ...], b: tuple[float, ...], lnx: float,
     return g - s * lnx
 
 
-def meijer_g_m0_log(a: Sequence[float], b: Sequence[float], x: float,
-                    rel_tol: float = 1e-8) -> tuple[float, float]:
+def meijer_g_m0_log(a: Sequence[float], b: Sequence[float],
+                    x: float) -> tuple[float, float]:
     """(log|G|, sign) for G^{m,0}_{p,q}(x) with lower parameters b (len q = m)
     and upper parameters a (len p < q), evaluated by vertical-line
     Mellin-Barnes quadrature.
@@ -269,9 +272,9 @@ def meijer_g_m0_log(a: Sequence[float], b: Sequence[float], x: float,
     cancellation once x is large, since the result decays like
     exp(-(q-p) x^(1/(q-p))) while the integrand magnitude does not).
     Trapezoid step starts at h = 0.05 and halves until successive
-    refinements agree to ``rel_tol``; the tail is truncated where the
-    integrand falls 1e-16 below its on-line peak.  Non-convergence raises
-    AccuracyError.
+    refinements agree to 1e-8 relative (``_MEIJER_REL_TOL``, fixed); the
+    tail is truncated where the integrand falls 1e-16 below its on-line
+    peak.  Non-convergence or cancellation past 1e-8 raises AccuracyError.
     """
     a = tuple(float(v) for v in a)
     b = tuple(float(v) for v in b)
@@ -329,7 +332,7 @@ def meijer_g_m0_log(a: Sequence[float], b: Sequence[float], x: float,
         h *= 0.5
         acc, _ = line_sum(h)
         cur = acc * h
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if abs(cur - prev) <= _MEIJER_REL_TOL * abs(cur):
             prev = cur
             break
         prev = cur
@@ -346,10 +349,10 @@ def meijer_g_m0_log(a: Sequence[float], b: Sequence[float], x: float,
     # cancellation error).  Refuse rather than return garbage.
     n_samples = int(t_max / h) + 1
     achievable = 1e-15 * math.sqrt(float(n_samples)) / abs(scaled)
-    if achievable > rel_tol:
+    if achievable > _MEIJER_REL_TOL:
         raise AccuracyError(
             f"Meijer G contour cancellation leaves ~{achievable:.1e} relative "
-            f"accuracy, worse than the requested {rel_tol:g} "
+            f"accuracy, worse than the required {_MEIJER_REL_TOL:g} "
             f"(a={a}, b={b}, x={x:g})")
     return m_ref + math.log(abs(scaled)), math.copysign(1.0, scaled)
 

@@ -23,7 +23,8 @@ Proves:
    centre offset from the BS cannot use the closed-form objective.
 
  Group 5 — exit codes
-   an accuracy failure maps to its documented exit code.
+   a repeated evaluator exits with the configuration code; an accuracy
+   failure maps to its documented exit code.
 """
 
 from __future__ import annotations
@@ -268,6 +269,14 @@ def test_offset_fixed_centre_refuses_closed_form(capsys, caplog, tmp_path):
 
 
 # --- Group 5: exit codes ---
+
+
+def test_repeated_evaluator_is_config_error(tmp_path, capsys, caplog):
+    cfg = tmp_path / "twice.ini"
+    cfg.write_text("[experiment]\nevaluators = mc, mc\nschemes = fcr-rs\n")
+    rc, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--trials", "2048")
+    assert rc == 2 and out == ""
+    assert "listed more than once" in caplog.text
 
 
 def test_accuracy_exit_code(capsys, caplog, monkeypatch):

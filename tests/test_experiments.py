@@ -9,12 +9,14 @@ Proves:
    for a fixed eavesdropper centre, which otherwise pins the configured
    altitude; integer lists reject fractional entries instead of truncating
    them; NaN or infinite values and a negative seed are configuration
-   errors.
+   errors; every key, set to a non-default value, lands in its dataclass
+   field; the README config block lists exactly the loader's keys and
+   loads to the defaults.
 
  Group 2 — experiment specification
    kind/scheme/evaluator/grid/trials/seed/threads validation, NaN and
-   infinite grid values included; each sweep kind
-   exposes the right sweep variable and grid.
+   infinite grid values included; a repeated evaluator is refused; each
+   sweep kind exposes the right sweep variable and grid.
 
  Group 3 — sweep execution
    the radius sweep yields one simulation row per scheme-radius pair plus
@@ -32,6 +34,7 @@ Proves:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -168,6 +171,69 @@ def test_non_finite_values_and_negative_seed_rejected(tmp_path, section, key, ra
         ex.load_config(path)
 
 
+def test_every_key_reaches_its_field(tmp_path):
+    path = write_ini(tmp_path, (
+        "[geometry]\nr_br_m = 250\nh_br_m = 220\nusers = 2\nd_rn_m = 40, 60\n"
+        "r_eve_m = 400\n"
+        "[environment]\na2 = 12.08\nb2 = 0.11\nalpha_zenith = 1.8\n"
+        "alpha_ground = 3.2\nref_gain = 1e6\ngamma_b_db = 10\nalpha_eve = 2.5\n"
+        "eve_center = fixed\neve_center_h_m = 300\n"
+        "[fading]\nm1 = 3\nm2 = 1\nelements = 8\n"
+        "[experiment]\nkind = fig4\nschemes = scr-rs, fcr-rs\nevaluators = analytic\n"
+        "r_grid_m = 150, 250\nl_grid = 2, 6\nh_grid_m = 80, 120\ntrials = 2000\n"
+        "seed = 7\nthreads = 3\noutput = out.csv\n"))
+    scenario, spec = ex.load_config(path)
+    expected = [
+        (scenario.geometry, {"r_br_m": 250.0, "h_br_m": 220.0,
+                             "d_rn_m": (40.0, 60.0), "r_eve_m": 400.0}),
+        (scenario.air, {"a2": 12.08, "b2": 0.11, "alpha_zenith": 1.8,
+                        "alpha_ground": 3.2, "ref_gain": 1e6}),
+        (scenario.fading, {"m1": 3, "m2": 1, "n_elements": 8}),
+        (scenario, {"gamma_b_db": 10.0, "alpha_eve": 2.5, "eve_center": "fixed",
+                    "eve_center_h_m": 300.0}),
+        (spec, {"kind": "fig4", "schemes": (SchemeId.SCR_RS, SchemeId.FCR_RS),
+                "evaluators": ("analytic",), "r_grid_m": (150.0, 250.0),
+                "l_grid": (2, 6), "h_grid_m": (80.0, 120.0), "trials": 2000,
+                "seed": 7, "threads": 3, "output": "out.csv"}),
+    ]
+    for obj, values in expected:
+        # every field with a default is a config key, set here to a new value
+        defaulted = {f.name: f.default for f in dataclasses.fields(obj)
+                     if f.default is not dataclasses.MISSING}
+        assert set(defaulted) == set(values), type(obj).__name__
+        for name, value in values.items():
+            assert getattr(obj, name) == value, name
+            assert value != defaulted[name], name
+    assert scenario.n_users == 2
+    assert scenario.scheme is SchemeId.SCR_RS
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("### Config file"):]
+    return section[section.index("```ini\n") + 7:section.index("```\n", 7)]
+
+
+def test_readme_config_block_matches_loader(tmp_path):
+    # the README block is the documented copy of the defaults: it lists
+    # exactly the loader's keys, and loading it changes nothing
+    keys: dict[str, list[str]] = {}
+    kept = []
+    for line in _readme_config_block().splitlines():
+        line = line.split(";")[0].strip()
+        if line.startswith("["):
+            section = keys.setdefault(line.strip("[]"), [])
+            kept.append(line)
+        elif line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            section.append(key)
+            if value:
+                kept.append(f"{key} = {value}")
+    assert keys == {name: list(parsers) for name, parsers in ex.CONFIG_KEYS.items()}
+    assert ex.load_config(write_ini(tmp_path, "\n".join(kept) + "\n")) == ex.load_config(None)
+
+
 # --- Group 2: experiment specification ---
 
 
@@ -185,6 +251,14 @@ def test_spec_validation():
         ex.ExperimentSpec(**{**base.__dict__, "threads": 0})
     with pytest.raises(ConfigError):
         ex.ExperimentSpec(**{**base.__dict__, "kind": "fig2", "r_grid_m": (100.0, -5.0)})
+
+
+def test_spec_refuses_repeated_evaluator():
+    # one estimate exists per (point, scheme); a second "mc" row has none
+    _, base = ex.load_config(None)
+    for evaluators in (("mc", "mc"), ("analytic", "mc", "analytic")):
+        with pytest.raises(ConfigError, match="listed more than once"):
+            ex.ExperimentSpec(**{**base.__dict__, "evaluators": evaluators})
 
 
 def test_spec_refuses_non_finite_grids_and_negative_seed():

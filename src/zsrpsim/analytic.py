@@ -27,6 +27,17 @@ Evaluation routes, cross-checked against each other:
   functions, reported as ``closed_form`` next to the quadrature
   ``value`` with their relative gap.
 
+Every quadrature here (the inner integrals over W, the distance average
+and the tail integral of a composite seed) is one adaptive
+Gauss-Legendre rule that refines breadth first: each level evaluates the
+halves of every open panel of every integral together, in integrand
+calls of at most ``_GL_PANELS_PER_CALL`` panels.  So the proportional-fair
+``value`` integrates the inner integrals of all distance nodes of an
+outer call at once.  Each panel sum, convergence test and fold is the
+one a depth-first recursion makes, so every value is bit for bit the
+recursion's.  Where F_S is exactly 1.0 in double precision,
+:func:`~zsrpsim.fading.cdf_S` writes it without the Poisson sum.
+
 Proportional-fair order statistics enter through collapsed polynomial
 coefficients of the N-fold truncated exponential product; one series
 routine sums them for the Meijer-G composite and, at N = 1, for the
@@ -208,7 +219,7 @@ def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
 def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
     """Upper limit w_hi with Gamma(shape, rate) tail mass below abs_tol.
 
-    Cached: it depends on its arguments only, and every node of the outer
+    Cached: it depends on its arguments only, and every call of the outer
     distance average asks for the same cutoff.
     """
     w_hi = max(1.0, 2.0 * shape / rate)
@@ -221,54 +232,105 @@ def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_MAX_DEPTH = 16  # panel halvings before the quadrature gives up
+#: Most panels (of 24 points each) that one integrand call evaluates; a
+#: wider refinement level is split into several calls, which bounds the
+#: arrays a call allocates without costing speed.
+_GL_PANELS_PER_CALL = 16
 
 
-def _adaptive_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 abs_tol: float) -> float:
-    """Adaptive Gauss-Legendre integral of a vectorized integrand."""
+def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
+                ) -> np.ndarray:
+    """24-point Gauss-Legendre sum over each panel [lo_i, hi_i] of integral rows_i."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    sums = np.empty(lo.size)
+    for start in range(0, lo.size, _GL_PANELS_PER_CALL):
+        part = slice(start, start + _GL_PANELS_PER_CALL)
+        x = mid[part, None] + half[part, None] * _GL_NODES
+        fx = f(x.ravel(), np.repeat(rows[part], _GL_NODES.size)).reshape(x.shape)
+        # one dot per panel, as a lone panel takes it: a matrix-vector
+        # product may sum in another order
+        sums[part] = [h * float(np.dot(_GL_WEIGHTS, row))
+                      for h, row in zip(half[part], fx)]
+    return sums
 
-    def panel(a: float, b: float) -> float:
+
+def _adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 lo: float, hi: float, abs_tol: float, count: int
+                 ) -> np.ndarray:
+    """Adaptive Gauss-Legendre integrals over [lo, hi] of ``count`` integrands.
+
+    ``f(x, rows)`` returns integrand ``rows[i]`` at ``x[i]``, elementwise.
+    A panel whose halves differ from it by more than its tolerance is
+    split, each half taking half the tolerance, up to ``_GL_MAX_DEPTH``
+    halvings.  The refinement runs breadth first: one level's left and
+    right halves of every open panel of every integral go to ``f``
+    together, at most ``_GL_PANELS_PER_CALL`` panels per call.  Each
+    panel sum, convergence test and left + right fold is the one a
+    depth-first recursion makes, so each integral comes out bit for bit
+    as if integrated alone.
+    """
+    rows = np.arange(count)
+    a = np.full(count, lo, dtype=float)
+    b = np.full(count, hi, dtype=float)
+    tol = np.full(count, abs_tol, dtype=float)
+    whole = _panel_sums(f, a, b, rows)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    for depth in range(_GL_MAX_DEPTH + 1):
         mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-    def recurse(a: float, b: float, whole: float, tol: float,
-                depth: int) -> float:
-        mid = 0.5 * (a + b)
-        left = panel(a, mid)
-        right = panel(mid, b)
-        if abs(left + right - whole) <= tol:
-            return left + right
+        halves = _panel_sums(f, np.concatenate((a, mid)),
+                             np.concatenate((mid, b)), np.tile(rows, 2))
+        left, right = halves[:a.size], halves[a.size:]
+        total = left + right
+        done = np.abs(total - whole) <= tol
+        levels.append((total, done))
+        if done.all():
+            break
         if depth >= _GL_MAX_DEPTH:
             raise AccuracyError("quadrature failed to converge")
-        return (recurse(a, mid, left, 0.5 * tol, depth + 1)
-                + recurse(mid, b, right, 0.5 * tol, depth + 1))
+        split = ~done
+        a = np.concatenate((a[split], mid[split]))
+        b = np.concatenate((mid[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+        tol = np.tile(0.5 * tol[split], 2)
+        rows = np.tile(rows[split], 2)
+    # fold back up the tree: a split panel is its left plus its right half
+    value = levels[-1][0]
+    for total, done in reversed(levels[:-1]):
+        n_split = value.size // 2
+        total[~done] = value[:n_split] + value[n_split:]
+        value = total
+    return value
 
-    return recurse(lo, hi, panel(lo, hi), abs_tol, 0)
 
-
-def cdf_Z_quadrature(z: float, p: ClosedFormParams,
-                     abs_tol: float = 1e-10) -> float:
+def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
     """CDF of the N-user maximum cascade by direct integration over W.
 
     Independent of the Bessel route: integrates F_S(z~ / w)^N (the CDF
     of the served maximum, the single-user cascade when N = 1) against
     the Gamma density of W by adaptive quadrature; the truncated tail is
     bounded through the regularized upper gamma function.  Works for any
-    user count.
+    user count.  ``z`` is a scalar or an array; the integrals of an array
+    run together in one batched quadrature, each bit for bit as alone.
     """
-    if z <= 0.0:
-        return 0.0
-    z_tilde = z / (p.sigma1_sq * p.sigma2_sq)
-    w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
+    z_arr = np.asarray(z, dtype=float)
+    out = np.zeros(z_arr.shape)
+    pos = z_arr > 0.0
+    if np.any(pos):
+        z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
+        w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
 
-    def integrand(w: np.ndarray) -> np.ndarray:
-        w = np.maximum(w, 1e-300)
-        return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** p.n_users
-                * pdf_W(w, p.m2, p.n_elements))
+        def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            w = np.maximum(w, 1e-300)
+            return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
+                    * pdf_W(w, p.m2, p.n_elements))
 
-    val = _adaptive_gl(integrand, 0.0, w_hi, abs_tol)
-    return min(1.0, max(0.0, val))
+        val = _adaptive_gl(integrand, 0.0, w_hi, abs_tol, z_tilde.size)
+        out[pos] = np.minimum(1.0, np.maximum(0.0, val))
+    if np.ndim(z) == 0:
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +374,11 @@ def _log_g31_tail(mu: float, nu: float, x: float) -> float:
         if u > 1e8:
             raise AccuracyError("Bessel tail integral fails to decay")
 
-    def shifted(ts: np.ndarray) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.array([math.exp(log_g(math.exp(ti)) - g_max) for ti in ts])
 
     t_lo, t_hi = math.log(u_lo), math.log(u_hi)
-    val = _adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo))
+    (val,) = _adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), 1)
     log_j = g_max + math.log(val)
     return -0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0) + log_j
 
@@ -442,18 +503,21 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
     return closed
 
 
-def psi_average(cdf_at_distance: Callable[[float], float], r_eve_m: float) -> float:
-    """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3, to 1e-10."""
+def psi_average(cdf_at_distance: Callable[[np.ndarray], np.ndarray],
+                r_eve_m: float) -> float:
+    """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3, to 1e-10.
+
+    ``cdf_at_distance`` takes an array of distances (the nodes of up to
+    ``_GL_PANELS_PER_CALL`` panels) and returns the CDF at each.
+    """
     if r_eve_m <= 0.0:
         raise ValueError("r_eve_m must be positive")
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return (np.array([cdf_at_distance(ri) for ri in r])
-                * 3.0 * r ** 2 / r_eve_m ** 3)
+    def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return cdf_at_distance(r) * 3.0 * r ** 2 / r_eve_m ** 3
 
-    val = _adaptive_gl(integrand, 0.0, r_eve_m, 1e-10)
-    return min(1.0, max(0.0, val))
+    (val,) = _adaptive_gl(integrand, 0.0, r_eve_m, 1e-10, 1)
+    return min(1.0, max(0.0, float(val)))
 
 
 def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
@@ -470,34 +534,41 @@ def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
-def zsrp_rs(p: ClosedFormParams) -> AnalyticZsrp:
+def zsrp_rs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
     """Round-robin ZSRP: psi-average of the single-user cascade CDF.
 
     ``value`` comes from 1-D quadrature of the series CDF over the
     eavesdropper distance; ``closed_form`` from the Meijer composite,
-    omitted where it refuses.
+    omitted where it refuses or when ``closed_form`` is False.
     """
     single = dataclasses.replace(p, n_users=1)
     value = psi_average(
-        lambda r: cdf_Z_single(single.ref_gain / r ** 2, single),
+        lambda r: np.array([cdf_Z_single(single.ref_gain / ri ** 2, single)
+                            for ri in r]),
         single.r_eve_m)
-    return _report(value, _closed_form(single))
+    return _report(value, _closed_form(single) if closed_form else None)
 
 
-def zsrp_pfs(p: ClosedFormParams) -> AnalyticZsrp:
+def zsrp_pfs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
     """Proportional-fair ZSRP: the served cascade is the N-user maximum.
 
     ``value`` comes from the F_S^N quadrature path (authoritative for
-    any N); the series/Meijer ``closed_form`` is attached when the user
-    count and term count are within the expansion caps, otherwise omitted.
+    any N), the inner integrals of all distance nodes of an outer call
+    batched into one quadrature; the series/Meijer ``closed_form`` is
+    attached when ``closed_form`` is True and the user count and term
+    count are within the expansion caps, otherwise omitted.
     """
+    # float_power squares by pow, as the scalar ``r ** 2`` of one node
+    # does; ``r ** 2`` of an array multiplies, which rounds differently
     value = psi_average(
-        lambda r: cdf_Z_quadrature(p.ref_gain / r ** 2, p, abs_tol=1e-12),
+        lambda r: cdf_Z_quadrature(p.ref_gain / np.float_power(r, 2), p,
+                                   abs_tol=1e-12),
         p.r_eve_m)
-    return _report(value, _closed_form(p))
+    return _report(value, _closed_form(p) if closed_form else None)
 
 
-def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
+def zsrp_for_scheme(scheme: SchemeId, config,
+                    closed_form: bool = True) -> AnalyticZsrp:
     """Analytic ZSRP for one scheme on a concrete scenario.
 
     ``config`` is a :class:`~zsrpsim.secrecy.ScenarioConfig`.  Only the
@@ -507,7 +578,9 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
     results); proportional fairness requires identical users.  The
     formulas also require the free-space wiretap exponent and an
     eavesdropper ball centred on the BS: a ``fixed`` centre offset from
-    the current BS altitude is refused.
+    the current BS altitude is refused.  With ``closed_form`` False only
+    the quadrature ``value`` is computed (the altitude search uses no
+    more), and ``closed_form`` and ``rel_gap`` come back None.
     """
     if not scheme.fully_connected:
         raise AnalyticUnavailableError(
@@ -543,8 +616,8 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
 
     if scheme.rule == "rs":
         if homogeneous:
-            return zsrp_rs(make(sigma1[0], 1))
-        parts = [zsrp_rs(make(s, 1)) for s in sigma1]
+            return zsrp_rs(make(sigma1[0], 1), closed_form)
+        parts = [zsrp_rs(make(s, 1), closed_form) for s in sigma1]
         value = sum(part.value for part in parts) / n_users
         closed = (None if any(part.closed_form is None for part in parts)
                   else sum(part.closed_form for part in parts) / n_users)
@@ -553,4 +626,4 @@ def zsrp_for_scheme(scheme: SchemeId, config) -> AnalyticZsrp:
         raise AnalyticUnavailableError(
             "proportional-fair closed form requires a common RIS-user "
             "distance; mixed distances need the Monte-Carlo evaluator")
-    return zsrp_pfs(make(sigma1[0], n_users))
+    return zsrp_pfs(make(sigma1[0], n_users), closed_form)

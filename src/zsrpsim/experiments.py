@@ -74,14 +74,21 @@ class ExperimentSpec:
         for ev in self.evaluators:
             if ev not in EVALUATORS:
                 raise ConfigError(f"unknown evaluator {ev!r}; expected mc or analytic")
-            if self.evaluators.count(ev) > 1:
-                raise ConfigError(f"evaluator {ev!r} is listed more than once")
         for grid, name in ((self.r_grid_m, "r_grid_m"), (self.l_grid, "l_grid"),
                            (self.h_grid_m, "h_grid_m")):
             if len(grid) == 0:
                 raise ConfigError(f"{name} must be non-empty")
             if not all(0 < v < math.inf for v in grid):
                 raise ConfigError(f"{name} values must be positive and finite")
+        # a repeated entry would silently evaluate (and print) a row twice
+        for what, items in (("scheme", tuple(s.value for s in self.schemes)),
+                            ("evaluator", self.evaluators),
+                            ("r_grid_m value", self.r_grid_m),
+                            ("l_grid value", self.l_grid),
+                            ("h_grid_m value", self.h_grid_m)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{what} {item!r} is listed more than once")
         if self.trials < 1000:
             raise ConfigError("trials must be >= 1000")
         if self.seed < 0:

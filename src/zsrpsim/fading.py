@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,17 +37,47 @@ class FadingParams:
             object.__setattr__(self, name, int(v))
 
 
+@lru_cache(maxsize=None)
+def _exact_one_threshold(a: int) -> float:
+    """An x_a with Q(a, x) < 2^-60 for every x >= x_a.
+
+    Past it, 1 - Q(a, x) rounds to exactly 1.0 (any Q below 2^-54 does),
+    so the CDF needs no Poisson sum there.  Found by doubling then
+    bisecting on the scalar Q, which decreases in x; the 2^6 margin
+    covers its rounding.
+    """
+    tiny = 2.0 ** -60
+    hi = float(a)
+    while specfun.regularized_upper_gamma(a, hi) >= tiny:
+        hi *= 2.0
+    lo = 0.5 * hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if specfun.regularized_upper_gamma(a, mid) < tiny:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def cdf_S(s, m1: int, n_elements: int):
     """CDF of S ~ Gamma(m1*L, 1/m1): 1 - exp(-m1 s) sum_{t<m1 L} (m1 s)^t/t!.
 
-    Accepts scalars or arrays; negative arguments map to 0.
+    Accepts scalars or arrays; negative arguments map to 0.  Where m1 s
+    is at or past :func:`_exact_one_threshold` the value is the 1.0 that
+    the sum would round to, written without evaluating it.
     """
     a = int(m1) * int(n_elements)
     arr = np.asarray(s, dtype=float)
     out = np.zeros(arr.shape)
     pos = arr > 0.0
     if np.any(pos):
-        out[pos] = 1.0 - specfun.regularized_upper_gamma_vec(a, m1 * arr[pos])
+        x = m1 * arr[pos]
+        head = x < _exact_one_threshold(a)
+        vals = np.ones(x.shape)
+        if np.any(head):
+            vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])
+        out[pos] = vals
     if np.ndim(s) == 0:
         return float(out)
     return out

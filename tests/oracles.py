@@ -24,6 +24,13 @@ exp(-x) does not underflow.
 ``log_bessel_k_loop`` is the per-order upward recurrence for ln K_nu(x)
 that restarts from K_0, K_1 for every order; each entry of the package's
 one-pass ``log_bessel_k_upto`` must match it bit for bit.
+
+``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
+recursion, one integral at a time; every integral of the package's
+breadth-first ``_adaptive_gl`` must match it bit for bit.
+``adaptive_gl_each`` puts it in ``_adaptive_gl``'s place, and
+``zsrp_pfs_value_recursive`` is the proportional-fair quadrature value
+as one recursion per distance node computes it.
 """
 
 from __future__ import annotations
@@ -34,8 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zsrpsim.analytic import (MAX_ORDER_STAT_USERS,
-                              _log_ordered_sum_coefficients)
+from zsrpsim.analytic import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
+                              MAX_ORDER_STAT_USERS, ClosedFormParams,
+                              _log_ordered_sum_coefficients, _tail_cutoff)
+from zsrpsim.errors import AccuracyError
+from zsrpsim.fading import cdf_S, pdf_W
 from zsrpsim.specfun import _bessel_k01_scaled, log_bessel_k, meijer_g_m0_log
 
 
@@ -189,6 +199,76 @@ def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:
         term = term * (x / t)
         total += term
     return np.minimum(total, 1.0)
+
+
+def adaptive_gl_recursive(f, lo: float, hi: float, abs_tol: float) -> float:
+    """Adaptive Gauss-Legendre integral of ``f(x)``, depth first.
+
+    A panel whose halves differ from it by more than its tolerance
+    recurses into both halves with half the tolerance each, up to
+    ``_GL_MAX_DEPTH`` halvings, and returns left + right.
+    """
+
+    def panel(a: float, b: float) -> float:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+
+    def recurse(a: float, b: float, whole: float, tol: float,
+                depth: int) -> float:
+        mid = 0.5 * (a + b)
+        left = panel(a, mid)
+        right = panel(mid, b)
+        if abs(left + right - whole) <= tol:
+            return left + right
+        if depth >= _GL_MAX_DEPTH:
+            raise AccuracyError("quadrature failed to converge")
+        return (recurse(a, mid, left, 0.5 * tol, depth + 1)
+                + recurse(mid, b, right, 0.5 * tol, depth + 1))
+
+    return recurse(lo, hi, panel(lo, hi), abs_tol, 0)
+
+
+def adaptive_gl_each(f, lo: float, hi: float, abs_tol: float,
+                     count: int) -> np.ndarray:
+    """``analytic._adaptive_gl`` as ``count`` separate recursions."""
+    return np.array([
+        adaptive_gl_recursive(lambda x, i=i: f(x, np.full(x.size, i)),
+                              lo, hi, abs_tol)
+        for i in range(count)])
+
+
+def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams,
+                               abs_tol: float) -> float:
+    """F_S(z~ / w)^N against the density of W, one recursion for one z."""
+    if z <= 0.0:
+        return 0.0
+    z_tilde = z / (p.sigma1_sq * p.sigma2_sq)
+    w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
+
+    def integrand(w: np.ndarray) -> np.ndarray:
+        w = np.maximum(w, 1e-300)
+        return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** p.n_users
+                * pdf_W(w, p.m2, p.n_elements))
+
+    val = adaptive_gl_recursive(integrand, 0.0, w_hi, abs_tol)
+    return min(1.0, max(0.0, val))
+
+
+def zsrp_pfs_value_recursive(p: ClosedFormParams) -> float:
+    """Proportional-fair ZSRP value: one inner recursion per distance node.
+
+    The node's gain threshold is the scalar ``ref_gain / r ** 2``.
+    """
+    r_eve = p.r_eve_m
+
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return (np.array([cdf_Z_quadrature_recursive(p.ref_gain / ri ** 2,
+                                                     p, 1e-12) for ri in r])
+                * 3.0 * r ** 2 / r_eve ** 3)
+
+    val = adaptive_gl_recursive(integrand, 0.0, r_eve, 1e-10)
+    return min(1.0, max(0.0, val))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ Proves:
    centre offset from the BS cannot use the closed-form objective.
 
  Group 5 — exit codes
-   a repeated evaluator exits with the configuration code; an accuracy
-   failure maps to its documented exit code.
+   a repeated evaluator, scheme or grid value exits with the
+   configuration code; an accuracy failure maps to its documented exit
+   code.
 """
 
 from __future__ import annotations
@@ -274,6 +275,21 @@ def test_offset_fixed_centre_refuses_closed_form(capsys, caplog, tmp_path):
 def test_repeated_evaluator_is_config_error(tmp_path, capsys, caplog):
     cfg = tmp_path / "twice.ini"
     cfg.write_text("[experiment]\nevaluators = mc, mc\nschemes = fcr-rs\n")
+    rc, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--trials", "2048")
+    assert rc == 2 and out == ""
+    assert "listed more than once" in caplog.text
+
+
+@pytest.mark.parametrize("lines", [
+    "schemes = fcr-rs, fcr-rs",
+    "schemes = fcr-rs\nkind = fig4\nh_grid_m = 100, 100",
+    "schemes = fcr-rs\nkind = fig2\nr_grid_m = 200, 300, 200",
+    "schemes = fcr-rs\nkind = fig3\nl_grid = 8, 8",
+])
+def test_repeated_scheme_or_grid_value_is_config_error(lines, tmp_path, capsys,
+                                                       caplog):
+    cfg = tmp_path / "twice.ini"
+    cfg.write_text(f"[experiment]\nevaluators = mc\n{lines}\n")
     rc, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--trials", "2048")
     assert rc == 2 and out == ""
     assert "listed more than once" in caplog.text

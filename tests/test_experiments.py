@@ -15,8 +15,9 @@ Proves:
 
  Group 2 — experiment specification
    kind/scheme/evaluator/grid/trials/seed/threads validation, NaN and
-   infinite grid values included; a repeated evaluator is refused; each
-   sweep kind exposes the right sweep variable and grid.
+   infinite grid values included; a repeated evaluator, scheme or grid
+   value is refused; each sweep kind exposes the right sweep variable and
+   grid.
 
  Group 3 — sweep execution
    the radius sweep yields one simulation row per scheme-radius pair plus
@@ -259,6 +260,20 @@ def test_spec_refuses_repeated_evaluator():
     for evaluators in (("mc", "mc"), ("analytic", "mc", "analytic")):
         with pytest.raises(ConfigError, match="listed more than once"):
             ex.ExperimentSpec(**{**base.__dict__, "evaluators": evaluators})
+
+
+@pytest.mark.parametrize("field, items", [
+    ("schemes", (SchemeId.FCR_RS, SchemeId.SCR_RS, SchemeId.FCR_RS)),
+    ("h_grid_m", (100.0, 150.0, 100.0)),
+    ("r_grid_m", (200.0, 200.0)),
+    ("l_grid", (8, 16, 16)),
+])
+def test_spec_refuses_repeated_scheme_and_grid_value(field, items):
+    # a repeated entry would evaluate its rows twice and print them twice
+    _, base = ex.load_config(None)
+    with pytest.raises(ConfigError, match="listed more than once"):
+        ex.ExperimentSpec(**{**base.__dict__, field: items})
+    ex.ExperimentSpec(**{**base.__dict__, field: tuple(dict.fromkeys(items))})
 
 
 def test_spec_refuses_non_finite_grids_and_negative_seed():

@@ -9,7 +9,10 @@ Proves:
    agreement at 1e-10, also past the exp(-x) underflow at shape 800; zero
    below the support; array broadcast; density
    peaks at the analytic mode (m2 L - 1)/m2 and integrates to one;
-   monotone CDF bounded in [0, 1] (property).
+   monotone CDF bounded in [0, 1] (property); past the exact-one
+   threshold x_a (shapes 1, 4, 32, 64) the CDF is written as 1.0 without
+   the Poisson sum, bit for bit equal to 1 - Q on a dense grid across
+   x_a, and Q(a, x) < 2^-60 from x_a on.
 
  Group 3 — the estimator's power sums
    sums of L Gamma(m, 1/m) element powers, drawn as the Monte-Carlo block
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from zsrpsim import fading as fd
+from zsrpsim import specfun
 
 # frozen: P[Gamma(4, 1/2) <= 1]
 CDF_S_M2_L2_AT_1 = 0.14287653950145296
@@ -107,6 +111,33 @@ def test_cdf_S_monotone_bounded(m1, n_elements, s, ds):
     assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
     # monotone up to rounding in the saturated tail
     assert hi >= lo - 5e-16
+
+
+@pytest.mark.parametrize("a", [1, 4, 32, 64])
+def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
+    x_a = fd._exact_one_threshold(a)
+    assert specfun.regularized_upper_gamma(a, x_a) < 2.0 ** -60
+    assert specfun.regularized_upper_gamma(a, 0.9 * x_a) >= 2.0 ** -60
+    x = np.concatenate((np.linspace(0.25 * x_a, 4.0 * x_a, 40001),
+                        np.geomspace(4.0 * x_a, 1e6, 2001), [x_a]))
+    want = 1.0 - specfun.regularized_upper_gamma_vec(a, x)
+    assert np.all(want[x >= x_a] == 1.0)
+    seen = []
+    poisson_sum = specfun.regularized_upper_gamma_vec
+
+    def recording(shape, arg):
+        seen.append(np.max(arg))
+        return poisson_sum(shape, arg)
+
+    monkeypatch.setattr(specfun, "regularized_upper_gamma_vec", recording)
+    for m1 in (1, 2):
+        if a % m1:
+            continue
+        got = fd.cdf_S(x / m1, m1, a // m1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), m1
+        assert fd.cdf_S(float(x_a / m1), m1, a // m1) == 1.0
+    # only the points below the threshold reached the Poisson sum
+    assert seen and max(seen) < x_a
 
 
 def test_pdf_W_vs_scipy_grid():

@@ -15,7 +15,9 @@ Proves:
    the default fully connected rotation scenario has an interior optimum
    near 316 m whose value beats both endpoints (U shape); a flat
    environment exponent removes the altitude benefit and the search
-   returns the lower bound.
+   returns the lower bound; the search builds no Meijer-G composite (its
+   objective is the quadrature value alone, equal to the full result's),
+   while every analytic ``run`` row builds one.
 
  Group 4 — full search, simulation objective
    fixed-seed objectives make the search deterministic end to end, and
@@ -34,6 +36,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsrpsim import analytic as an
+from zsrpsim import experiments as ex
 from zsrpsim import optimize as op
 from zsrpsim import secrecy as sec
 from zsrpsim.analytic import zsrp_for_scheme
@@ -146,6 +150,38 @@ def test_default_scenario_interior_optimum(geometry, air, fading):
     assert res.zsrp < value_at(40.0)
     assert res.zsrp < value_at(1500.0)
     assert math.isclose(res.zsrp, value_at(res.h_m), rel_tol=1e-9)
+
+
+def test_analytic_search_builds_no_closed_form(geometry, air, fading,
+                                               monkeypatch):
+    calls = []
+    closed_form = an._closed_form
+
+    def counting(params):
+        calls.append(params)
+        return closed_form(params)
+
+    monkeypatch.setattr(an, "_closed_form", counting)
+    for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
+        cfg = make_config(geometry, air, fading, scheme)
+        spec = op.AltitudeSearchSpec(config=cfg, h_lo_m=100.0, h_hi_m=600.0,
+                                     tol_m=25.0)
+        res = op.optimal_altitude(spec)
+        assert res.n_evaluations >= 16 and calls == []
+        at_h = make_config(ScenarioGeometry(h_br_m=res.h_m), air, fading, scheme)
+        full = zsrp_for_scheme(scheme, at_h)
+        assert full.closed_form is not None and len(calls) == 1
+        assert res.zsrp.hex() == full.value.hex()
+        calls.clear()
+    # a run keeps its cross-check: one composite per analytic row
+    scenario, base = ex.load_config(None)
+    spec = ex.ExperimentSpec(**{**base.__dict__, "kind": "fig4",
+                                "schemes": (SchemeId.FCR_RS,
+                                            SchemeId.FCR_GCSI_PFS),
+                                "evaluators": ("analytic",),
+                                "h_grid_m": (150.0, 310.0)})
+    rows = ex.run_experiment(scenario, spec)
+    assert len(rows) == 4 and len(calls) == 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

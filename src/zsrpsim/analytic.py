@@ -18,7 +18,10 @@ Evaluation routes, cross-checked against each other:
 
 * ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
   rounding), the fast route for the single-user cascade; its terms
-  share one argument, so one Bessel-K recurrence gives every order;
+  share one argument, so one Bessel-K recurrence gives every order.  It
+  takes an array of z: one array Bessel-K recurrence and one
+  (nodes x terms) order-statistic sum serve all distance nodes of an
+  integrand call, each node bit for bit as alone;
 * ``cdf_Z_quadrature``: independent direct integration over the BS-side
   power sum, the adjudicating oracle; it raises F_S to the user count N
   (CDF of the served maximum), so proportional fairness needs no
@@ -40,8 +43,9 @@ recursion's.  Where F_S is exactly 1.0 in double precision,
 
 Proportional-fair order statistics enter through collapsed polynomial
 coefficients of the N-fold truncated exponential product; one series
-routine sums them for the Meijer-G composite and, at N = 1, for the
-Bessel-K CDF.  Along one order-statistic row the Meijer-G terms are
+routine sums them, row by row of a (rows x terms) array, for the
+Meijer-G composite (one row) and, at N = 1, for the Bessel-K CDF (one
+row per node).  Along one order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
 10.29.4), so a row costs three seed integrals (contour, or the tail
 integral where the contour refuses) plus one Bessel-K recurrence at the
@@ -152,67 +156,77 @@ def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]
 
 
 def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
-                       lead: float, log_arg: float,
-                       log_kernel: Callable[[int, int], tuple[float, float]]
-                       ) -> float:
-    """1 + sum over (j, B) of the collapsed order-statistic expansion.
+                       lead: float, log_arg: np.ndarray,
+                       log_kernel: Callable[[int], tuple[np.ndarray, np.ndarray]]
+                       ) -> np.ndarray:
+    """1 + sum over (j, B) of the collapsed order-statistic expansion, per row.
 
     Term (j, B) is (-1)^j C(N, j) gamma_{j,B} j^{(m2 L - B)/2}
-    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel, whose
-    (log|kernel|, sign) ``log_kernel(j, B)`` returns.  Summed in log
-    space; the result is clamped to [0, 1].  Shared by the Bessel-K
-    series CDF and the Meijer-G composite, which differ only in ``lead``,
-    the argument and the kernel.
+    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel.  ``log_arg``
+    holds ln arg for each row, and ``log_kernel(j)`` returns (log|kernel|,
+    sign) of B = 0, 1, ... of order-statistic index j, arrays that
+    broadcast to (rows x terms).  Each row is summed in log space and
+    clamped to [0, 1]; one value per row comes back.  Shared by the
+    Bessel-K series CDF (one row per node) and the Meijer-G composite (one
+    row), which differ only in ``lead``, the argument and the kernel.
     """
     ln_gamma_m2 = math.lgamma(m_2)
-    logs: list[float] = []
-    signs: list[float] = []
+    logs: list[np.ndarray] = []
+    signs: list[np.ndarray] = []
     for j in range(1, n_users + 1):
-        log_row = _log_ordered_sum_coefficients(j, m1_elements)
+        log_coef = np.array(_log_ordered_sum_coefficients(j, m1_elements))
+        b = np.arange(log_coef.size)
         log_j = math.log(j)
         sign_j = -1.0 if j % 2 else 1.0
         log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(n_users, j)
-        for b, log_coef in enumerate(log_row):
-            log_k, sign_k = log_kernel(j, b)
-            log_term = (log_lead + log_coef
-                        + 0.5 * (m_2 + b) * (log_j + log_arg) - b * log_j
-                        + log_k)
-            logs.append(log_term)
-            signs.append(sign_j * sign_k)
+        log_k, sign_k = log_kernel(j)
+        logs.append(log_lead + log_coef
+                    + 0.5 * (m_2 + b) * (log_j + log_arg[:, None]) - b * log_j
+                    + log_k)
+        signs.append(np.broadcast_to(sign_j * sign_k, logs[-1].shape))
     total_log, total_sign = specfun.log_sum_exp(
-        np.array(logs), np.array(signs))
-    if total_log == -math.inf:
-        return 1.0
-    if total_sign < 0.0:
-        # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
-        val = -math.expm1(total_log) if total_log < 0.0 else 0.0
-    else:
-        val = 1.0 + math.exp(total_log)
-    return min(1.0, max(0.0, val))
+        np.concatenate(logs, axis=1), np.concatenate(signs, axis=1))
+    # an empty or cancelled sum (sign 0) leaves F = 1
+    val = np.ones(total_log.shape)
+    neg = total_sign < 0.0
+    # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
+    below = neg & (total_log < 0.0)
+    val[below] = -specfun.apply_math(math.expm1, total_log[below])
+    val[neg & ~below] = 0.0
+    pos = total_sign > 0.0
+    val[pos] = 1.0 + specfun.apply_math(math.exp, total_log[pos])
+    # fmax, as Python's max(0.0, v) does, maps a NaN to 0.0
+    return np.minimum(1.0, np.fmax(0.0, val))
 
 
-def cdf_Z_single(z: float, p: ClosedFormParams) -> float:
+def cdf_Z_single(z, p: ClosedFormParams):
     """Series CDF of the single-user cascade Z = sigma1^2 sigma2^2 S W.
 
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
            K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
-    summed in log space.  Every order comes from one Bessel-K recurrence
-    at 2 sqrt(xi).  Validated against :func:`cdf_Z_quadrature`; returns 0
-    for z <= 0.
+    summed in log space.  ``z`` is a scalar or an array; every order at
+    every z comes from one array Bessel-K recurrence at 2 sqrt(xi), and
+    the terms of all z are summed as rows of one array, each bit for bit
+    as alone.  Validated against :func:`cdf_Z_quadrature`; returns 0 for
+    z <= 0.
     """
-    if z <= 0.0:
-        return 0.0
-    m_2 = p.m2 * p.n_elements
-    m_1 = p.m1 * p.n_elements
-    xi = p.m1 * p.m2 * z / (p.sigma1_sq * p.sigma2_sq)
-    log_k = specfun.log_bessel_k_upto(max(m_2, abs(m_2 - m_1 + 1)),
-                                      2.0 * math.sqrt(xi))
-
-    def bessel(j: int, b: int) -> tuple[float, float]:
-        return log_k[abs(m_2 - b)], 1.0
-
-    return _order_stat_series(1, m_1, m_2, 2.0, math.log(xi), bessel)
+    z_arr = np.asarray(z, dtype=float)
+    out = np.zeros(z_arr.shape)
+    pos = ~(z_arr <= 0.0)
+    if np.any(pos):
+        m_2 = p.m2 * p.n_elements
+        m_1 = p.m1 * p.n_elements
+        xi = p.m1 * p.m2 * z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
+        log_k = specfun.log_bessel_k_upto(max(m_2, abs(m_2 - m_1 + 1)),
+                                          2.0 * np.sqrt(xi))
+        bessel = log_k[:, np.abs(m_2 - np.arange(m_1))], 1.0
+        out[pos] = _order_stat_series(1, m_1, m_2, 2.0,
+                                      specfun.apply_math(math.log, xi),
+                                      lambda j: bessel)
+    if np.ndim(z) == 0:
+        return float(out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -355,17 +369,29 @@ def _log_g31_tail(mu: float, nu: float, x: float) -> float:
 
     # integrate in t = ln u so the bracket width stays a few nats wide and
     # the peak-normalized integrand makes the quadrature tolerance an
-    # effectively relative one; du = u dt folds into the exponent
-    def log_g(u: float) -> float:
-        return (mu + 1.0) * math.log(u) + specfun.log_bessel_k(order, u)
+    # effectively relative one; du = u dt folds into the exponent.  Every
+    # array of points takes one Bessel-K recurrence, each value bit for
+    # bit what that point alone gives.
+    def log_g(u: np.ndarray) -> np.ndarray:
+        return ((mu + 1.0) * specfun.apply_math(math.log, u)
+                + specfun.log_bessel_k(order, u))
+
+    def scan():
+        # u_lo, 1.2 u_lo, ... evaluated 32 points per call
+        u = u_lo
+        while True:
+            us = []
+            for _ in range(32):
+                us.append(u)
+                u *= 1.2
+            yield from zip(us, log_g(np.array(us)).tolist())
 
     # coarse geometric scan for the integrand peak and a -60 nats cutoff;
     # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end
-    u, g_max, u_hi = u_lo, log_g(u_lo), u_lo
+    points = scan()
+    u_hi, g_max = next(points)
     tail_floor = max(u_lo * 4.0, float(order) * 3.0, 50.0)
-    while True:
-        u *= 1.2
-        g_u = log_g(u)
+    for u, g_u in points:
         if g_u > g_max:
             g_max = g_u
         u_hi = u
@@ -375,7 +401,8 @@ def _log_g31_tail(mu: float, nu: float, x: float) -> float:
             raise AccuracyError("Bessel tail integral fails to decay")
 
     def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.array([math.exp(log_g(math.exp(ti)) - g_max) for ti in ts])
+        return specfun.apply_math(
+            math.exp, log_g(specfun.apply_math(math.exp, ts)) - g_max)
 
     t_lo, t_hi = math.log(u_lo), math.log(u_hi)
     (val,) = _adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), 1)
@@ -489,9 +516,10 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
             rows = [_log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1,
                                        routes)
                     for j in range(1, params.n_users + 1)]
-            closed = _order_stat_series(params.n_users, m_1, m_2, 1.5,
-                                        math.log(big_x),
-                                        lambda j, b: rows[j - 1][b])
+            kernels = [np.array(row).T for row in rows]
+            closed = float(_order_stat_series(
+                params.n_users, m_1, m_2, 1.5, np.array([math.log(big_x)]),
+                lambda j: kernels[j - 1])[0])
         except AccuracyError as exc:
             reason = str(exc)
     logger.debug("closed-form composite: %d seed integrals (%d by the tail "
@@ -542,9 +570,9 @@ def zsrp_rs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
     omitted where it refuses or when ``closed_form`` is False.
     """
     single = dataclasses.replace(p, n_users=1)
+    # float_power, not ``r ** 2``: see zsrp_pfs
     value = psi_average(
-        lambda r: np.array([cdf_Z_single(single.ref_gain / ri ** 2, single)
-                            for ri in r]),
+        lambda r: cdf_Z_single(single.ref_gain / np.float_power(r, 2), single),
         single.r_eve_m)
     return _report(value, _closed_form(single) if closed_form else None)
 

@@ -6,9 +6,12 @@ math module and numpy arrays: no scipy.  Provided primitives:
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
   for integer shape a, scalar and array forms of one implementation
 * ``log_bessel_k_upto`` -- ln K_0(x) .. ln K_nu(x), modified Bessel K of
-  every integer order up to nu, from one upward recurrence
+  every integer order up to nu, from one upward recurrence, at one x or
+  at every x of an array (one lane per argument)
 * ``log_bessel_k``    -- ln K_nu(x) alone, the last of those values
-* ``log_sum_exp``     -- signed sum of exponentials in log space
+* ``log_sum_exp``     -- signed sum of exponentials in log space, one
+  per row of a (rows x terms) array
+* ``apply_math``      -- a math-module function mapped over an array
 * ``meijer_g_m0_log`` -- (log|G|, sign) of Meijer G^{m,0}_{p,q} for q > p
   via Mellin-Barnes contour quadrature (complex Lanczos log-gamma inside;
   real log-gamma values elsewhere come from ``math.lgamma``)
@@ -23,12 +26,20 @@ gammas.  For q > p the integrand decays like exp(-(q-p)*pi*|Im s|/2), so a
 trapezoid rule on the line converges geometrically.  All magnitude-sensitive
 work is done in log space so that the huge Gamma products appearing for
 large parameter sets neither overflow nor underflow.
+
+The array forms give every element bit for bit the value of the same
+arithmetic on Python floats: numpy's elementwise + - * / and sqrt round
+as Python does, and every log, exp and expm1 that the float arithmetic
+takes from the math module is that math function mapped over the
+elements (``apply_math``), because numpy's SIMD versions round
+differently from the C library on some arguments.  The K0/K1 loops keep
+each lane's values from its own convergence step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,135 +127,212 @@ def regularized_upper_gamma(a: int, x: float) -> float:
     return float(regularized_upper_gamma_vec(a, np.array([x], dtype=float))[0])
 
 
-def _bessel_k01_series(x: float) -> tuple[float, float]:
-    """Ascending series for K0(x), K1(x); intended for 0 < x <= 2."""
+def apply_math(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """The math-module function ``fn`` applied to each element of ``a``.
+
+    numpy's SIMD log, exp and expm1 round differently from the C library
+    on some arguments, so array code that must equal a scalar
+    ``math.log`` / ``math.exp`` / ``math.expm1`` expression bit for bit
+    maps the math function instead.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _bessel_k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending series for K0(x), K1(x) at each entry of a 1-D array.
+
+    Intended for 0 < x <= 2.  Each lane keeps the sums of its own
+    convergence step; the arrays keep their width, so a finished lane
+    runs on with the rest, unused.
+    """
     q = 0.25 * x * x
-    lh = math.log(0.5 * x)
+    lh = apply_math(math.log, 0.5 * x)
     # I0, I1 and the companion sums share the q^k / (k!)^2-type terms
-    i0 = 1.0
+    i0 = np.ones(x.size)
     i1 = 0.5 * x
-    s0 = 0.0                      # sum H_k q^k / (k!)^2
-    s1 = 1.0 - 2.0 * EULER_GAMMA  # sum (H_k + H_{k+1} - 2 gamma) q^k / (k!(k+1)!)
-    term0 = 1.0
-    term1 = 1.0
+    s0 = np.zeros(x.size)                       # sum H_k q^k / (k!)^2
+    s1 = np.full(x.size, 1.0 - 2.0 * EULER_GAMMA)
+    # s1: sum (H_k + H_{k+1} - 2 gamma) q^k / (k!(k+1)!)
+    term0 = np.ones(x.size)
+    term1 = np.ones(x.size)
+    live = np.ones(x.size, dtype=bool)
+    sums = np.empty((4, x.size))  # i0, i1, s0, s1 at each lane's last step
     hk = 0.0
     k = 1
     while True:
-        term0 *= q / (k * k)
-        term1 *= q / (k * (k + 1))
+        term0 = term0 * (q / (k * k))
+        term1 = term1 * (q / (k * (k + 1)))
         hk += 1.0 / k
-        i0 += term0
-        i1 += 0.5 * x * term1
-        s0 += term0 * hk
-        s1 += term1 * (2.0 * hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA)
-        if term0 < 1e-18 * i0 and k > 3:
-            break
+        i0 = i0 + term0
+        i1 = i1 + 0.5 * x * term1
+        s0 = s0 + term0 * hk
+        s1 = s1 + term1 * (2.0 * hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA)
+        if k > 3:
+            done = live & (term0 < 1e-18 * i0)
+            if done.any():
+                sums[:, done] = i0[done], i1[done], s0[done], s1[done]
+                live &= ~done
+                if not live.any():
+                    break
         k += 1
         if k > 200:  # q <= 1 converges in ~15 terms; this is unreachable
             raise AccuracyError("K0/K1 series failed to converge")
+    i0, i1, s0, s1 = sums
     k0 = -(lh + EULER_GAMMA) * i0 + s0
     k1 = 1.0 / x + lh * i1 - 0.25 * x * s1
     return k0, k1
 
 
-def _bessel_k01_cf2(x: float) -> tuple[float, float]:
+def _bessel_k01_cf2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steed/Thompson-Barnett continued fraction for exp(x)*K0, exp(x)*K1.
 
     Valid for x >= 2 where CF2 converges quickly; returns the scaled values
     so callers control the exp(-x) factor (avoids premature underflow).
+    Takes a 1-D array; each lane keeps h and s of its own convergence
+    step, as the series does, and the coefficients a and c, which do not
+    depend on x, stay scalars.
     """
     eps = 1e-16
     maxit = 10000
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
-    q1 = 0.0
-    q2 = 1.0
+    q1 = np.zeros(x.size)
+    q2 = np.ones(x.size)
     a1 = 0.25
-    q = c = a1
+    c = a1
+    q = np.full(x.size, a1)
     a = -a1
     s = 1.0 + q * delh
-    for i in range(2, maxit + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < eps:
-            break
-    else:
-        raise AccuracyError(f"Bessel CF2 did not converge for x={x}")
-    h = a1 * h
-    k0_scaled = math.sqrt(math.pi / (2.0 * x)) / s
+    live = np.ones(x.size, dtype=bool)
+    h_end, s_end = np.empty(x.size), np.empty(x.size)
+    # a finished lane may overflow as it runs on; its values go unused
+    with np.errstate(all="ignore"):
+        for i in range(2, maxit + 1):
+            a -= 2.0 * (i - 1)
+            c = -a * c / i
+            qnew = (q1 - b * q2) / a
+            q1, q2 = q2, qnew
+            q = q + c * qnew
+            b = b + 2.0
+            d = 1.0 / (b + a * d)
+            delh = (b * d - 1.0) * delh
+            h = h + delh
+            dels = q * delh
+            s = s + dels
+            done = live & (np.abs(dels / s) < eps)
+            if done.any():
+                h_end[done] = h[done]
+                s_end[done] = s[done]
+                live &= ~done
+                if not live.any():
+                    break
+        else:
+            raise AccuracyError(f"Bessel CF2 did not converge for x={x[live]}")
+    h = a1 * h_end
+    k0_scaled = np.sqrt(math.pi / (2.0 * x)) / s_end
     k1_scaled = k0_scaled * (x + 0.5 - h) / x
     return k0_scaled, k1_scaled
 
 
-def _bessel_k01_scaled(x: float) -> tuple[float, float]:
-    """exp(x)*K0(x), exp(x)*K1(x) for any x > 0."""
-    if x <= 2.0:
-        k0, k1 = _bessel_k01_series(x)
-        ex = math.exp(x)
-        return k0 * ex, k1 * ex
-    return _bessel_k01_cf2(x)
+def _bessel_k01_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x)*K0(x), exp(x)*K1(x) for each x > 0 of an array (or a scalar).
+
+    Both results have the shape of ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    k0, k1 = np.empty(flat.size), np.empty(flat.size)
+    series = flat <= 2.0
+    if series.any():
+        xs = flat[series]
+        k0s, k1s = _bessel_k01_series(xs)
+        ex = apply_math(math.exp, xs)
+        k0[series], k1[series] = k0s * ex, k1s * ex
+    if not series.all():
+        k0[~series], k1[~series] = _bessel_k01_cf2(flat[~series])
+    return k0.reshape(x.shape), k1.reshape(x.shape)
 
 
-def log_bessel_k_upto(nu_max: int, x: float) -> list[float]:
+_LOG_1E280 = 280.0 * math.log(10.0)
+
+
+def log_bessel_k_upto(nu_max: int, x):
     """[ln K_0(x), ..., ln K_nu_max(x)] from one upward recurrence.
 
-    The recurrence runs on exp(x)-scaled values with an explicit exponent
-    carry, so very large orders and very large arguments are both safe.
-    Each order is recorded after its rescale check, so entry n is exactly
-    what a recurrence stopped at order n returns.
+    ``x`` is a scalar, which gives a list, or an array, which gives an
+    (x.size, nu_max + 1) array with one row per argument.  The recurrence
+    runs on exp(x)-scaled values with an explicit exponent carry per
+    argument, so very large orders and very large arguments are both
+    safe.  Each order is recorded after its rescale check, so entry n is
+    exactly what a recurrence stopped at order n returns, and each row is
+    bit for bit the list of its argument alone.
     """
     if nu_max < 0 or int(nu_max) != nu_max:
         raise ValueError(f"order must be a nonnegative integer, got {nu_max!r}")
-    if not x > 0.0:
-        raise ValueError(f"argument must be > 0, got {x!r}")
-    k0s, k1s = _bessel_k01_scaled(x)
-    out = [math.log(k0s) - x]
-    if nu_max == 0:
-        return out
-    out.append(math.log(k1s) - x)
-    carry = 0.0
-    km, kc = k0s, k1s
-    for n in range(1, int(nu_max)):
-        km, kc = kc, km + (2.0 * n / x) * kc
-        if kc > 1e280:
-            km *= 1e-280
-            kc *= 1e-280
-            carry += 280.0 * math.log(10.0)
-        out.append(math.log(kc) + carry - x)
-    return out
+    nu_max = int(nu_max)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if not np.all(flat > 0.0):
+        bad = float(flat[~(flat > 0.0)][0])
+        raise ValueError(f"argument must be > 0, got {bad!r}")
+    scaled = np.empty((flat.size, nu_max + 1))
+    carry = np.zeros((flat.size, nu_max + 1))
+    km, kc = _bessel_k01_scaled(flat)
+    scaled[:, 0] = km
+    if nu_max >= 1:
+        scaled[:, 1] = kc
+    lane_carry = np.zeros(flat.size)
+    # below x ~ 1e-28 one step from a rescaled 1e280 can pass the double
+    # range; that lane goes to inf silently, as the float recurrence does
+    with np.errstate(over="ignore"):
+        for n in range(1, nu_max):
+            km, kc = kc, km + (2.0 * n / flat) * kc
+            big = kc > 1e280
+            if big.any():
+                km[big] *= 1e-280
+                kc[big] *= 1e-280
+                lane_carry[big] += _LOG_1E280
+            scaled[:, n + 1] = kc
+            carry[:, n + 1] = lane_carry
+    out = apply_math(math.log, scaled) + carry - flat[:, None]
+    return out[0].tolist() if xs.ndim == 0 else out
 
 
-def log_bessel_k(nu: int, x: float) -> float:
-    """ln K_nu(x), integer nu >= 0: the last entry of :func:`log_bessel_k_upto`."""
-    return log_bessel_k_upto(nu, x)[-1]
+def log_bessel_k(nu: int, x):
+    """ln K_nu(x), integer nu >= 0: the last order of :func:`log_bessel_k_upto`.
+
+    A float for a scalar ``x``, one value per argument for an array.
+    """
+    out = log_bessel_k_upto(nu, x)
+    return out[-1] if np.ndim(x) == 0 else out[:, -1]
 
 
-def log_sum_exp(log_terms: Sequence[float], signs: Sequence[float] | None = None) -> tuple[float, float]:
-    """(log|sum|, sign) of sum_i signs_i * exp(log_terms_i).
+def log_sum_exp(log_terms: np.ndarray | Sequence[float],
+                signs: np.ndarray | Sequence[float] | None = None):
+    """(log|sum|, sign) of sum_i signs_i * exp(log_terms_i) along the last axis.
 
-    Empty input or an exactly cancelled sum returns (-inf, 0.0).
+    A 1-D input is one sum and gives two floats; a (rows x terms) input
+    gives two arrays with one entry per row.  An empty or exactly
+    cancelled sum gives (-inf, 0.0).
     """
     logs = np.asarray(log_terms, dtype=float)
-    if logs.size == 0:
-        return -math.inf, 0.0
-    sg = np.ones_like(logs) if signs is None else np.asarray(signs, dtype=float)
-    m = float(np.max(logs))
-    if m == -math.inf:
-        return -math.inf, 0.0
-    total = float(np.sum(sg * np.exp(logs - m)))
-    if total == 0.0:
-        return -math.inf, 0.0
-    return m + math.log(abs(total)), math.copysign(1.0, total)
+    sg = (np.ones_like(logs) if signs is None
+          else np.broadcast_to(np.asarray(signs, dtype=float), logs.shape))
+    log_abs = np.full(logs.shape[:-1], -math.inf)
+    sign = np.zeros(logs.shape[:-1])
+    if logs.shape[-1]:
+        m = np.max(logs, axis=-1)
+        shift = np.where(m == -math.inf, 0.0, m)
+        # a row sums exactly as a lone 1-D np.sum of that row does
+        total = np.sum(sg * np.exp(logs - shift[..., None]), axis=-1)
+        ok = (m != -math.inf) & (total != 0.0)
+        log_abs[ok] = m[ok] + apply_math(math.log, np.abs(total[ok]))
+        sign[ok] = np.copysign(1.0, total[ok])
+    if logs.ndim == 1:
+        return float(log_abs), float(sign)
+    return log_abs, sign
 
 
 def _mb_log_integrand(a: tuple[float, ...], b: tuple[float, ...], lnx: float,

@@ -25,6 +25,13 @@ exp(-x) does not underflow.
 that restarts from K_0, K_1 for every order; each entry of the package's
 one-pass ``log_bessel_k_upto`` must match it bit for bit.
 
+``cdf_Z_single_scalar`` is the round-robin series CDF at one z, every
+step on Python floats: the K_0/K_1 series or continued fraction
+(``bessel_k01_scaled_scalar``), the upward recurrence
+(``log_bessel_k_upto_scalar``) and the log-space term sum.  The
+package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
+``log_bessel_k_upto`` must match them bit for bit at every element.
+
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
 breadth-first ``_adaptive_gl`` must match it bit for bit.
@@ -43,10 +50,12 @@ import numpy as np
 
 from zsrpsim.analytic import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
                               MAX_ORDER_STAT_USERS, ClosedFormParams,
-                              _log_ordered_sum_coefficients, _tail_cutoff)
+                              _log_binom, _log_ordered_sum_coefficients,
+                              _tail_cutoff)
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W
-from zsrpsim.specfun import _bessel_k01_scaled, log_bessel_k, meijer_g_m0_log
+from zsrpsim.specfun import (EULER_GAMMA, _bessel_k01_scaled, log_bessel_k,
+                             meijer_g_m0_log)
 
 
 def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
@@ -182,6 +191,119 @@ def log_bessel_k_loop(nu: int, x: float) -> float:
             kc *= 1e-280
             carry += 280.0 * math.log(10.0)
     return math.log(kc) + carry - x
+
+
+def _k01_series_scalar(x: float) -> tuple[float, float]:
+    """Ascending series for K0(x), K1(x); intended for 0 < x <= 2."""
+    q = 0.25 * x * x
+    lh = math.log(0.5 * x)
+    i0 = 1.0
+    i1 = 0.5 * x
+    s0 = 0.0
+    s1 = 1.0 - 2.0 * EULER_GAMMA
+    term0 = 1.0
+    term1 = 1.0
+    hk = 0.0
+    k = 1
+    while True:
+        term0 *= q / (k * k)
+        term1 *= q / (k * (k + 1))
+        hk += 1.0 / k
+        i0 += term0
+        i1 += 0.5 * x * term1
+        s0 += term0 * hk
+        s1 += term1 * (2.0 * hk + 1.0 / (k + 1) - 2.0 * EULER_GAMMA)
+        if term0 < 1e-18 * i0 and k > 3:
+            break
+        k += 1
+    k0 = -(lh + EULER_GAMMA) * i0 + s0
+    k1 = 1.0 / x + lh * i1 - 0.25 * x * s1
+    return k0, k1
+
+
+def _k01_cf2_scalar(x: float) -> tuple[float, float]:
+    """Steed continued fraction for exp(x) K0(x), exp(x) K1(x), x > 2."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1 = 0.0
+    q2 = 1.0
+    a1 = 0.25
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, 10001):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels / s) < 1e-16:
+            break
+    h = a1 * h
+    k0_scaled = math.sqrt(math.pi / (2.0 * x)) / s
+    k1_scaled = k0_scaled * (x + 0.5 - h) / x
+    return k0_scaled, k1_scaled
+
+
+def bessel_k01_scaled_scalar(x: float) -> tuple[float, float]:
+    """exp(x) K0(x), exp(x) K1(x) for one x > 0."""
+    if x <= 2.0:
+        k0, k1 = _k01_series_scalar(x)
+        ex = math.exp(x)
+        return k0 * ex, k1 * ex
+    return _k01_cf2_scalar(x)
+
+
+def log_bessel_k_upto_scalar(nu_max: int, x: float) -> list[float]:
+    """[ln K_0(x), ..., ln K_nu_max(x)] from one upward recurrence at one x."""
+    k0s, k1s = bessel_k01_scaled_scalar(x)
+    out = [math.log(k0s) - x]
+    if nu_max == 0:
+        return out
+    out.append(math.log(k1s) - x)
+    carry = 0.0
+    km, kc = k0s, k1s
+    for n in range(1, nu_max):
+        km, kc = kc, km + (2.0 * n / x) * kc
+        if kc > 1e280:
+            km *= 1e-280
+            kc *= 1e-280
+            carry += 280.0 * math.log(10.0)
+        out.append(math.log(kc) + carry - x)
+    return out
+
+
+def cdf_Z_single_scalar(z: float, p: ClosedFormParams) -> float:
+    """The round-robin series CDF F_Z(z) term by term on Python floats."""
+    if z <= 0.0:
+        return 0.0
+    m_2 = p.m2 * p.n_elements
+    m_1 = p.m1 * p.n_elements
+    xi = p.m1 * p.m2 * z / (p.sigma1_sq * p.sigma2_sq)
+    log_k = log_bessel_k_upto_scalar(max(m_2, abs(m_2 - m_1 + 1)),
+                                     2.0 * math.sqrt(xi))
+    log_arg = math.log(xi)
+    log_lead = math.log(2.0) - math.lgamma(m_2) + _log_binom(1, 1)
+    logs = np.array([log_lead + log_coef
+                     + 0.5 * (m_2 + b) * (math.log(1) + log_arg) - b * math.log(1)
+                     + log_k[abs(m_2 - b)]
+                     for b, log_coef in enumerate(
+                         _log_ordered_sum_coefficients(1, m_1))])
+    # signed log-sum-exp of the terms, every sign -1
+    m = float(np.max(logs))
+    total = float(np.sum(np.full(logs.size, -1.0) * np.exp(logs - m)))
+    if total == 0.0:
+        return 1.0
+    total_log = m + math.log(abs(total))
+    val = -math.expm1(total_log) if total_log < 0.0 else 0.0
+    return min(1.0, max(0.0, val))
 
 
 def meijer_g_m0(a, b, x: float) -> float:

@@ -10,7 +10,13 @@ Proves:
    the log-space series matches direct 2-D quadrature to 1e-8 on log grids
    for three fading settings; support edge, saturation, and monotonicity;
    one series CDF at the defaults (m1 L = m2 L = 32) starts one Bessel
-   K0/K1 evaluation, not one per term.
+   K0/K1 evaluation, not one per term; the array CDF equals the
+   float-by-float oracle bit for bit (both K0/K1 branches, across x = 2,
+   large x, orders past the 1e280 rescale, m1 != m2 both ways, z <= 0,
+   and xi near 1.0065 where numpy's log and the C library's differ), an
+   array gives each element's own value (property), and a default
+   round-robin value starts one K0/K1 evaluation per distance integrand
+   call, not one per node.
 
  Group 3 — greedy-selection order statistics
    the subset expansion reconstructs the N-th CDF power to 1e-9; term
@@ -56,8 +62,8 @@ from zsrpsim.fading import cdf_S
 from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
-from oracles import (cdf_power_sum_order_stat, enumerate_subset_terms,
-                     ordered_sum_coefficients)
+from oracles import (cdf_power_sum_order_stat, cdf_Z_single_scalar,
+                     enumerate_subset_terms, ordered_sum_coefficients)
 
 BIG_X_DEFAULT = 102.4988007168656
 RS_DEFAULT = 0.03569559129313944
@@ -141,6 +147,61 @@ def test_series_cdf_takes_one_bessel_recurrence(closed_params, monkeypatch):
     monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting)
     assert an.cdf_Z_single(z, p) == want
     assert len(calls) == 1
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+#: (m1, m2, L): the defaults, m1 != m2 both ways (the second puts orders
+#: m2 L - t below zero), and m2 L = 256, whose recurrence rescales past 1e280
+SERIES_CASES = [(2, 2, 16), (1, 3, 2), (3, 1, 2), (1, 1, 4), (2, 2, 128)]
+
+
+@pytest.mark.parametrize("m1,m2,n_elements", SERIES_CASES)
+def test_series_cdf_array_matches_scalar_oracle(m1, m2, n_elements):
+    p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
+    # xi = m1 m2 z: the K0/K1 argument 2 sqrt(xi) runs from the series
+    # (x <= 2) through x = 2 to the continued fraction at large x; the
+    # dense run near xi = 1.0065 holds arguments where np.log rounds
+    # differently from math.log
+    xi = np.concatenate([np.geomspace(1e-4, 1e4, 120), [1.0],
+                         np.linspace(1.0, 1.02, 401)])
+    z = np.concatenate([[0.0, -1.0, -0.0], xi / (m1 * m2)])
+    got = an.cdf_Z_single(z, p)
+    assert hexes(got) == hexes([cdf_Z_single_scalar(v, p) for v in z.tolist()])
+    assert an.cdf_Z_single(float(z[50]), p) == got[50]
+
+
+@given(st.lists(st.floats(min_value=-1.0, max_value=60.0), min_size=1, max_size=24),
+       st.sampled_from(SERIES_CASES[:4]))
+@settings(max_examples=30, deadline=None)
+def test_series_cdf_batch_invariant(zs, case):
+    m1, m2, n_elements = case
+    p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
+    got = an.cdf_Z_single(np.array(zs), p)
+    assert hexes(got) == hexes([an.cdf_Z_single(z, p) for z in zs])
+
+
+def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkeypatch):
+    p = closed_params(n_users=1)
+    nodes, starts = [], []
+    cdf, k01 = an.cdf_Z_single, specfun._bessel_k01_scaled
+
+    def counting_cdf(z, q):
+        nodes.append(np.size(z))
+        return cdf(z, q)
+
+    def counting_k01(x):
+        starts.append(np.size(x))
+        return k01(x)
+
+    monkeypatch.setattr(an, "cdf_Z_single", counting_cdf)
+    monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting_k01)
+    an.zsrp_rs(p, closed_form=False)
+    # one K0/K1 evaluation per integrand call, covering all of its nodes
+    assert starts == nodes
+    assert min(nodes) >= an._GL_NODES.size
 
 
 # --- Group 3: order statistics ---

@@ -27,7 +27,10 @@ Proves:
    one-pass log_bessel_k_upto equals the per-order recurrence oracle bit
    for bit (orders 0 and 1, both K0/K1 branches, across the 1e280
    rescale), log_bessel_k is its last entry, and both refuse negative or
-   fractional orders and arguments <= 0 or NaN.
+   fractional orders and arguments <= 0 or NaN.  The array forms run each
+   argument as its own lane: K0/K1 on both branches and across x = 2, and
+   every row of an array recurrence (across the rescale too), equal the
+   scalar float oracles bit for bit; one bad argument refuses the array.
 
  Group 4 — Mellin-Barnes Meijer G, all-poles-left kind
    G^{1,0}_{0,1}(x | -; 0) = e^{-x}; G^{2,0}_{0,2}(z | -; nu/2, -nu/2)
@@ -35,7 +38,8 @@ Proves:
    contour matters; argument validation.
 
  Group 5 — signed log-sum-exp
-   agreement with direct summation, exact cancellation, empty input.
+   agreement with direct summation, exact cancellation, empty input; a
+   (rows x terms) input gives each row's 1-D result bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +54,14 @@ from scipy import integrate, special
 
 from zsrpsim import specfun
 
-from oracles import (bessel_k, log_bessel_k_loop, meijer_g_m0,
+from oracles import (bessel_k, bessel_k01_scaled_scalar, log_bessel_k_loop,
+                     log_bessel_k_upto_scalar, meijer_g_m0,
                      upper_gamma_poisson_loop)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
 
 # Frozen from the quadrature oracle below (scipy agrees to the same digits).
 K0_AT_1 = 0.42102443824070834
@@ -308,6 +318,37 @@ def test_log_bessel_k_upto_integral_float_order():
     assert specfun.log_bessel_k_upto(3.0, 1.0) == specfun.log_bessel_k_upto(3, 1.0)
 
 
+# both K0/K1 branches, the lanes on either side of x = 2 and large x
+K01_ARGS = np.concatenate([np.geomspace(1e-3, 2.0, 40),
+                           [np.nextafter(2.0, 3.0), 2.0065],
+                           np.geomspace(2.001, 800.0, 40)])
+
+
+def test_bessel_k01_array_matches_scalar_oracle():
+    k0, k1 = specfun._bessel_k01_scaled(K01_ARGS)
+    want = [bessel_k01_scaled_scalar(x) for x in K01_ARGS.tolist()]
+    assert hexes(k0) == hexes([w[0] for w in want])
+    assert hexes(k1) == hexes([w[1] for w in want])
+
+
+@pytest.mark.parametrize("nu_max", [0, 1, 2, 32, 300])
+def test_log_bessel_k_upto_rows_match_scalar_oracle(nu_max):
+    # shuffled so that lanes of both branches and of every rescale count mix
+    xs = np.random.default_rng(5).permutation(np.concatenate([UPTO_ARGS, K01_ARGS]))
+    got = specfun.log_bessel_k_upto(nu_max, xs)
+    assert got.shape == (xs.size, nu_max + 1)
+    for row, x in zip(got, xs.tolist()):
+        assert hexes(row) == hexes(log_bessel_k_upto_scalar(nu_max, x)), x
+    assert hexes(specfun.log_bessel_k(nu_max, xs)) == hexes(got[:, -1])
+
+
+def test_log_bessel_k_upto_array_domain():
+    with pytest.raises(ValueError):
+        specfun.log_bessel_k_upto(3, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        specfun.log_bessel_k_upto(3, np.array([math.nan, 2.0]))
+
+
 # --- Group 4: Meijer G ---
 
 
@@ -401,3 +442,17 @@ def test_log_sum_exp_property(logs, data):
     kappa = total_mag / abs(direct)
     tol = max(1e-12, 64.0 * math.ulp(1.0) * kappa)
     assert math.isclose(math.exp(log_abs), abs(direct), rel_tol=tol)
+
+
+def test_log_sum_exp_rows_match_each_row():
+    rng = np.random.default_rng(11)
+    logs = rng.normal(scale=20.0, size=(7, 33))
+    signs = rng.choice([-1.0, 1.0], size=logs.shape)
+    logs[2] = -math.inf                      # empty sum
+    logs[4], signs[4] = 1.5, np.resize([1.0, -1.0], 33)
+    logs[4, -1] = -math.inf                  # exactly cancelled
+    log_abs, sign = specfun.log_sum_exp(logs, signs)
+    want = [specfun.log_sum_exp(row, row_signs) for row, row_signs in zip(logs, signs)]
+    assert hexes(log_abs) == hexes([w[0] for w in want])
+    assert hexes(sign) == hexes([w[1] for w in want])
+    assert (log_abs[2], sign[2]) == (log_abs[4], sign[4]) == (-math.inf, 0.0)

@@ -27,8 +27,8 @@ Evaluation routes, cross-checked against each other:
   (CDF of the served maximum), so proportional fairness needs no
   separate route;
 * a closed-form composite reducing the psi-average to Meijer G
-  functions, reported as ``closed_form`` next to the quadrature
-  ``value`` with their relative gap.
+  functions, reported as ``closed_form`` (where the rounding bound of its
+  sum admits it) next to the quadrature ``value`` with their gap.
 
 Every quadrature here (the inner integrals over W, the distance average
 and the tail integral of a composite seed) is one adaptive
@@ -74,16 +74,8 @@ from .scheduling import SchemeId
 
 logger = logging.getLogger(__name__)
 
-#: Largest user count accepted by the closed-form composite; the
-#: quadrature path has no such cap and stays authoritative beyond it.
-MAX_ORDER_STAT_USERS = 12
-
-#: Cap on the number of Meijer-G composite terms in one closed-form call;
-#: past the three seed integrals of a row, a term costs one Bessel-K
-#: recurrence step.
-MAX_COMPOSITE_TERMS = 5000
-
-#: Closed-form vs quadrature relative gap above which a result warns.
+#: Resolution of the closed-form cross-check: a larger closed-form vs
+#: quadrature gap warns, and a larger relative rounding bound refuses.
 REL_GAP_WARN = 1e-6
 
 
@@ -135,7 +127,7 @@ def _log_binom(n: int, k: int) -> float:
 
 @lru_cache(maxsize=None)
 def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]:
-    """log gamma_{j,B} via repeated log-space convolution.
+    """log gamma_{j,B}: one log-space convolution of the cached row j - 1.
 
     The coefficients span hundreds of orders of magnitude once j (m1 L)
     gets large; a linear-space polynomial power silently flushes the
@@ -145,47 +137,48 @@ def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]
     All terms are positive so logaddexp is exact to rounding.
     """
     base = np.array([-math.lgamma(t + 1) for t in range(m1_elements)])
-    cur = base.copy()
-    for _ in range(j - 1):
-        nxt = np.full(cur.size + m1_elements - 1, -np.inf)
-        for t in range(m1_elements):
-            nxt[t:t + cur.size] = np.logaddexp(nxt[t:t + cur.size],
-                                               cur + base[t])
-        cur = nxt
-    return tuple(cur)
+    if j == 1:
+        return tuple(base)
+    cur = np.array(_log_ordered_sum_coefficients(j - 1, m1_elements))
+    nxt = np.full(cur.size + m1_elements - 1, -np.inf)
+    for t in range(m1_elements):
+        nxt[t:t + cur.size] = np.logaddexp(nxt[t:t + cur.size], cur + base[t])
+    return tuple(nxt)
 
 
-def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
-                       lead: float, log_arg: np.ndarray,
-                       log_kernel: Callable[[int], tuple[np.ndarray, np.ndarray]]
-                       ) -> np.ndarray:
+def _order_stat_series(m1_elements: int, m_2: int, lead: float,
+                       log_arg: np.ndarray,
+                       kernels: list[tuple[np.ndarray, np.ndarray]]
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """1 + sum over (j, B) of the collapsed order-statistic expansion, per row.
 
     Term (j, B) is (-1)^j C(N, j) gamma_{j,B} j^{(m2 L - B)/2}
     arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel.  ``log_arg``
-    holds ln arg for each row, and ``log_kernel(j)`` returns (log|kernel|,
+    holds ln arg for each row, and ``kernels[j - 1]`` is (log|kernel|,
     sign) of B = 0, 1, ... of order-statistic index j, arrays that
     broadcast to (rows x terms).  Each row is summed in log space and
-    clamped to [0, 1]; one value per row comes back.  Shared by the
-    Bessel-K series CDF (one row per node) and the Meijer-G composite (one
-    row), which differ only in ``lead``, the argument and the kernel.
+    clamped to [0, 1].  Shared by the Bessel-K series CDF (one row per
+    node) and the Meijer-G composite (one row), which differ only in
+    ``lead``, the argument and the kernels; N is the kernel count.  Each
+    row also gets the rounding bound eps max(1, max|ln t|) (1 + sum|t|) of
+    its signed sum (Higham 2002, sec. 4.2, with each term's exp rounding).
     """
     ln_gamma_m2 = math.lgamma(m_2)
     logs: list[np.ndarray] = []
     signs: list[np.ndarray] = []
-    for j in range(1, n_users + 1):
+    for j, (log_k, sign_k) in enumerate(kernels, start=1):
         log_coef = np.array(_log_ordered_sum_coefficients(j, m1_elements))
         b = np.arange(log_coef.size)
         log_j = math.log(j)
         sign_j = -1.0 if j % 2 else 1.0
-        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(n_users, j)
-        log_k, sign_k = log_kernel(j)
+        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(len(kernels), j)
         logs.append(log_lead + log_coef
                     + 0.5 * (m_2 + b) * (log_j + log_arg[:, None]) - b * log_j
                     + log_k)
         signs.append(np.broadcast_to(sign_j * sign_k, logs[-1].shape))
+    all_logs = np.concatenate(logs, axis=1)
     total_log, total_sign = specfun.log_sum_exp(
-        np.concatenate(logs, axis=1), np.concatenate(signs, axis=1))
+        all_logs, np.concatenate(signs, axis=1))
     # an empty or cancelled sum (sign 0) leaves F = 1
     val = np.ones(total_log.shape)
     neg = total_sign < 0.0
@@ -195,8 +188,11 @@ def _order_stat_series(n_users: int, m1_elements: int, m_2: int,
     val[neg & ~below] = 0.0
     pos = total_sign > 0.0
     val[pos] = 1.0 + specfun.apply_math(math.exp, total_log[pos])
+    with np.errstate(over="ignore"):  # a term past the double range refuses
+        bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum(axis=1))
+                 * np.maximum(1.0, np.abs(all_logs).max(axis=1)))
     # fmax, as Python's max(0.0, v) does, maps a NaN to 0.0
-    return np.minimum(1.0, np.fmax(0.0, val))
+    return np.minimum(1.0, np.fmax(0.0, val)), bound
 
 
 def cdf_Z_single(z, p: ClosedFormParams):
@@ -220,10 +216,14 @@ def cdf_Z_single(z, p: ClosedFormParams):
         xi = p.m1 * p.m2 * z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
         log_k = specfun.log_bessel_k_upto(max(m_2, abs(m_2 - m_1 + 1)),
                                           2.0 * np.sqrt(xi))
-        bessel = log_k[:, np.abs(m_2 - np.arange(m_1))], 1.0
-        out[pos] = _order_stat_series(1, m_1, m_2, 2.0,
-                                      specfun.apply_math(math.log, xi),
-                                      lambda j: bessel)
+        log_terms = log_k[:, np.abs(m_2 - np.arange(m_1))]
+        # the recurrence passes the double range below xi ~ 1e-70: F = 0.0
+        ok = np.isfinite(log_terms).all(axis=1)
+        vals = np.zeros(ok.size)
+        vals[ok], _ = _order_stat_series(
+            m_1, m_2, 2.0, specfun.apply_math(math.log, xi[ok]),
+            [(log_terms[ok], 1.0)])
+        out[pos] = vals
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -496,32 +496,29 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
     so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
     recurrence at y, one step per further term
     (:func:`_log_composite_row`).  Logs the seed, tail-fallback and term
-    counts at DEBUG.  Past the user or term cap, or
-    where no seed reaches its tolerance, it logs why and returns None,
-    leaving the quadrature value alone.
+    counts at DEBUG.  Where the rounding bound of the order-statistic sum
+    (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its value, or
+    where no seed reaches its tolerance, it logs why at INFO and returns
+    None, leaving the quadrature value alone.
     """
     m_1, m_2 = params.m1 * params.n_elements, params.m2 * params.n_elements
     big_x = params.big_x
     n_terms = sum(j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1))
     routes: list[str] = []
     closed = None
-    if params.n_users > MAX_ORDER_STAT_USERS:
-        reason = (f"closed-form composite supports at most "
-                  f"{MAX_ORDER_STAT_USERS} users, got {params.n_users}")
-    elif n_terms > MAX_COMPOSITE_TERMS:
-        reason = (f"closed-form composite needs {n_terms} Meijer terms "
-                  f"(cap {MAX_COMPOSITE_TERMS}); reduce users or elements")
-    else:
-        try:
-            rows = [_log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1,
-                                       routes)
-                    for j in range(1, params.n_users + 1)]
-            kernels = [np.array(row).T for row in rows]
-            closed = float(_order_stat_series(
-                params.n_users, m_1, m_2, 1.5, np.array([math.log(big_x)]),
-                lambda j: kernels[j - 1])[0])
-        except AccuracyError as exc:
-            reason = str(exc)
+    try:
+        kernels = [np.array(_log_composite_row(m_2, j * big_x,
+                                               j * (m_1 - 1) + 1, routes)).T
+                   for j in range(1, params.n_users + 1)]
+        (value,), (bound,) = _order_stat_series(
+            m_1, m_2, 1.5, np.array([math.log(big_x)]), kernels)
+        if bound <= REL_GAP_WARN * value:
+            closed = float(value)
+        else:
+            reason = (f"order-statistic sum {value:.3e} has rounding bound "
+                      f"{bound:.1e}, past {REL_GAP_WARN:g} of it")
+    except AccuracyError as exc:
+        reason = str(exc)
     logger.debug("closed-form composite: %d seed integrals (%d by the tail "
                  "integral), %d terms", len(routes), routes.count("tail"),
                  n_terms)
@@ -583,8 +580,8 @@ def zsrp_pfs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
     ``value`` comes from the F_S^N quadrature path (authoritative for
     any N), the inner integrals of all distance nodes of an outer call
     batched into one quadrature; the series/Meijer ``closed_form`` is
-    attached when ``closed_form`` is True and the user count and term
-    count are within the expansion caps, otherwise omitted.
+    attached when ``closed_form`` is True and the rounding bound of its
+    order-statistic sum admits it, otherwise omitted.
     """
     # float_power squares by pow, as the scalar ``r ** 2`` of one node
     # does; ``r ** 2`` of an array multiplies, which rounds differently

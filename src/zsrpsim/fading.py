@@ -60,12 +60,32 @@ def _exact_one_threshold(a: int) -> float:
     return hi
 
 
+@lru_cache(maxsize=None)
+def _lower_tail_threshold(a: int) -> float:
+    """An x_lo with P(a, x) = 1 - Q(a, x) < 2^-20 for every x < x_lo.
+
+    Below it, 1 - Q has lost most of its digits to rounding, so the CDF
+    comes from the positive lower-tail series alone.  Found by bisecting
+    on that series, which increases in x.
+    """
+    lo, hi = 0.0, float(a)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if specfun.regularized_lower_gamma_tail(a, np.array([mid]))[0] < 2.0 ** -20:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def cdf_S(s, m1: int, n_elements: int):
     """CDF of S ~ Gamma(m1*L, 1/m1): 1 - exp(-m1 s) sum_{t<m1 L} (m1 s)^t/t!.
 
     Accepts scalars or arrays; negative arguments map to 0.  Where m1 s
     is at or past :func:`_exact_one_threshold` the value is the 1.0 that
-    the sum would round to, written without evaluating it.
+    the sum would round to, written without evaluating it; below
+    :func:`_lower_tail_threshold` the positive lower-tail series gives it
+    instead, so a small CDF keeps its relative accuracy.
     """
     a = int(m1) * int(n_elements)
     arr = np.asarray(s, dtype=float)
@@ -73,10 +93,13 @@ def cdf_S(s, m1: int, n_elements: int):
     pos = arr > 0.0
     if np.any(pos):
         x = m1 * arr[pos]
-        head = x < _exact_one_threshold(a)
+        tail = x < _lower_tail_threshold(a)
+        head = ~tail & (x < _exact_one_threshold(a))
         vals = np.ones(x.shape)
         if np.any(head):
             vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])
+        if np.any(tail):
+            vals[tail] = specfun.regularized_lower_gamma_tail(a, x[tail])
         out[pos] = vals
     if np.ndim(s) == 0:
         return float(out)

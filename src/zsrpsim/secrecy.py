@@ -95,10 +95,6 @@ class ScenarioConfig:
     def n_users(self) -> int:
         return self.geometry.n_users
 
-    @property
-    def gamma_b_linear(self) -> float:
-        return 10.0 ** (self.gamma_b_db / 10.0)
-
 
 @dataclass(frozen=True)
 class ZsrpEstimate:

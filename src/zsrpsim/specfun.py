@@ -5,6 +5,8 @@ math module and numpy arrays: no scipy.  Provided primitives:
 
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
   for integer shape a, scalar and array forms of one implementation
+* ``regularized_lower_gamma_tail`` -- P(a, x) = 1 - Q(a, x) by its
+  positive series, for the lower tail where 1 - Q is rounding noise
 * ``log_bessel_k_upto`` -- ln K_0(x) .. ln K_nu(x), modified Bessel K of
   every integer order up to nu, from one upward recurrence, at one x or
   at every x of an array (one lane per argument)
@@ -120,6 +122,29 @@ def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
         total = np.exp(top) * np.exp(log_terms - top[:, None]).sum(axis=1)
         out[big] = np.minimum(total, 1.0)
     return out
+
+
+def regularized_lower_gamma_tail(a: int, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x), integer a >= 1, 0 < x < a + 1.
+
+    Sums the positive series (DLMF 8.7.1)
+
+        P(a, x) = exp(-x) x^a / a! * sum_k x^k / ((a+1) ... (a+k)),
+
+    so a P far below the rounding of 1 - Q(a, x) keeps its relative
+    accuracy.  The terms come from one multiplicative accumulate along a
+    trailing axis; the term count takes the geometric remainder of the
+    largest ratio x / (a+1) of ``x`` below the double precision epsilon.
+    """
+    x = np.asarray(x, dtype=float)
+    eps = np.finfo(float).eps
+    r = max(float(np.max(x)) / (a + 1), eps)
+    n = math.ceil(math.log(eps * (1.0 - r)) / math.log(r))
+    terms = np.empty(x.shape + (n,))
+    terms[..., 0] = np.exp(a * np.log(x) - x - math.lgamma(a + 1))
+    np.divide(x[..., None], np.arange(a + 1, a + n), out=terms[..., 1:])
+    np.multiply.accumulate(terms, axis=-1, out=terms)
+    return terms.sum(axis=-1)
 
 
 def regularized_upper_gamma(a: int, x: float) -> float:

@@ -49,9 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from zsrpsim.analytic import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
-                              MAX_ORDER_STAT_USERS, ClosedFormParams,
-                              _log_binom, _log_ordered_sum_coefficients,
-                              _tail_cutoff)
+                              ClosedFormParams, _log_binom,
+                              _log_ordered_sum_coefficients, _tail_cutoff)
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W
 from zsrpsim.specfun import (EULER_GAMMA, _bessel_k01_scaled, log_bessel_k,
@@ -75,6 +74,9 @@ def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
 
 #: Cap on explicitly enumerated subset terms (memory guard).
 MAX_SUBSET_TERMS = 2_000_000
+
+#: Largest user count the subset enumeration accepts (2^N - 1 subsets).
+MAX_SUBSET_USERS = 12
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,14 @@ def enumerate_subset_terms(n_users: int, m1_elements: int) -> list[SubsetTerm]:
     Emits one entry per non-empty user subset (2^N - 1 of them, entered
     through their cardinality multiplicity) crossed with every weak
     composition of the subset size into m1 L parts.  Past the user or
-    term cap it raises ValueError; callers beyond the cap must use the
-    quadrature path.
+    term cap it raises ValueError.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    if n_users > MAX_ORDER_STAT_USERS:
+    if n_users > MAX_SUBSET_USERS:
         raise ValueError(
-            f"subset enumeration supports at most {MAX_ORDER_STAT_USERS} "
-            f"users, got {n_users}; use the quadrature path")
+            f"subset enumeration supports at most {MAX_SUBSET_USERS} "
+            f"users, got {n_users}")
     if m1_elements < 1:
         raise ValueError("m1_elements must be >= 1")
     total = sum(math.comb(n_users, j) * math.comb(j + m1_elements - 1, j)

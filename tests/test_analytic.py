@@ -14,7 +14,9 @@ Proves:
    float-by-float oracle bit for bit (both K0/K1 branches, across x = 2,
    large x, orders past the 1e280 rescale, m1 != m2 both ways, z <= 0,
    and xi near 1.0065 where numpy's log and the C library's differ), an
-   array gives each element's own value (property), and a default
+   array gives each element's own value (property), a node whose Bessel
+   recurrence passes the double range (xi = 1e-70 at m L = 32) reads 0.0
+   without a NaN sum or a warning, and a default
    round-robin value starts one K0/K1 evaluation per distance integrand
    call, not one per node.
 
@@ -31,8 +33,12 @@ Proves:
  Group 5 — end-to-end probabilities
    frozen default-scenario values for rotation and greedy serving with the
    contour route agreeing to better than 1e-6 (and frozen gaps near 1e-12);
-   user-count limits; past the Meijer term cap both serving rules return
-   the quadrature value alone; greedy never hurts; monotone response to the sphere
+   the rounding bound of the order-statistic sum, not a user or term cap,
+   decides the closed form: every default fig2, fig3 and fig4 grid point
+   keeps it for both serving rules, 13 default users keep it within 1e-9
+   of quadrature, 24 users (bound 1.1e-5) are refused with the reason at
+   INFO, and below the bound both serving rules return the quadrature
+   value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
    engine refuses, the tail-integral fallback of the Meijer composite
    matches mpmath to 1e-12; the contiguous recurrence of one composite row
@@ -48,6 +54,7 @@ Proves:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +188,19 @@ def test_series_cdf_batch_invariant(zs, case):
     p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
     got = an.cdf_Z_single(np.array(zs), p)
     assert hexes(got) == hexes([an.cdf_Z_single(z, p) for z in zs])
+
+
+def test_series_cdf_past_the_double_range_is_zero():
+    # at xi = 1e-70 and m L = 32 a Bessel recurrence step passes the
+    # double range: that lane is 0.0, with no NaN sum and no warning
+    p = unit_params(m1=2, m2=2, n_elements=16)
+    z = np.array([1e-70, 1e-300, 1.0]) / 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = an.cdf_Z_single(z, p)
+        assert an.cdf_Z_single(float(z[0]), p) == 0.0
+    assert got[0] == got[1] == 0.0
+    assert hexes(got[2:]) == hexes([cdf_Z_single_scalar(float(z[2]), p)])
 
 
 def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkeypatch):
@@ -446,16 +466,56 @@ def test_negative_seed_refuses_closed_form(closed_params, monkeypatch):
 
 
 def test_many_users_fall_back_to_quadrature(closed_params):
-    out = an.zsrp_pfs(closed_params(n_users=13))
+    # 24 users: the order-statistic sum's rounding bound is 1.1e-5 of it
+    out = an.zsrp_pfs(closed_params(n_users=24))
     assert out.closed_form is None
     assert 0.0 < out.value < 1.0
 
 
-def test_both_rules_fall_back_past_the_term_cap(closed_params, monkeypatch):
+def test_rounding_bound_admits_13_users_and_refuses_24(closed_params, caplog):
+    # the bound, not a user count, decides: 3.0e-9 at N = 13, 1.1e-5 at 24
+    out = an.zsrp_pfs(closed_params(n_users=13))
+    assert out.closed_form is not None
+    assert abs(out.closed_form - out.value) <= 1e-9 * out.value
+    with caplog.at_level("INFO", logger="zsrpsim.analytic"):
+        assert an._closed_form(closed_params(n_users=24)) is None
+    (reason,) = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert "unavailable" in reason and "rounding bound" in reason
+    bound = float(reason.split("rounding bound ")[1].split(",")[0])
+    value = float(reason.split("order-statistic sum ")[1].split(" ")[0])
+    assert 1e-5 < bound / value < 1.2e-5
+
+
+def test_default_grids_keep_their_closed_forms(air, fading, caplog):
+    # every point of the fig2 radius, fig3 surface-size and fig4 altitude
+    # grids stays inside the rounding bound, for both serving rules
+    from zsrpsim.experiments import ExperimentSpec
+    from zsrpsim.propagation import (ScenarioGeometry, bs_ris_gain,
+                                     ris_user_gain)
+
+    spec = ExperimentSpec()
+    points = ([ScenarioGeometry(r_eve_m=r) for r in spec.r_grid_m]
+              + [ScenarioGeometry(h_br_m=h) for h in spec.h_grid_m])
+    cases = [(g, fading.n_elements) for g in points]
+    cases += [(ScenarioGeometry(), n) for n in spec.l_grid]
+    with caplog.at_level("INFO", logger="zsrpsim.analytic"):
+        for geom, n_elements in cases:
+            for n_users in (1, geom.n_users):
+                p = an.ClosedFormParams(
+                    m1=fading.m1, m2=fading.m2, n_elements=n_elements,
+                    sigma1_sq=ris_user_gain(geom, air, 0),
+                    sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+                    r_eve_m=geom.r_eve_m, n_users=n_users)
+                assert an._closed_form(p) is not None, (geom, n_elements, n_users)
+    assert "unavailable" not in caplog.text
+
+
+def test_both_rules_fall_back_past_the_rounding_bound(closed_params, monkeypatch):
     p = closed_params(n_users=4)
     want = {fn: fn(p).value for fn in (an.zsrp_rs, an.zsrp_pfs)}
-    # below the term count of either composite: the quadrature value stands alone
-    monkeypatch.setattr(an, "MAX_COMPOSITE_TERMS", 1)
+    # a resolution below either composite's rounding bound (7.7e-14 and
+    # 1.9e-12 of the result): the quadrature value stands alone
+    monkeypatch.setattr(an, "REL_GAP_WARN", 1e-15)
     for fn, value in want.items():
         out = fn(p)
         assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), fn
@@ -467,8 +527,6 @@ def test_route_disagreement_surfaced_as_warning(air, fading):
     # 1e-6 even though the absolute difference sits inside the quadrature
     # tolerance; the contract is to report the quadrature value and warn,
     # never to silently reconcile
-    import warnings
-
     from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
 
     flat_air = AirGroundParams(alpha_zenith=2.0, alpha_ground=2.0)

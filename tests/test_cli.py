@@ -8,8 +8,9 @@ Proves:
    default query prints both evaluator rows in the CSV contract; scheme
    and evaluator selection; a query prints the same bytes as a one-point
    ``run``; requesting a closed form that does not exist exits with the
-   configuration code, while one whose Meijer composite is capped still
-   answers from quadrature; the configured SNR does not move the estimate.
+   configuration code, while one whose Meijer composite is refused for its
+   rounding bound still answers from quadrature; the configured SNR does
+   not move the estimate.
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
@@ -108,11 +109,12 @@ def test_zsrp_is_a_one_point_run(tmp_path, capsys):
     assert out_z == out_r
 
 
-def test_zsrp_round_robin_past_term_cap(capsys, monkeypatch):
+def test_zsrp_round_robin_past_rounding_bound(capsys, monkeypatch):
+    # a resolution below the composite's rounding bound (7.7e-14 of it):
     # the composite refuses; the quadrature value is still the answer
     from zsrpsim import analytic
 
-    monkeypatch.setattr(analytic, "MAX_COMPOSITE_TERMS", 1)
+    monkeypatch.setattr(analytic, "REL_GAP_WARN", 1e-15)
     rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--trials", "2048")
     assert rc == 0
     assert ",fcr-rs,analytic," in out

@@ -9,7 +9,10 @@ Proves:
    agreement at 1e-10, also past the exp(-x) underflow at shape 800; zero
    below the support; array broadcast; density
    peaks at the analytic mode (m2 L - 1)/m2 and integrates to one;
-   monotone CDF bounded in [0, 1] (property); past the exact-one
+   monotone CDF bounded in [0, 1] (property, with the pair where 1 - Q
+   read rounding noise); below the threshold x_lo where the CDF crosses
+   2^-20 it keeps 1e-12 relative accuracy against scipy's gammainc down to
+   1e-300; past the exact-one
    threshold x_a (shapes 1, 4, 32, 64) the CDF is written as 1.0 without
    the Poisson sum, bit for bit equal to 1 - Q on a dense grid across
    x_a, and Q(a, x) < 2^-60 from x_a on.
@@ -26,9 +29,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from zsrpsim import fading as fd
 from zsrpsim import specfun
@@ -105,12 +108,32 @@ def test_cdf_S_below_support():
     st.floats(min_value=0.01, max_value=20.0),
 )
 @settings(max_examples=50, deadline=None)
+# 1 - Q read 6.66e-16 here against a true 7.05e-21, and 1.11e-16 at s + 1
+@example(m1=3, n_elements=23, s=5.778634264018569, ds=1.0)
+@example(m1=1, n_elements=1, s=5e-324, ds=1.0)  # x / (a+1) underflows to 0
 def test_cdf_S_monotone_bounded(m1, n_elements, s, ds):
     lo = fd.cdf_S(s, m1, n_elements)
     hi = fd.cdf_S(s + ds, m1, n_elements)
     assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
     # monotone up to rounding in the saturated tail
     assert hi >= lo - 5e-16
+
+
+@pytest.mark.parametrize("m1,n_elements", [(1, 1), (2, 1), (1, 4), (3, 23),
+                                            (2, 16), (4, 32)])
+def test_cdf_S_lower_tail_relative_accuracy(m1, n_elements):
+    # the threshold sits where the CDF crosses 2^-20; below it the positive
+    # lower-tail series replaces 1 - Q, whose rounding leaves few digits
+    a = m1 * n_elements
+    x_lo = fd._lower_tail_threshold(a)
+    below, above = special.gammainc(a, x_lo * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
+    assert below < 2.0 ** -20 < above
+    s = np.geomspace(1e-300, 2.0 * a + 50.0, 40001) / m1
+    ref = special.gammainc(a, m1 * s)
+    tail = (ref > 1e-300) & (ref < 2.0 ** -20)
+    assert tail.sum() > 100
+    got = fd.cdf_S(s[tail], m1, n_elements)
+    assert np.max(np.abs(got - ref[tail]) / ref[tail]) <= 1e-12
 
 
 @pytest.mark.parametrize("a", [1, 4, 32, 64])

@@ -1,11 +1,12 @@
-"""Package surface: every top-level def and class in ``src/zsrpsim`` is used.
+"""Package surface: every def, class and method in ``src/zsrpsim`` is used.
 
 Proves:
  Group 1 — no dead or test-only definitions
-   each top-level function and class of every package module is referenced
-   (as a name or an attribute) somewhere in the package outside its own
-   body.  Imports do not count as uses.  A definition that only the tests
-   call belongs in ``tests/`` (``oracles.py`` holds such validation code).
+   each top-level function and class of every package module, and each
+   non-dunder method and property of those classes, is referenced (as a
+   name or an attribute) somewhere in the package outside its own body.
+   Imports do not count as uses.  A definition that only the tests call
+   belongs in ``tests/`` (``oracles.py`` holds such validation code).
 
  Group 2 — no single-value knobs
    every defaulted parameter of a package function is passed, by keyword
@@ -36,15 +37,28 @@ def _name_uses(tree: ast.AST) -> Counter[str]:
     return uses
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level definition and of each
+    non-dunder method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, _DEFS) and not item.name.startswith("__"))
+
+
 def unused_definitions() -> list[str]:
-    """``module.name`` of each top-level def or class with no use in the package."""
+    """``module.name`` of each definition with no use in the package."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     uses = sum((_name_uses(tree) for tree in trees.values()), Counter())
-    return [f"{module}.{node.name}"
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and uses[node.name] == _name_uses(node)[node.name]]
+    return [f"{module}.{name}"
+            for module, tree in trees.items() for name, node in _definitions(tree)
+            if uses[node.name] == _name_uses(node)[node.name]]
 
 
 # --- Group 1: no dead or test-only definitions ---

@@ -31,10 +31,11 @@ Evaluation routes, cross-checked against each other:
   sum admits it) next to the quadrature ``value`` with their gap.
 
 Every quadrature here (the inner integrals over W, the distance average
-and the tail integral of a composite seed) is one adaptive
-Gauss-Legendre rule that refines breadth first: each level evaluates the
-halves of every open panel of every integral together, in integrand
-calls of at most ``_GL_PANELS_PER_CALL`` panels.  So the proportional-fair
+and the tail integral of a composite seed) is the one adaptive
+Gauss-Legendre rule :func:`~zsrpsim.specfun.adaptive_gl`, which refines
+breadth first: each level evaluates the halves of every open panel of
+every integral together, in integrand calls of at most
+``specfun._GL_PANELS_PER_CALL`` panels.  So the proportional-fair
 ``value`` integrates the inner integrals of all distance nodes of an
 outer call at once.  Each panel sum, convergence test and fold is the
 one a depth-first recursion makes, so every value is bit for bit the
@@ -47,9 +48,9 @@ routine sums them, row by row of a (rows x terms) array, for the
 Meijer-G composite (one row) and, at N = 1, for the Bessel-K CDF (one
 row per node).  Along one order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
-10.29.4), so a row costs three seed integrals (contour, or the tail
-integral where the contour refuses) plus one Bessel-K recurrence at the
-row's argument, one step per term.
+10.29.4), so a row costs three seed integrals (the positive tail
+integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one Bessel-K
+recurrence at the row's argument, one step per term.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -148,34 +149,35 @@ def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]
 
 def _order_stat_series(m1_elements: int, m_2: int, lead: float,
                        log_arg: np.ndarray,
-                       kernels: list[tuple[np.ndarray, np.ndarray]]
+                       log_kernels: list[np.ndarray]
                        ) -> tuple[np.ndarray, np.ndarray]:
     """1 + sum over (j, B) of the collapsed order-statistic expansion, per row.
 
     Term (j, B) is (-1)^j C(N, j) gamma_{j,B} j^{(m2 L - B)/2}
-    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel.  ``log_arg``
-    holds ln arg for each row, and ``kernels[j - 1]`` is (log|kernel|,
-    sign) of B = 0, 1, ... of order-statistic index j, arrays that
-    broadcast to (rows x terms).  Each row is summed in log space and
-    clamped to [0, 1].  Shared by the Bessel-K series CDF (one row per
-    node) and the Meijer-G composite (one row), which differ only in
-    ``lead``, the argument and the kernels; N is the kernel count.  Each
-    row also gets the rounding bound eps max(1, max|ln t|) (1 + sum|t|) of
-    its signed sum (Higham 2002, sec. 4.2, with each term's exp rounding).
+    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel, which is
+    positive.  ``log_arg`` holds ln arg for each row, and
+    ``log_kernels[j - 1]`` is the log kernel of B = 0, 1, ... of
+    order-statistic index j, an array that broadcasts to (rows x terms).
+    Each row is summed in log space and clamped to [0, 1].  Shared by
+    the Bessel-K series CDF (one row per node) and the Meijer-G composite
+    (one row), which differ only in ``lead``, the argument and the
+    kernels; N is the kernel count.  Each row also gets the rounding
+    bound eps max(1, max|ln t|) (1 + sum|t|) of its signed sum (Higham
+    2002, sec. 4.2, with each term's exp rounding).
     """
     ln_gamma_m2 = math.lgamma(m_2)
     logs: list[np.ndarray] = []
     signs: list[np.ndarray] = []
-    for j, (log_k, sign_k) in enumerate(kernels, start=1):
+    for j, log_k in enumerate(log_kernels, start=1):
         log_coef = np.array(_log_ordered_sum_coefficients(j, m1_elements))
         b = np.arange(log_coef.size)
         log_j = math.log(j)
         sign_j = -1.0 if j % 2 else 1.0
-        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(len(kernels), j)
+        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(len(log_kernels), j)
         logs.append(log_lead + log_coef
                     + 0.5 * (m_2 + b) * (log_j + log_arg[:, None]) - b * log_j
                     + log_k)
-        signs.append(np.broadcast_to(sign_j * sign_k, logs[-1].shape))
+        signs.append(np.broadcast_to(sign_j, logs[-1].shape))
     all_logs = np.concatenate(logs, axis=1)
     total_log, total_sign = specfun.log_sum_exp(
         all_logs, np.concatenate(signs, axis=1))
@@ -222,7 +224,7 @@ def cdf_Z_single(z, p: ClosedFormParams):
         vals = np.zeros(ok.size)
         vals[ok], _ = _order_stat_series(
             m_1, m_2, 2.0, specfun.apply_math(math.log, xi[ok]),
-            [(log_terms[ok], 1.0)])
+            [log_terms[ok]])
         out[pos] = vals
     if np.ndim(z) == 0:
         return float(out)
@@ -242,80 +244,6 @@ def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
             return w_hi
         w_hi *= 1.5
     raise AccuracyError("could not bracket the Gamma tail")
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_GL_MAX_DEPTH = 16  # panel halvings before the quadrature gives up
-#: Most panels (of 24 points each) that one integrand call evaluates; a
-#: wider refinement level is split into several calls, which bounds the
-#: arrays a call allocates without costing speed.
-_GL_PANELS_PER_CALL = 16
-
-
-def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
-                ) -> np.ndarray:
-    """24-point Gauss-Legendre sum over each panel [lo_i, hi_i] of integral rows_i."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    sums = np.empty(lo.size)
-    for start in range(0, lo.size, _GL_PANELS_PER_CALL):
-        part = slice(start, start + _GL_PANELS_PER_CALL)
-        x = mid[part, None] + half[part, None] * _GL_NODES
-        fx = f(x.ravel(), np.repeat(rows[part], _GL_NODES.size)).reshape(x.shape)
-        # one dot per panel, as a lone panel takes it: a matrix-vector
-        # product may sum in another order
-        sums[part] = [h * float(np.dot(_GL_WEIGHTS, row))
-                      for h, row in zip(half[part], fx)]
-    return sums
-
-
-def _adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 lo: float, hi: float, abs_tol: float, count: int
-                 ) -> np.ndarray:
-    """Adaptive Gauss-Legendre integrals over [lo, hi] of ``count`` integrands.
-
-    ``f(x, rows)`` returns integrand ``rows[i]`` at ``x[i]``, elementwise.
-    A panel whose halves differ from it by more than its tolerance is
-    split, each half taking half the tolerance, up to ``_GL_MAX_DEPTH``
-    halvings.  The refinement runs breadth first: one level's left and
-    right halves of every open panel of every integral go to ``f``
-    together, at most ``_GL_PANELS_PER_CALL`` panels per call.  Each
-    panel sum, convergence test and left + right fold is the one a
-    depth-first recursion makes, so each integral comes out bit for bit
-    as if integrated alone.
-    """
-    rows = np.arange(count)
-    a = np.full(count, lo, dtype=float)
-    b = np.full(count, hi, dtype=float)
-    tol = np.full(count, abs_tol, dtype=float)
-    whole = _panel_sums(f, a, b, rows)
-    levels: list[tuple[np.ndarray, np.ndarray]] = []
-    for depth in range(_GL_MAX_DEPTH + 1):
-        mid = 0.5 * (a + b)
-        halves = _panel_sums(f, np.concatenate((a, mid)),
-                             np.concatenate((mid, b)), np.tile(rows, 2))
-        left, right = halves[:a.size], halves[a.size:]
-        total = left + right
-        done = np.abs(total - whole) <= tol
-        levels.append((total, done))
-        if done.all():
-            break
-        if depth >= _GL_MAX_DEPTH:
-            raise AccuracyError("quadrature failed to converge")
-        split = ~done
-        a = np.concatenate((a[split], mid[split]))
-        b = np.concatenate((mid[split], b[split]))
-        whole = np.concatenate((left[split], right[split]))
-        tol = np.tile(0.5 * tol[split], 2)
-        rows = np.tile(rows[split], 2)
-    # fold back up the tree: a split panel is its left plus its right half
-    value = levels[-1][0]
-    for total, done in reversed(levels[:-1]):
-        n_split = value.size // 2
-        total[~done] = value[:n_split] + value[n_split:]
-        value = total
-    return value
 
 
 def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
@@ -340,7 +268,7 @@ def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
             return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
                     * pdf_W(w, p.m2, p.n_elements))
 
-        val = _adaptive_gl(integrand, 0.0, w_hi, abs_tol, z_tilde.size)
+        val = specfun.adaptive_gl(integrand, 0.0, w_hi, abs_tol, z_tilde.size)
         out[pos] = np.minimum(1.0, np.maximum(0.0, val))
     if np.ndim(z) == 0:
         return float(out)
@@ -351,96 +279,14 @@ def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
 # Closed-form psi-averaged ZSRP (Meijer G composites)
 # ---------------------------------------------------------------------------
 
-def _log_g31_tail(mu: float, nu: float, x: float) -> float:
-    """log of G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2).
-
-    Uses the tail-integral identity
-
-        G(x) = x^{-(mu+1)/2} * 2^{1-mu} * int_{2 sqrt(x)}^inf u^mu K_nu(u) du,
-
-    whose integrand is positive, so the evaluation is cancellation-free
-    for any parameter size (the contour engine loses all significance
-    once the lower parameters are pole-pinned far from its saddle).
-    The Bessel factor runs through the log-scaled recurrence, keeping
-    huge orders finite.
-    """
-    order = abs(int(round(nu)))
-    u_lo = 2.0 * math.sqrt(x)
-
-    # integrate in t = ln u so the bracket width stays a few nats wide and
-    # the peak-normalized integrand makes the quadrature tolerance an
-    # effectively relative one; du = u dt folds into the exponent.  Every
-    # array of points takes one Bessel-K recurrence, each value bit for
-    # bit what that point alone gives.
-    def log_g(u: np.ndarray) -> np.ndarray:
-        return ((mu + 1.0) * specfun.apply_math(math.log, u)
-                + specfun.log_bessel_k(order, u))
-
-    def scan():
-        # u_lo, 1.2 u_lo, ... evaluated 32 points per call
-        u = u_lo
-        while True:
-            us = []
-            for _ in range(32):
-                us.append(u)
-                u *= 1.2
-            yield from zip(us, log_g(np.array(us)).tolist())
-
-    # coarse geometric scan for the integrand peak and a -60 nats cutoff;
-    # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end
-    points = scan()
-    u_hi, g_max = next(points)
-    tail_floor = max(u_lo * 4.0, float(order) * 3.0, 50.0)
-    for u, g_u in points:
-        if g_u > g_max:
-            g_max = g_u
-        u_hi = u
-        if g_u < g_max - 60.0 and u > tail_floor:
-            break
-        if u > 1e8:
-            raise AccuracyError("Bessel tail integral fails to decay")
-
-    def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return specfun.apply_math(
-            math.exp, log_g(specfun.apply_math(math.exp, ts)) - g_max)
-
-    t_lo, t_hi = math.log(u_lo), math.log(u_hi)
-    (val,) = _adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), 1)
-    log_j = g_max + math.log(val)
-    return -0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0) + log_j
-
-
-def _log_meijer_composite(mu: float, nu: float, x: float,
-                          routes: Optional[list[str]] = None
-                          ) -> tuple[float, float]:
-    """(log|G|, sign) of the distance-averaged composite, robustly.
-
-    The Mellin-Barnes engine is exact while its cancellation guard
-    holds; beyond that (large m2*L pushes the lower parameters far from
-    the contour saddle) the positive tail-integral identity takes over.
-    ``routes``, when given, gets "contour" or "tail" appended.
-    """
-    try:
-        out = specfun.meijer_g_m0_log(
-            a=[0.5 * (1.0 - mu)],
-            b=[0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)],
-            x=x)
-        route = "contour"
-    except AccuracyError:
-        out, route = (_log_g31_tail(mu, nu, x), 1.0), "tail"
-    if routes is not None:
-        routes.append(route)
-    return out
-
-
-def _log_composite_row(m_2: int, jx: float, n_b: int,
-                       routes: list[str]) -> list[tuple[float, float]]:
-    """(log|G|, sign) of the composite at argument jx for B = 0 .. n_b - 1.
+def _log_composite_row(m_2: int, jx: float, n_b: int) -> list[float]:
+    """ln G of the composite at argument jx for B = 0 .. n_b - 1.
 
     With M = m_2, y = 2 sqrt(jx) and the tail integral
-    I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of :func:`_log_g31_tail`,
-    G = jx^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from
-    :func:`_log_meijer_composite`; every further I(B) from
+    I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of
+    :func:`~zsrpsim.specfun.meijer_g_m0_log`,
+    G = jx^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from that
+    evaluator; every further I(B) from
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
 
@@ -448,13 +294,10 @@ def _log_composite_row(m_2: int, jx: float, n_b: int,
     row come from one Bessel-K recurrence at y, one step per term.  I(B)
     is carried in linear space under a running log scale.
     """
-    row = [_log_meijer_composite(m_2 + b - 4, m_2 - b, jx, routes)
+    row = [specfun.meijer_g_m0_log(m_2 + b - 4, m_2 - b, jx)
            for b in range(min(3, n_b))]
     if n_b <= 3:
         return row
-    log_g2, sign = row[2]
-    if sign < 0.0:
-        raise AccuracyError(f"composite seed at x={jx:g} came out negative")
     log_jx, ln2 = math.log(jx), math.log(2.0)
     y = 2.0 * math.sqrt(jx)
     log_y = math.log(y)
@@ -464,14 +307,14 @@ def _log_composite_row(m_2: int, jx: float, n_b: int,
     def log_g_over_i(b: int) -> float:
         return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
 
-    scale, mant = log_g2 - log_g_over_i(2), 1.0
+    scale, mant = row[2] - log_g_over_i(2), 1.0
     for b in range(3, n_b):
         log_step = (m_2 + b - 4) * log_y + log_k[abs(m_2 - b + 1)]
         mant = math.exp(log_step - scale) + (2 * b - 5) * mant
         if mant > 1e200:
             scale += math.log(mant)
             mant = 1.0
-        row.append((scale + math.log(mant) + log_g_over_i(b), 1.0))
+        row.append(scale + math.log(mant) + log_g_over_i(b))
     return row
 
 
@@ -495,23 +338,21 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
 
     so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
     recurrence at y, one step per further term
-    (:func:`_log_composite_row`).  Logs the seed, tail-fallback and term
-    counts at DEBUG.  Where the rounding bound of the order-statistic sum
+    (:func:`_log_composite_row`).  Logs the seed and term counts at
+    DEBUG.  Where the rounding bound of the order-statistic sum
     (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its value, or
     where no seed reaches its tolerance, it logs why at INFO and returns
     None, leaving the quadrature value alone.
     """
     m_1, m_2 = params.m1 * params.n_elements, params.m2 * params.n_elements
     big_x = params.big_x
-    n_terms = sum(j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1))
-    routes: list[str] = []
+    row_sizes = [j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1)]
     closed = None
     try:
-        kernels = [np.array(_log_composite_row(m_2, j * big_x,
-                                               j * (m_1 - 1) + 1, routes)).T
-                   for j in range(1, params.n_users + 1)]
+        log_kernels = [np.array(_log_composite_row(m_2, j * big_x, n_b))
+                       for j, n_b in enumerate(row_sizes, start=1)]
         (value,), (bound,) = _order_stat_series(
-            m_1, m_2, 1.5, np.array([math.log(big_x)]), kernels)
+            m_1, m_2, 1.5, np.array([math.log(big_x)]), log_kernels)
         if bound <= REL_GAP_WARN * value:
             closed = float(value)
         else:
@@ -519,9 +360,8 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
                       f"{bound:.1e}, past {REL_GAP_WARN:g} of it")
     except AccuracyError as exc:
         reason = str(exc)
-    logger.debug("closed-form composite: %d seed integrals (%d by the tail "
-                 "integral), %d terms", len(routes), routes.count("tail"),
-                 n_terms)
+    logger.debug("closed-form composite: %d seed integrals, %d terms",
+                 sum(min(3, n_b) for n_b in row_sizes), sum(row_sizes))
     if closed is None:
         logger.info("closed-form composite unavailable here (%s); "
                     "quadrature value returned alone", reason)
@@ -533,7 +373,7 @@ def psi_average(cdf_at_distance: Callable[[np.ndarray], np.ndarray],
     """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3, to 1e-10.
 
     ``cdf_at_distance`` takes an array of distances (the nodes of up to
-    ``_GL_PANELS_PER_CALL`` panels) and returns the CDF at each.
+    ``specfun._GL_PANELS_PER_CALL`` panels) and returns the CDF at each.
     """
     if r_eve_m <= 0.0:
         raise ValueError("r_eve_m must be positive")
@@ -541,7 +381,7 @@ def psi_average(cdf_at_distance: Callable[[np.ndarray], np.ndarray],
     def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return cdf_at_distance(r) * 3.0 * r ** 2 / r_eve_m ** 3
 
-    (val,) = _adaptive_gl(integrand, 0.0, r_eve_m, 1e-10, 1)
+    (val,) = specfun.adaptive_gl(integrand, 0.0, r_eve_m, 1e-10, 1)
     return min(1.0, max(0.0, float(val)))
 
 

@@ -1,7 +1,8 @@
 """Self-contained special functions for the closed-form secrecy expressions.
 
 Everything here is implemented from first principles on top of the Python
-math module and numpy arrays: no scipy.  Provided primitives:
+math module and numpy arrays: no scipy, and no complex arithmetic.
+Provided primitives:
 
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
   for integer shape a, scalar and array forms of one implementation
@@ -14,20 +15,12 @@ math module and numpy arrays: no scipy.  Provided primitives:
 * ``log_sum_exp``     -- signed sum of exponentials in log space, one
   per row of a (rows x terms) array
 * ``apply_math``      -- a math-module function mapped over an array
-* ``meijer_g_m0_log`` -- (log|G|, sign) of Meijer G^{m,0}_{p,q} for q > p
-  via Mellin-Barnes contour quadrature (complex Lanczos log-gamma inside;
-  real log-gamma values elsewhere come from ``math.lgamma``)
-
-The Meijer evaluator uses the convention
-
-    G(x) = (1/2*pi*i) * integral  prod_j Gamma(b_j + s) / prod_i Gamma(a_i + s)
-                                  * x^(-s) ds
-
-over a vertical line Re s = c placed right of every pole of the numerator
-gammas.  For q > p the integrand decays like exp(-(q-p)*pi*|Im s|/2), so a
-trapezoid rule on the line converges geometrically.  All magnitude-sensitive
-work is done in log space so that the huge Gamma products appearing for
-large parameter sets neither overflow nor underflow.
+* ``adaptive_gl``     -- breadth-first adaptive Gauss-Legendre integrals
+  of many integrands at once, each bit for bit the depth-first
+  recursion's
+* ``meijer_g_m0_log`` -- ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2,
+  -(mu+1)/2), the seed of the closed form, by the positive Bessel tail
+  integral x^(-(mu+1)/2) 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du
 
 The array forms give every element bit for bit the value of the same
 arithmetic on Python floats: numpy's elementwise + - * / and sqrt round
@@ -48,46 +41,6 @@ import numpy as np
 from .errors import AccuracyError
 
 EULER_GAMMA = 0.5772156649015328606
-
-# Lanczos approximation, g = 7, 9 coefficients.  Classic public-domain set;
-# good to ~15 significant digits for Re(z) >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.9189385332046727418
-
-# Relative accuracy of every Meijer G contour quadrature.
-_MEIJER_REL_TOL = 1e-8
-
-
-def _ln_gamma_complex(z: np.ndarray) -> np.ndarray:
-    """Vectorized log-gamma for complex arrays with Re(z) >= 0.5.
-
-    The Mellin-Barnes contours used below keep every gamma argument in this
-    half-plane, so no reflection formula is needed.  Branch choices are
-    irrelevant to callers because results are only ever exponentiated after
-    summation.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0.5):
-        raise ValueError("_ln_gamma_complex requires Re(z) >= 0.5")
-    w = z - 1.0
-    acc = np.full(z.shape, _LANCZOS_COEF[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(acc)
-
 
 def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
     """Regularized upper incomplete gamma Q(a, x), integer a >= 1, x >= 0.
@@ -360,112 +313,132 @@ def log_sum_exp(log_terms: np.ndarray | Sequence[float],
     return log_abs, sign
 
 
-def _mb_log_integrand(a: tuple[float, ...], b: tuple[float, ...], lnx: float,
-                      c: float, tau: np.ndarray) -> np.ndarray:
-    """Complex log of the Mellin-Barnes integrand on the line s = c + i*tau."""
-    s = c + 1j * tau
-    g = np.zeros(tau.shape, dtype=complex)
-    for bj in b:
-        g = g + _ln_gamma_complex(bj + s)
-    for ai in a:
-        g = g - _ln_gamma_complex(ai + s)
-    return g - s * lnx
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_MAX_DEPTH = 16  # panel halvings before the quadrature gives up
+#: Most panels (of 24 points each) that one integrand call evaluates; a
+#: wider refinement level is split into several calls, which bounds the
+#: arrays a call allocates without costing speed.
+_GL_PANELS_PER_CALL = 16
 
 
-def meijer_g_m0_log(a: Sequence[float], b: Sequence[float],
-                    x: float) -> tuple[float, float]:
-    """(log|G|, sign) for G^{m,0}_{p,q}(x) with lower parameters b (len q = m)
-    and upper parameters a (len p < q), evaluated by vertical-line
-    Mellin-Barnes quadrature.
+def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: np.ndarray, hi: np.ndarray, rows: np.ndarray
+                ) -> np.ndarray:
+    """24-point Gauss-Legendre sum over each panel [lo_i, hi_i] of integral rows_i."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    sums = np.empty(lo.size)
+    for start in range(0, lo.size, _GL_PANELS_PER_CALL):
+        part = slice(start, start + _GL_PANELS_PER_CALL)
+        x = mid[part, None] + half[part, None] * _GL_NODES
+        fx = f(x.ravel(), np.repeat(rows[part], _GL_NODES.size)).reshape(x.shape)
+        # one dot per panel, as a lone panel takes it: a matrix-vector
+        # product may sum in another order
+        sums[part] = [h * float(np.dot(_GL_WEIGHTS, row))
+                      for h, row in zip(half[part], fx)]
+    return sums
 
-    The contour sits at Re s = max(0.5, 1 - min(b), x^(1/(q-p))): at least
-    one unit right of the rightmost numerator pole, and for large x pushed
-    out to the steepest-descent saddle so the on-line peak matches the scale
-    of the integral itself (a fixed contour loses all significant digits to
-    cancellation once x is large, since the result decays like
-    exp(-(q-p) x^(1/(q-p))) while the integrand magnitude does not).
-    Trapezoid step starts at h = 0.05 and halves until successive
-    refinements agree to 1e-8 relative (``_MEIJER_REL_TOL``, fixed); the
-    tail is truncated where the integrand falls 1e-16 below its on-line
-    peak.  Non-convergence or cancellation past 1e-8 raises AccuracyError.
+
+def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: float, hi: float, abs_tol: float, count: int
+                ) -> np.ndarray:
+    """Adaptive Gauss-Legendre integrals over [lo, hi] of ``count`` integrands.
+
+    ``f(x, rows)`` returns integrand ``rows[i]`` at ``x[i]``, elementwise.
+    A panel whose halves differ from it by more than its tolerance is
+    split, each half taking half the tolerance, up to ``_GL_MAX_DEPTH``
+    halvings.  The refinement runs breadth first: one level's left and
+    right halves of every open panel of every integral go to ``f``
+    together, at most ``_GL_PANELS_PER_CALL`` panels per call.  Each
+    panel sum, convergence test and left + right fold is the one a
+    depth-first recursion makes, so each integral comes out bit for bit
+    as if integrated alone.
     """
-    a = tuple(float(v) for v in a)
-    b = tuple(float(v) for v in b)
-    if len(b) == 0:
-        raise ValueError("need at least one lower parameter")
-    if len(a) >= len(b):
-        raise ValueError("contour integral requires fewer upper than lower parameters")
-    if not x > 0.0:
-        raise ValueError(f"argument must be > 0, got {x!r}")
-    c = max(0.5, 1.0 - min(b), x ** (1.0 / (len(b) - len(a))))
-    lnx = math.log(x)
-
-    # Locate the integrand peak and a truncation point on tau >= 0.  The
-    # decay rate is (q - p) * pi / 2 per unit tau once past the gamma bumps,
-    # so scanning in modest strides is cheap and safe.
-    stride = 2.0
-    tau_probe = np.arange(0.0, 64.0 + stride, stride)
-    logmag = _mb_log_integrand(a, b, lnx, c, tau_probe).real
-    peak = float(np.max(logmag))
-    cutoff = peak - 40.0  # exp(-40) ~ 4e-18 of peak
-    t_max = float(tau_probe[-1])
-    while logmag[-1] > cutoff:
-        nxt = np.arange(t_max + stride, t_max * 2.0 + stride, stride)
-        logmag = _mb_log_integrand(a, b, lnx, c, nxt).real
-        peak = max(peak, float(np.max(logmag)))
-        cutoff = peak - 40.0
-        t_max = float(nxt[-1])
-        if t_max > 1e5:
-            raise AccuracyError("Mellin-Barnes integrand fails to decay")
-
-    def line_sum(h: float) -> tuple[float, float]:
-        # conjugate symmetry: integral over the full line equals
-        # f(0) + 2 * sum_{k>=1} Re f(k h), all times h / (2 pi)
-        n = int(t_max / h) + 1
-        acc = 0.0
-        m_ref = peak
-        chunk = 200000
-        k0 = 0
-        while k0 < n:
-            k1 = min(n, k0 + chunk)
-            tau = h * np.arange(k0, k1, dtype=float)
-            lg = _mb_log_integrand(a, b, lnx, c, tau)
-            vals = np.exp(lg.real - m_ref) * np.cos(lg.imag)
-            if k0 == 0:
-                acc += vals[0] + 2.0 * float(np.sum(vals[1:]))
-            else:
-                acc += 2.0 * float(np.sum(vals))
-            k0 = k1
-        return acc, m_ref
-
-    h = 0.05
-    acc, m_ref = line_sum(h)
-    prev = acc * h
-    for _ in range(6):
-        h *= 0.5
-        acc, _ = line_sum(h)
-        cur = acc * h
-        if abs(cur - prev) <= _MEIJER_REL_TOL * abs(cur):
-            prev = cur
+    rows = np.arange(count)
+    a = np.full(count, lo, dtype=float)
+    b = np.full(count, hi, dtype=float)
+    tol = np.full(count, abs_tol, dtype=float)
+    whole = _panel_sums(f, a, b, rows)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    for depth in range(_GL_MAX_DEPTH + 1):
+        mid = 0.5 * (a + b)
+        halves = _panel_sums(f, np.concatenate((a, mid)),
+                             np.concatenate((mid, b)), np.tile(rows, 2))
+        left, right = halves[:a.size], halves[a.size:]
+        total = left + right
+        done = np.abs(total - whole) <= tol
+        levels.append((total, done))
+        if done.all():
             break
-        prev = cur
-    else:
-        raise AccuracyError(
-            f"Meijer G contour quadrature did not converge (a={a}, b={b}, x={x:g})")
-    scaled = prev / (2.0 * math.pi)
-    if scaled == 0.0:
-        return -math.inf, 0.0
-    # Cancellation guard.  The summed samples have unit scale after the
-    # m_ref shift, so their roundoff noise is ~eps*sqrt(n); if the surviving
-    # integral is not comfortably above that floor the refinement loop can
-    # "self-converge" onto noise (both step sizes share the same systematic
-    # cancellation error).  Refuse rather than return garbage.
-    n_samples = int(t_max / h) + 1
-    achievable = 1e-15 * math.sqrt(float(n_samples)) / abs(scaled)
-    if achievable > _MEIJER_REL_TOL:
-        raise AccuracyError(
-            f"Meijer G contour cancellation leaves ~{achievable:.1e} relative "
-            f"accuracy, worse than the required {_MEIJER_REL_TOL:g} "
-            f"(a={a}, b={b}, x={x:g})")
-    return m_ref + math.log(abs(scaled)), math.copysign(1.0, scaled)
+        if depth >= _GL_MAX_DEPTH:
+            raise AccuracyError("quadrature failed to converge")
+        split = ~done
+        a = np.concatenate((a[split], mid[split]))
+        b = np.concatenate((mid[split], b[split]))
+        whole = np.concatenate((left[split], right[split]))
+        tol = np.tile(0.5 * tol[split], 2)
+        rows = np.tile(rows[split], 2)
+    # fold back up the tree: a split panel is its left plus its right half
+    value = levels[-1][0]
+    for total, done in reversed(levels[:-1]):
+        n_split = value.size // 2
+        total[~done] = value[:n_split] + value[n_split:]
+        value = total
+    return value
 
+
+def meijer_g_m0_log(mu: float, nu: float, x: float) -> float:
+    """ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2), integer nu.
+
+    Uses the tail-integral identity
+
+        G(x) = x^{-(mu+1)/2} * 2^{1-mu} * int_{2 sqrt(x)}^inf u^mu K_nu(u) du,
+
+    whose integrand is positive, so the evaluation is cancellation-free
+    for any parameter size and G is positive.  The Bessel factor runs
+    through the log-scaled recurrence, keeping huge orders finite.  An
+    integrand that does not decay, or a quadrature that does not reach
+    its tolerance, raises :class:`AccuracyError`.
+    """
+    order = abs(int(round(nu)))
+    u_lo = 2.0 * math.sqrt(x)
+
+    # integrate in t = ln u so the bracket width stays a few nats wide and
+    # the peak-normalized integrand makes the quadrature tolerance an
+    # effectively relative one; du = u dt folds into the exponent.  Every
+    # array of points takes one Bessel-K recurrence, each value bit for
+    # bit what that point alone gives.
+    def log_g(u: np.ndarray) -> np.ndarray:
+        return (mu + 1.0) * apply_math(math.log, u) + log_bessel_k(order, u)
+
+    def scan():
+        # u_lo, 1.2 u_lo, ... evaluated 32 points per call
+        u = u_lo
+        while True:
+            us = []
+            for _ in range(32):
+                us.append(u)
+                u *= 1.2
+            yield from zip(us, log_g(np.array(us)).tolist())
+
+    # coarse geometric scan for the integrand peak and a -60 nats cutoff;
+    # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end
+    points = scan()
+    u_hi, g_max = next(points)
+    tail_floor = max(u_lo * 4.0, float(order) * 3.0, 50.0)
+    for u, g_u in points:
+        if g_u > g_max:
+            g_max = g_u
+        u_hi = u
+        if g_u < g_max - 60.0 and u > tail_floor:
+            break
+        if u > 1e8:
+            raise AccuracyError("Bessel tail integral fails to decay")
+
+    def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return apply_math(math.exp, log_g(apply_math(math.exp, ts)) - g_max)
+
+    t_lo, t_hi = math.log(u_lo), math.log(u_hi)
+    (val,) = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), 1)
+    log_j = g_max + math.log(val)
+    return -0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0) + log_j

@@ -13,9 +13,16 @@ file builds the matrix that attains it, and ``fc_cascaded_gain_via_theta``
 evaluates the gain through that matrix, so the formula can be checked
 against it (acceptance criterion 5 and ``test_bdris``).
 
-``bessel_k`` and ``meijer_g_m0`` give the package's log-space Bessel K
-and Meijer G values as plain floats, for comparison with linear-space
-references.
+``bessel_k`` gives the package's log-space Bessel K as a plain float,
+for comparison with linear-space references.
+
+``meijer_g_m0_log_contour`` is an independent Meijer-G engine: the
+Mellin-Barnes contour integral of G^{m,0}_{p,q} (q > p) by the
+trapezoid rule on a vertical line, with a complex Lanczos log-gamma
+(``ln_gamma_complex``).  It shares no code with the package's seed
+evaluator ``specfun.meijer_g_m0_log``, the positive Bessel tail
+integral, and checks it; ``meijer_g_m0`` gives its value as a plain
+float.
 
 ``upper_gamma_poisson_loop`` is the plain term-by-term loop for
 Q(a, x); the package's array form must match it bit for bit wherever
@@ -34,8 +41,8 @@ package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
 
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
-breadth-first ``_adaptive_gl`` must match it bit for bit.
-``adaptive_gl_each`` puts it in ``_adaptive_gl``'s place, and
+breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
+``adaptive_gl_each`` puts it in ``adaptive_gl``'s place, and
 ``zsrp_pfs_value_recursive`` is the proportional-fair quadrature value
 as one recursion per distance node computes it.
 """
@@ -48,13 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zsrpsim.analytic import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
-                              ClosedFormParams, _log_binom,
+from zsrpsim.analytic import (ClosedFormParams, _log_binom,
                               _log_ordered_sum_coefficients, _tail_cutoff)
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W
-from zsrpsim.specfun import (EULER_GAMMA, _bessel_k01_scaled, log_bessel_k,
-                             meijer_g_m0_log)
+from zsrpsim.specfun import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
+                             EULER_GAMMA, _bessel_k01_scaled, log_bessel_k)
 
 
 def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
@@ -307,9 +313,165 @@ def cdf_Z_single_scalar(z: float, p: ClosedFormParams) -> float:
     return min(1.0, max(0.0, val))
 
 
+# Lanczos approximation, g = 7, 9 coefficients.  Classic public-domain set;
+# good to ~15 significant digits for Re(z) >= 0.5.
+_LANCZOS_G = 7.0
+_LANCZOS_COEF = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+_LN_SQRT_2PI = 0.9189385332046727418
+
+# Relative accuracy of every Meijer G contour quadrature.
+_MEIJER_REL_TOL = 1e-8
+
+
+def ln_gamma_complex(z: np.ndarray) -> np.ndarray:
+    """Vectorized log-gamma for complex arrays with Re(z) >= 0.5.
+
+    The Mellin-Barnes contours used below keep every gamma argument in this
+    half-plane, so no reflection formula is needed.  Branch choices are
+    irrelevant to callers because results are only ever exponentiated after
+    summation.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real < 0.5):
+        raise ValueError("ln_gamma_complex requires Re(z) >= 0.5")
+    w = z - 1.0
+    acc = np.full(z.shape, _LANCZOS_COEF[0], dtype=complex)
+    for k in range(1, len(_LANCZOS_COEF)):
+        acc += _LANCZOS_COEF[k] / (w + k)
+    t = w + _LANCZOS_G + 0.5
+    return _LN_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+
+
+def _mb_log_integrand(a: tuple[float, ...], b: tuple[float, ...], lnx: float,
+                      c: float, tau: np.ndarray) -> np.ndarray:
+    """Complex log of the Mellin-Barnes integrand on the line s = c + i*tau."""
+    s = c + 1j * tau
+    g = np.zeros(tau.shape, dtype=complex)
+    for bj in b:
+        g = g + ln_gamma_complex(bj + s)
+    for ai in a:
+        g = g - ln_gamma_complex(ai + s)
+    return g - s * lnx
+
+
+def meijer_g_m0_log_contour(a, b, x: float) -> tuple[float, float]:
+    """(log|G|, sign) for G^{m,0}_{p,q}(x) with lower parameters b (len q = m)
+    and upper parameters a (len p < q), evaluated by vertical-line
+    Mellin-Barnes quadrature.
+
+    The convention is
+
+        G(x) = (1/2 pi i) int prod_j Gamma(b_j + s) / prod_i Gamma(a_i + s)
+                              x^(-s) ds
+
+    over a vertical line Re s = c right of every pole of the numerator
+    gammas.  For q > p the integrand decays like exp(-(q-p) pi |Im s| / 2),
+    so a trapezoid rule on the line converges geometrically; all
+    magnitude-sensitive work is done in log space.
+
+    The contour sits at Re s = max(0.5, 1 - min(b), x^(1/(q-p))): at least
+    one unit right of the rightmost numerator pole, and for large x pushed
+    out to the steepest-descent saddle so the on-line peak matches the scale
+    of the integral itself (a fixed contour loses all significant digits to
+    cancellation once x is large, since the result decays like
+    exp(-(q-p) x^(1/(q-p))) while the integrand magnitude does not).
+    Trapezoid step starts at h = 0.05 and halves until successive
+    refinements agree to 1e-8 relative (``_MEIJER_REL_TOL``); the tail is
+    truncated where the integrand falls 1e-16 below its on-line peak.
+    Non-convergence or cancellation past 1e-8 raises AccuracyError.
+    """
+    a = tuple(float(v) for v in a)
+    b = tuple(float(v) for v in b)
+    if len(b) == 0:
+        raise ValueError("need at least one lower parameter")
+    if len(a) >= len(b):
+        raise ValueError("contour integral requires fewer upper than lower parameters")
+    if not x > 0.0:
+        raise ValueError(f"argument must be > 0, got {x!r}")
+    c = max(0.5, 1.0 - min(b), x ** (1.0 / (len(b) - len(a))))
+    lnx = math.log(x)
+
+    # Locate the integrand peak and a truncation point on tau >= 0.  The
+    # decay rate is (q - p) * pi / 2 per unit tau once past the gamma bumps,
+    # so scanning in modest strides is cheap and safe.
+    stride = 2.0
+    tau_probe = np.arange(0.0, 64.0 + stride, stride)
+    logmag = _mb_log_integrand(a, b, lnx, c, tau_probe).real
+    peak = float(np.max(logmag))
+    cutoff = peak - 40.0  # exp(-40) ~ 4e-18 of peak
+    t_max = float(tau_probe[-1])
+    while logmag[-1] > cutoff:
+        nxt = np.arange(t_max + stride, t_max * 2.0 + stride, stride)
+        logmag = _mb_log_integrand(a, b, lnx, c, nxt).real
+        peak = max(peak, float(np.max(logmag)))
+        cutoff = peak - 40.0
+        t_max = float(nxt[-1])
+        if t_max > 1e5:
+            raise AccuracyError("Mellin-Barnes integrand fails to decay")
+
+    def line_sum(h: float) -> float:
+        # conjugate symmetry: integral over the full line equals
+        # f(0) + 2 * sum_{k>=1} Re f(k h), all times h / (2 pi)
+        n = int(t_max / h) + 1
+        acc = 0.0
+        chunk = 200000
+        k0 = 0
+        while k0 < n:
+            k1 = min(n, k0 + chunk)
+            tau = h * np.arange(k0, k1, dtype=float)
+            lg = _mb_log_integrand(a, b, lnx, c, tau)
+            vals = np.exp(lg.real - peak) * np.cos(lg.imag)
+            if k0 == 0:
+                acc += vals[0] + 2.0 * float(np.sum(vals[1:]))
+            else:
+                acc += 2.0 * float(np.sum(vals))
+            k0 = k1
+        return acc
+
+    h = 0.05
+    prev = line_sum(h) * h
+    for _ in range(6):
+        h *= 0.5
+        cur = line_sum(h) * h
+        if abs(cur - prev) <= _MEIJER_REL_TOL * abs(cur):
+            prev = cur
+            break
+        prev = cur
+    else:
+        raise AccuracyError(
+            f"Meijer G contour quadrature did not converge (a={a}, b={b}, x={x:g})")
+    scaled = prev / (2.0 * math.pi)
+    if scaled == 0.0:
+        return -math.inf, 0.0
+    # Cancellation guard.  The summed samples have unit scale after the
+    # peak shift, so their roundoff noise is ~eps*sqrt(n); if the surviving
+    # integral is not comfortably above that floor the refinement loop can
+    # "self-converge" onto noise (both step sizes share the same systematic
+    # cancellation error).  Refuse rather than return garbage.
+    n_samples = int(t_max / h) + 1
+    achievable = 1e-15 * math.sqrt(float(n_samples)) / abs(scaled)
+    if achievable > _MEIJER_REL_TOL:
+        raise AccuracyError(
+            f"Meijer G contour cancellation leaves ~{achievable:.1e} relative "
+            f"accuracy, worse than the required {_MEIJER_REL_TOL:g} "
+            f"(a={a}, b={b}, x={x:g})")
+    return peak + math.log(abs(scaled)), math.copysign(1.0, scaled)
+
+
 def meijer_g_m0(a, b, x: float) -> float:
-    """G^{m,0}_{p,q}(x) from the signed log of :func:`meijer_g_m0_log`."""
-    log_abs, sign = meijer_g_m0_log(a, b, x)
+    """G^{m,0}_{p,q}(x) from the signed log of :func:`meijer_g_m0_log_contour`."""
+    log_abs, sign = meijer_g_m0_log_contour(a, b, x)
     return sign * math.exp(log_abs)
 
 
@@ -354,7 +516,7 @@ def adaptive_gl_recursive(f, lo: float, hi: float, abs_tol: float) -> float:
 
 def adaptive_gl_each(f, lo: float, hi: float, abs_tol: float,
                      count: int) -> np.ndarray:
-    """``analytic._adaptive_gl`` as ``count`` separate recursions."""
+    """``specfun.adaptive_gl`` as ``count`` separate recursions."""
     return np.array([
         adaptive_gl_recursive(lambda x, i=i: f(x, np.full(x.size, i)),
                               lo, hi, abs_tol)

@@ -8,8 +8,9 @@ criteria:
      trials, under 60 s per point).
   2  series cascade CDF vs 2-D quadrature, 1e-8 absolute, 20-point grids.
   3  subset expansion reconstructs the CDF power, 1e-9 relative.
-  4  Bessel K against integral-representation quadrature (1e-10) and the
-     contour engine against 2 K_nu(2 sqrt z) (1e-6).
+  4  Bessel K against integral-representation quadrature (1e-10), the
+     contour oracle against 2 K_nu(2 sqrt z) (1e-6), and the package's
+     Meijer-G seed against quadrature of its tail integral (1e-12 in ln G).
   5  scattering-matrix contracts on 1000 draws per element count.
   6  trend reproduction: radius, surface size (fully connected below
      single connected), and the shared U-shaped altitude optimum.
@@ -30,6 +31,7 @@ from scipy import integrate, special
 
 from zsrpsim import analytic as an
 from zsrpsim import experiments as ex
+from zsrpsim import specfun
 from zsrpsim.fading import FadingParams, cdf_S
 from zsrpsim.optimize import AltitudeSearchSpec, optimal_altitude
 from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
@@ -126,8 +128,32 @@ def test_criterion_04_special_function_oracles():
             got = meijer_g_m0([], [0.5 * nu, -0.5 * nu], z)
             ref = 2.0 * float(special.kv(nu, 2.0 * math.sqrt(z)))
             worst_g = max(worst_g, abs(got - ref) / ref)
-    ok = worst_k < 1e-10 and worst_g < 1e-6
-    report(4, ok, f"K rel {worst_k:.2e}, contour rel {worst_g:.2e}")
+
+    def seed_oracle(mu: float, nu: float, x: float) -> float:
+        # ln of x^-(mu+1)/2 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du,
+        # the integrand scaled by its peak and split there
+        u_lo = 2.0 * math.sqrt(x)
+
+        def log_f(u: float) -> float:
+            return mu * math.log(u) + math.log(special.kve(nu, u)) - u
+
+        peak_u = max(u_lo * np.geomspace(1.0, 1e3, 4001), key=log_f)
+        peak = log_f(peak_u)
+        total = sum(
+            integrate.quad(lambda u: math.exp(log_f(u) - peak), lo, hi,
+                           epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for lo, hi in ((u_lo, peak_u), (peak_u, math.inf)) if hi > lo)
+        return (-0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0)
+                + peak + math.log(total))
+
+    worst_seed = max(
+        abs(specfun.meijer_g_m0_log(mu, nu, x) - seed_oracle(mu, nu, x))
+        for mu, nu, x in ((120.0, 4.0, 0.01), (28.0, 32.0, 102.4),
+                          (28.0, 32.0, 0.5), (30.0, 30.0, 10.0),
+                          (1.0, 3.0, 0.2)))
+    ok = worst_k < 1e-10 and worst_g < 1e-6 and worst_seed <= 1e-12
+    report(4, ok, f"K rel {worst_k:.2e}, contour rel {worst_g:.2e}, "
+                  f"seed ln G {worst_seed:.2e}")
     assert ok
 
 

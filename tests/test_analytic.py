@@ -32,7 +32,7 @@ Proves:
 
  Group 5 — end-to-end probabilities
    frozen default-scenario values for rotation and greedy serving with the
-   contour route agreeing to better than 1e-6 (and frozen gaps near 1e-12);
+   closed form agreeing to better than 1e-6 (and frozen gaps near 1e-12);
    the rounding bound of the order-statistic sum, not a user or term cap,
    decides the closed form: every default fig2, fig3 and fig4 grid point
    keeps it for both serving rules, 13 default users keep it within 1e-9
@@ -40,15 +40,18 @@ Proves:
    INFO, and below the bound both serving rules return the quadrature
    value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
-   engine refuses, the tail-integral fallback of the Meijer composite
-   matches mpmath to 1e-12; the contiguous recurrence of one composite row
-   matches the tail integral term by term to 1e-12 at h = 150/1000 m, on
-   both sides of B = M; a closed form takes three seed integrals per row
-   (12 for default greedy serving, 3 for rotation) and logs the seed,
-   tail-fallback and term counts; rows shorter than three terms take only
-   their own seeds and still track quadrature to 1e-9; a negative seed
-   refuses the closed form; the scheme dispatcher and its documented
-   refusals.
+   oracle refuses, the tail-integral seed matches mpmath to 1e-12; the
+   contiguous recurrence of one composite row matches the tail integral
+   term by term to 1e-12 at h = 150/1000 m, on both sides of B = M; each
+   of the 120 seeds of the default fig4 closed forms (both serving rules)
+   lies within 1e-12 in ln G of the independent contour oracle; a closed
+   form takes three seed integrals per row (12 for default greedy
+   serving, 3 for rotation) and logs the seed and term counts; rows
+   shorter than three terms take only their own seeds and still track
+   quadrature to 1e-9; a seed error of 1e-9 in ln G in the flat
+   environment moves the closed form past 1e-6 and warns, leaving the
+   quadrature value's bits alone; the scheme dispatcher and its
+   documented refusals.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
 from oracles import (cdf_power_sum_order_stat, cdf_Z_single_scalar,
-                     enumerate_subset_terms, ordered_sum_coefficients)
+                     enumerate_subset_terms, meijer_g_m0_log_contour,
+                     ordered_sum_coefficients)
 
 BIG_X_DEFAULT = 102.4988007168656
 RS_DEFAULT = 0.03569559129313944
@@ -221,7 +225,7 @@ def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkey
     an.zsrp_rs(p, closed_form=False)
     # one K0/K1 evaluation per integrand call, covering all of its nodes
     assert starts == nodes
-    assert min(nodes) >= an._GL_NODES.size
+    assert min(nodes) >= specfun._GL_NODES.size
 
 
 # --- Group 3: order statistics ---
@@ -350,7 +354,7 @@ def test_value_decreases_with_radius(closed_params):
 
 def test_closed_form_grid_agreement(closed_params):
     # both serving rules, three surface sizes, three sphere radii: the
-    # contour route must track quadrature to 1e-6 everywhere (the largest
+    # closed form must track quadrature to 1e-6 everywhere (the largest
     # surface exercises deep alternating cancellation)
     for n_elements in (8, 16, 32):
         for r in (300.0, 500.0, 800.0):
@@ -368,12 +372,13 @@ TAIL_LOG_G = 651.8373093920151053
 
 def test_tail_integral_fallback_matches_mpmath():
     mu, nu, x = 120.0, 4.0, 0.01
-    # the contour engine refuses this point, so the tail integral answers
+    # the contour oracle refuses this point; the tail integral answers
     with pytest.raises(AccuracyError):
-        specfun.meijer_g_m0_log([0.5 * (1.0 - mu)],
+        meijer_g_m0_log_contour([0.5 * (1.0 - mu)],
                                 [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
-    log_g, sign = an._log_meijer_composite(mu, nu, x)
-    assert sign == 1.0
+    log_g = specfun.meijer_g_m0_log(mu, nu, x)
+    # a real log: G is positive
+    assert type(log_g) is float and math.isfinite(log_g)
     assert abs(log_g - TAIL_LOG_G) <= 1e-12
 
 
@@ -387,27 +392,56 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params):
     m_2, m_1 = 32, 32
     spanned = set()
     for j in (1, 4):
-        row = an._log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1, [])
+        row = an._log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1)
         assert len(row) == j * (m_1 - 1) + 1
-        for b, (log_g, sign) in enumerate(row):
+        for b, log_g in enumerate(row):
             # 1e-12 on log G is 1e-12 relative on the tail integral I(B)
-            want = an._log_g31_tail(m_2 + b - 4, m_2 - b, j * big_x)
-            assert sign == 1.0
+            want = specfun.meijer_g_m0_log(m_2 + b - 4, m_2 - b, j * big_x)
+            # a real log: G is positive
+            assert math.isfinite(log_g)
             assert abs(log_g - want) <= 1e-12, (j, b, log_g - want)
             spanned.add((b > m_2) - (b < m_2))
     # B < M, B = M and B > M (Bessel K of negative order)
     assert spanned == {-1, 0, 1}
 
 
+def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
+    # every seed of the default fig4 closed forms, both serving rules:
+    # 8 altitudes x (12 + 3) = 120 tail integrals against the independent
+    # Mellin-Barnes contour, to 1e-12 in ln G
+    from zsrpsim.experiments import ExperimentSpec
+    from zsrpsim.propagation import (ScenarioGeometry, bs_ris_gain,
+                                     ris_user_gain)
+
+    calls = _count_seeds(monkeypatch)
+    for h in ExperimentSpec().h_grid_m:
+        geom = ScenarioGeometry(h_br_m=h)
+        for n_users in (1, geom.n_users):
+            p = an.ClosedFormParams(
+                m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
+                sigma1_sq=ris_user_gain(geom, air, 0),
+                sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+                r_eve_m=geom.r_eve_m, n_users=n_users)
+            assert an._closed_form(p) is not None, (h, n_users)
+    assert len(calls) == 120
+    monkeypatch.undo()
+    for mu, nu, x in calls:
+        log_g = specfun.meijer_g_m0_log(mu, nu, x)
+        want, sign = meijer_g_m0_log_contour(
+            [0.5 * (1.0 - mu)], [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
+        assert sign == 1.0
+        assert abs(log_g - want) <= 1e-12, (mu, nu, x, log_g - want)
+
+
 def _count_seeds(monkeypatch) -> list:
     calls = []
-    seed = an._log_meijer_composite
+    seed = specfun.meijer_g_m0_log
 
     def counting(*args, **kwargs):
         calls.append(args)
         return seed(*args, **kwargs)
 
-    monkeypatch.setattr(an, "_log_meijer_composite", counting)
+    monkeypatch.setattr(specfun, "meijer_g_m0_log", counting)
     return calls
 
 
@@ -422,12 +456,12 @@ def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatc
         with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
             out = an.zsrp_for_scheme(scheme, cfg)
         assert out.closed_form is not None
-        # one contour (or tail) integral per seed, not one per term
+        # one tail integral per seed, not one per term
         assert len(calls) == n_seeds, scheme
         lines = [r.getMessage() for r in caplog.records
                  if "seed integrals" in r.getMessage()]
-        assert lines == [f"closed-form composite: {n_seeds} seed integrals "
-                         f"(0 by the tail integral), {n_terms} terms"]
+        assert lines == [f"closed-form composite: {n_seeds} seed integrals, "
+                         f"{n_terms} terms"]
 
 
 @pytest.mark.parametrize("n_elements, n_users, n_seeds",
@@ -444,25 +478,6 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
     assert 1e-3 < out.value < 0.5
     assert out.closed_form is not None
     assert abs(out.closed_form - out.value) <= 1e-9 * out.value
-
-
-def test_tail_fallback_seeds_are_logged(closed_params, monkeypatch, caplog):
-    want = an._closed_form(closed_params(n_users=1))
-
-    def refuse(*args, **kwargs):
-        raise AccuracyError("contour refused")
-
-    monkeypatch.setattr(specfun, "meijer_g_m0_log", refuse)
-    with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
-        got = an._closed_form(closed_params(n_users=1))
-    assert "3 seed integrals (3 by the tail integral), 32 terms" in caplog.text
-    assert math.isclose(got, want, rel_tol=1e-9)
-
-
-def test_negative_seed_refuses_closed_form(closed_params, monkeypatch):
-    monkeypatch.setattr(an, "_log_meijer_composite",
-                        lambda *args, **kwargs: (0.0, -1.0))
-    assert an._closed_form(closed_params(n_users=1)) is None
 
 
 def test_many_users_fall_back_to_quadrature(closed_params):
@@ -521,17 +536,21 @@ def test_both_rules_fall_back_past_the_rounding_bound(closed_params, monkeypatch
         assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), fn
 
 
-def test_route_disagreement_surfaced_as_warning(air, fading):
+def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):
     # a flat free-space environment drives the probability to ~1e-8, where
-    # the relative gap between the contour route and quadrature exceeds
-    # 1e-6 even though the absolute difference sits inside the quadrature
-    # tolerance; the contract is to report the quadrature value and warn,
-    # never to silently reconcile
+    # the order-statistic sum cancels deeply; a seed error of 1e-9 in ln G
+    # then moves the closed form by more than 1e-6 relative.  The contract
+    # is to report the quadrature value and warn, never to silently
+    # reconcile
     from zsrpsim.propagation import AirGroundParams, ScenarioGeometry
 
     flat_air = AirGroundParams(alpha_zenith=2.0, alpha_ground=2.0)
     geom = ScenarioGeometry(h_br_m=40.0)
     cfg = ScenarioConfig(geometry=geom, air=flat_air, fading=fading, scheme=SchemeId.FCR_RS)
+    want = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg, closed_form=False).value
+    seed = specfun.meijer_g_m0_log
+    monkeypatch.setattr(specfun, "meijer_g_m0_log",
+                        lambda *args: seed(*args) + 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
@@ -539,6 +558,8 @@ def test_route_disagreement_surfaced_as_warning(air, fading):
     assert out.closed_form is not None
     assert out.rel_gap > 1e-6
     assert out.value < 1e-6
+    # the injected seed error reaches the closed form only
+    assert out.value.hex() == want.hex()
 
 
 def test_scheme_dispatch(geometry, air, fading, closed_params):

@@ -9,7 +9,10 @@ those names would otherwise surface only in a traced benchmark run.
 Proves: in a fresh interpreter with ``perfbench/`` and ``src/`` on the path,
 ``tracer.install`` succeeds, the two patched names exist, and a short traced
 MC ``zsrp`` command records spans through the wrapped names, its one-point
-``run_experiment`` among them.  A wrapper of ``optimize.run_monte_carlo``
+``run_experiment`` among them.  A traced analytic ``fcr-gcsi-pfs``
+``zsrp`` records exactly its 12 Meijer-G seeds as ``specfun.meijer``
+spans, and the Bessel K calls of their tail integrals as
+``specfun.bessel`` spans.  A wrapper of ``optimize.run_monte_carlo``
 with ``child.py``'s signature sees an estimate, with a nonzero standard
 error, at the h* that a short MC ``optimize-altitude`` prints: the search's
 time-to-precision metric is read from it.
@@ -18,6 +21,7 @@ time-to-precision metric is read from it.
 from __future__ import annotations
 
 import csv
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _PROBE = """
+import json
 import sys
+from collections import Counter
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracer
 from zsrpsim import cli, optimize
@@ -33,22 +39,36 @@ assert callable(cli._resolved)
 assert callable(optimize.run_monte_carlo)
 t = tracer.Tracer(0)
 tracer.install(t)
-code = cli.main(["zsrp", "--evaluator", "mc", "--trials", "1000",
-                 "--out", sys.argv[3]])
+code = cli.main(sys.argv[3:])
 assert code == 0, code
-print(" ".join(sorted({s.name for s in t.spans})))
+print(json.dumps(Counter(s.name for s in t.spans)))
 """
 
 
-def test_tracer_installs_and_records(tmp_path):
+def traced_span_counts(*argv: str) -> dict[str, int]:
+    """Spans per name of one traced CLI command in a fresh interpreter."""
     out = subprocess.run(
         [sys.executable, "-c", _PROBE, str(ROOT / "perfbench"),
-         str(ROOT / "src"), str(tmp_path / "zsrp.csv")],
+         str(ROOT / "src"), *argv],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    names = set(out.stdout.split())
+    return json.loads(out.stdout)
+
+
+def test_tracer_installs_and_records(tmp_path):
+    names = set(traced_span_counts("zsrp", "--evaluator", "mc", "--trials",
+                                   "1000", "--out", str(tmp_path / "zsrp.csv")))
     assert {"cli.main", "experiments.run_experiment", "propagation.eve_draw",
             "propagation.gain"} <= names
+
+
+def test_tracer_sees_the_closed_form_seeds(tmp_path):
+    counts = traced_span_counts("zsrp", "--evaluator", "analytic", "--scheme",
+                                "fcr-gcsi-pfs", "--out", str(tmp_path / "zsrp.csv"))
+    # 4 order-statistic rows of 3 seeds, each a tail integral whose
+    # Bessel K values go through the wrapped ``specfun.log_bessel_k``
+    assert counts["specfun.meijer"] == 12
+    assert counts.get("specfun.bessel", 0) >= 1
 
 
 def test_search_estimate_seen_at_printed_optimum(tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 """Special-function kernels against independent oracles.
 
-Linear-space Bessel K and Meijer G values are the package's log-space
-values exponentiated (``oracles.bessel_k`` and ``oracles.meijer_g_m0``).
+Linear-space Bessel K values are the package's log-space values
+exponentiated (``oracles.bessel_k``).  Groups 1 and 4 check the
+Mellin-Barnes contour oracle (``oracles.meijer_g_m0_log_contour``), the
+independent reference against which the package's tail-integral Meijer-G
+seeds are checked in ``test_analytic`` and acceptance criterion 4.
 
 Proves:
- Group 1 — complex log-gamma (the Lanczos kernel of the contour integrand)
+ Group 1 — complex log-gamma (the Lanczos kernel of the contour oracle)
    frozen values ln 24 and ln sqrt(pi); agreement with math.lgamma on a
    wide real grid and with scipy.special.loggamma off the real axis (modulo
    2 pi i); recurrence lnG(x+1) = lnG(x) + ln x (property); Re z < 0.5
@@ -32,7 +35,7 @@ Proves:
    every row of an array recurrence (across the rescale too), equal the
    scalar float oracles bit for bit; one bad argument refuses the array.
 
- Group 4 — Mellin-Barnes Meijer G, all-poles-left kind
+ Group 4 — Mellin-Barnes Meijer G oracle, all-poles-left kind
    G^{1,0}_{0,1}(x | -; 0) = e^{-x}; G^{2,0}_{0,2}(z | -; nu/2, -nu/2)
    = 2 K_nu(2 sqrt z) at 1e-6 relative, including large z where the saddle
    contour matters; argument validation.
@@ -55,7 +58,8 @@ from scipy import integrate, special
 from zsrpsim import specfun
 
 from oracles import (bessel_k, bessel_k01_scaled_scalar, log_bessel_k_loop,
-                     log_bessel_k_upto_scalar, meijer_g_m0,
+                     ln_gamma_complex, log_bessel_k_upto_scalar,
+                     meijer_g_m0, meijer_g_m0_log_contour,
                      upper_gamma_poisson_loop)
 
 
@@ -86,8 +90,8 @@ def bessel_k_integral(nu: float, x: float) -> float:
 
 
 def ln_gamma(x: float) -> float:
-    """Real part of the package's complex log-gamma at a real argument."""
-    return float(specfun._ln_gamma_complex(np.array([x], dtype=complex))[0].real)
+    """Real part of the contour oracle's complex log-gamma at a real argument."""
+    return float(ln_gamma_complex(np.array([x], dtype=complex))[0].real)
 
 
 def test_ln_gamma_frozen_values():
@@ -105,7 +109,7 @@ def test_ln_gamma_complex_vs_scipy_loggamma():
     # only exp(lnG) is used, so the imaginary part counts modulo 2 pi
     z = np.array([complex(a, b) for a in (0.5, 1.0, 3.3, 20.0, 120.0)
                   for b in (0.7, 5.0, 40.0, 300.0)])
-    got = specfun._ln_gamma_complex(z)
+    got = ln_gamma_complex(z)
     ref = special.loggamma(z)
     assert np.all(np.abs(got.real - ref.real) <= 1e-13 * np.maximum(1.0, np.abs(ref.real)))
     turn = np.angle(np.exp(1j * (got.imag - ref.imag)))
@@ -355,7 +359,7 @@ def test_log_bessel_k_upto_array_domain():
 def test_meijer_exponential_identity():
     # G^{1,0}_{0,1}(x | -; 0) = e^{-x}
     for x in (0.5, 2.0):
-        log_g, sign = specfun.meijer_g_m0_log([], [0.0], x)
+        log_g, sign = meijer_g_m0_log_contour([], [0.0], x)
         assert sign == 1.0
         assert math.isclose(math.exp(log_g), math.exp(-x), rel_tol=1e-8)
 
@@ -373,7 +377,7 @@ def test_meijer_bessel_identity_large_argument():
     # the saddle-point contour shift keeps the integrand decaying out here;
     # compare in log space against the exponentially scaled kve
     for z in (1.0e3, 5.0e4):
-        log_g, sign = specfun.meijer_g_m0_log([], [0.5, -0.5], z)
+        log_g, sign = meijer_g_m0_log_contour([], [0.5, -0.5], z)
         rt = 2.0 * math.sqrt(z)
         ref = math.log(2.0 * float(special.kve(1.0, rt))) - rt
         assert sign == 1.0
@@ -393,11 +397,11 @@ def test_meijer_three_denominator_case():
 
 def test_meijer_argument_validation():
     with pytest.raises(ValueError):
-        specfun.meijer_g_m0_log([], [], 1.0)
+        meijer_g_m0_log_contour([], [], 1.0)
     with pytest.raises(ValueError):
-        specfun.meijer_g_m0_log([], [0.5], -1.0)
+        meijer_g_m0_log_contour([], [0.5], -1.0)
     with pytest.raises(ValueError):
-        specfun.meijer_g_m0_log([], [0.5], 0.0)
+        meijer_g_m0_log_contour([], [0.5], 0.0)
 
 
 # --- Group 5: signed log-sum-exp ---

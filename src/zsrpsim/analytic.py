@@ -31,7 +31,7 @@ Evaluation routes, cross-checked against each other:
   sum admits it) next to the quadrature ``value`` with their gap.
 
 Every quadrature here (the inner integrals over W, the distance average
-and the tail integral of a composite seed) is the one adaptive
+and the tail integrals of the composite seeds) is the one adaptive
 Gauss-Legendre rule :func:`~zsrpsim.specfun.adaptive_gl`, which refines
 breadth first: each level evaluates the halves of every open panel of
 every integral together, in integrand calls of at most
@@ -49,8 +49,10 @@ Meijer-G composite (one row) and, at N = 1, for the Bessel-K CDF (one
 row per node).  Along one order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
 10.29.4), so a row costs three seed integrals (the positive tail
-integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one Bessel-K
-recurrence at the row's argument, one step per term.
+integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one step of a
+Bessel-K recurrence at the row's argument per further term.  A closed
+form evaluates the seeds of all its rows in one batched call and the
+Bessel factors of all its rows in one array recurrence.
 Single-connected architectures have no tractable cascaded distribution
 here and raise :class:`AnalyticUnavailableError`.
 """
@@ -63,6 +65,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -279,43 +282,53 @@ def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
 # Closed-form psi-averaged ZSRP (Meijer G composites)
 # ---------------------------------------------------------------------------
 
-def _log_composite_row(m_2: int, jx: float, n_b: int) -> list[float]:
-    """ln G of the composite at argument jx for B = 0 .. n_b - 1.
+def _log_composite_rows(m_2: int, big_x: float,
+                        row_sizes: list[int]) -> list[list[float]]:
+    """ln G of the composite for B = 0 .. n_b - 1 of each order-statistic row.
 
-    With M = m_2, y = 2 sqrt(jx) and the tail integral
+    Row j (from 1) has ``row_sizes[j - 1]`` terms at argument jX.  With
+    M = m_2, y = 2 sqrt(jX) and the tail integral
     I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of
     :func:`~zsrpsim.specfun.meijer_g_m0_log`,
-    G = jx^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from that
-    evaluator; every further I(B) from
+    G = jX^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 of every row
+    come from one call of that evaluator; every further I(B) from
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
 
-    adding only positive terms from B = 2 on.  The Bessel factors of the
-    row come from one Bessel-K recurrence at y, one step per term.  I(B)
-    is carried in linear space under a running log scale.
+    adding only positive terms from B = 2 on.  The Bessel factors of all
+    rows come from one array Bessel-K recurrence over their y, one step
+    per term.  I(B) is carried in linear space under a running log scale.
     """
-    row = [specfun.meijer_g_m0_log(m_2 + b - 4, m_2 - b, jx)
-           for b in range(min(3, n_b))]
-    if n_b <= 3:
-        return row
-    log_jx, ln2 = math.log(jx), math.log(2.0)
-    y = 2.0 * math.sqrt(jx)
-    log_y = math.log(y)
-    log_k = specfun.log_bessel_k_upto(max(abs(m_2 - 2), abs(m_2 - n_b + 2)),
-                                      y)
+    jxs = [j * big_x for j in range(1, len(row_sizes) + 1)]
+    seeds = [(m_2 + b - 4, m_2 - b, jx)
+             for jx, n_b in zip(jxs, row_sizes) for b in range(min(3, n_b))]
+    flat = iter(specfun.meijer_g_m0_log(
+        *(np.array(v) for v in zip(*seeds))).tolist())
+    rows = [list(islice(flat, min(3, n_b))) for n_b in row_sizes]
+    long_rows = [(row, n_b, jx)
+                 for row, n_b, jx in zip(rows, row_sizes, jxs) if n_b > 3]
+    if not long_rows:
+        return rows
+    ys = [2.0 * math.sqrt(jx) for _, _, jx in long_rows]
+    log_ks = specfun.log_bessel_k_upto(
+        max(max(abs(m_2 - 2), abs(m_2 - n_b + 2)) for _, n_b, _ in long_rows),
+        np.array(ys))
+    ln2 = math.log(2.0)
 
-    def log_g_over_i(b: int) -> float:
+    def log_g_over_i(b: int, log_jx: float) -> float:
         return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
 
-    scale, mant = row[2] - log_g_over_i(2), 1.0
-    for b in range(3, n_b):
-        log_step = (m_2 + b - 4) * log_y + log_k[abs(m_2 - b + 1)]
-        mant = math.exp(log_step - scale) + (2 * b - 5) * mant
-        if mant > 1e200:
-            scale += math.log(mant)
-            mant = 1.0
-        row.append(scale + math.log(mant) + log_g_over_i(b))
-    return row
+    for (row, n_b, jx), y, log_k in zip(long_rows, ys, log_ks.tolist()):
+        log_jx, log_y = math.log(jx), math.log(y)
+        scale, mant = row[2] - log_g_over_i(2, log_jx), 1.0
+        for b in range(3, n_b):
+            log_step = (m_2 + b - 4) * log_y + log_k[abs(m_2 - b + 1)]
+            mant = math.exp(log_step - scale) + (2 * b - 5) * mant
+            if mant > 1e200:
+                scale += math.log(mant)
+                mant = 1.0
+            row.append(scale + math.log(mant) + log_g_over_i(b, log_jx))
+    return rows
 
 
 def _closed_form(params: ClosedFormParams) -> Optional[float]:
@@ -337,9 +350,12 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),   y = 2 sqrt(jX),
 
     so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
-    recurrence at y, one step per further term
-    (:func:`_log_composite_row`).  Logs the seed and term counts at
-    DEBUG.  Where the rounding bound of the order-statistic sum
+    recurrence step at y per further term (:func:`_log_composite_rows`).
+    The 3N seeds of all rows go to one call of
+    :func:`~zsrpsim.specfun.meijer_g_m0_log`, one batched tail-integral
+    quadrature, and the recurrences of all rows to one array Bessel-K
+    call, each value bit for bit its own.  Logs the seed and term counts
+    at DEBUG.  Where the rounding bound of the order-statistic sum
     (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its value, or
     where no seed reaches its tolerance, it logs why at INFO and returns
     None, leaving the quadrature value alone.
@@ -349,8 +365,8 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
     row_sizes = [j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1)]
     closed = None
     try:
-        log_kernels = [np.array(_log_composite_row(m_2, j * big_x, n_b))
-                       for j, n_b in enumerate(row_sizes, start=1)]
+        log_kernels = [np.array(row)
+                       for row in _log_composite_rows(m_2, big_x, row_sizes)]
         (value,), (bound,) = _order_stat_series(
             m_1, m_2, 1.5, np.array([math.log(big_x)]), log_kernels)
         if bound <= REL_GAP_WARN * value:
@@ -360,7 +376,8 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
                       f"{bound:.1e}, past {REL_GAP_WARN:g} of it")
     except AccuracyError as exc:
         reason = str(exc)
-    logger.debug("closed-form composite: %d seed integrals, %d terms",
+    logger.debug("closed-form composite: %d seed integrals in one batched "
+                 "quadrature, %d terms",
                  sum(min(3, n_b) for n_b in row_sizes), sum(row_sizes))
     if closed is None:
         logger.info("closed-form composite unavailable here (%s); "

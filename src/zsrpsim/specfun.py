@@ -11,16 +11,19 @@ Provided primitives:
 * ``log_bessel_k_upto`` -- ln K_0(x) .. ln K_nu(x), modified Bessel K of
   every integer order up to nu, from one upward recurrence, at one x or
   at every x of an array (one lane per argument)
-* ``log_bessel_k``    -- ln K_nu(x) alone, the last of those values
+* ``log_bessel_k``    -- ln K_nu(x) alone, the last of those values; an
+  array may take one order per argument, each lane kept at its own order
+  of the shared recurrence
 * ``log_sum_exp``     -- signed sum of exponentials in log space, one
   per row of a (rows x terms) array
 * ``apply_math``      -- a math-module function mapped over an array
 * ``adaptive_gl``     -- breadth-first adaptive Gauss-Legendre integrals
-  of many integrands at once, each bit for bit the depth-first
-  recursion's
+  of many integrands at once, over one bracket and tolerance or one
+  each, each bit for bit the depth-first recursion's
 * ``meijer_g_m0_log`` -- ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2,
   -(mu+1)/2), the seed of the closed form, by the positive Bessel tail
-  integral x^(-(mu+1)/2) 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du
+  integral x^(-(mu+1)/2) 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du,
+  at one seed or at every seed of an array in one batched quadrature
 
 The array forms give every element bit for bit the value of the same
 arithmetic on Python floats: numpy's elementwise + - * / and sqrt round
@@ -28,7 +31,8 @@ as Python does, and every log, exp and expm1 that the float arithmetic
 takes from the math module is that math function mapped over the
 elements (``apply_math``), because numpy's SIMD versions round
 differently from the C library on some arguments.  The K0/K1 loops keep
-each lane's values from its own convergence step.
+each lane's values from its own convergence step.  A scalar call runs
+the array code with one lane, so there is no separate scalar route.
 """
 
 from __future__ import annotations
@@ -236,6 +240,47 @@ def _bessel_k01_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LOG_1E280 = 280.0 * math.log(10.0)
 
 
+def _positive_args(x) -> np.ndarray:
+    """The arguments of ``x`` as a flat float array, each checked > 0."""
+    flat = np.asarray(x, dtype=float).ravel()
+    if not np.all(flat > 0.0):
+        bad = float(flat[~(flat > 0.0)][0])
+        raise ValueError(f"argument must be > 0, got {bad!r}")
+    return flat
+
+
+def _scaled_k_orders(nu_max: int, flat: np.ndarray):
+    """Yield (exp(x) K_n(x) / carry factor, ln carry factor), n = 0 .. nu_max.
+
+    One upward recurrence over every lane of ``flat``; each lane gets an
+    explicit exponent carry, and each order is yielded after its rescale
+    check, so the pair of order n is exactly what a recurrence stopped at
+    order n holds.  The yielded arrays change as the recurrence goes on:
+    a caller copies what it keeps before taking the next order.
+    """
+    km, kc = _bessel_k01_scaled(flat)
+    lane_carry = np.zeros(flat.size)
+    yield km, lane_carry
+    if nu_max >= 1:
+        yield kc, lane_carry
+    # below x ~ 1e-28 one step from a rescaled 1e280 can pass the double
+    # range; that lane goes to inf silently, as the float recurrence does
+    with np.errstate(over="ignore"):
+        for n in range(1, nu_max):
+            km, kc = kc, km + (2.0 * n / flat) * kc
+            big = kc > 1e280
+            if big.any():
+                km[big] *= 1e-280
+                kc[big] *= 1e-280
+                lane_carry[big] += _LOG_1E280
+            yield kc, lane_carry
+
+
+def _check_order(nu) -> None:
+    if nu < 0 or int(nu) != nu:
+        raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
+
+
 def log_bessel_k_upto(nu_max: int, x):
     """[ln K_0(x), ..., ln K_nu_max(x)] from one upward recurrence.
 
@@ -247,44 +292,40 @@ def log_bessel_k_upto(nu_max: int, x):
     exactly what a recurrence stopped at order n returns, and each row is
     bit for bit the list of its argument alone.
     """
-    if nu_max < 0 or int(nu_max) != nu_max:
-        raise ValueError(f"order must be a nonnegative integer, got {nu_max!r}")
+    _check_order(nu_max)
     nu_max = int(nu_max)
-    xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    if not np.all(flat > 0.0):
-        bad = float(flat[~(flat > 0.0)][0])
-        raise ValueError(f"argument must be > 0, got {bad!r}")
+    flat = _positive_args(x)
     scaled = np.empty((flat.size, nu_max + 1))
-    carry = np.zeros((flat.size, nu_max + 1))
-    km, kc = _bessel_k01_scaled(flat)
-    scaled[:, 0] = km
-    if nu_max >= 1:
-        scaled[:, 1] = kc
-    lane_carry = np.zeros(flat.size)
-    # below x ~ 1e-28 one step from a rescaled 1e280 can pass the double
-    # range; that lane goes to inf silently, as the float recurrence does
-    with np.errstate(over="ignore"):
-        for n in range(1, nu_max):
-            km, kc = kc, km + (2.0 * n / flat) * kc
-            big = kc > 1e280
-            if big.any():
-                km[big] *= 1e-280
-                kc[big] *= 1e-280
-                lane_carry[big] += _LOG_1E280
-            scaled[:, n + 1] = kc
-            carry[:, n + 1] = lane_carry
+    carry = np.empty((flat.size, nu_max + 1))
+    for n, (k, c) in enumerate(_scaled_k_orders(nu_max, flat)):
+        scaled[:, n] = k
+        carry[:, n] = c
     out = apply_math(math.log, scaled) + carry - flat[:, None]
-    return out[0].tolist() if xs.ndim == 0 else out
+    return out[0].tolist() if np.ndim(x) == 0 else out
 
 
-def log_bessel_k(nu: int, x):
+def log_bessel_k(nu, x):
     """ln K_nu(x), integer nu >= 0: the last order of :func:`log_bessel_k_upto`.
 
     A float for a scalar ``x``, one value per argument for an array.
+    ``nu`` is one order, or an array of one order per argument: each
+    lane keeps its pair of the shared recurrence at its own order and
+    takes one log, bit for bit ``log_bessel_k_upto(nu_i, x_i)[-1]``.
     """
-    out = log_bessel_k_upto(nu, x)
-    return out[-1] if np.ndim(x) == 0 else out[:, -1]
+    orders = np.broadcast_to(np.asarray(nu), np.shape(x)).ravel()
+    wanted = set(orders.tolist())
+    for n in wanted:
+        _check_order(n)
+    flat = _positive_args(x)
+    scaled, carry = np.empty(flat.size), np.empty(flat.size)
+    for n, (k, c) in enumerate(_scaled_k_orders(int(max(wanted, default=0)),
+                                                flat)):
+        if n in wanted:
+            at = orders == n
+            scaled[at] = k[at]
+            carry[at] = c[at]
+    out = apply_math(math.log, scaled) + carry - flat
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def log_sum_exp(log_terms: np.ndarray | Sequence[float],
@@ -340,24 +381,24 @@ def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: float, hi: float, abs_tol: float, count: int
-                ) -> np.ndarray:
+                lo, hi, abs_tol, count: int) -> np.ndarray:
     """Adaptive Gauss-Legendre integrals over [lo, hi] of ``count`` integrands.
 
     ``f(x, rows)`` returns integrand ``rows[i]`` at ``x[i]``, elementwise.
-    A panel whose halves differ from it by more than its tolerance is
-    split, each half taking half the tolerance, up to ``_GL_MAX_DEPTH``
-    halvings.  The refinement runs breadth first: one level's left and
-    right halves of every open panel of every integral go to ``f``
-    together, at most ``_GL_PANELS_PER_CALL`` panels per call.  Each
-    panel sum, convergence test and left + right fold is the one a
-    depth-first recursion makes, so each integral comes out bit for bit
-    as if integrated alone.
+    ``lo``, ``hi`` and ``abs_tol`` are one value for every integral or
+    one per integral.  A panel whose halves differ from it by more than
+    its tolerance is split, each half taking half the tolerance, up to
+    ``_GL_MAX_DEPTH`` halvings.  The refinement runs breadth first: one
+    level's left and right halves of every open panel of every integral
+    go to ``f`` together, at most ``_GL_PANELS_PER_CALL`` panels per
+    call.  Each panel sum, convergence test and left + right fold is the
+    one a depth-first recursion makes, so each integral comes out bit
+    for bit as if integrated alone.
     """
     rows = np.arange(count)
-    a = np.full(count, lo, dtype=float)
-    b = np.full(count, hi, dtype=float)
-    tol = np.full(count, abs_tol, dtype=float)
+    a = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
+    b = np.broadcast_to(np.asarray(hi, dtype=float), (count,))
+    tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (count,))
     whole = _panel_sums(f, a, b, rows)
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     for depth in range(_GL_MAX_DEPTH + 1):
@@ -387,7 +428,7 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return value
 
 
-def meijer_g_m0_log(mu: float, nu: float, x: float) -> float:
+def meijer_g_m0_log(mu, nu, x):
     """ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2), integer nu.
 
     Uses the tail-integral identity
@@ -396,49 +437,81 @@ def meijer_g_m0_log(mu: float, nu: float, x: float) -> float:
 
     whose integrand is positive, so the evaluation is cancellation-free
     for any parameter size and G is positive.  The Bessel factor runs
-    through the log-scaled recurrence, keeping huge orders finite.  An
-    integrand that does not decay, or a quadrature that does not reach
-    its tolerance, raises :class:`AccuracyError`.
+    through the log-scaled recurrence, keeping huge orders finite.
+
+    Scalars give a float; equal-length arrays give one value per seed,
+    each bit for bit the scalar call's.  The seeds are evaluated
+    together: one lockstep scan, in which every live seed adds its next
+    32 points to each Bessel-K call, and one :func:`adaptive_gl` over
+    every seed's own bracket and tolerance.  An integrand that does not
+    decay, or a quadrature that does not reach its tolerance, raises
+    :class:`AccuracyError`.
     """
-    order = abs(int(round(nu)))
-    u_lo = 2.0 * math.sqrt(x)
+    mus, nus, xs = (a.ravel().tolist() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (mu, nu, x))))
+    count = len(xs)
+    orders = [abs(int(round(n))) for n in nus]
+    u_lo = [2.0 * math.sqrt(xi) for xi in xs]
+    mu1 = np.array([m + 1.0 for m in mus])
+    order_of = np.array(orders)
 
     # integrate in t = ln u so the bracket width stays a few nats wide and
     # the peak-normalized integrand makes the quadrature tolerance an
     # effectively relative one; du = u dt folds into the exponent.  Every
-    # array of points takes one Bessel-K recurrence, each value bit for
-    # bit what that point alone gives.
-    def log_g(u: np.ndarray) -> np.ndarray:
-        return (mu + 1.0) * apply_math(math.log, u) + log_bessel_k(order, u)
+    # array of points, each of its seed ``rows[i]``, takes one Bessel-K
+    # recurrence, each value bit for bit what that point alone gives.
+    def log_g(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (mu1[rows] * apply_math(math.log, u)
+                + log_bessel_k(order_of[rows], u))
 
-    def scan():
-        # u_lo, 1.2 u_lo, ... evaluated 32 points per call
-        u = u_lo
-        while True:
-            us = []
+    # coarse geometric scan for the integrand peak and a -60 nats cutoff;
+    # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end.
+    # Each seed scans u_lo, 1.2 u_lo, ... 32 points at a time until its
+    # own cutoff; the seeds still scanning share each call.
+    u_next = list(u_lo)
+    u_hi: list[float] = [0.0] * count
+    g_max: list[float] = [0.0] * count
+    scanning = list(range(count))
+    first = True
+    while scanning:
+        us = []
+        for i in scanning:
+            u = u_next[i]
             for _ in range(32):
                 us.append(u)
                 u *= 1.2
-            yield from zip(us, log_g(np.array(us)).tolist())
+            u_next[i] = u
+        g_all = log_g(np.array(us), np.repeat(scanning, 32)).tolist()
+        still = []
+        for k, i in enumerate(scanning):
+            points = zip(us[32 * k:32 * k + 32], g_all[32 * k:32 * k + 32])
+            if first:
+                u_hi[i], g_max[i] = next(points)
+            tail_floor = max(u_lo[i] * 4.0, float(orders[i]) * 3.0, 50.0)
+            for u, g_u in points:
+                if g_u > g_max[i]:
+                    g_max[i] = g_u
+                u_hi[i] = u
+                if g_u < g_max[i] - 60.0 and u > tail_floor:
+                    break
+                if u > 1e8:
+                    raise AccuracyError("Bessel tail integral fails to decay")
+            else:
+                still.append(i)
+        scanning, first = still, False
 
-    # coarse geometric scan for the integrand peak and a -60 nats cutoff;
-    # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end
-    points = scan()
-    u_hi, g_max = next(points)
-    tail_floor = max(u_lo * 4.0, float(order) * 3.0, 50.0)
-    for u, g_u in points:
-        if g_u > g_max:
-            g_max = g_u
-        u_hi = u
-        if g_u < g_max - 60.0 and u > tail_floor:
-            break
-        if u > 1e8:
-            raise AccuracyError("Bessel tail integral fails to decay")
+    g_top = np.array(g_max)
 
     def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return apply_math(math.exp, log_g(apply_math(math.exp, ts)) - g_max)
+        return apply_math(math.exp, log_g(apply_math(math.exp, ts), rows)
+                          - g_top[rows])
 
-    t_lo, t_hi = math.log(u_lo), math.log(u_hi)
-    (val,) = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), 1)
-    log_j = g_max + math.log(val)
-    return -0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0) + log_j
+    t_lo = [math.log(u) for u in u_lo]
+    t_hi = [math.log(u) for u in u_hi]
+    tol = [1e-12 * (hi - lo) for lo, hi in zip(t_lo, t_hi)]
+    vals = adaptive_gl(shifted, t_lo, t_hi, tol, count).tolist()
+    out = [-0.5 * (m + 1.0) * math.log(xi) + (1.0 - m) * math.log(2.0)
+           + (g + math.log(v))
+           for m, xi, g, v in zip(mus, xs, g_max, vals)]
+    scalar = all(np.ndim(v) == 0 for v in (mu, nu, x))
+    return out[0] if scalar else np.array(out)

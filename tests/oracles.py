@@ -42,7 +42,8 @@ package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
 breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
-``adaptive_gl_each`` puts it in ``adaptive_gl``'s place, and
+``adaptive_gl_each`` puts it in ``adaptive_gl``'s place, with one
+bracket and tolerance per integral where those are given, and
 ``zsrp_pfs_value_recursive`` is the proportional-fair quadrature value
 as one recursion per distance node computes it.
 """
@@ -514,12 +515,18 @@ def adaptive_gl_recursive(f, lo: float, hi: float, abs_tol: float) -> float:
     return recurse(lo, hi, panel(lo, hi), abs_tol, 0)
 
 
-def adaptive_gl_each(f, lo: float, hi: float, abs_tol: float,
-                     count: int) -> np.ndarray:
-    """``specfun.adaptive_gl`` as ``count`` separate recursions."""
+def adaptive_gl_each(f, lo, hi, abs_tol, count: int) -> np.ndarray:
+    """``specfun.adaptive_gl`` as ``count`` separate recursions.
+
+    ``lo``, ``hi`` and ``abs_tol`` are one value for every integral or
+    one per integral, as the package takes them.
+    """
+    lo, hi, abs_tol = (np.broadcast_to(np.asarray(v, dtype=float),
+                                       (count,)).tolist()
+                       for v in (lo, hi, abs_tol))
     return np.array([
         adaptive_gl_recursive(lambda x, i=i: f(x, np.full(x.size, i)),
-                              lo, hi, abs_tol)
+                              lo[i], hi[i], abs_tol[i])
         for i in range(count)])
 
 

@@ -41,14 +41,17 @@ Proves:
    value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
    oracle refuses, the tail-integral seed matches mpmath to 1e-12; the
-   contiguous recurrence of one composite row matches the tail integral
-   term by term to 1e-12 at h = 150/1000 m, on both sides of B = M; each
-   of the 120 seeds of the default fig4 closed forms (both serving rules)
-   lies within 1e-12 in ln G of the independent contour oracle; a closed
-   form takes three seed integrals per row (12 for default greedy
-   serving, 3 for rotation) and logs the seed and term counts; rows
-   shorter than three terms take only their own seeds and still track
-   quadrature to 1e-9; a seed error of 1e-9 in ln G in the flat
+   contiguous recurrence of four composite rows, their 12 seeds in one
+   call, matches the tail integral term by term to 1e-12 at h = 150/1000
+   m, on both sides of B = M; each of the 120 seeds of the default fig4
+   closed forms (both serving rules, one seed call per closed form) lies
+   within 1e-12 in ln G of the independent contour oracle, and one
+   mixed-order array call of them and three far seeds gives each seed its
+   scalar call's bits; a closed form takes three seed integrals per row
+   (12 for default greedy serving, 3 for rotation) in one call and logs
+   the seed and term counts; rows shorter than three terms take only
+   their own seeds and still track quadrature to 1e-9; the 24-user
+   refusal takes its 72 seeds in one call; a seed error of 1e-9 in ln G in the flat
    environment moves the closed form past 1e-6 and warns, leaving the
    quadrature value's bits alone; the scheme dispatcher and its
    documented refusals.
@@ -383,32 +386,51 @@ def test_tail_integral_fallback_matches_mpmath():
 
 
 @pytest.mark.parametrize("h_br_m", [150.0, 1000.0])
-def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params):
+def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
+                                                    monkeypatch):
     from zsrpsim.propagation import ScenarioGeometry, bs_ris_gain, ris_user_gain
 
     geom = ScenarioGeometry(h_br_m=h_br_m)
     big_x = closed_params(sigma1_sq=bs_ris_gain(geom, air),
                           sigma2_sq=ris_user_gain(geom, air, 0)).big_x
     m_2, m_1 = 32, 32
+    sizes = [j * (m_1 - 1) + 1 for j in (1, 2, 3, 4)]
+    calls = _count_seeds(monkeypatch)
+    rows = an._log_composite_rows(m_2, big_x, sizes)
+    # the three seeds of every row in one call
+    assert [len(c) for c in calls] == [12]
+    monkeypatch.undo()
+    assert [len(row) for row in rows] == sizes
+    # every term's own tail integral, in one (bit for bit scalar) call
+    terms = [(m_2 + b - 4, m_2 - b, j * big_x)
+             for j, n_b in enumerate(sizes, start=1) for b in range(n_b)]
+    want = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*terms)))
     spanned = set()
-    for j in (1, 4):
-        row = an._log_composite_row(m_2, j * big_x, j * (m_1 - 1) + 1)
-        assert len(row) == j * (m_1 - 1) + 1
-        for b, log_g in enumerate(row):
-            # 1e-12 on log G is 1e-12 relative on the tail integral I(B)
-            want = specfun.meijer_g_m0_log(m_2 + b - 4, m_2 - b, j * big_x)
-            # a real log: G is positive
-            assert math.isfinite(log_g)
-            assert abs(log_g - want) <= 1e-12, (j, b, log_g - want)
-            spanned.add((b > m_2) - (b < m_2))
+    for (mu, nu, x), log_g, w in zip(terms, sum(rows, []), want.tolist()):
+        # 1e-12 on log G is 1e-12 relative on the tail integral I(B)
+        # a real log: G is positive
+        assert math.isfinite(log_g)
+        assert abs(log_g - w) <= 1e-12, (mu, nu, x, log_g - w)
+        spanned.add((nu < 0) - (nu > 0))
     # B < M, B = M and B > M (Bessel K of negative order)
     assert spanned == {-1, 0, 1}
 
 
-def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
-    # every seed of the default fig4 closed forms, both serving rules:
-    # 8 altitudes x (12 + 3) = 120 tail integrals against the independent
-    # Mellin-Barnes contour, to 1e-12 in ln G
+def _count_seeds(monkeypatch) -> list:
+    """Record each seed call as the list of its (mu, nu, x) seeds."""
+    calls = []
+    seed = specfun.meijer_g_m0_log
+
+    def counting(mu, nu, x):
+        calls.append(list(zip(*(np.ravel(v).tolist() for v in (mu, nu, x)))))
+        return seed(mu, nu, x)
+
+    monkeypatch.setattr(specfun, "meijer_g_m0_log", counting)
+    return calls
+
+
+def _fig4_seed_calls(air, fading, monkeypatch) -> list:
+    """The seed calls of the default fig4 closed forms, both serving rules."""
     from zsrpsim.experiments import ExperimentSpec
     from zsrpsim.propagation import (ScenarioGeometry, bs_ris_gain,
                                      ris_user_gain)
@@ -423,26 +445,37 @@ def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
                 sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
                 r_eve_m=geom.r_eve_m, n_users=n_users)
             assert an._closed_form(p) is not None, (h, n_users)
-    assert len(calls) == 120
     monkeypatch.undo()
-    for mu, nu, x in calls:
-        log_g = specfun.meijer_g_m0_log(mu, nu, x)
+    return calls
+
+
+def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
+    # every seed of the default fig4 closed forms, both serving rules:
+    # 8 altitudes x (12 + 3) = 120 tail integrals against the independent
+    # Mellin-Barnes contour, to 1e-12 in ln G
+    calls = _fig4_seed_calls(air, fading, monkeypatch)
+    # one seed call per closed form: rotation (3 seeds), greedy (12)
+    assert [len(c) for c in calls] == [3, 12] * 8
+    seeds = sum(calls, [])
+    assert len(seeds) == 120
+    log_gs = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    for (mu, nu, x), log_g in zip(seeds, log_gs.tolist()):
         want, sign = meijer_g_m0_log_contour(
             [0.5 * (1.0 - mu)], [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
         assert sign == 1.0
         assert abs(log_g - want) <= 1e-12, (mu, nu, x, log_g - want)
 
 
-def _count_seeds(monkeypatch) -> list:
-    calls = []
-    seed = specfun.meijer_g_m0_log
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return seed(*args, **kwargs)
-
-    monkeypatch.setattr(specfun, "meijer_g_m0_log", counting)
-    return calls
+def test_seed_array_matches_scalar_calls(air, fading, monkeypatch):
+    # one mixed-order call of the 120 fig4 seeds and three far seeds (a
+    # peak far past the lower end, B > M, a high order) gives each seed
+    # the bits of its scalar call
+    seeds = sum(_fig4_seed_calls(air, fading, monkeypatch), [])
+    seeds += [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4), (60.0, 64.0, 5.0)]
+    got = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    want = [specfun.meijer_g_m0_log(*seed) for seed in seeds]
+    assert all(type(w) is float for w in want)
+    assert hexes(got) == hexes(want)
 
 
 def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatch,
@@ -456,12 +489,12 @@ def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatc
         with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
             out = an.zsrp_for_scheme(scheme, cfg)
         assert out.closed_form is not None
-        # one tail integral per seed, not one per term
-        assert len(calls) == n_seeds, scheme
+        # one tail integral per seed, not one per term, all in one call
+        assert [len(c) for c in calls] == [n_seeds], scheme
         lines = [r.getMessage() for r in caplog.records
                  if "seed integrals" in r.getMessage()]
-        assert lines == [f"closed-form composite: {n_seeds} seed integrals, "
-                         f"{n_terms} terms"]
+        assert lines == [f"closed-form composite: {n_seeds} seed integrals "
+                         f"in one batched quadrature, {n_terms} terms"]
 
 
 @pytest.mark.parametrize("n_elements, n_users, n_seeds",
@@ -474,7 +507,7 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
                       r_eve_m=5000.0)
     calls = _count_seeds(monkeypatch)
     out = an.zsrp_pfs(p)
-    assert len(calls) == n_seeds
+    assert [len(c) for c in calls] == [n_seeds]
     assert 1e-3 < out.value < 0.5
     assert out.closed_form is not None
     assert abs(out.closed_form - out.value) <= 1e-9 * out.value
@@ -487,13 +520,17 @@ def test_many_users_fall_back_to_quadrature(closed_params):
     assert 0.0 < out.value < 1.0
 
 
-def test_rounding_bound_admits_13_users_and_refuses_24(closed_params, caplog):
+def test_rounding_bound_admits_13_users_and_refuses_24(closed_params, caplog,
+                                                       monkeypatch):
     # the bound, not a user count, decides: 3.0e-9 at N = 13, 1.1e-5 at 24
     out = an.zsrp_pfs(closed_params(n_users=13))
     assert out.closed_form is not None
     assert abs(out.closed_form - out.value) <= 1e-9 * out.value
+    calls = _count_seeds(monkeypatch)
     with caplog.at_level("INFO", logger="zsrpsim.analytic"):
         assert an._closed_form(closed_params(n_users=24)) is None
+    # the refusal still evaluates every seed, all 3 x 24 in one call
+    assert [len(c) for c in calls] == [72]
     (reason,) = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert "unavailable" in reason and "rounding bound" in reason
     bound = float(reason.split("rounding bound ")[1].split(",")[0])

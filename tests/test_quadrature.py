@@ -8,7 +8,8 @@ Proves:
    L = 32 elements against one recursion per distance node, whose gain
    thresholds G0 / r^2 the batched route reproduces bit for bit; the
    volume-weighted average of (r/R)^2; the tail integral of one composite
-   seed; ``cdf_Z_quadrature`` of an array against its element-wise scalar
+   seed, alone and in a mixed-order batch of seeds; integrals given one
+   bracket and tolerance each; ``cdf_Z_quadrature`` of an array against its element-wise scalar
    calls, with the support edge and the array shape kept.
 
  Group 2 — failure and cost
@@ -103,9 +104,29 @@ def test_psi_average_polynomial_bits():
 
 @pytest.mark.parametrize("mu, nu, x", [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4)])
 def test_tail_integral_seed_bits(mu, nu, x, monkeypatch):
-    got = specfun.meijer_g_m0_log(mu, nu, x)
+    # the seed alone and first of a mixed-order batch, whose seeds each
+    # take their own bracket and tolerance
+    batch = [np.array([mu, 60.0, 28.0]), np.array([nu, 64.0, 31.0]),
+             np.array([x, 5.0, 3.2])]
+    got = [specfun.meijer_g_m0_log(mu, nu, x), *specfun.meijer_g_m0_log(*batch)]
+    assert hexes(got[:1]) == hexes(got[1:2])
     monkeypatch.setattr(specfun, "adaptive_gl", adaptive_gl_each)
-    assert hexes([got]) == hexes([specfun.meijer_g_m0_log(mu, nu, x)])
+    want = [specfun.meijer_g_m0_log(mu, nu, x), *specfun.meijer_g_m0_log(*batch)]
+    assert hexes(got) == hexes(want)
+
+
+def test_per_integral_brackets_and_tolerances():
+    # peaks at 0, 1, 2 and 3 over brackets, tolerances and refinement
+    # depths of their own, given one per integral or one for all
+    def peaks(x, rows):
+        return 1.0 / (1.0 + 50.0 * (x - rows) ** 2)
+
+    lo = np.array([-1.0, 0.5, 0.0, 2.5])
+    hi = np.array([1.0, 4.0, 2.25, 40.0])
+    tol = np.array([1e-10, 1e-12, 1e-6, 1e-9])
+    for args in ((lo, hi, tol), (0.0, hi, tol), (lo, 40.0, 1e-11)):
+        got = specfun.adaptive_gl(peaks, *args, 4)
+        assert hexes(got) == hexes(adaptive_gl_each(peaks, *args, 4))
 
 
 def test_cdf_Z_quadrature_array_matches_scalar_calls(air):

@@ -34,6 +34,9 @@ Proves:
    argument as its own lane: K0/K1 on both branches and across x = 2, and
    every row of an array recurrence (across the rescale too), equal the
    scalar float oracles bit for bit; one bad argument refuses the array.
+   log_bessel_k with one order per lane (orders 0..64 on both branches
+   and past the rescale) gives each lane ``log_bessel_k_upto``'s last
+   entry bit for bit, and one bad order refuses the array.
 
  Group 4 — Mellin-Barnes Meijer G oracle, all-poles-left kind
    G^{1,0}_{0,1}(x | -; 0) = e^{-x}; G^{2,0}_{0,2}(z | -; nu/2, -nu/2)
@@ -344,6 +347,24 @@ def test_log_bessel_k_upto_rows_match_scalar_oracle(nu_max):
     for row, x in zip(got, xs.tolist()):
         assert hexes(row) == hexes(log_bessel_k_upto_scalar(nu_max, x)), x
     assert hexes(specfun.log_bessel_k(nu_max, xs)) == hexes(got[:, -1])
+
+
+def test_log_bessel_k_one_order_per_lane():
+    # orders 0..64 spread over series lanes (x <= 2), continued-fraction
+    # lanes and, at x = 1e-3 and order 64, a lane past a 1e280 rescale
+    xs = np.random.default_rng(7).permutation(
+        np.concatenate([UPTO_ARGS, K01_ARGS]))
+    orders = np.arange(xs.size) % 65
+    xs, orders = np.append(xs, 1e-3), np.append(orders, 64)
+    got = specfun.log_bessel_k(orders, xs)
+    assert got.shape == xs.shape
+    assert got[-1] > 280.0 * math.log(10.0)
+    want = [specfun.log_bessel_k_upto(n, x)[-1]
+            for n, x in zip(orders.tolist(), xs.tolist())]
+    assert hexes(got) == hexes(want)
+    for bad in ([3, -1], [3, 1.5]):
+        with pytest.raises(ValueError):
+            specfun.log_bessel_k(np.array(bad), np.array([1.0, 2.0]))
 
 
 def test_log_bessel_k_upto_array_domain():

@@ -219,9 +219,8 @@ def cdf_Z_single(z, p: ClosedFormParams):
         m_2 = p.m2 * p.n_elements
         m_1 = p.m1 * p.n_elements
         xi = p.m1 * p.m2 * z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
-        log_k = specfun.log_bessel_k_upto(max(m_2, abs(m_2 - m_1 + 1)),
-                                          2.0 * np.sqrt(xi))
-        log_terms = log_k[:, np.abs(m_2 - np.arange(m_1))]
+        log_terms = specfun.log_bessel_k(np.abs(m_2 - np.arange(m_1)),
+                                         2.0 * np.sqrt(xi)[:, None])
         # the recurrence passes the double range below xi ~ 1e-70: F = 0.0
         ok = np.isfinite(log_terms).all(axis=1)
         vals = np.zeros(ok.size)
@@ -310,9 +309,10 @@ def _log_composite_rows(m_2: int, big_x: float,
     if not long_rows:
         return rows
     ys = [2.0 * math.sqrt(jx) for _, _, jx in long_rows]
-    log_ks = specfun.log_bessel_k_upto(
-        max(max(abs(m_2 - 2), abs(m_2 - n_b + 2)) for _, n_b, _ in long_rows),
-        np.array(ys))
+    # K_(M-b+1)(y) for b = 3 .. n_b - 1 of the longest row, at each y
+    log_ks = specfun.log_bessel_k(
+        np.abs(m_2 - np.arange(3, max(n_b for _, n_b, _ in long_rows)) + 1),
+        np.array(ys)[:, None])
     ln2 = math.log(2.0)
 
     def log_g_over_i(b: int, log_jx: float) -> float:
@@ -322,7 +322,7 @@ def _log_composite_rows(m_2: int, big_x: float,
         log_jx, log_y = math.log(jx), math.log(y)
         scale, mant = row[2] - log_g_over_i(2, log_jx), 1.0
         for b in range(3, n_b):
-            log_step = (m_2 + b - 4) * log_y + log_k[abs(m_2 - b + 1)]
+            log_step = (m_2 + b - 4) * log_y + log_k[b - 3]
             mant = math.exp(log_step - scale) + (2 * b - 5) * mant
             if mant > 1e200:
                 scale += math.log(mant)

@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 ENV_SEED = "ZSRPSIM_SEED"
 
+SEARCH_COLUMNS = ("h_star_m", "zsrp", "scheme", "evaluator", "n_evaluations")
+
 
 # --------------------------------------------------------------------------
 # argument plumbing
@@ -53,8 +55,9 @@ def _shared_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     shared = _shared_flags()
     scheme = argparse.ArgumentParser(add_help=False)
-    scheme.add_argument("--scheme", default="fcr-rs",
-                        help="scheme id (default %(default)s); see README for the roster")
+    scheme.add_argument("--scheme",
+                        help="scheme id (default: the config file's schemes, "
+                             "else fcr-rs); see README for the roster")
     ap = argparse.ArgumentParser(
         prog="zsrpsim",
         description="Zero secrecy rate probability of RIS- and UAV-aided "
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_z = sub.add_parser("zsrp", parents=[shared, scheme],
                          help="evaluate the ZSRP at one operating point")
     p_z.add_argument("--evaluator", choices=EVALUATORS + ("both",),
-                     default="both")
+                     help="default: the config file's evaluators, else both")
 
     p_o = sub.add_parser("optimize-altitude", parents=[shared, scheme],
                          help="search the ZSRP-minimizing hovering altitude")
@@ -83,13 +86,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_o.add_argument("--tol", type=float, default=AltitudeSearchSpec.tol_m,
                      help="bracket tolerance, m")
     p_o.add_argument("--evaluator", choices=EVALUATORS,
-                     default=AltitudeSearchSpec.evaluator)
+                     help="default: the config file's evaluator, else "
+                          f"{AltitudeSearchSpec.evaluator}")
     return ap
 
 
+#: Scheme and evaluator lists of each subcommand where neither a flag nor
+#: the config file's ``[experiment]`` section sets them.
+_DEFAULT_SPECS = {
+    "run": ExperimentSpec(),
+    "zsrp": ExperimentSpec(schemes=(SchemeId.FCR_RS,)),
+    "optimize-altitude": ExperimentSpec(
+        schemes=(SchemeId.FCR_RS,), evaluators=(AltitudeSearchSpec.evaluator,)),
+}
+
+
 def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]:
-    """Config file plus CLI/environment overrides, validated."""
-    scenario, spec = load_config(args.config)
+    """Config file plus CLI/environment overrides, validated.
+
+    A ``--scheme`` or ``--evaluator`` flag replaces the config file's
+    scheme or evaluator list; a list that neither sets is the
+    subcommand's default.
+    """
+    scenario, spec = load_config(args.config, _DEFAULT_SPECS[args.command])
     seed = spec.seed
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -107,14 +126,15 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
         updates["threads"] = args.threads
     if args.out:
         updates["output"] = args.out
+    if getattr(args, "scheme", None) is not None:
+        try:
+            updates["schemes"] = (SchemeId.from_string(args.scheme),)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    if getattr(args, "evaluator", None) is not None:
+        updates["evaluators"] = (EVALUATORS if args.evaluator == "both"
+                                 else (args.evaluator,))
     return scenario, dataclasses.replace(spec, **updates)
-
-
-def _scheme(args: argparse.Namespace) -> SchemeId:
-    try:
-        return SchemeId.from_string(args.scheme)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _emit(text: str, path: str) -> None:
@@ -141,36 +161,37 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_zsrp(args: argparse.Namespace) -> int:
-    """One operating point: ``run --experiment single`` for one scheme."""
+    """One operating point: ``run --experiment single``."""
     scenario, spec = _resolved(args)
-    scheme = _scheme(args)
-    evaluators = EVALUATORS if args.evaluator == "both" else (args.evaluator,)
-    spec = dataclasses.replace(spec, kind="single", schemes=(scheme,),
-                               evaluators=evaluators)
+    spec = dataclasses.replace(spec, kind="single")
     rows = run_experiment(scenario, spec)
     if not rows:
         # run_experiment has logged why the closed form is unavailable
-        raise ConfigError(f"no analytic value for scheme {scheme.value!r}")
+        raise ConfigError("no analytic value for scheme "
+                          + ", ".join(repr(s.value) for s in spec.schemes))
     _emit(format_csv(rows), spec.output)
     return 0
 
 
 def cmd_optimize_altitude(args: argparse.Namespace) -> int:
     scenario, spec = _resolved(args)
-    scheme = _scheme(args)
+    if len(spec.schemes) > 1 or len(spec.evaluators) > 1:
+        raise ConfigError("optimize-altitude searches one scheme with one "
+                          "evaluator; the config file lists more: choose "
+                          "with --scheme and --evaluator")
+    (scheme,), (evaluator,) = spec.schemes, spec.evaluators
     try:
         search = AltitudeSearchSpec(
             config=dataclasses.replace(scenario, scheme=scheme),
             h_lo_m=args.h_lo, h_hi_m=args.h_hi, tol_m=args.tol,
-            evaluator=args.evaluator, trials=spec.trials, seed=spec.seed,
+            evaluator=evaluator, trials=spec.trials, seed=spec.seed,
             threads=spec.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     res = optimal_altitude(search)
-    text = ("h_star_m,zsrp,scheme,evaluator,n_evaluations\n"
-            f"{res.h_m:.10g},{res.zsrp:.10g},{scheme.value},"
-            f"{args.evaluator},{res.n_evaluations}\n")
-    _emit(text, spec.output)
+    row = {"h_star_m": res.h_m, "zsrp": res.zsrp, "scheme": scheme.value,
+           "evaluator": evaluator, "n_evaluations": res.n_evaluations}
+    _emit(format_csv([row], SEARCH_COLUMNS), spec.output)
     return 0
 
 

@@ -170,12 +170,15 @@ def _parsed(cp: configparser.ConfigParser) -> dict[str, dict[str, object]]:
     return values
 
 
-def load_config(path: Union[str, Path, None]) -> tuple[ScenarioConfig, ExperimentSpec]:
+def load_config(path: Union[str, Path, None],
+                defaults: ExperimentSpec = ExperimentSpec()
+                ) -> tuple[ScenarioConfig, ExperimentSpec]:
     """Scenario and experiment spec from an INI-style file.
 
     Sections ``geometry``, ``environment``, ``fading`` and ``experiment``
     are all optional, as is every key; a missing key keeps its
-    dataclass default, so a missing or empty file resolves to the default
+    dataclass default (an ``[experiment]`` key its value in
+    ``defaults``), so a missing or empty file resolves to the default
     desk-scale scenario.  Unknown sections or keys are rejected
     rather than ignored, so typos fail loudly.
     """
@@ -209,7 +212,7 @@ def load_config(path: Union[str, Path, None]) -> tuple[ScenarioConfig, Experimen
         air = AirGroundParams(**{key: value for key, value in environment.items()
                                  if key in air_fields})
         fading = FadingParams(**fading_keys)
-        spec = ExperimentSpec(**values["experiment"])
+        spec = dataclasses.replace(defaults, **values["experiment"])
         scenario = ScenarioConfig(
             geometry=geometry, air=air, fading=fading, scheme=spec.schemes[0],
             **{key: value for key, value in environment.items()
@@ -308,10 +311,11 @@ def _fmt(value) -> str:
     return format(float(value), ".10g")
 
 
-def format_csv(rows: Iterable[dict]) -> str:
+def format_csv(rows: Iterable[dict],
+               columns: tuple[str, ...] = CSV_COLUMNS) -> str:
     """CSV text (UTF-8-safe, LF line endings, fixed column order)."""
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
+        lines.append(",".join(_fmt(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
 

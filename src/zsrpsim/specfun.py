@@ -8,12 +8,8 @@ Provided primitives:
   for integer shape a, scalar and array forms of one implementation
 * ``regularized_lower_gamma_tail`` -- P(a, x) = 1 - Q(a, x) by its
   positive series, for the lower tail where 1 - Q is rounding noise
-* ``log_bessel_k_upto`` -- ln K_0(x) .. ln K_nu(x), modified Bessel K of
-  every integer order up to nu, from one upward recurrence, at one x or
-  at every x of an array (one lane per argument)
-* ``log_bessel_k``    -- ln K_nu(x) alone, the last of those values; an
-  array may take one order per argument, each lane kept at its own order
-  of the shared recurrence
+* ``log_bessel_k``    -- ln K_nu(x), modified Bessel K of integer orders
+  broadcast against the arguments, one upward recurrence per argument
 * ``log_sum_exp``     -- signed sum of exponentials in log space, one
   per row of a (rows x terms) array
 * ``apply_math``      -- a math-module function mapped over an array
@@ -240,29 +236,21 @@ def _bessel_k01_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LOG_1E280 = 280.0 * math.log(10.0)
 
 
-def _positive_args(x) -> np.ndarray:
-    """The arguments of ``x`` as a flat float array, each checked > 0."""
-    flat = np.asarray(x, dtype=float).ravel()
-    if not np.all(flat > 0.0):
-        bad = float(flat[~(flat > 0.0)][0])
-        raise ValueError(f"argument must be > 0, got {bad!r}")
-    return flat
+def _scaled_k_table(nu_max: int, flat: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x) K_n(x) / carry factor and ln carry factor, n = 0 .. nu_max.
 
-
-def _scaled_k_orders(nu_max: int, flat: np.ndarray):
-    """Yield (exp(x) K_n(x) / carry factor, ln carry factor), n = 0 .. nu_max.
-
-    One upward recurrence over every lane of ``flat``; each lane gets an
-    explicit exponent carry, and each order is yielded after its rescale
-    check, so the pair of order n is exactly what a recurrence stopped at
-    order n holds.  The yielded arrays change as the recurrence goes on:
-    a caller copies what it keeps before taking the next order.
+    Two tables with one row per argument of ``flat`` and one column per
+    order (at least orders 0 and 1), from one upward recurrence over
+    every lane with an explicit exponent carry per lane.  Each order is
+    recorded after its rescale check, so column n holds exactly what a
+    recurrence stopped at order n holds.
     """
     km, kc = _bessel_k01_scaled(flat)
+    scaled = np.empty((flat.size, max(nu_max, 1) + 1))
+    carry = np.zeros(scaled.shape)
+    scaled[:, 0], scaled[:, 1] = km, kc
     lane_carry = np.zeros(flat.size)
-    yield km, lane_carry
-    if nu_max >= 1:
-        yield kc, lane_carry
     # below x ~ 1e-28 one step from a rescaled 1e280 can pass the double
     # range; that lane goes to inf silently, as the float recurrence does
     with np.errstate(over="ignore"):
@@ -273,59 +261,35 @@ def _scaled_k_orders(nu_max: int, flat: np.ndarray):
                 km[big] *= 1e-280
                 kc[big] *= 1e-280
                 lane_carry[big] += _LOG_1E280
-            yield kc, lane_carry
-
-
-def _check_order(nu) -> None:
-    if nu < 0 or int(nu) != nu:
-        raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
-
-
-def log_bessel_k_upto(nu_max: int, x):
-    """[ln K_0(x), ..., ln K_nu_max(x)] from one upward recurrence.
-
-    ``x`` is a scalar, which gives a list, or an array, which gives an
-    (x.size, nu_max + 1) array with one row per argument.  The recurrence
-    runs on exp(x)-scaled values with an explicit exponent carry per
-    argument, so very large orders and very large arguments are both
-    safe.  Each order is recorded after its rescale check, so entry n is
-    exactly what a recurrence stopped at order n returns, and each row is
-    bit for bit the list of its argument alone.
-    """
-    _check_order(nu_max)
-    nu_max = int(nu_max)
-    flat = _positive_args(x)
-    scaled = np.empty((flat.size, nu_max + 1))
-    carry = np.empty((flat.size, nu_max + 1))
-    for n, (k, c) in enumerate(_scaled_k_orders(nu_max, flat)):
-        scaled[:, n] = k
-        carry[:, n] = c
-    out = apply_math(math.log, scaled) + carry - flat[:, None]
-    return out[0].tolist() if np.ndim(x) == 0 else out
+            scaled[:, n + 1] = kc
+            carry[:, n + 1] = lane_carry
+    return scaled, carry
 
 
 def log_bessel_k(nu, x):
-    """ln K_nu(x), integer nu >= 0: the last order of :func:`log_bessel_k_upto`.
+    """ln K_nu(x), integer orders nu >= 0 broadcast against arguments x > 0.
 
-    A float for a scalar ``x``, one value per argument for an array.
-    ``nu`` is one order, or an array of one order per argument: each
-    lane keeps its pair of the shared recurrence at its own order and
-    takes one log, bit for bit ``log_bessel_k_upto(nu_i, x_i)[-1]``.
+    One order per argument, or a row of orders against a column of
+    arguments (``x[:, None]``), one row of values per argument.  Each
+    argument runs one upward recurrence on exp(x)-scaled values with an
+    explicit exponent carry, safe for huge orders and arguments, and each
+    value takes one log: bit for bit what a recurrence at its argument
+    alone, stopped at its order, gives.  A float for scalars.
     """
-    orders = np.broadcast_to(np.asarray(nu), np.shape(x)).ravel()
-    wanted = set(orders.tolist())
-    for n in wanted:
-        _check_order(n)
-    flat = _positive_args(x)
-    scaled, carry = np.empty(flat.size), np.empty(flat.size)
-    for n, (k, c) in enumerate(_scaled_k_orders(int(max(wanted, default=0)),
-                                                flat)):
-        if n in wanted:
-            at = orders == n
-            scaled[at] = k[at]
-            carry[at] = c[at]
-    out = apply_math(math.log, scaled) + carry - flat
-    return float(out[0]) if np.ndim(x) == 0 else out
+    orders = np.asarray(nu)
+    if not np.all(np.isfinite(orders) & (orders >= 0)
+                  & (orders == np.floor(orders))):
+        raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
+    orders = orders.astype(int)
+    flat = np.asarray(x, dtype=float).ravel()
+    if not np.all(flat > 0.0):
+        bad = float(flat[~(flat > 0.0)][0])
+        raise ValueError(f"argument must be > 0, got {bad!r}")
+    scaled, carry = _scaled_k_table(int(orders.max(initial=0)), flat)
+    lane = np.arange(flat.size).reshape(np.shape(x))
+    out = (apply_math(math.log, scaled[lane, orders]) + carry[lane, orders]
+           - flat[lane])
+    return float(out) if out.ndim == 0 else out
 
 
 def log_sum_exp(log_terms: np.ndarray | Sequence[float],
@@ -428,6 +392,14 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return value
 
 
+#: Largest lower limit 2 sqrt(x) of a seed's tail integral.  ln G is
+#: about -2 sqrt(x), so past it the rounding of ln G alone exceeds 1e-12
+#: (1.1e-12 at x = 5e5 against a 40-digit reference), and from x ~ 5e7 on
+#: the scan's bracket misses the e^-u edge layer of the integrand, of
+#: width 1/u in t = ln u, and ln G comes out tens of nats off.
+_SEED_U_LO_MAX = 1e3
+
+
 def meijer_g_m0_log(mu, nu, x):
     """ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2), integer nu.
 
@@ -441,19 +413,23 @@ def meijer_g_m0_log(mu, nu, x):
 
     Scalars give a float; equal-length arrays give one value per seed,
     each bit for bit the scalar call's.  The seeds are evaluated
-    together: one lockstep scan, in which every live seed adds its next
-    32 points to each Bessel-K call, and one :func:`adaptive_gl` over
-    every seed's own bracket and tolerance.  An integrand that does not
-    decay, or a quadrature that does not reach its tolerance, raises
-    :class:`AccuracyError`.
+    together: one scan over (seeds x 32) arrays, in which every
+    seed still scanning adds its next 32 points to each Bessel-K call,
+    and one :func:`adaptive_gl` over every seed's own bracket and
+    tolerance.  A lower limit 2 sqrt(x) past ``_SEED_U_LO_MAX``, an
+    integrand that does not decay, or a quadrature that does not reach
+    its tolerance raises :class:`AccuracyError`.
     """
-    mus, nus, xs = (a.ravel().tolist() for a in np.broadcast_arrays(
+    mus, nus, xs = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (mu, nu, x))))
-    count = len(xs)
-    orders = [abs(int(round(n))) for n in nus]
-    u_lo = [2.0 * math.sqrt(xi) for xi in xs]
-    mu1 = np.array([m + 1.0 for m in mus])
-    order_of = np.array(orders)
+    count = xs.size
+    orders = np.abs(np.round(nus)).astype(int)
+    u_lo = 2.0 * np.sqrt(xs)
+    mu1 = mus + 1.0
+    if np.any(u_lo > _SEED_U_LO_MAX):
+        raise AccuracyError(
+            f"Bessel tail integral from 2 sqrt(x) = {u_lo.max():.4g} is past "
+            f"{_SEED_U_LO_MAX:g}, beyond which its ln G misses 1e-12")
 
     # integrate in t = ln u so the bracket width stays a few nats wide and
     # the peak-normalized integrand makes the quadrature tolerance an
@@ -462,56 +438,42 @@ def meijer_g_m0_log(mu, nu, x):
     # recurrence, each value bit for bit what that point alone gives.
     def log_g(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return (mu1[rows] * apply_math(math.log, u)
-                + log_bessel_k(order_of[rows], u))
+                + log_bessel_k(orders[rows], u))
 
     # coarse geometric scan for the integrand peak and a -60 nats cutoff;
     # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end.
-    # Each seed scans u_lo, 1.2 u_lo, ... 32 points at a time until its
-    # own cutoff; the seeds still scanning share each call.
-    u_next = list(u_lo)
-    u_hi: list[float] = [0.0] * count
-    g_max: list[float] = [0.0] * count
-    scanning = list(range(count))
-    first = True
-    while scanning:
-        us = []
-        for i in scanning:
-            u = u_next[i]
-            for _ in range(32):
-                us.append(u)
-                u *= 1.2
-            u_next[i] = u
-        g_all = log_g(np.array(us), np.repeat(scanning, 32)).tolist()
-        still = []
-        for k, i in enumerate(scanning):
-            points = zip(us[32 * k:32 * k + 32], g_all[32 * k:32 * k + 32])
-            if first:
-                u_hi[i], g_max[i] = next(points)
-            tail_floor = max(u_lo[i] * 4.0, float(orders[i]) * 3.0, 50.0)
-            for u, g_u in points:
-                if g_u > g_max[i]:
-                    g_max[i] = g_u
-                u_hi[i] = u
-                if g_u < g_max[i] - 60.0 and u > tail_floor:
-                    break
-                if u > 1e8:
-                    raise AccuracyError("Bessel tail integral fails to decay")
-            else:
-                still.append(i)
-        scanning, first = still, False
-
-    g_top = np.array(g_max)
+    # Each seed scans u_lo, 1.2 u_lo, ... 32 points at a time until the
+    # first point past its tail floor that lies 60 nats below the running
+    # peak; the seeds still scanning share each call.
+    tail_floor = np.maximum(np.maximum(u_lo * 4.0, orders * 3.0), 50.0)
+    u_next, u_hi = u_lo.copy(), np.empty(count)
+    g_max = np.full(count, -math.inf)
+    live = np.arange(count)
+    while live.size:
+        steps = np.full((live.size, 32), 1.2)
+        steps[:, 0] = u_next[live]
+        us = np.multiply.accumulate(steps, axis=1)
+        gs = log_g(us.ravel(), np.repeat(live, 32)).reshape(us.shape)
+        peaks = np.maximum.accumulate(
+            np.column_stack((g_max[live], gs)), axis=1)[:, 1:]
+        stop = (gs < peaks - 60.0) & (us > tail_floor[live, None])
+        end = np.where(stop.any(axis=1), stop.argmax(axis=1), 32)
+        if np.any((us > 1e8) & (np.arange(32) < end[:, None])):
+            raise AccuracyError("Bessel tail integral fails to decay")
+        last = np.minimum(end, 31)
+        lanes = np.arange(live.size)
+        u_hi[live], g_max[live] = us[lanes, last], peaks[lanes, last]
+        u_next[live] = us[:, -1] * 1.2
+        live = live[end == 32]
 
     def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return apply_math(math.exp, log_g(apply_math(math.exp, ts), rows)
-                          - g_top[rows])
+                          - g_max[rows])
 
-    t_lo = [math.log(u) for u in u_lo]
-    t_hi = [math.log(u) for u in u_hi]
-    tol = [1e-12 * (hi - lo) for lo, hi in zip(t_lo, t_hi)]
-    vals = adaptive_gl(shifted, t_lo, t_hi, tol, count).tolist()
-    out = [-0.5 * (m + 1.0) * math.log(xi) + (1.0 - m) * math.log(2.0)
-           + (g + math.log(v))
-           for m, xi, g, v in zip(mus, xs, g_max, vals)]
+    t_lo = apply_math(math.log, u_lo)
+    t_hi = apply_math(math.log, u_hi)
+    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), count)
+    out = (-0.5 * mu1 * apply_math(math.log, xs) + (1.0 - mus) * math.log(2.0)
+           + (g_max + apply_math(math.log, vals)))
     scalar = all(np.ndim(v) == 0 for v in (mu, nu, x))
-    return out[0] if scalar else np.array(out)
+    return float(out[0]) if scalar else out

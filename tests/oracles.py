@@ -29,15 +29,20 @@ Q(a, x); the package's array form must match it bit for bit wherever
 exp(-x) does not underflow.
 
 ``log_bessel_k_loop`` is the per-order upward recurrence for ln K_nu(x)
-that restarts from K_0, K_1 for every order; each entry of the package's
-one-pass ``log_bessel_k_upto`` must match it bit for bit.
+that restarts from K_0, K_1 for every order; the package's
+``log_bessel_k`` at a row of orders 0 .. nu must match each entry of it
+bit for bit.
 
 ``cdf_Z_single_scalar`` is the round-robin series CDF at one z, every
 step on Python floats: the K_0/K_1 series or continued fraction
 (``bessel_k01_scaled_scalar``), the upward recurrence
 (``log_bessel_k_upto_scalar``) and the log-space term sum.  The
 package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
-``log_bessel_k_upto`` must match them bit for bit at every element.
+``log_bessel_k`` must match them bit for bit at every element.
+
+``meijer_g_m0_log_quad`` is the package's seed integral by
+``scipy.integrate.quad`` over ``scipy.special.kve``, the reference of
+acceptance criterion 4 and of the seed range limit.
 
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
@@ -55,6 +60,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate, special
 
 from zsrpsim.analytic import (ClosedFormParams, _log_binom,
                               _log_ordered_sum_coefficients, _tail_cutoff)
@@ -474,6 +480,28 @@ def meijer_g_m0(a, b, x: float) -> float:
     """G^{m,0}_{p,q}(x) from the signed log of :func:`meijer_g_m0_log_contour`."""
     log_abs, sign = meijer_g_m0_log_contour(a, b, x)
     return sign * math.exp(log_abs)
+
+
+def meijer_g_m0_log_quad(mu: float, nu: float, x: float) -> float:
+    """ln of x^-(mu+1)/2 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du by scipy.
+
+    The package's seed integral, with ``scipy.special.kve`` for the Bessel
+    factor and ``scipy.integrate.quad`` for the integral; the integrand is
+    scaled by its peak, located on a geometric grid, and split there.
+    """
+    u_lo = 2.0 * math.sqrt(x)
+
+    def log_f(u: float) -> float:
+        return mu * math.log(u) + math.log(special.kve(nu, u)) - u
+
+    peak_u = max(u_lo * np.geomspace(1.0, 1e3, 4001), key=log_f)
+    peak = log_f(peak_u)
+    total = sum(
+        integrate.quad(lambda u: math.exp(log_f(u) - peak), lo, hi,
+                       epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in ((u_lo, peak_u), (peak_u, math.inf)) if hi > lo)
+    return (-0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0)
+            + peak + math.log(total))
 
 
 def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:

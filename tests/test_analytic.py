@@ -40,7 +40,12 @@ Proves:
    INFO, and below the bound both serving rules return the quadrature
    value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
-   oracle refuses, the tail-integral seed matches mpmath to 1e-12; the
+   oracle refuses, the tail-integral seed matches mpmath to 1e-12; an
+   integrand still rising at u = 1e8 refuses, alone or in a batch; up to
+   a lower limit 2 sqrt(x) = 1000 a seed holds 1e-12 in ln G against
+   scipy quadrature, and past it (x = 1e8, 1e10, 1e11) it refuses, alone
+   or in a batch, where the unchecked scan came out tens of nats off or
+   met log(0); the
    contiguous recurrence of four composite rows, their 12 seeds in one
    call, matches the tail integral term by term to 1e-12 at h = 150/1000
    m, on both sides of B = M; each of the 120 seeds of the default fig4
@@ -66,7 +71,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from zsrpsim import analytic as an
 from zsrpsim import specfun
@@ -77,7 +82,7 @@ from zsrpsim.secrecy import ScenarioConfig
 
 from oracles import (cdf_power_sum_order_stat, cdf_Z_single_scalar,
                      enumerate_subset_terms, meijer_g_m0_log_contour,
-                     ordered_sum_coefficients)
+                     meijer_g_m0_log_quad, ordered_sum_coefficients)
 
 BIG_X_DEFAULT = 102.4988007168656
 RS_DEFAULT = 0.03569559129313944
@@ -383,6 +388,46 @@ def test_tail_integral_fallback_matches_mpmath():
     # a real log: G is positive
     assert type(log_g) is float and math.isfinite(log_g)
     assert abs(log_g - TAIL_LOG_G) <= 1e-12
+
+
+@pytest.mark.parametrize("mu, nu, x", [(1e9, 0.0, 1.0),
+                                       ([28.0, 1e9], [32.0, 0.0], [1.0, 1.0])])
+def test_tail_integral_that_keeps_rising_refuses(mu, nu, x):
+    # u^1e9 K_0(u) still rises at u = 1e8, where the scan gives up; one
+    # such seed refuses a batched call
+    with pytest.raises(AccuracyError, match="fails to decay"):
+        specfun.meijer_g_m0_log(*(np.array(v) for v in (mu, nu, x)))
+
+
+@pytest.mark.parametrize("x", [1e3, 1e5, 2.5e5])
+def test_seed_up_to_the_range_limit_holds_1e12(x):
+    # up to 2 sqrt(x) = 1000 a seed stays within 1e-12 in ln G of scipy
+    got = specfun.meijer_g_m0_log(28.0, 32.0, x)
+    assert abs(got - meijer_g_m0_log_quad(28.0, 32.0, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [1e8, 1e10, 1e11])
+def test_seed_past_the_range_limit_refuses(x, monkeypatch):
+    with warnings.catch_warnings():
+        # at 1e11 quad reports rounding above its 1e-13 request; here the
+        # reference only has to be tens of nats right
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref = meijer_g_m0_log_quad(28.0, 32.0, x)
+    assert math.isfinite(ref)
+    with pytest.raises(AccuracyError, match="past 1000"):
+        specfun.meijer_g_m0_log(28.0, 32.0, x)
+    # one such seed refuses a batched call
+    with pytest.raises(AccuracyError, match="past 1000"):
+        specfun.meijer_g_m0_log(np.array([28.0, 28.0]), np.array([32.0, 32.0]),
+                                np.array([1e3, x]))
+    # unchecked, the scan's bracket misses the integrand's e^-u edge layer:
+    # ln G comes out tens of nats off, or its log meets a 0.0 integral
+    monkeypatch.setattr(specfun, "_SEED_U_LO_MAX", math.inf)
+    if x < 1e11:
+        assert abs(specfun.meijer_g_m0_log(28.0, 32.0, x) - ref) > 10.0
+    else:
+        with pytest.raises(ValueError, match="math domain error"):
+            specfun.meijer_g_m0_log(28.0, 32.0, x)
 
 
 @pytest.mark.parametrize("h_br_m", [150.0, 1000.0])

@@ -12,7 +12,9 @@ MC ``zsrp`` command records spans through the wrapped names, its one-point
 ``run_experiment`` among them.  A traced analytic ``fcr-gcsi-pfs``
 ``zsrp`` records its 12 Meijer-G seeds as exactly one ``specfun.meijer``
 span (one batched call), and the Bessel K calls of their tail integrals
-as ``specfun.bessel`` spans.  A wrapper of ``optimize.run_monte_carlo``
+as ``specfun.bessel`` spans.  A traced analytic ``fcr-rs`` ``zsrp``
+records one ``specfun.bessel`` span inside each ``analytic.cdf`` span:
+the series CDF takes its Bessel K values from the wrapped entry point.  A wrapper of ``optimize.run_monte_carlo``
 with ``child.py``'s signature sees an estimate, with a nonzero standard
 error, at the h* that a short MC ``optimize-altitude`` prints: the search's
 time-to-precision metric is read from it.
@@ -24,6 +26,7 @@ import csv
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 _PROBE = """
 import json
 import sys
-from collections import Counter
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracer
 from zsrpsim import cli, optimize
@@ -41,18 +43,25 @@ t = tracer.Tracer(0)
 tracer.install(t)
 code = cli.main(sys.argv[3:])
 assert code == 0, code
-print(json.dumps(Counter(s.name for s in t.spans)))
+names = {s.id: s.name for s in t.spans}
+print(json.dumps([[s.name, names.get(s.parent, "")] for s in t.spans]))
 """
 
 
-def traced_span_counts(*argv: str) -> dict[str, int]:
-    """Spans per name of one traced CLI command in a fresh interpreter."""
+def traced_spans(*argv: str) -> list[tuple[str, str]]:
+    """(name, parent name) of each span of one traced CLI command, run in
+    a fresh interpreter; a root span's parent name is empty."""
     out = subprocess.run(
         [sys.executable, "-c", _PROBE, str(ROOT / "perfbench"),
          str(ROOT / "src"), *argv],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+    return [tuple(pair) for pair in json.loads(out.stdout)]
+
+
+def traced_span_counts(*argv: str) -> dict[str, int]:
+    """Spans per name of one traced CLI command in a fresh interpreter."""
+    return Counter(name for name, _ in traced_spans(*argv))
 
 
 def test_tracer_installs_and_records(tmp_path):
@@ -70,6 +79,16 @@ def test_tracer_sees_the_closed_form_seeds(tmp_path):
     # ``specfun.log_bessel_k``
     assert counts["specfun.meijer"] == 1
     assert counts.get("specfun.bessel", 0) >= 1
+
+
+def test_series_cdf_calls_the_wrapped_bessel_k(tmp_path):
+    spans = traced_spans("zsrp", "--evaluator", "analytic", "--scheme",
+                         "fcr-rs", "--out", str(tmp_path / "zsrp.csv"))
+    # the round-robin series CDF reaches Bessel K through the one wrapped
+    # entry point, ``specfun.log_bessel_k``, inside each ``analytic.cdf``
+    under_cdf = spans.count(("specfun.bessel", "analytic.cdf"))
+    assert under_cdf >= 1
+    assert under_cdf == sum(name == "analytic.cdf" for name, _ in spans)
 
 
 def test_search_estimate_seen_at_printed_optimum(tmp_path, monkeypatch):

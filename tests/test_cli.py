@@ -7,10 +7,14 @@ Proves:
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
    and evaluator selection; a query prints the same bytes as a one-point
-   ``run``; requesting a closed form that does not exist exits with the
+   ``run``; without flags the config file's schemes and evaluators
+   decide, a flag wins over the file, and with neither the defaults
+   (fcr-rs, both evaluators) print the same bytes as those flags;
+   requesting a closed form that does not exist exits with the
    configuration code, while one whose Meijer composite is refused for its
-   rounding bound still answers from quadrature; the configured SNR does
-   not move the estimate.
+   rounding bound, or for seeds past the tail integral's range (users 3
+   km from the RIS, a 10 m eavesdropper ball), still answers from
+   quadrature with exit 0; the configured SNR does not move the estimate.
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
@@ -19,7 +23,10 @@ Proves:
    values exit with the configuration code.
 
  Group 4 — altitude search
-   a short closed-form search emits the result row; inverted, infinite or
+   a short closed-form search emits the result row; the config file's
+   scheme and evaluator decide without flags, flags win over the file,
+   and a file listing more than one scheme or evaluator exits with the
+   configuration code unless flags choose; inverted, infinite or
    NaN bounds and tolerances exit with the configuration code; phase-only schemes and an eavesdropper
    centre offset from the BS cannot use the closed-form objective.
 
@@ -118,6 +125,60 @@ def test_zsrp_round_robin_past_rounding_bound(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--trials", "2048")
     assert rc == 0
     assert ",fcr-rs,analytic," in out
+
+
+def test_zsrp_takes_schemes_and_evaluators_from_the_file(tmp_path, capsys):
+    cfg = tmp_path / "pick.ini"
+    cfg.write_text("[experiment]\nschemes = fcr-gcsi-pfs\nevaluators = analytic\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg))
+    assert rc == 0
+    assert [ln.split(",")[2:4] for ln in out.strip().split("\n")[1:]] == [
+        ["fcr-gcsi-pfs", "analytic"]]
+
+
+def test_zsrp_flags_win_over_the_file(tmp_path, capsys):
+    cfg = tmp_path / "pick.ini"
+    cfg.write_text("[experiment]\nschemes = fcr-gcsi-pfs, scr-rs\n"
+                   "evaluators = analytic\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--scheme",
+                         "scr-rs", "--evaluator", "mc", "--trials", "2048")
+    assert rc == 0
+    assert [ln.split(",")[2:4] for ln in out.strip().split("\n")[1:]] == [
+        ["scr-rs", "mc"]]
+    # one key from the file, the other the subcommand's default (fcr-rs)
+    cfg.write_text("[experiment]\nevaluators = analytic\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg))
+    assert rc == 0
+    assert [ln.split(",")[2:4] for ln in out.strip().split("\n")[1:]] == [
+        ["fcr-rs", "analytic"]]
+
+
+def test_zsrp_without_flag_or_key_keeps_its_defaults(tmp_path, capsys):
+    cfg = tmp_path / "plain.ini"
+    cfg.write_text("[experiment]\ntrials = 2048\nseed = 5\n")
+    rc, plain, _ = run_cli(capsys, "zsrp", "--config", str(cfg))
+    rc_f, flagged, _ = run_cli(capsys, "zsrp", "--config", str(cfg),
+                               "--scheme", "fcr-rs", "--evaluator", "both")
+    assert rc == rc_f == 0
+    assert plain == flagged
+    assert [ln.split(",")[2:4] for ln in plain.strip().split("\n")[1:]] == [
+        ["fcr-rs", "mc"], ["fcr-rs", "analytic"]]
+
+
+def test_zsrp_far_seed_refuses_the_closed_form_only(tmp_path, capsys, caplog):
+    # users 3 km from the RIS and a 10 m eavesdropper ball put the seed
+    # arguments past 1e12, beyond the tail integral's range: the closed form
+    # is refused at INFO and the quadrature value still answers
+    cfg = tmp_path / "far.ini"
+    cfg.write_text("[geometry]\nd_rn_m = 3000\nr_eve_m = 10\n")
+    with caplog.at_level("INFO"):
+        rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic",
+                             "--scheme", "fcr-gcsi-pfs", "--config", str(cfg))
+    assert rc == 0
+    (row,) = out.strip().split("\n")[1:]
+    assert row.split(",")[2:4] == ["fcr-gcsi-pfs", "analytic"]
+    assert "closed-form composite unavailable" in caplog.text
+    assert "past 1000" in caplog.text
 
 
 def test_zsrp_unknown_scheme_is_config_error(capsys):
@@ -232,6 +293,37 @@ def test_altitude_search_emits_result(capsys):
     cells = lines[1].split(",")
     assert 150.0 <= float(cells[0]) <= 600.0
     assert cells[2] == "fcr-rs" and cells[3] == "analytic"
+
+
+def test_altitude_search_takes_scheme_and_evaluator_from_the_file(tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "pick.ini"
+    cfg.write_text("[experiment]\nschemes = scr-rs\nevaluators = mc\n")
+    flags = ("--trials", "2048", "--h-lo", "150", "--h-hi", "600", "--tol", "50")
+    rc, out, _ = run_cli(capsys, "optimize-altitude", "--config", str(cfg), *flags)
+    assert rc == 0
+    assert out.strip().split("\n")[1].split(",")[2:4] == ["scr-rs", "mc"]
+    # flags win over the file
+    rc, out, _ = run_cli(capsys, "optimize-altitude", "--config", str(cfg),
+                         "--scheme", "fcr-rs", "--evaluator", "analytic", *flags)
+    assert rc == 0
+    assert out.strip().split("\n")[1].split(",")[2:4] == ["fcr-rs", "analytic"]
+
+
+@pytest.mark.parametrize("lines", ["schemes = fcr-rs, scr-rs",
+                                   "evaluators = mc, analytic", "schemes = all"])
+def test_altitude_search_refuses_a_file_list(lines, tmp_path, capsys, caplog):
+    cfg = tmp_path / "many.ini"
+    cfg.write_text(f"[experiment]\n{lines}\n")
+    rc, out, _ = run_cli(capsys, "optimize-altitude", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert "searches one scheme with one evaluator" in caplog.text
+    # a flag for each list settles it
+    rc, out, _ = run_cli(capsys, "optimize-altitude", "--config", str(cfg),
+                         "--scheme", "fcr-rs", "--evaluator", "analytic",
+                         "--h-lo", "150", "--h-hi", "600", "--tol", "50")
+    assert rc == 0
+    assert out.strip().split("\n")[1].split(",")[2:4] == ["fcr-rs", "analytic"]
 
 
 def test_altitude_bounds_validated(capsys, caplog):

@@ -26,17 +26,21 @@ Proves:
    with scipy.special.kv; three-term recurrence at 1e-9; large-argument
    asymptotic sqrt(pi/2x) e^{-x} within 1% at x = 50; log_bessel_k
    against log(kve) - x and, for order 200, against a shifted log-space
-   quadrature of the same integral representation; every entry of the
-   one-pass log_bessel_k_upto equals the per-order recurrence oracle bit
-   for bit (orders 0 and 1, both K0/K1 branches, across the 1e280
-   rescale), log_bessel_k is its last entry, and both refuse negative or
-   fractional orders and arguments <= 0 or NaN.  The array forms run each
-   argument as its own lane: K0/K1 on both branches and across x = 2, and
-   every row of an array recurrence (across the rescale too), equal the
-   scalar float oracles bit for bit; one bad argument refuses the array.
-   log_bessel_k with one order per lane (orders 0..64 on both branches
-   and past the rescale) gives each lane ``log_bessel_k_upto``'s last
-   entry bit for bit, and one bad order refuses the array.
+   quadrature of the same integral representation.  log_bessel_k is the
+   one Bessel-K function: with the row of orders 0 .. nu_max at one
+   argument, every entry equals the per-order recurrence oracle bit for
+   bit (orders 0 and 1, both K0/K1 branches, across the 1e280 rescale),
+   a scalar order gives the row's last entry, integral float orders
+   equal integer ones, and a row holding a negative, fractional, NaN or
+   infinite order, or an argument <= 0 or NaN, is refused.  The array
+   forms run each argument as its own lane: K0/K1 on both branches and
+   across x = 2, and every row of a row of orders against a column of
+   arguments (across the rescale too), equal the scalar float oracles
+   bit for bit, as does a row of orders out of sequence, repeated and
+   not starting at 0 (the series CDF's |m2 L - t|); one bad argument
+   refuses the array.  One order per lane (orders 0..64 on both branches
+   and past the rescale) gives each lane the last entry of its own
+   scalar recurrence bit for bit, and one bad order refuses the array.
 
  Group 4 — Mellin-Barnes Meijer G oracle, all-poles-left kind
    G^{1,0}_{0,1}(x | -; 0) = e^{-x}; G^{2,0}_{0,2}(z | -; nu/2, -nu/2)
@@ -299,7 +303,8 @@ UPTO_ARGS = (1e-3, 0.5, 2.0, 2.5, 30.0, 700.0)
 @pytest.mark.parametrize("x", UPTO_ARGS)
 @pytest.mark.parametrize("nu_max", [0, 1, 2, 32, 300])
 def test_log_bessel_k_upto_equals_per_order_loop(nu_max, x):
-    got = specfun.log_bessel_k_upto(nu_max, x)
+    # the row of orders 0 .. nu_max at one argument
+    got = specfun.log_bessel_k(np.arange(nu_max + 1), x).tolist()
     assert len(got) == nu_max + 1
     for n, log_k in enumerate(got):
         assert log_k == log_bessel_k_loop(n, x), (n, x)
@@ -309,20 +314,23 @@ def test_log_bessel_k_upto_equals_per_order_loop(nu_max, x):
 def test_log_bessel_k_upto_crosses_rescale():
     # ln K_300(1e-3) is several 1e280 rescales above the double range, so
     # the grid above exercises the exponent carry
-    got = specfun.log_bessel_k_upto(300, 1e-3)
+    got = specfun.log_bessel_k(np.arange(301), 1e-3).tolist()
     assert got[-1] > 3.0 * 280.0 * math.log(10.0)
     assert all(math.isfinite(v) for v in got)
 
 
 @pytest.mark.parametrize("nu_max, x", [(-1, 1.0), (1.5, 1.0), (3, 0.0),
-                                       (3, -2.0), (3, math.nan)])
+                                       (3, -2.0), (3, math.nan),
+                                       (math.nan, 1.0), (math.inf, 1.0)])
 def test_log_bessel_k_upto_domain(nu_max, x):
     with pytest.raises(ValueError):
-        specfun.log_bessel_k_upto(nu_max, x)
+        specfun.log_bessel_k(np.array([0, nu_max]), x)
 
 
 def test_log_bessel_k_upto_integral_float_order():
-    assert specfun.log_bessel_k_upto(3.0, 1.0) == specfun.log_bessel_k_upto(3, 1.0)
+    assert (hexes(specfun.log_bessel_k(np.arange(4.0), 1.0))
+            == hexes(specfun.log_bessel_k(np.arange(4), 1.0)))
+    assert specfun.log_bessel_k(3.0, 1.0) == specfun.log_bessel_k(3, 1.0)
 
 
 # both K0/K1 branches, the lanes on either side of x = 2 and large x
@@ -342,7 +350,7 @@ def test_bessel_k01_array_matches_scalar_oracle():
 def test_log_bessel_k_upto_rows_match_scalar_oracle(nu_max):
     # shuffled so that lanes of both branches and of every rescale count mix
     xs = np.random.default_rng(5).permutation(np.concatenate([UPTO_ARGS, K01_ARGS]))
-    got = specfun.log_bessel_k_upto(nu_max, xs)
+    got = specfun.log_bessel_k(np.arange(nu_max + 1), xs[:, None])
     assert got.shape == (xs.size, nu_max + 1)
     for row, x in zip(got, xs.tolist()):
         assert hexes(row) == hexes(log_bessel_k_upto_scalar(nu_max, x)), x
@@ -359,7 +367,7 @@ def test_log_bessel_k_one_order_per_lane():
     got = specfun.log_bessel_k(orders, xs)
     assert got.shape == xs.shape
     assert got[-1] > 280.0 * math.log(10.0)
-    want = [specfun.log_bessel_k_upto(n, x)[-1]
+    want = [log_bessel_k_upto_scalar(n, x)[-1]
             for n, x in zip(orders.tolist(), xs.tolist())]
     assert hexes(got) == hexes(want)
     for bad in ([3, -1], [3, 1.5]):
@@ -369,9 +377,23 @@ def test_log_bessel_k_one_order_per_lane():
 
 def test_log_bessel_k_upto_array_domain():
     with pytest.raises(ValueError):
-        specfun.log_bessel_k_upto(3, np.array([1.0, 0.0, 2.0]))
+        specfun.log_bessel_k(np.arange(4), np.array([1.0, 0.0, 2.0])[:, None])
     with pytest.raises(ValueError):
-        specfun.log_bessel_k_upto(3, np.array([math.nan, 2.0]))
+        specfun.log_bessel_k(np.arange(4), np.array([math.nan, 2.0])[:, None])
+
+
+def test_log_bessel_k_order_row_reads_its_orders():
+    # the series CDF's row |m2 L - t|: orders out of sequence, repeated,
+    # not starting at 0, against a column of arguments of both branches
+    # and past the rescale; a scalar argument gives the row alone
+    xs = np.concatenate([UPTO_ARGS, K01_ARGS])
+    row = np.abs(40 - np.arange(70))
+    got = specfun.log_bessel_k(row, xs[:, None])
+    assert got.shape == (xs.size, row.size)
+    for values, x in zip(got, xs.tolist()):
+        want = log_bessel_k_upto_scalar(int(row.max()), x)
+        assert hexes(values) == hexes([want[n] for n in row.tolist()]), x
+    assert hexes(specfun.log_bessel_k(row, 1e-3)) == hexes(got[0])
 
 
 # --- Group 4: Meijer G ---

@@ -72,7 +72,7 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, AnalyticUnavailableError
-from .fading import cdf_S, pdf_W
+from .fading import cdf_S, pdf_W, tail_cutoff
 from .propagation import bs_ris_gain, ris_user_gain
 from .scheduling import SchemeId
 
@@ -81,6 +81,10 @@ logger = logging.getLogger(__name__)
 #: Resolution of the closed-form cross-check: a larger closed-form vs
 #: quadrature gap warns, and a larger relative rounding bound refuses.
 REL_GAP_WARN = 1e-6
+#: Absolute tolerance of each integral over W in :func:`cdf_Z_quadrature`,
+#: and the Gamma tail mass of W left past its cutoff.
+_QUAD_ABS_TOL = 1e-12
+_W_TAIL_LEVEL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -233,44 +237,31 @@ def cdf_Z_single(z, p: ClosedFormParams):
     return out
 
 
-@lru_cache(maxsize=None)
-def _tail_cutoff(shape: float, rate: float, abs_tol: float) -> float:
-    """Upper limit w_hi with Gamma(shape, rate) tail mass below abs_tol.
-
-    Cached: it depends on its arguments only, and every call of the outer
-    distance average asks for the same cutoff.
-    """
-    w_hi = max(1.0, 2.0 * shape / rate)
-    for _ in range(200):
-        if specfun.regularized_upper_gamma(shape, rate * w_hi) < abs_tol:
-            return w_hi
-        w_hi *= 1.5
-    raise AccuracyError("could not bracket the Gamma tail")
-
-
-def cdf_Z_quadrature(z, p: ClosedFormParams, abs_tol: float = 1e-10):
+def cdf_Z_quadrature(z, p: ClosedFormParams):
     """CDF of the N-user maximum cascade by direct integration over W.
 
     Independent of the Bessel route: integrates F_S(z~ / w)^N (the CDF
     of the served maximum, the single-user cascade when N = 1) against
-    the Gamma density of W by adaptive quadrature; the truncated tail is
-    bounded through the regularized upper gamma function.  Works for any
-    user count.  ``z`` is a scalar or an array; the integrals of an array
-    run together in one batched quadrature, each bit for bit as alone.
+    the Gamma density of W by adaptive quadrature; the tail of W past
+    the cutoff :func:`~zsrpsim.fading.tail_cutoff` holds less than
+    ``_W_TAIL_LEVEL``.  Works for any user count.  ``z`` is a scalar or
+    an array; the integrals of an array run together in one batched
+    quadrature, each bit for bit as alone.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
     pos = z_arr > 0.0
     if np.any(pos):
         z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
-        w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
+        w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
         def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
             w = np.maximum(w, 1e-300)
             return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
                     * pdf_W(w, p.m2, p.n_elements))
 
-        val = specfun.adaptive_gl(integrand, 0.0, w_hi, abs_tol, z_tilde.size)
+        val = specfun.adaptive_gl(integrand, 0.0, w_hi, _QUAD_ABS_TOL,
+                                  z_tilde.size)
         out[pos] = np.minimum(1.0, np.maximum(0.0, val))
     if np.ndim(z) == 0:
         return float(out)
@@ -416,36 +407,23 @@ def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
-def zsrp_rs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
-    """Round-robin ZSRP: psi-average of the single-user cascade CDF.
+def zsrp_from_params(p: ClosedFormParams, round_robin: bool,
+                     closed_form: bool = True) -> AnalyticZsrp:
+    """ZSRP of one scheduling rule: the psi-average of its cascade CDF.
 
-    ``value`` comes from 1-D quadrature of the series CDF over the
-    eavesdropper distance; ``closed_form`` from the Meijer composite,
-    omitted where it refuses or when ``closed_form`` is False.
+    The rule, never N, picks the CDF: round robin sets N = 1 and averages
+    :func:`cdf_Z_single`, proportional fairness :func:`cdf_Z_quadrature`.
+    ``closed_form`` comes from the Meijer composite, omitted where it
+    refuses or when ``closed_form`` is False.
     """
-    single = dataclasses.replace(p, n_users=1)
-    # float_power, not ``r ** 2``: see zsrp_pfs
-    value = psi_average(
-        lambda r: cdf_Z_single(single.ref_gain / np.float_power(r, 2), single),
-        single.r_eve_m)
-    return _report(value, _closed_form(single) if closed_form else None)
-
-
-def zsrp_pfs(p: ClosedFormParams, closed_form: bool = True) -> AnalyticZsrp:
-    """Proportional-fair ZSRP: the served cascade is the N-user maximum.
-
-    ``value`` comes from the F_S^N quadrature path (authoritative for
-    any N), the inner integrals of all distance nodes of an outer call
-    batched into one quadrature; the series/Meijer ``closed_form`` is
-    attached when ``closed_form`` is True and the rounding bound of its
-    order-statistic sum admits it, otherwise omitted.
-    """
+    if round_robin:
+        p, cdf = dataclasses.replace(p, n_users=1), cdf_Z_single
+    else:
+        cdf = cdf_Z_quadrature
     # float_power squares by pow, as the scalar ``r ** 2`` of one node
     # does; ``r ** 2`` of an array multiplies, which rounds differently
     value = psi_average(
-        lambda r: cdf_Z_quadrature(p.ref_gain / np.float_power(r, 2), p,
-                                   abs_tol=1e-12),
-        p.r_eve_m)
+        lambda r: cdf(p.ref_gain / np.float_power(r, 2), p), p.r_eve_m)
     return _report(value, _closed_form(p) if closed_form else None)
 
 
@@ -486,26 +464,21 @@ def zsrp_for_scheme(scheme: SchemeId, config,
     n_users = geometry.n_users
     sigma1 = [ris_user_gain(geometry, environment, u)
               for u in range(n_users)]
-    homogeneous = all(abs(s - sigma1[0]) <= 1e-12 * sigma1[0]
-                      for s in sigma1)
-
-    def make(sig1: float, users: int) -> ClosedFormParams:
-        return ClosedFormParams(
-            m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
-            sigma1_sq=sig1, sigma2_sq=sigma2_sq,
-            ref_gain=environment.ref_gain, r_eve_m=geometry.r_eve_m,
-            n_users=users)
-
-    if scheme.rule == "rs":
-        if homogeneous:
-            return zsrp_rs(make(sigma1[0], 1), closed_form)
-        parts = [zsrp_rs(make(s, 1), closed_form) for s in sigma1]
-        value = sum(part.value for part in parts) / n_users
-        closed = (None if any(part.closed_form is None for part in parts)
-                  else sum(part.closed_form for part in parts) / n_users)
-        return _report(value, closed)
-    if not homogeneous:
+    p = ClosedFormParams(
+        m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
+        sigma1_sq=sigma1[0], sigma2_sq=sigma2_sq,
+        ref_gain=environment.ref_gain, r_eve_m=geometry.r_eve_m,
+        n_users=n_users)
+    round_robin = scheme.rule == "rs"
+    if all(abs(s - sigma1[0]) <= 1e-12 * sigma1[0] for s in sigma1):
+        return zsrp_from_params(p, round_robin, closed_form)
+    if not round_robin:
         raise AnalyticUnavailableError(
             "proportional-fair closed form requires a common RIS-user "
             "distance; mixed distances need the Monte-Carlo evaluator")
-    return zsrp_pfs(make(sigma1[0], n_users), closed_form)
+    parts = [zsrp_from_params(dataclasses.replace(p, sigma1_sq=s), True,
+                              closed_form) for s in sigma1]
+    value = sum(part.value for part in parts) / n_users
+    closed = (None if any(part.closed_form is None for part in parts)
+              else sum(part.closed_form for part in parts) / n_users)
+    return _report(value, closed)

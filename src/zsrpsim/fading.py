@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
+from .errors import AccuracyError
 
 
 @dataclass(frozen=True)
@@ -38,22 +39,25 @@ class FadingParams:
 
 
 @lru_cache(maxsize=None)
-def _exact_one_threshold(a: int) -> float:
-    """An x_a with Q(a, x) < 2^-60 for every x >= x_a.
+def tail_cutoff(a: int, level: float) -> float:
+    """An x with Q(a, x) < ``level``: the exact-one switch of :func:`cdf_S`
+    and the W cutoff of the cascade quadrature.
 
-    Past it, 1 - Q(a, x) rounds to exactly 1.0 (any Q below 2^-54 does),
-    so the CDF needs no Poisson sum there.  Found by doubling then
-    bisecting on the scalar Q, which decreases in x; the 2^6 margin
-    covers its rounding.
+    Found by doubling from a, then bisecting 30 times on the scalar Q,
+    which decreases in x; 200 doublings that do not bracket the level
+    raise :class:`AccuracyError`.
     """
-    tiny = 2.0 ** -60
     hi = float(a)
-    while specfun.regularized_upper_gamma(a, hi) >= tiny:
+    for _ in range(200):
+        if specfun.regularized_upper_gamma(a, hi) < level:
+            break
         hi *= 2.0
+    else:
+        raise AccuracyError("could not bracket the Gamma tail")
     lo = 0.5 * hi
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if specfun.regularized_upper_gamma(a, mid) < tiny:
+        if specfun.regularized_upper_gamma(a, mid) < level:
             hi = mid
         else:
             lo = mid
@@ -81,11 +85,11 @@ def _lower_tail_threshold(a: int) -> float:
 def cdf_S(s, m1: int, n_elements: int):
     """CDF of S ~ Gamma(m1*L, 1/m1): 1 - exp(-m1 s) sum_{t<m1 L} (m1 s)^t/t!.
 
-    Accepts scalars or arrays; negative arguments map to 0.  Where m1 s
-    is at or past :func:`_exact_one_threshold` the value is the 1.0 that
-    the sum would round to, written without evaluating it; below
-    :func:`_lower_tail_threshold` the positive lower-tail series gives it
-    instead, so a small CDF keeps its relative accuracy.
+    Accepts scalars or arrays; negative arguments map to 0.  From m1 s =
+    ``tail_cutoff(a, 2^-60)`` on, 1 - Q rounds to exactly 1.0 (any Q below
+    2^-54 does; 2^6 covers Q's rounding), written without the sum; below
+    :func:`_lower_tail_threshold` the positive lower-tail series gives the
+    value, so a small CDF keeps its relative accuracy.
     """
     a = int(m1) * int(n_elements)
     arr = np.asarray(s, dtype=float)
@@ -94,7 +98,7 @@ def cdf_S(s, m1: int, n_elements: int):
     if np.any(pos):
         x = m1 * arr[pos]
         tail = x < _lower_tail_threshold(a)
-        head = ~tail & (x < _exact_one_threshold(a))
+        head = ~tail & (x < tail_cutoff(a, 2.0 ** -60))
         vals = np.ones(x.shape)
         if np.any(head):
             vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])

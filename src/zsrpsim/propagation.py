@@ -146,10 +146,9 @@ def ris_user_gain(geom: ScenarioGeometry, params: AirGroundParams, user: int) ->
     return large_scale_gain(params.ref_gain, geom.d_rn_m[user], params.alpha_user)
 
 
-def sample_eve_distance(rng: np.random.Generator, r_max_m: float,
-                        size: int | None = None):
-    """Draw BS-eve distances with density 3 psi^2 / R^3 (inverse CDF R u^{1/3})."""
-    if r_max_m <= 0.0:
-        raise ValueError("sphere radius must be positive")
-    u = rng.random(size)
-    return r_max_m * np.cbrt(u)
+def sample_eve_distance(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` unit-ball radii u^{1/3}, density 3 rho^2.
+
+    The BS-eve distance of a ball of radius R is R times the draw.
+    """
+    return np.cbrt(rng.random(size))

@@ -169,7 +169,7 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     # fixed draw order: BS-side powers, user-side powers, eve placement
     gb_pow = rng.gamma(float(fad.m2), 1.0 / fad.m2, (n, n_el))
     gr_pow = rng.gamma(float(fad.m1), 1.0 / fad.m1, (n, n_users, n_el))
-    cbrt_u = sample_eve_distance(rng, 1.0, size=n)
+    cbrt_u = sample_eve_distance(rng, size=n)
     dir_z = None
     if configs[0].eve_center == "fixed":
         dir_z = 1.0 - 2.0 * rng.random(n)

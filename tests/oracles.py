@@ -62,10 +62,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from zsrpsim.analytic import (ClosedFormParams, _log_binom,
-                              _log_ordered_sum_coefficients, _tail_cutoff)
+from zsrpsim.analytic import (_QUAD_ABS_TOL, _W_TAIL_LEVEL, ClosedFormParams,
+                              _log_binom, _log_ordered_sum_coefficients)
 from zsrpsim.errors import AccuracyError
-from zsrpsim.fading import cdf_S, pdf_W
+from zsrpsim.fading import cdf_S, pdf_W, tail_cutoff
 from zsrpsim.specfun import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
                              EULER_GAMMA, _bessel_k01_scaled, log_bessel_k)
 
@@ -558,20 +558,19 @@ def adaptive_gl_each(f, lo, hi, abs_tol, count: int) -> np.ndarray:
         for i in range(count)])
 
 
-def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams,
-                               abs_tol: float) -> float:
+def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams) -> float:
     """F_S(z~ / w)^N against the density of W, one recursion for one z."""
     if z <= 0.0:
         return 0.0
     z_tilde = z / (p.sigma1_sq * p.sigma2_sq)
-    w_hi = _tail_cutoff(p.m2 * p.n_elements, p.m2, 0.1 * abs_tol)
+    w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
     def integrand(w: np.ndarray) -> np.ndarray:
         w = np.maximum(w, 1e-300)
         return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** p.n_users
                 * pdf_W(w, p.m2, p.n_elements))
 
-    val = adaptive_gl_recursive(integrand, 0.0, w_hi, abs_tol)
+    val = adaptive_gl_recursive(integrand, 0.0, w_hi, _QUAD_ABS_TOL)
     return min(1.0, max(0.0, val))
 
 
@@ -583,8 +582,8 @@ def zsrp_pfs_value_recursive(p: ClosedFormParams) -> float:
     r_eve = p.r_eve_m
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        return (np.array([cdf_Z_quadrature_recursive(p.ref_gain / ri ** 2,
-                                                     p, 1e-12) for ri in r])
+        return (np.array([cdf_Z_quadrature_recursive(p.ref_gain / ri ** 2, p)
+                          for ri in r])
                 * 3.0 * r ** 2 / r_eve ** 3)
 
     val = adaptive_gl_recursive(integrand, 0.0, r_eve, 1e-10)

@@ -230,7 +230,7 @@ def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkey
 
     monkeypatch.setattr(an, "cdf_Z_single", counting_cdf)
     monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting_k01)
-    an.zsrp_rs(p, closed_form=False)
+    an.zsrp_from_params(p, True, closed_form=False)
     # one K0/K1 evaluation per integrand call, covering all of its nodes
     assert starts == nodes
     assert min(nodes) >= specfun._GL_NODES.size
@@ -321,7 +321,7 @@ def test_psi_average_domain():
 
 
 def test_rs_frozen_default(closed_params):
-    out = an.zsrp_rs(closed_params(n_users=4))
+    out = an.zsrp_from_params(closed_params(n_users=4), True)
     assert math.isclose(out.value, RS_DEFAULT, rel_tol=1e-10)
     assert out.closed_form is not None
     assert out.rel_gap < 1e-6
@@ -330,7 +330,7 @@ def test_rs_frozen_default(closed_params):
 
 
 def test_pfs_frozen_default(closed_params):
-    out = an.zsrp_pfs(closed_params(n_users=4))
+    out = an.zsrp_from_params(closed_params(n_users=4), False)
     assert math.isclose(out.value, PFS_DEFAULT, rel_tol=1e-10)
     assert out.closed_form is not None
     assert out.rel_gap < 1e-6
@@ -339,24 +339,26 @@ def test_pfs_frozen_default(closed_params):
 def test_rs_independent_of_user_count(closed_params):
     # rotation serves a fixed marginal user; homogeneous users make the
     # average independent of how many there are
-    one = an.zsrp_rs(closed_params(n_users=1))
-    four = an.zsrp_rs(closed_params(n_users=4))
+    one = an.zsrp_from_params(closed_params(n_users=1), True)
+    four = an.zsrp_from_params(closed_params(n_users=4), True)
     assert math.isclose(one.value, four.value, rel_tol=1e-12)
 
 
 def test_pfs_single_user_equals_rs(closed_params):
-    rs = an.zsrp_rs(closed_params(n_users=1))
-    pfs = an.zsrp_pfs(closed_params(n_users=1))
+    rs = an.zsrp_from_params(closed_params(n_users=1), True)
+    pfs = an.zsrp_from_params(closed_params(n_users=1), False)
     assert math.isclose(rs.value, pfs.value, rel_tol=1e-10)
 
 
 def test_pfs_improves_with_users(closed_params):
-    vals = [an.zsrp_pfs(closed_params(n_users=n)).value for n in (1, 2, 4)]
+    vals = [an.zsrp_from_params(closed_params(n_users=n), False).value
+            for n in (1, 2, 4)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_value_decreases_with_radius(closed_params):
-    vals = [an.zsrp_rs(closed_params(n_users=1, r_eve_m=r)).value for r in (300.0, 500.0, 800.0)]
+    vals = [an.zsrp_from_params(closed_params(n_users=1, r_eve_m=r), True).value
+            for r in (300.0, 500.0, 800.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -367,10 +369,10 @@ def test_closed_form_grid_agreement(closed_params):
     for n_elements in (8, 16, 32):
         for r in (300.0, 500.0, 800.0):
             p = closed_params(n_users=4, n_elements=n_elements, r_eve_m=r)
-            for fn in (an.zsrp_rs, an.zsrp_pfs):
-                out = fn(p)
-                assert out.closed_form is not None, (n_elements, r, fn.__name__)
-                assert out.rel_gap < 1e-6, (n_elements, r, fn.__name__, out.rel_gap)
+            for round_robin in (True, False):
+                out = an.zsrp_from_params(p, round_robin)
+                assert out.closed_form is not None, (n_elements, r, round_robin)
+                assert out.rel_gap < 1e-6, (n_elements, r, round_robin, out.rel_gap)
 
 
 #: log G^{3,0}_{1,3}(0.01 | -59.5; 2, -2, -60.5), the composite at
@@ -551,7 +553,7 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
     p = closed_params(n_users=n_users, m1=1, n_elements=n_elements,
                       r_eve_m=5000.0)
     calls = _count_seeds(monkeypatch)
-    out = an.zsrp_pfs(p)
+    out = an.zsrp_from_params(p, False)
     assert [len(c) for c in calls] == [n_seeds]
     assert 1e-3 < out.value < 0.5
     assert out.closed_form is not None
@@ -560,7 +562,7 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
 
 def test_many_users_fall_back_to_quadrature(closed_params):
     # 24 users: the order-statistic sum's rounding bound is 1.1e-5 of it
-    out = an.zsrp_pfs(closed_params(n_users=24))
+    out = an.zsrp_from_params(closed_params(n_users=24), False)
     assert out.closed_form is None
     assert 0.0 < out.value < 1.0
 
@@ -568,7 +570,7 @@ def test_many_users_fall_back_to_quadrature(closed_params):
 def test_rounding_bound_admits_13_users_and_refuses_24(closed_params, caplog,
                                                        monkeypatch):
     # the bound, not a user count, decides: 3.0e-9 at N = 13, 1.1e-5 at 24
-    out = an.zsrp_pfs(closed_params(n_users=13))
+    out = an.zsrp_from_params(closed_params(n_users=13), False)
     assert out.closed_form is not None
     assert abs(out.closed_form - out.value) <= 1e-9 * out.value
     calls = _count_seeds(monkeypatch)
@@ -609,13 +611,14 @@ def test_default_grids_keep_their_closed_forms(air, fading, caplog):
 
 def test_both_rules_fall_back_past_the_rounding_bound(closed_params, monkeypatch):
     p = closed_params(n_users=4)
-    want = {fn: fn(p).value for fn in (an.zsrp_rs, an.zsrp_pfs)}
+    want = {rr: an.zsrp_from_params(p, rr).value for rr in (True, False)}
     # a resolution below either composite's rounding bound (7.7e-14 and
     # 1.9e-12 of the result): the quadrature value stands alone
     monkeypatch.setattr(an, "REL_GAP_WARN", 1e-15)
-    for fn, value in want.items():
-        out = fn(p)
-        assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), fn
+    for round_robin, value in want.items():
+        out = an.zsrp_from_params(p, round_robin)
+        assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), \
+            round_robin
 
 
 def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):

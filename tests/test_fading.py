@@ -13,9 +13,12 @@ Proves:
    read rounding noise); below the threshold x_lo where the CDF crosses
    2^-20 it keeps 1e-12 relative accuracy against scipy's gammainc down to
    1e-300; past the exact-one
-   threshold x_a (shapes 1, 4, 32, 64) the CDF is written as 1.0 without
-   the Poisson sum, bit for bit equal to 1 - Q on a dense grid across
-   x_a, and Q(a, x) < 2^-60 from x_a on.
+   threshold x_a = tail_cutoff(a, 2^-60) (shapes 1, 4, 32, 64, 96) the
+   CDF is written as 1.0 without the Poisson sum, bit for bit equal to
+   1 - Q on a dense grid across x_a, and Q(a, x) < 2^-60 from x_a on.
+   The same search gives the W cutoff of the cascade quadrature:
+   Q(a, x) < 1e-13 <= Q(a, 0.9 x); a level it cannot bracket raises
+   AccuracyError.
 
  Group 3 — the estimator's power sums
    sums of L Gamma(m, 1/m) element powers, drawn as the Monte-Carlo block
@@ -35,6 +38,8 @@ from scipy import integrate, special, stats
 
 from zsrpsim import fading as fd
 from zsrpsim import specfun
+from zsrpsim.analytic import _W_TAIL_LEVEL
+from zsrpsim.errors import AccuracyError
 
 # frozen: P[Gamma(4, 1/2) <= 1]
 CDF_S_M2_L2_AT_1 = 0.14287653950145296
@@ -136,12 +141,15 @@ def test_cdf_S_lower_tail_relative_accuracy(m1, n_elements):
     assert np.max(np.abs(got - ref[tail]) / ref[tail]) <= 1e-12
 
 
-@pytest.mark.parametrize("a", [1, 4, 32, 64])
+@pytest.mark.parametrize("a", [1, 4, 32, 64, 96])
 def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
-    x_a = fd._exact_one_threshold(a)
+    x_a = fd.tail_cutoff(a, 2.0 ** -60)
     assert specfun.regularized_upper_gamma(a, x_a) < 2.0 ** -60
     assert specfun.regularized_upper_gamma(a, 0.9 * x_a) >= 2.0 ** -60
-    x = np.concatenate((np.linspace(0.25 * x_a, 4.0 * x_a, 40001),
+    # from above the lower-tail switch (0.25 x_a up to a = 64), where the
+    # CDF is 1 - Q, to past x_a
+    x_lo = max(0.25 * x_a, fd._lower_tail_threshold(a))
+    x = np.concatenate((np.linspace(x_lo, 4.0 * x_a, 40001),
                         np.geomspace(4.0 * x_a, 1e6, 2001), [x_a]))
     want = 1.0 - specfun.regularized_upper_gamma_vec(a, x)
     assert np.all(want[x >= x_a] == 1.0)
@@ -161,6 +169,21 @@ def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
         assert fd.cdf_S(float(x_a / m1), m1, a // m1) == 1.0
     # only the points below the threshold reached the Poisson sum
     assert seen and max(seen) < x_a
+
+
+@pytest.mark.parametrize("a", [1, 4, 32, 64, 96])
+def test_tail_cutoff_w_level(a):
+    # the cascade quadrature's W cutoff: less than the level lies past it,
+    # and it sits within 10 % of where Q crosses the level
+    x = fd.tail_cutoff(a, _W_TAIL_LEVEL)
+    assert specfun.regularized_upper_gamma(a, x) < _W_TAIL_LEVEL
+    assert specfun.regularized_upper_gamma(a, 0.9 * x) >= _W_TAIL_LEVEL
+
+
+def test_tail_cutoff_bracket_failure():
+    # no x has Q(a, x) < 0, so the 200 doublings end in a typed refusal
+    with pytest.raises(AccuracyError, match="could not bracket"):
+        fd.tail_cutoff(4, 0.0)
 
 
 def test_pdf_W_vs_scipy_grid():

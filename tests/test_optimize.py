@@ -241,9 +241,9 @@ def test_mc_search_draws_each_block_once(geometry, air, fading, monkeypatch):
     draws, altitudes = [], []
     draw, run_mc = sec.sample_eve_distance, op.run_monte_carlo
 
-    def counting_draw(rng, r_max_m, size=None):
+    def counting_draw(rng, size):
         draws.append(size)
-        return draw(rng, r_max_m, size=size)
+        return draw(rng, size=size)
 
     def counting_run(cfg, trials, seed, threads=1):
         altitudes.append(cfg.geometry.h_br_m)

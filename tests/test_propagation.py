@@ -194,7 +194,7 @@ def test_default_link_variances(geometry, air):
 
 def test_eve_distance_statistics(rng):
     r_max = 500.0
-    d = pr.sample_eve_distance(rng, r_max, size=1_000_000)
+    d = r_max * pr.sample_eve_distance(rng, size=1_000_000)
     assert d.shape == (1_000_000,)
     assert np.all(d > 0.0) and np.all(d <= r_max)
     # volume-uniform ball: mean 3R/4, CDF(R/2) = 1/8
@@ -210,7 +210,7 @@ def test_eve_placement_ranges(rng, air):
     # the estimator's placement: a unit-radius draw scaled per row and, for
     # a fixed centre, the polar direction cosine fixing the offset leg
     r_max, n = 350.0, 2000
-    cbrt_u = pr.sample_eve_distance(rng, 1.0, size=n)
+    cbrt_u = pr.sample_eve_distance(rng, size=n)
     dir_z = 1.0 - 2.0 * rng.random(n)
     rho = r_max * cbrt_u
     geometry = pr.ScenarioGeometry(h_br_m=400.0, r_eve_m=r_max)

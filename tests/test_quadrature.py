@@ -62,14 +62,14 @@ def test_inner_integrals_of_an_outer_panel(h_br_m, panel, air):
     lo, hi = (f * p.r_eve_m for f in panel)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z = [p.ref_gain / r ** 2 for r in mid + half * specfun._GL_NODES]
-    got = an.cdf_Z_quadrature(np.array(z), p, abs_tol=1e-12)
-    want = [cdf_Z_quadrature_recursive(zi, p, 1e-12) for zi in z]
+    got = an.cdf_Z_quadrature(np.array(z), p)
+    want = [cdf_Z_quadrature_recursive(zi, p) for zi in z]
     assert hexes(got) == hexes(want)
 
 
 def test_pfs_value_many_users_and_elements(air):
     p = params_at(310.0, air, n_users=12, n_elements=32)
-    got = an.zsrp_pfs(p, closed_form=False)
+    got = an.zsrp_from_params(p, False, closed_form=False)
     assert got.closed_form is None
     assert hexes([got.value]) == hexes([zsrp_pfs_value_recursive(p)])
 
@@ -85,8 +85,8 @@ def test_pfs_thresholds_are_the_per_node_ones(air, monkeypatch):
         return 0.5
 
     monkeypatch.setattr(an, "psi_average", capture)
-    monkeypatch.setattr(an, "cdf_Z_quadrature", lambda z, p, abs_tol: z)
-    an.zsrp_pfs(p, closed_form=False)
+    monkeypatch.setattr(an, "cdf_Z_quadrature", lambda z, p: z)
+    an.zsrp_from_params(p, False, closed_form=False)
     r = np.random.default_rng(5).uniform(0.0, p.r_eve_m, 20_000)
     assert hexes(seen["cdf"](r)) == hexes([p.ref_gain / ri ** 2 for ri in r])
 

@@ -167,7 +167,7 @@ def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
         rng = sec._block_rng(seed, i)
         gb = rng.gamma(float(m2), 1.0 / m2, (n, n_el))
         gr = rng.gamma(float(m1), 1.0 / m1, (n, cfg.n_users, n_el))
-        d_be = sample_eve_distance(rng, 1.0, size=n) * geometry.r_eve_m
+        d_be = sample_eve_distance(rng, size=n) * geometry.r_eve_m
         if scheme.fully_connected:
             cascade = gb.sum(axis=1)[:, None] * gr.sum(axis=2)
         else:
@@ -307,9 +307,9 @@ def test_batch_equals_per_config_loop(case, threads):
 def test_batch_draws_once_per_layout_and_block(monkeypatch):
     calls = []
 
-    def counting(rng, r_max_m, size=None):
+    def counting(rng, size):
         calls.append(size)
-        return np.cbrt(rng.random(size)) * r_max_m
+        return np.cbrt(rng.random(size))
 
     monkeypatch.setattr(sec, "sample_eve_distance", counting)
     configs = _batch_cases()["fig3-mixed-l"] + _batch_cases()["fig2"]
@@ -338,9 +338,9 @@ def _counting_draws(monkeypatch) -> list:
     calls = []
     draw = sec.sample_eve_distance
 
-    def counting(rng, r_max_m, size=None):
+    def counting(rng, size):
         calls.append(size)
-        return draw(rng, r_max_m, size=size)
+        return draw(rng, size=size)
 
     monkeypatch.setattr(sec, "sample_eve_distance", counting)
     return calls

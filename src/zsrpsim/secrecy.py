@@ -180,9 +180,10 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     if any(fc for fc, _ in needs):
         small[True] = gb_pow.sum(axis=1)[:, None] * user_sums
     if not all(fc for fc, _ in needs):
-        amplitude = np.sqrt(gb_pow)[:, None, :] * np.sqrt(gr_pow)
+        # amplitudes in place: the power sums above are the last reads
+        amplitude = np.sqrt(gr_pow, out=gr_pow)
+        amplitude *= np.sqrt(gb_pow)[:, None, :]
         small[False] = amplitude.sum(axis=2) ** 2
-        del amplitude
     del gb_pow, gr_pow
     # GCSI ranks user power sums, so both architectures share its pick
     gcsi = (select_gcsi_pfs(user_sums)
@@ -200,31 +201,37 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     return _Block(cbrt_u, dir_z, cascades, served)
 
 
-def _count_block(block: _Block, config: ScenarioConfig) -> tuple[int, int, int]:
+def _user_gains(config: ScenarioConfig) -> np.ndarray:
+    """Large-scale gain sigma2^2 sigma1^2 of each user's cascade."""
+    geom, air = config.geometry, config.air
+    sigma2_sq = bs_ris_gain(geom, air)
+    return sigma2_sq * np.array([ris_user_gain(geom, air, u)
+                                 for u in range(config.n_users)])
+
+
+def _count_block(block: _Block, config: ScenarioConfig,
+                 user_gains: np.ndarray) -> tuple[int, int, int]:
     """Event, opportunity and squared per-trial event counts of one row.
 
     A trial's event count k is 0 or 1 for a served user and 0..N for
     round robin; the third entry is the sum of k^2 over the block's
-    trials.  The row applies its own large-scale gains to the block's
+    trials.  The row applies its large-scale gains, ``user_gains`` from
+    :func:`_user_gains` and its eavesdropper gains, to the block's
     shared small-scale samples.
     """
-    geom, air, scheme = config.geometry, config.air, config.scheme
+    scheme = config.scheme
     n = block.cbrt_u.size
     d_be = _eve_distance(config, block.cbrt_u, block.dir_z)
-    eve_gain = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9),
+    eve_gain = large_scale_gain(config.air.ref_gain, np.maximum(d_be, 1e-9),
                                 config.alpha_eve)
-    sigma2_sq = bs_ris_gain(geom, air)
-    sigma1_sq = np.array([ris_user_gain(geom, air, u)
-                          for u in range(config.n_users)])
     if scheme.rule == "rs":
         # slot average over all users: every user contributes an indicator
-        main_gain = (sigma2_sq * sigma1_sq[None, :]
-                     * block.cascades[scheme.fully_connected])
+        main_gain = user_gains[None, :] * block.cascades[scheme.fully_connected]
         per_trial = np.count_nonzero(main_gain < eve_gain[:, None], axis=1)
         return (int(per_trial.sum()), n * config.n_users,
                 int(np.dot(per_trial, per_trial)))
     pick, served = block.served[scheme.fully_connected, scheme.rule]
-    hits = int(np.count_nonzero(sigma2_sq * sigma1_sq[pick] * served < eve_gain))
+    hits = int(np.count_nonzero(user_gains[pick] * served < eve_gain))
     return hits, n, hits
 
 
@@ -275,6 +282,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     """
     blocks = _blocks(trials, threads, seed)
     configs = list(configs)
+    gains = [_user_gains(config) for config in configs]
     groups: dict[tuple, list[int]] = {}
     for k, config in enumerate(configs):
         groups.setdefault(_layout(config), []).append(k)
@@ -284,7 +292,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     def simulate(task: tuple[list[int], int, int]) -> list[tuple[int, int, int]]:
         members, i, n = task
         block = _draw_block([configs[k] for k in members], seed, i, n)
-        return [_count_block(block, configs[k]) for k in members]
+        return [_count_block(block, configs[k], gains[k]) for k in members]
 
     counts: list[list[tuple[int, int, int]]] = [[] for _ in configs]
     for (members, _, _), task_counts in zip(tasks, _map(simulate, tasks, threads)):
@@ -319,5 +327,6 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
             _memo.clear()
             drawn = _memo[key] = _map(
                 lambda b: _draw_block([config], seed, *b), blocks, threads)
-    return _estimate(config, [_count_block(b, config) for b in drawn],
+    gains = _user_gains(config)
+    return _estimate(config, [_count_block(b, config, gains) for b in drawn],
                      trials, seed)

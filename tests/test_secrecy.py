@@ -40,6 +40,15 @@ Proves:
    read-only and hold only what the scheme counts, at most 8 (N + 2)
    bytes per trial; bad arguments raise before any draw and leave the
    entry in place; threads racing over two keys get the streaming values.
+
+ Group 6 — one block's reduced draws
+   the single connected amplitudes, reduced in place, leave the fully
+   connected cascade, the GCSI pick and its served cascade equal to
+   those of a fully connected group on the same (seed, block), equal
+   the out-of-place formula on the documented draw order, and every
+   kept array stays read-only; one user's fully connected cascade over
+   25 blocks at unit large-scale gains follows the series CDF of the
+   cascade (Kolmogorov–Smirnov, p > 1e-4) for two fading settings.
 """
 
 from __future__ import annotations
@@ -53,7 +62,10 @@ import threading
 import numpy as np
 import pytest
 
+from scipy import stats
+
 from zsrpsim import secrecy as sec
+from zsrpsim.analytic import ClosedFormParams, cdf_Z_single
 from zsrpsim.fading import FadingParams
 from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
                                  large_scale_gain, ris_user_gain, sample_eve_distance)
@@ -466,3 +478,51 @@ def test_memo_threads_racing_over_two_keys(monkeypatch):
     assert len(got) == 6 * 12
     assert all(pair == want[which] for which, pair in got)
     assert len(sec._memo) == 1
+
+
+# --- Group 6: one block's reduced draws ---
+
+
+def _block_arrays(block: sec._Block) -> list[np.ndarray]:
+    return [block.cbrt_u, *block.cascades.values(),
+            *(a for pair in block.served.values() for a in pair)]
+
+
+def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
+    # the single connected amplitudes overwrite the user-side powers after
+    # the fully connected cascade and the GCSI power sums have read them
+    seed, i, n = BATCH_SEED, 2, 808
+    fc_only = [make_config(geometry, air, fading, s) for s in SchemeId if s.fully_connected]
+    mixed = [make_config(geometry, air, fading, s) for s in SchemeId]
+    alone = sec._draw_block(fc_only, seed, i, n)
+    both = sec._draw_block(mixed, seed, i, n)
+    assert np.array_equal(alone.cascades[True], both.cascades[True])
+    pick, served = alone.served[True, "gcsi"]
+    assert np.array_equal(both.served[True, "gcsi"][0], pick)
+    assert np.array_equal(both.served[True, "gcsi"][1], served)
+    assert np.array_equal(both.served[False, "gcsi"][0], pick)
+
+    rng = sec._block_rng(seed, i)
+    gb = rng.gamma(float(fading.m2), 1.0 / fading.m2, (n, fading.n_elements))
+    gr = rng.gamma(float(fading.m1), 1.0 / fading.m1, (n, 4, fading.n_elements))
+    sc = (np.sqrt(gb)[:, None, :] * np.sqrt(gr)).sum(axis=2) ** 2
+    assert np.array_equal(both.cascades[False], sc)
+    assert np.array_equal(both.served[False, "gcsi"][1], sc[np.arange(n), pick])
+    fcsi = sc.argmax(axis=1)
+    assert np.array_equal(both.served[False, "fcsi"][0], fcsi)
+    assert np.array_equal(both.served[False, "fcsi"][1], sc[np.arange(n), fcsi])
+    for block in (alone, both):
+        assert all(not a.flags.writeable for a in _block_arrays(block))
+
+
+@pytest.mark.parametrize("shapes", [(2, 2, 16), (3, 1, 8)], ids=str)
+def test_block_cascade_follows_the_series_cdf(geometry, air, shapes):
+    # users of one trial share the BS-side sum W, so one user's column is
+    # an independent sample of the unit-gain cascade S W
+    m1, m2, n_elements = shapes
+    cfg = make_config(geometry, air, FadingParams(m1=m1, m2=m2, n_elements=n_elements))
+    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).cascades[True][:, 0]
+                        for i in range(25)])
+    unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
+                            sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0)
+    assert stats.kstest(z, lambda x: cdf_Z_single(x, unit)).pvalue > 1e-4

@@ -7,8 +7,8 @@ event {C_main < C_eve} reduces to the gain comparison
 never enters the estimator.  The comparison is strict, so ties (a null
 event) count as secure.
 
-Trials are simulated in fixed-size blocks, each with its own
-counter-derived random stream keyed by (seed, block index).  Workers
+Trials are simulated in fixed-size blocks, each with its own SFC64
+stream seeded by ``SeedSequence((seed, block index))``.  Workers
 only ever merge integer event counts, so the estimate is bit-identical
 for any thread count and any partitioning of blocks across workers.
 
@@ -113,7 +113,7 @@ class ZsrpEstimate:
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Independent substream for one block, partition-invariant."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((seed, block_index))))
+        np.random.SFC64(np.random.SeedSequence((seed, block_index))))
 
 
 def _layout(config: ScenarioConfig) -> tuple:
@@ -313,7 +313,7 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
     """Estimate the ZSRP over ``trials`` independent channel draws.
 
     The result depends only on (config, trials, seed): blocks own
-    counter-derived streams and merging sums integers, so any thread
+    streams keyed by (seed, block) and merging sums integers, so any thread
     count produces bit-identical output.  The reduced blocks are kept
     read-only in a one-entry memo (see the module docstring), so a call
     that differs from the previous one only in the row's scalars, such as

@@ -180,7 +180,8 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     if any(fc for fc, _ in needs):
         small[True] = gb_pow.sum(axis=1)[:, None] * user_sums
     if not all(fc for fc, _ in needs):
-        # amplitudes in place: the power sums above are the last reads
+        # amplitudes overwrite the user-side powers, which the power sums
+        # above were the last to read
         amplitude = np.sqrt(gr_pow, out=gr_pow)
         amplitude *= np.sqrt(gb_pow)[:, None, :]
         small[False] = amplitude.sum(axis=2) ** 2

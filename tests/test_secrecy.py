@@ -61,7 +61,6 @@ import threading
 
 import numpy as np
 import pytest
-
 from scipy import stats
 
 from zsrpsim import secrecy as sec
@@ -483,11 +482,6 @@ def test_memo_threads_racing_over_two_keys(monkeypatch):
 # --- Group 6: one block's reduced draws ---
 
 
-def _block_arrays(block: sec._Block) -> list[np.ndarray]:
-    return [block.cbrt_u, *block.cascades.values(),
-            *(a for pair in block.served.values() for a in pair)]
-
-
 def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
     # the single connected amplitudes overwrite the user-side powers after
     # the fully connected cascade and the GCSI power sums have read them
@@ -504,7 +498,8 @@ def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
 
     rng = sec._block_rng(seed, i)
     gb = rng.gamma(float(fading.m2), 1.0 / fading.m2, (n, fading.n_elements))
-    gr = rng.gamma(float(fading.m1), 1.0 / fading.m1, (n, 4, fading.n_elements))
+    gr = rng.gamma(float(fading.m1), 1.0 / fading.m1,
+                   (n, geometry.n_users, fading.n_elements))
     sc = (np.sqrt(gb)[:, None, :] * np.sqrt(gr)).sum(axis=2) ** 2
     assert np.array_equal(both.cascades[False], sc)
     assert np.array_equal(both.served[False, "gcsi"][1], sc[np.arange(n), pick])
@@ -512,7 +507,9 @@ def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
     assert np.array_equal(both.served[False, "fcsi"][0], fcsi)
     assert np.array_equal(both.served[False, "fcsi"][1], sc[np.arange(n), fcsi])
     for block in (alone, both):
-        assert all(not a.flags.writeable for a in _block_arrays(block))
+        arrays = [block.cbrt_u, *block.cascades.values(),
+                  *(a for pair in block.served.values() for a in pair)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("shapes", [(2, 2, 16), (3, 1, 8)], ids=str)

@@ -210,21 +210,33 @@ def _user_gains(config: ScenarioConfig) -> np.ndarray:
                                  for u in range(config.n_users)])
 
 
-def _count_block(block: _Block, config: ScenarioConfig,
-                 user_gains: np.ndarray) -> tuple[int, int, int]:
+def _eve_key(config: ScenarioConfig) -> tuple:
+    """What fixes a row's eavesdropper gains on one block's draws."""
+    geom = config.geometry
+    dz = (None if config.eve_center_h_m is None
+          else geom.h_br_m - config.eve_center_h_m)
+    return geom.r_eve_m, dz, config.alpha_eve, config.air.ref_gain
+
+
+def _eve_gain(block: _Block, config: ScenarioConfig) -> np.ndarray:
+    """Large-scale gain of each trial's eavesdropper for one row."""
+    d_be = _eve_distance(config, block.cbrt_u, block.dir_z)
+    return large_scale_gain(config.air.ref_gain, np.maximum(d_be, 1e-9),
+                            config.alpha_eve)
+
+
+def _count_block(block: _Block, config: ScenarioConfig, user_gains: np.ndarray,
+                 eve_gain: np.ndarray) -> tuple[int, int, int]:
     """Event, opportunity and squared per-trial event counts of one row.
 
     A trial's event count k is 0 or 1 for a served user and 0..N for
     round robin; the third entry is the sum of k^2 over the block's
     trials.  The row applies its large-scale gains, ``user_gains`` from
-    :func:`_user_gains` and its eavesdropper gains, to the block's
-    shared small-scale samples.
+    :func:`_user_gains` and ``eve_gain`` from :func:`_eve_gain`, to the
+    block's shared small-scale samples.
     """
     scheme = config.scheme
     n = block.cbrt_u.size
-    d_be = _eve_distance(config, block.cbrt_u, block.dir_z)
-    eve_gain = large_scale_gain(config.air.ref_gain, np.maximum(d_be, 1e-9),
-                                config.alpha_eve)
     if scheme.rule == "rs":
         # slot average over all users: every user contributes an indicator
         main_gain = user_gains[None, :] * block.cascades[scheme.fully_connected]
@@ -278,12 +290,15 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     Configs are grouped by draw layout; each (group, block) pair is one
     task, mapped over ``threads`` workers, that draws the block, counts
     every row of the group and drops it, so only integer counts are
-    merged.  Every estimate equals :func:`run_monte_carlo` on its config
-    alone, for any thread count.
+    merged.  Rows of a group that share an eavesdropper key (see
+    :func:`_eve_key`) share one eavesdropper gain array per block.  Every
+    estimate equals :func:`run_monte_carlo` on its config alone, for any
+    thread count.
     """
     blocks = _blocks(trials, threads, seed)
     configs = list(configs)
     gains = [_user_gains(config) for config in configs]
+    eve_keys = [_eve_key(config) for config in configs]
     groups: dict[tuple, list[int]] = {}
     for k, config in enumerate(configs):
         groups.setdefault(_layout(config), []).append(k)
@@ -293,7 +308,12 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     def simulate(task: tuple[list[int], int, int]) -> list[tuple[int, int, int]]:
         members, i, n = task
         block = _draw_block([configs[k] for k in members], seed, i, n)
-        return [_count_block(block, configs[k], gains[k]) for k in members]
+        eve: dict[tuple, np.ndarray] = {}
+        for k in members:
+            if eve_keys[k] not in eve:
+                eve[eve_keys[k]] = _eve_gain(block, configs[k])
+        return [_count_block(block, configs[k], gains[k], eve[eve_keys[k]])
+                for k in members]
 
     counts: list[list[tuple[int, int, int]]] = [[] for _ in configs]
     for (members, _, _), task_counts in zip(tasks, _map(simulate, tasks, threads)):
@@ -329,5 +349,5 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
             drawn = _memo[key] = _map(
                 lambda b: _draw_block([config], seed, *b), blocks, threads)
     gains = _user_gains(config)
-    return _estimate(config, [_count_block(b, config, gains) for b in drawn],
-                     trials, seed)
+    return _estimate(config, [_count_block(b, config, gains, _eve_gain(b, config))
+                              for b in drawn], trials, seed)

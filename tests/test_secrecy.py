@@ -49,6 +49,11 @@ Proves:
    kept array stays read-only; one user's fully connected cascade over
    25 blocks at unit large-scale gains follows the series CDF of the
    cascade (Kolmogorov–Smirnov, p > 1e-4) for two fading settings.
+   Element powers drawn as means of m exponentials follow the Gamma(m,
+   1/m) CDF for m = 1..4 (Kolmogorov–Smirnov, p > 1e-4), and one user's
+   single connected cascade over 10 blocks has the mean
+   L + L(L - 1) (E[sqrt(g_b)] E[sqrt(g_r)])^2 within 4 standard errors
+   for two fading settings.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from scipy import stats
 
 from zsrpsim import secrecy as sec
 from zsrpsim.analytic import ClosedFormParams, cdf_Z_single
-from zsrpsim.fading import FadingParams
+from zsrpsim.fading import FadingParams, cdf_S
 from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
                                  large_scale_gain, ris_user_gain, sample_eve_distance)
 from zsrpsim.scheduling import SchemeId
@@ -78,6 +83,17 @@ PFS_DEFAULT = 0.02667028157484286
 
 def make_config(geometry, air, fading, scheme=SchemeId.FCR_RS, **kw):
     return sec.ScenarioConfig(geometry=geometry, air=air, fading=fading, scheme=scheme, **kw)
+
+
+def _documented_powers(rng, m, shape):
+    """A block's Gamma(m, 1/m) element powers in the documented draw order,
+    element axis first: one unit exponential for every power, then each
+    element row's m - 1 further ones in turn, and the sum over m."""
+    powers = rng.standard_exponential(shape)
+    for row in powers:
+        for _ in range(m - 1):
+            row += rng.standard_exponential(shape[1:])
+    return powers / m
 
 
 # --- Group 1: scenario container ---
@@ -176,13 +192,13 @@ def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
     for i in range(3):
         n = min(sec.BLOCK_TRIALS, trials - i * sec.BLOCK_TRIALS)
         rng = sec._block_rng(seed, i)
-        gb = rng.gamma(float(m2), 1.0 / m2, (n, n_el))
-        gr = rng.gamma(float(m1), 1.0 / m1, (n, cfg.n_users, n_el))
+        gb = _documented_powers(rng, m2, (n_el, n))
+        gr = _documented_powers(rng, m1, (n_el, n, cfg.n_users))
         d_be = sample_eve_distance(rng, size=n) * geometry.r_eve_m
         if scheme.fully_connected:
-            cascade = gb.sum(axis=1)[:, None] * gr.sum(axis=2)
+            cascade = gb.sum(axis=0)[:, None] * gr.sum(axis=0)
         else:
-            cascade = (np.sqrt(gb)[:, None, :] * np.sqrt(gr)).sum(axis=2) ** 2
+            cascade = (np.sqrt(gb)[:, :, None] * np.sqrt(gr)).sum(axis=0) ** 2
         main = sigma2_sq * sigma1_sq * cascade
         eve = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9), cfg.alpha_eve)
         means.append((main < eve[:, None]).mean(axis=1))
@@ -497,10 +513,9 @@ def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
     assert np.array_equal(both.served[False, "gcsi"][0], pick)
 
     rng = sec._block_rng(seed, i)
-    gb = rng.gamma(float(fading.m2), 1.0 / fading.m2, (n, fading.n_elements))
-    gr = rng.gamma(float(fading.m1), 1.0 / fading.m1,
-                   (n, geometry.n_users, fading.n_elements))
-    sc = (np.sqrt(gb)[:, None, :] * np.sqrt(gr)).sum(axis=2) ** 2
+    gb = _documented_powers(rng, fading.m2, (fading.n_elements, n))
+    gr = _documented_powers(rng, fading.m1, (fading.n_elements, n, geometry.n_users))
+    sc = (np.sqrt(gb)[:, :, None] * np.sqrt(gr)).sum(axis=0) ** 2
     assert np.array_equal(both.cascades[False], sc)
     assert np.array_equal(both.served[False, "gcsi"][1], sc[np.arange(n), pick])
     fcsi = sc.argmax(axis=1)
@@ -523,3 +538,26 @@ def test_block_cascade_follows_the_series_cdf(geometry, air, shapes):
     unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
                             sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0)
     assert stats.kstest(z, lambda x: cdf_Z_single(x, unit)).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_element_powers_follow_the_gamma_cdf(m):
+    # a Gamma(m, 1/m) power has the CDF of the power sum S at L = 1
+    powers = sec._element_powers(sec._block_rng(2026, m), m, (4, 2048, 2))
+    assert powers.shape == (4, 2048, 2)
+    assert stats.kstest(powers.ravel(), lambda s: cdf_S(s, m, 1)).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("shapes", [(2, 2, 16), (3, 1, 8)], ids=str)
+def test_single_connected_cascade_mean(geometry, air, shapes):
+    # the L amplitudes sqrt(g_b g_r) are i.i.d. with E[g_b g_r] = 1 and
+    # E[sqrt(g)] = Gamma(m + 1/2) / (Gamma(m) sqrt(m)) for g ~ Gamma(m, 1/m)
+    m1, m2, n_elements = shapes
+    cfg = make_config(geometry, air, FadingParams(m1=m1, m2=m2, n_elements=n_elements),
+                      SchemeId.SCR_RS)
+    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).cascades[False][:, 0]
+                        for i in range(10)])
+    root_means = math.exp(math.lgamma(m1 + 0.5) + math.lgamma(m2 + 0.5)
+                          - math.lgamma(m1) - math.lgamma(m2)) / math.sqrt(m1 * m2)
+    want = n_elements + n_elements * (n_elements - 1) * root_means ** 2
+    assert abs(z.mean() - want) <= 4.0 * z.std() / math.sqrt(z.size)

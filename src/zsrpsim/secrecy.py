@@ -8,9 +8,12 @@ never enters the estimator.  The comparison is strict, so ties (a null
 event) count as secure.
 
 Trials are simulated in fixed-size blocks, each with its own SFC64
-stream seeded by ``SeedSequence((seed, block index))``.  Workers
-only ever merge integer event counts, so the estimate is bit-identical
-for any thread count and any partitioning of blocks across workers.
+stream seeded by ``SeedSequence((seed, block index))``.  A block draws,
+in this order, the BS-side and then the user-side Gamma(m, 1/m) element
+powers, each the mean of m unit exponentials and stored element axis
+first, then the eavesdropper placement.  Workers only ever merge
+integer event counts, so the estimate is bit-identical for any thread
+count and any partitioning of blocks across workers.
 
 Shared draws: a config's draws depend only on its draw layout (the
 fading shapes and element count, the user count and the eavesdropper
@@ -158,17 +161,15 @@ def _element_powers(rng: np.random.Generator, m: int,
                     shape: tuple[int, ...]) -> np.ndarray:
     """Gamma(m, 1/m) element powers of ``shape``, element axis first.
 
-    Each power is the mean of m unit exponentials, which is exact for the
-    integer shapes :class:`FadingParams` admits (Devroye 1986, ch. IX.3);
-    numpy draws them by the ziggurat method.  The first exponential of
-    every power fills the array; then each element row in turn adds its
-    m - 1 further exponentials through one row buffer, so no second
-    full-size array is ever live.  Not -log of a product of uniforms:
-    numpy's SIMD log may round differently on another CPU, and the draws
-    must not depend on the host.  The cost grows with m: at (16, 4096, 4)
-    it measured 1.4 / 3.1 / 4.7 / 6.3 / 8.1 ms for m = 1 ... 5 against
-    2.4 / 6.3 / 6.2 / 6.1 / 6.9 ms for ``rng.gamma``, so it breaks even
-    at about m = 4.
+    Each power is the mean of m unit exponentials from numpy's ziggurat
+    sampler, exact for the integer m that :class:`FadingParams` admits
+    (Devroye 1986, ch. IX.3).  The first exponential fills the array, then
+    each element row adds its m - 1 further ones through one row buffer,
+    so no second full-size array is live.  Not -log of a product of
+    uniforms: numpy's SIMD log rounds differently on different CPUs.  At
+    (16, 4096, 4) it took 2.6 / 5.1 / 7.2 / 9.8 / 12.5 ms for m = 1 ... 5
+    against 3.4 / 9.7 / 9.2 / 9.3 / 9.5 ms for ``rng.gamma`` (median of
+    41, 2-core Xeon, numpy 2.4.6): it breaks even at about m = 4.
     """
     powers = rng.standard_exponential(shape)
     row = np.empty(shape[1:])
@@ -183,14 +184,13 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
                 n: int) -> _Block:
     """Reduced samples of one block for configs sharing one draw layout.
 
-    The draw order is fixed: the BS-side powers (L, n), the user-side
-    powers (L, n, N), each by :func:`_element_powers`, then the
-    eavesdropper's unit distance and, for a fixed centre, its polar
-    direction.  The element axis comes first, so every sum over elements
-    adds whole rows.  The draws, each needed cascade type and each needed
-    PFS pick are computed once for all configs (see :func:`_layout`); only
-    what their schemes count is kept, read-only, so no array with an
-    element axis outlives the call and a memoized block cannot be changed.
+    Draw order: BS-side powers (L, n), user-side powers (L, n, N), both by
+    :func:`_element_powers`, then the eavesdropper placement; with the
+    element axis first, every sum over elements adds whole rows.  The
+    draws, each needed cascade type and each needed PFS pick are computed
+    once for all configs (see :func:`_layout`); only what their schemes
+    count is kept, read-only, so no array with an element axis outlives
+    the call and a memoized block cannot be changed.
     """
     rng = _block_rng(seed, block_index)
     fad, n_users = configs[0].fading, configs[0].n_users

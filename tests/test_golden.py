@@ -13,7 +13,10 @@ Proves:
    so do the analytic altitude search for round-robin serving and two
    simulated searches over 2 x 4096 + 808 trials (a partial last block):
    single connected GCSI serving around a BS-centred ball on two threads,
-   and round robin around a fixed centre.
+   and round robin around a fixed centre.  The regeneration block of
+   ``tests/data/README.md`` writes exactly the Monte-Carlo fixtures
+   compared here, each by a command that resolves to the same scenario,
+   spec and subcommand flags as the test's own.
 
  Group 3 — analytic precision
    the quadrature value and the closed form of both fully connected rules
@@ -28,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -37,7 +41,8 @@ from zsrpsim.analytic import zsrp_for_scheme
 from zsrpsim.experiments import load_config
 from zsrpsim.scheduling import SchemeId
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 CASES = {
     "fig4-mc": ("fig4", "mc-all.ini", "5000", "1"),
@@ -53,11 +58,8 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_reproduces_fixture(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
-    experiment, config, trials, threads = CASES[name]
     out = tmp_path / f"{name}.csv"
-    rc = cli.main(["run", "--experiment", experiment,
-                   "--config", str(DATA / config), "--trials", trials,
-                   "--seed", "7", "--threads", threads, "--out", str(out)])
+    rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
@@ -75,8 +77,7 @@ ZSRP_CASES = {
 def test_zsrp_reproduces_fixture(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     out = tmp_path / f"{name}.csv"
-    rc = cli.main(["zsrp", *ZSRP_CASES[name], "--trials", "5000", "--seed", "7",
-                   "--out", str(out)])
+    rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
@@ -102,10 +103,61 @@ MC_SEARCH_CASES = {
 def test_mc_altitude_search_reproduces_fixture(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     out = tmp_path / f"{name}.csv"
-    rc = cli.main(["optimize-altitude", *MC_SEARCH_CASES[name], "--evaluator", "mc",
-                   "--trials", "9000", "--seed", "7", "--out", str(out)])
+    rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def _mc_argv(name: str) -> list[str]:
+    """CLI arguments, less ``--out``, of the test of MC fixture ``name``."""
+    if name in CASES:
+        experiment, config, trials, threads = CASES[name]
+        return ["run", "--experiment", experiment, "--config", str(DATA / config),
+                "--trials", trials, "--seed", "7", "--threads", threads]
+    if name in ZSRP_CASES:
+        return ["zsrp", *ZSRP_CASES[name], "--trials", "5000", "--seed", "7"]
+    return ["optimize-altitude", *MC_SEARCH_CASES[name], "--evaluator", "mc",
+            "--trials", "9000", "--seed", "7"]
+
+
+def _regeneration_commands() -> dict[str, list[str]]:
+    """Fixture name -> CLI arguments, less ``--out``, of every command in
+    the README's block that regenerates the seed-pinned MC fixtures."""
+    section = (DATA / "README.md").read_text().split(
+        "## Seed-pinned Monte-Carlo fixtures", 1)[1]
+    commands = {}
+    for line in section.split("```")[1].splitlines():
+        if line.startswith("python -m zsrpsim.cli "):
+            argv = shlex.split(line)[3:]
+            k = argv.index("--out")
+            out = Path(argv.pop(k + 1))
+            del argv[k]
+            assert out.parent == Path("tests/data") and out.suffix == ".csv", line
+            assert out.stem not in commands, line
+            # README paths are relative to the repository root
+            commands[out.stem] = [str(ROOT / a) if a.startswith("tests/") else a
+                                  for a in argv]
+    return commands
+
+
+def _resolved_command(argv: list[str]) -> tuple:
+    """What a CLI command computes: its resolved scenario and spec, less
+    the output path, and its subcommand's own flags."""
+    args = cli.build_parser().parse_args(argv)
+    scenario, spec = cli._resolved(args)
+    shared = {"config", "seed", "trials", "threads", "out", "scheme", "evaluator"}
+    flags = {k: v for k, v in vars(args).items() if k not in shared}
+    return scenario, dataclasses.replace(spec, output=""), flags
+
+
+def test_regeneration_block_matches_the_mc_fixtures(monkeypatch):
+    # a draw-layout change regenerates the fixtures by that block, so it
+    # must write every compared MC fixture, nothing else, by the test's command
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    commands = _regeneration_commands()
+    assert sorted(commands) == sorted({*CASES, *ZSRP_CASES, *MC_SEARCH_CASES})
+    for name, argv in commands.items():
+        assert _resolved_command(argv) == _resolved_command(_mc_argv(name)), name
 
 
 # --- Group 3: analytic precision ---

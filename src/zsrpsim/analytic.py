@@ -74,7 +74,6 @@ from . import specfun
 from .errors import AccuracyError, AnalyticUnavailableError
 from .fading import cdf_S, pdf_W, tail_cutoff
 from .propagation import bs_ris_gain, ris_user_gain
-from .scheduling import SchemeId
 
 logger = logging.getLogger(__name__)
 
@@ -427,9 +426,8 @@ def zsrp_from_params(p: ClosedFormParams, round_robin: bool,
     return _report(value, _closed_form(p) if closed_form else None)
 
 
-def zsrp_for_scheme(scheme: SchemeId, config,
-                    closed_form: bool = True) -> AnalyticZsrp:
-    """Analytic ZSRP for one scheme on a concrete scenario.
+def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
+    """Analytic ZSRP of a concrete scenario under its configured scheme.
 
     ``config`` is a :class:`~zsrpsim.secrecy.ScenarioConfig`.  Only the
     fully-connected architecture is tractable here; single-connected
@@ -442,6 +440,7 @@ def zsrp_for_scheme(scheme: SchemeId, config,
     the quadrature ``value`` is computed (the altitude search uses no
     more), and ``closed_form`` and ``rel_gap`` come back None.
     """
+    scheme = config.scheme
     if not scheme.fully_connected:
         raise AnalyticUnavailableError(
             f"no closed-form ZSRP for scheme {scheme.value!r}; "

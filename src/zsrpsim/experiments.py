@@ -240,9 +240,9 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
                    timing: bool = False) -> list[dict]:
     """Row dicts for the cross product (grid point x scheme x evaluator).
 
-    Monte-Carlo rows carry their estimate's standard error (binomial for a
-    served user, the per-trial mean's for round robin); analytic rows
-    leave it blank.  Schemes without an analytic route (the SC-RIS family)
+    Monte-Carlo rows carry their estimate's standard error (that of the
+    per-trial share of counted users in the event); analytic rows leave it
+    blank.  Schemes without an analytic route (the SC-RIS family)
     skip their analytic rows with a stderr note instead of failing the
     sweep; every analytic row with a closed form logs its gap to the
     quadrature value at INFO.
@@ -272,7 +272,7 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
                 else:
                     t0 = time.perf_counter()
                     try:
-                        res = zsrp_for_scheme(scheme, cfg)
+                        res = zsrp_for_scheme(cfg)
                     except AnalyticUnavailableError as exc:
                         if scheme not in skipped:
                             skipped.add(scheme)

@@ -110,8 +110,7 @@ def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
             geometry = dataclasses.replace(base.geometry, h_br_m=h)
             cfg = dataclasses.replace(base, geometry=geometry)
             if spec.evaluator == "analytic":
-                cache[h] = zsrp_for_scheme(cfg.scheme, cfg,
-                                           closed_form=False).value
+                cache[h] = zsrp_for_scheme(cfg, closed_form=False).value
             else:
                 cache[h] = run_monte_carlo(cfg, spec.trials, spec.seed,
                                            threads=spec.threads).p_hat

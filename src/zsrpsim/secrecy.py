@@ -27,14 +27,14 @@ per block instead of one per row.  It streams: each block is drawn,
 counted for every row and dropped.
 
 Memoized blocks: a block is drawn by :func:`_draw_block` into reduced
-samples (the cascade or served-user pick each scheme needs, the unit
+samples (the users each scheme counts and their cascades, the unit
 distance draw and, for a fixed centre, the polar direction) and counted
 per row by :func:`_count_block`.  :func:`run_monte_carlo` keeps the
 reduced blocks of its last miss, read-only, in a one-entry memo keyed by
 (draw layout, scheme, seed, trials); the thread count is not in the key,
-since the draws do not depend on it.  A PFS scheme keeps its pick and
-the served user's cascade, round robin the (n, N) cascade, so the entry
-holds at most 8 (N + 2) bytes per trial.  Calls that differ only in the
+since the draws do not depend on it.  A PFS scheme keeps its (1, n) pick
+and served cascade, round robin the (N, n) cascade, so the entry holds
+at most 8 (N + 2) bytes per trial.  Calls that differ only in the
 row's scalars, such as the altitudes of one search, draw once and then
 only compare, with the values separate runs would give.
 """
@@ -103,8 +103,8 @@ class ScenarioConfig:
 class ZsrpEstimate:
     """Monte-Carlo ZSRP with its standard error.
 
-    The error is binomial for a served user; for round robin it is the
-    standard error of the per-trial average over users.
+    The error is that of the mean of the per-trial shares of counted
+    users in the event (all N for round robin, the served one for PFS).
     """
 
     p_hat: float
@@ -143,18 +143,22 @@ def _eve_distance(config: ScenarioConfig, cbrt_u: np.ndarray,
                               0.0))
 
 
+#: Round robin's index into the user gains: each gain as a column.
+_ALL_USERS = np.s_[:, None]
+
+
 class _Block(NamedTuple):
     """One block's reduced draws: what counting its rows needs.
 
-    ``cascades`` maps fully connected? to the (n, N) cascade that
-    round-robin rows count; ``served`` maps (fully connected?, rule) to a
-    PFS rule's pick and the cascade of the user it serves, both (n,).
+    ``rows`` maps (fully connected?, rule) to the users a trial counts,
+    as an index into the user gains, and their cascades, user axis first:
+    :data:`_ALL_USERS` and the (N, n) cascade for round robin, the (1, n)
+    pick and served cascade for PFS.
     """
 
     cbrt_u: np.ndarray
     dir_z: Optional[np.ndarray]
-    cascades: dict[bool, np.ndarray]
-    served: dict[tuple[bool, str], tuple[np.ndarray, np.ndarray]]
+    rows: dict[tuple[bool, str], tuple[object, np.ndarray]]
 
 
 def _element_powers(rng: np.random.Generator, m: int,
@@ -189,8 +193,8 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     element axis first, every sum over elements adds whole rows.  The
     draws, each needed cascade type and each needed PFS pick are computed
     once for all configs (see :func:`_layout`); only what their schemes
-    count is kept, read-only, so no array with an element axis outlives
-    the call and a memoized block cannot be changed.
+    count is kept, user axis first and read-only, so no array with an
+    element axis outlives the call and a memoized block cannot change.
     """
     rng = _block_rng(seed, block_index)
     fad, n_users = configs[0].fading, configs[0].n_users
@@ -215,19 +219,19 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
         small[False] = amplitude.sum(axis=0) ** 2
     del gb_pow, gr_pow
     # GCSI ranks user power sums, so both architectures share its pick
-    gcsi = (select_gcsi_pfs(user_sums)
+    gcsi = (select_gcsi_pfs(user_sums)[None]
             if any(rule == "gcsi" for _, rule in needs) else None)
-    served = {}
+    rows = {}
     for fc, rule in needs:
-        if rule != "rs":
-            pick = gcsi if rule == "gcsi" else select_fcsi_pfs(small[fc])
-            served[fc, rule] = (pick, small[fc][np.arange(n), pick])
-    cascades = {fc: small[fc] for fc, rule in needs if rule == "rs"}
-    for array in (cbrt_u, dir_z, *cascades.values(), *(a for pair in served.values()
-                                                       for a in pair)):
-        if array is not None:
+        if rule == "rs":
+            rows[fc, rule] = (_ALL_USERS, np.ascontiguousarray(small[fc].T))
+        else:
+            pick = gcsi if rule == "gcsi" else select_fcsi_pfs(small[fc])[None]
+            rows[fc, rule] = (pick, small[fc][np.arange(n), pick])
+    for array in (cbrt_u, dir_z, *(a for row in rows.values() for a in row)):
+        if isinstance(array, np.ndarray):
             array.flags.writeable = False
-    return _Block(cbrt_u, dir_z, cascades, served)
+    return _Block(cbrt_u, dir_z, rows)
 
 
 def _user_gains(config: ScenarioConfig) -> np.ndarray:
@@ -257,37 +261,29 @@ def _count_block(block: _Block, config: ScenarioConfig, user_gains: np.ndarray,
                  eve_gain: np.ndarray) -> tuple[int, int, int]:
     """Event, opportunity and squared per-trial event counts of one row.
 
-    A trial's event count k is 0 or 1 for a served user and 0..N for
-    round robin; the third entry is the sum of k^2 over the block's
-    trials.  The row applies its large-scale gains, ``user_gains`` from
-    :func:`_user_gains` and ``eve_gain`` from :func:`_eve_gain`, to the
-    block's shared small-scale samples.
+    A trial counts K users (N for round robin, the served one for PFS)
+    and k of them lose to the eavesdropper; the triple is (sum k, K n,
+    sum k^2) over the block's n trials.  The row applies its large-scale
+    gains, ``user_gains`` from :func:`_user_gains` and ``eve_gain`` from
+    :func:`_eve_gain`, to the block's shared small-scale samples.
     """
-    scheme = config.scheme
-    n = block.cbrt_u.size
-    if scheme.rule == "rs":
-        # slot average over all users: every user contributes an indicator
-        main_gain = user_gains[None, :] * block.cascades[scheme.fully_connected]
-        per_trial = np.count_nonzero(main_gain < eve_gain[:, None], axis=1)
-        return (int(per_trial.sum()), n * config.n_users,
-                int(np.dot(per_trial, per_trial)))
-    pick, served = block.served[scheme.fully_connected, scheme.rule]
-    hits = int(np.count_nonzero(user_gains[pick] * served < eve_gain))
-    return hits, n, hits
+    users, cascade = block.rows[config.scheme.fully_connected, config.scheme.rule]
+    main_gain = user_gains[users] * cascade
+    per_trial = (main_gain < eve_gain).sum(axis=0)
+    return (int(per_trial.sum()), main_gain.size,
+            int(np.dot(per_trial, per_trial)))
 
 
-def _estimate(config: ScenarioConfig, counts: Sequence[tuple[int, int, int]],
-              trials: int, seed: int) -> ZsrpEstimate:
-    """One row's estimate from its per-block count triples."""
+def _estimate(counts: Sequence[tuple[int, int, int]], trials: int,
+              seed: int) -> ZsrpEstimate:
+    """One row's estimate from its per-block count triples.
+
+    p_hat averages T per-trial means k / K; its variance is their plug-in
+    variance over T, formed exactly in integers (binomial at K = 1).
+    """
     h, o, sq = map(sum, zip(*counts))
-    p_hat = h / o
-    if config.scheme.rule == "rs":
-        # p_hat is the mean of T per-trial means k / N: its variance is
-        # their plug-in variance over T, formed exactly in integers
-        var = (sq * trials - h * h) / (config.n_users ** 2 * trials ** 3)
-    else:
-        var = p_hat * (1.0 - p_hat) / trials
-    return ZsrpEstimate(p_hat=p_hat, std_err=math.sqrt(var), trials=trials,
+    var = (sq * trials - h * h) / (o * o * trials)
+    return ZsrpEstimate(p_hat=h / o, std_err=math.sqrt(var), trials=trials,
                         seed=seed)
 
 
@@ -347,8 +343,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     for (members, _, _), task_counts in zip(tasks, _map(simulate, tasks, threads)):
         for k, block_counts in zip(members, task_counts):
             counts[k].append(block_counts)
-    return [_estimate(config, counts[k], trials, seed)
-            for k, config in enumerate(configs)]
+    return [_estimate(row_counts, trials, seed) for row_counts in counts]
 
 
 #: The blocks of the last :func:`run_monte_carlo` miss, keyed by
@@ -377,5 +372,5 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
             drawn = _memo[key] = _map(
                 lambda b: _draw_block([config], seed, *b), blocks, threads)
     gains = _user_gains(config)
-    return _estimate(config, [_count_block(b, config, gains, _eve_gain(b, config))
-                              for b in drawn], trials, seed)
+    return _estimate([_count_block(b, config, gains, _eve_gain(b, config))
+                      for b in drawn], trials, seed)

@@ -73,7 +73,7 @@ def test_criterion_01_simulation_matches_quadrature():
         t0 = time.perf_counter()
         est = run_monte_carlo(cfg, trials=1_000_000, seed=SEED, threads=THREADS)
         wall = time.perf_counter() - t0
-        ref = an.zsrp_for_scheme(scheme, cfg).value
+        ref = an.zsrp_for_scheme(cfg).value
         sep = abs(est.p_hat - ref) / est.std_err
         worst_sep = max(worst_sep, sep)
         worst_wall = max(worst_wall, wall)

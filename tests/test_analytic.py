@@ -64,6 +64,7 @@ Proves:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -534,7 +535,7 @@ def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatc
         calls = _count_seeds(monkeypatch)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
-            out = an.zsrp_for_scheme(scheme, cfg)
+            out = an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=scheme))
         assert out.closed_form is not None
         # one tail integral per seed, not one per term, all in one call
         assert [len(c) for c in calls] == [n_seeds], scheme
@@ -632,13 +633,13 @@ def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):
     flat_air = AirGroundParams(alpha_zenith=2.0, alpha_ground=2.0)
     geom = ScenarioGeometry(h_br_m=40.0)
     cfg = ScenarioConfig(geometry=geom, air=flat_air, fading=fading, scheme=SchemeId.FCR_RS)
-    want = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg, closed_form=False).value
+    want = an.zsrp_for_scheme(cfg, closed_form=False).value
     seed = specfun.meijer_g_m0_log
     monkeypatch.setattr(specfun, "meijer_g_m0_log",
                         lambda *args: seed(*args) + 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
+        out = an.zsrp_for_scheme(cfg)
     assert any("deviates" in str(w.message) for w in caught)
     assert out.closed_form is not None
     assert out.rel_gap > 1e-6
@@ -649,9 +650,9 @@ def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):
 
 def test_scheme_dispatch(geometry, air, fading, closed_params):
     cfg = ScenarioConfig(geometry=geometry, air=air, fading=fading, scheme=SchemeId.FCR_RS)
-    rs = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
+    rs = an.zsrp_for_scheme(cfg)
     assert math.isclose(rs.value, RS_DEFAULT, rel_tol=1e-10)
-    pfs = an.zsrp_for_scheme(SchemeId.FCR_GCSI_PFS, cfg)
+    pfs = an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=SchemeId.FCR_GCSI_PFS))
     assert math.isclose(pfs.value, PFS_DEFAULT, rel_tol=1e-10)
 
 
@@ -659,11 +660,11 @@ def test_scheme_dispatch_refusals(geometry, air, fading):
     cfg = ScenarioConfig(geometry=geometry, air=air, fading=fading, scheme=SchemeId.SCR_RS)
     for scheme in (SchemeId.SCR_RS, SchemeId.SCR_GCSI_PFS, SchemeId.SCR_FCSI_PFS):
         with pytest.raises(AnalyticUnavailableError):
-            an.zsrp_for_scheme(scheme, cfg)
+            an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=scheme))
     bent = ScenarioConfig(geometry=geometry, air=air, fading=fading,
                           scheme=SchemeId.FCR_RS, alpha_eve=3.0)
     with pytest.raises(AnalyticUnavailableError):
-        an.zsrp_for_scheme(SchemeId.FCR_RS, bent)
+        an.zsrp_for_scheme(bent)
 
 
 def test_scheme_dispatch_heterogeneous_users(air, fading):
@@ -672,16 +673,14 @@ def test_scheme_dispatch_heterogeneous_users(air, fading):
     geom = ScenarioGeometry(d_rn_m=(30.0, 50.0, 80.0, 120.0))
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading, scheme=SchemeId.FCR_RS)
     # rotation averages the per-user marginals
-    out = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
+    out = an.zsrp_for_scheme(cfg)
     assert 0.0 < out.value < 1.0
     # greedy selection across unequal users has no expansion here
     with pytest.raises(AnalyticUnavailableError):
-        an.zsrp_for_scheme(SchemeId.FCR_GCSI_PFS, cfg)
+        an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=SchemeId.FCR_GCSI_PFS))
 
 
 def test_offset_fixed_centre_refused(geometry, air, fading):
-    import dataclasses
-
     from zsrpsim.propagation import ScenarioGeometry
 
     high = ScenarioGeometry(h_br_m=600.0)
@@ -689,13 +688,13 @@ def test_offset_fixed_centre_refused(geometry, air, fading):
                             eve_center="fixed", eve_center_h_m=150.0)
     for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
         with pytest.raises(AnalyticUnavailableError, match="centred on the BS"):
-            an.zsrp_for_scheme(scheme, offset)
+            an.zsrp_for_scheme(dataclasses.replace(offset, scheme=scheme))
     # a fixed centre at the BS altitude (or defaulting to it) is the BS ball
     bs = dataclasses.replace(offset, eve_center="bs", eve_center_h_m=None)
-    want = an.zsrp_for_scheme(SchemeId.FCR_RS, bs).value
+    want = an.zsrp_for_scheme(bs).value
     for h0 in (600.0, None):
         at_bs = dataclasses.replace(offset, eve_center_h_m=h0)
-        assert an.zsrp_for_scheme(SchemeId.FCR_RS, at_bs).value == want
+        assert an.zsrp_for_scheme(at_bs).value == want
 
 
 def test_integral_float_shapes_accepted(geometry, air):
@@ -703,5 +702,5 @@ def test_integral_float_shapes_accepted(geometry, air):
 
     cfg = ScenarioConfig(geometry=geometry, air=air, fading=FadingParams(m1=2.0, m2=2.0),
                          scheme=SchemeId.FCR_RS)
-    out = an.zsrp_for_scheme(SchemeId.FCR_RS, cfg)
+    out = an.zsrp_for_scheme(cfg)
     assert math.isclose(out.value, RS_DEFAULT, rel_tol=1e-10)

@@ -175,8 +175,9 @@ def _analytic(scheme: str, h_br_m: float, elements: int):
     scenario, _ = load_config(None)
     cfg = dataclasses.replace(
         scenario, geometry=dataclasses.replace(scenario.geometry, h_br_m=h_br_m),
-        fading=dataclasses.replace(scenario.fading, n_elements=elements))
-    return zsrp_for_scheme(SchemeId.from_string(scheme), cfg)
+        fading=dataclasses.replace(scenario.fading, n_elements=elements),
+        scheme=SchemeId.from_string(scheme))
+    return zsrp_for_scheme(cfg)
 
 
 @pytest.mark.parametrize("case", ANALYTIC_CASES, ids=[_case_id(c) for c in ANALYTIC_CASES])

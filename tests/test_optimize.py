@@ -145,7 +145,7 @@ def test_default_scenario_interior_optimum(geometry, air, fading):
     # U shape: the optimum beats both search endpoints
     def value_at(h: float) -> float:
         geo = ScenarioGeometry(h_br_m=h)
-        return zsrp_for_scheme(SchemeId.FCR_RS, make_config(geo, air, fading)).value
+        return zsrp_for_scheme(make_config(geo, air, fading)).value
 
     assert res.zsrp < value_at(40.0)
     assert res.zsrp < value_at(1500.0)
@@ -169,7 +169,7 @@ def test_analytic_search_builds_no_closed_form(geometry, air, fading,
         res = op.optimal_altitude(spec)
         assert res.n_evaluations >= 16 and calls == []
         at_h = make_config(ScenarioGeometry(h_br_m=res.h_m), air, fading, scheme)
-        full = zsrp_for_scheme(scheme, at_h)
+        full = zsrp_for_scheme(at_h)
         assert full.closed_form is not None and len(calls) == 1
         assert res.zsrp.hex() == full.value.hex()
         calls.clear()

@@ -176,7 +176,7 @@ def test_pfs_value_takes_few_integrand_calls(geometry, air, fading, monkeypatch)
     geom = ScenarioGeometry(h_br_m=310.0)
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading,
                          scheme=SchemeId.FCR_GCSI_PFS)
-    an.zsrp_for_scheme(cfg.scheme, cfg, closed_form=False)
+    an.zsrp_for_scheme(cfg, closed_form=False)
     assert 0 < len(sizes) < 500
     # 16 panels of 24 points: the cap that keeps peak memory in place
     assert max(sizes) <= 16 * 24

@@ -15,7 +15,11 @@ Proves:
    partial trailing blocks are handled; a served-user row's standard
    error follows the binomial formula, and a round-robin row's equals the
    standard error of its per-trial user averages, rebuilt here from the
-   documented draw order; trials = 0 and a negative seed rejected.
+   documented draw order; the one variance formula is within 2 ulp of the
+   binomial one at K = 1 (no hits and all hits included) and equals the
+   round-robin one it replaced bit for bit at K = N; a hand-built block
+   counts (sum k, K n, sum k^2) for a round-robin and a PFS row, ties
+   secure; trials = 0 and a negative seed rejected.
 
  Group 3 — scheme behavior
    all five schemes produce proper probabilities; greedy selection does
@@ -37,9 +41,11 @@ Proves:
    streaming ``run_monte_carlo_many`` agree exactly, and the blocks are
    drawn once; a new seed, trial count, scheme or draw layout replaces
    the one entry while the thread count does not; the kept arrays are
-   read-only and hold only what the scheme counts, at most 8 (N + 2)
-   bytes per trial; bad arguments raise before any draw and leave the
-   entry in place; threads racing over two keys get the streaming values.
+   read-only and hold only what the scheme counts, user axis first (the
+   (N, n) cascade behind one shared index, or the (1, n) pick and served
+   cascade), at most 8 (N + 2) bytes per trial; bad arguments raise
+   before any draw and leave the entry in place; threads racing over two
+   keys get the streaming values.
 
  Group 6 — one block's reduced draws
    the single connected amplitudes, reduced in place, leave the fully
@@ -208,6 +214,51 @@ def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
     assert math.isclose(est.std_err, means.std() / math.sqrt(trials), rel_tol=1e-12)
     binomial = math.sqrt(est.p_hat * (1.0 - est.p_hat) / trials)
     assert not math.isclose(est.std_err, binomial, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("trials", (1, 2, 7, 4_096, 22_528, 400_000))
+def test_served_user_error_is_binomial(trials):
+    # at K = 1 the one formula is p (1 - p) / T, rounded once; the float
+    # reference forms 1 - p as (T - h) / T, since 1.0 - p cancels near
+    # p = 1 (3e-12 relative off at h = T - 1, T = 400,000)
+    for h in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+        p = h / trials
+        want = math.sqrt(p * ((trials - h) / trials) / trials)
+        # one count triple per block, as the runners merge them
+        counts = [(h, trials, h)] if h < 2 else [(1, 1, 1), (h - 1, trials - 1, h - 1)]
+        est = sec._estimate(counts, trials, seed=3)
+        assert est.p_hat == p
+        assert abs(est.std_err - want) <= 2.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("n_users", (2, 4, 7))
+def test_round_robin_error_unchanged(n_users):
+    # at K = N the one formula is the round-robin one it replaced, bit for bit
+    rng = np.random.default_rng(n_users)
+    for trials in (1, 5, 808, 2 * sec.BLOCK_TRIALS + 808):
+        for p in (0.0, 1e-3, 0.3, 1.0):
+            k = rng.binomial(n_users, p, size=trials)
+            h, sq = int(k.sum()), int(np.dot(k, k))
+            est = sec._estimate([(h, n_users * trials, sq)], trials, seed=3)
+            old = (sq * trials - h * h) / (n_users ** 2 * trials ** 3)
+            assert est.p_hat == h / (n_users * trials)
+            assert est.std_err == math.sqrt(old)
+
+
+def test_count_block_counts_k_of_k_users(geometry, air, fading):
+    # three trials, two users; ties are secure, so equal gains count no event
+    user_gains = np.array([1.0, 2.0])
+    eve_gain = np.array([2.5, 6.0, 11.0])
+    cascade = np.array([[1.0, 3.0, 5.0], [1.0, 3.0, 5.0]])
+    pick, served = np.array([[1, 0, 1]]), np.array([[3.0, 3.0, 5.0]])
+    block = sec._Block(np.ones(3), None, {(True, "rs"): (sec._ALL_USERS, cascade),
+                                          (False, "gcsi"): (pick, served)})
+    # main gains [[1, 3, 5], [2, 6, 10]]: k = (2, 1, 2)
+    rs = make_config(geometry, air, fading, SchemeId.FCR_RS)
+    assert sec._count_block(block, rs, user_gains, eve_gain) == (5, 6, 9)
+    # served main gains [6, 3, 10]: k = (0, 1, 1)
+    pfs = make_config(geometry, air, fading, SchemeId.SCR_GCSI_PFS)
+    assert sec._count_block(block, pfs, user_gains, eve_gain) == (2, 3, 2)
 
 
 def test_zero_trials_rejected(geometry, air, fading):
@@ -381,6 +432,10 @@ def _memo_config(scheme: SchemeId, center: str, h_br_m: float = 220.0,
                               scheme=scheme, **centre, **kw)
 
 
+def _row_arrays(block: sec._Block) -> list[np.ndarray]:
+    return [a for row in block.rows.values() for a in row if isinstance(a, np.ndarray)]
+
+
 def _pair(est: sec.ZsrpEstimate) -> tuple[float, float]:
     return est.p_hat, est.std_err
 
@@ -437,13 +492,15 @@ def test_memo_arrays_read_only_and_reduced(monkeypatch, scheme, center):
     kept = 0
     for block in blocks:
         assert (block.dir_z is None) == (center == "bs")
+        assert list(block.rows) == [(scheme.fully_connected, scheme.rule)]
+        ((users, cascade),) = block.rows.values()
         if scheme.rule == "rs":
-            assert not block.served and list(block.cascades) == [scheme.fully_connected]
+            # one shared index, not an array kept per block
+            assert users is sec._ALL_USERS
+            assert cascade.shape == (cfg.n_users, block.cbrt_u.size)
         else:
-            assert not block.cascades
-            assert list(block.served) == [(scheme.fully_connected, scheme.rule)]
-        arrays = [block.cbrt_u, *block.cascades.values(),
-                  *(a for pair in block.served.values() for a in pair)]
+            assert users.shape == cascade.shape == (1, block.cbrt_u.size)
+        arrays = [block.cbrt_u, *_row_arrays(block)]
         if block.dir_z is not None:
             arrays.append(block.dir_z)
         for array in arrays:
@@ -506,24 +563,23 @@ def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
     mixed = [make_config(geometry, air, fading, s) for s in SchemeId]
     alone = sec._draw_block(fc_only, seed, i, n)
     both = sec._draw_block(mixed, seed, i, n)
-    assert np.array_equal(alone.cascades[True], both.cascades[True])
-    pick, served = alone.served[True, "gcsi"]
-    assert np.array_equal(both.served[True, "gcsi"][0], pick)
-    assert np.array_equal(both.served[True, "gcsi"][1], served)
-    assert np.array_equal(both.served[False, "gcsi"][0], pick)
+    assert np.array_equal(alone.rows[True, "rs"][1], both.rows[True, "rs"][1])
+    pick, served = alone.rows[True, "gcsi"]
+    assert np.array_equal(both.rows[True, "gcsi"][0], pick)
+    assert np.array_equal(both.rows[True, "gcsi"][1], served)
+    assert np.array_equal(both.rows[False, "gcsi"][0], pick)
 
     rng = sec._block_rng(seed, i)
     gb = _documented_powers(rng, fading.m2, (fading.n_elements, n))
     gr = _documented_powers(rng, fading.m1, (fading.n_elements, n, geometry.n_users))
     sc = (np.sqrt(gb)[:, :, None] * np.sqrt(gr)).sum(axis=0) ** 2
-    assert np.array_equal(both.cascades[False], sc)
-    assert np.array_equal(both.served[False, "gcsi"][1], sc[np.arange(n), pick])
+    assert np.array_equal(both.rows[False, "rs"][1], sc.T)
+    assert np.array_equal(both.rows[False, "gcsi"][1], sc[np.arange(n), pick])
     fcsi = sc.argmax(axis=1)
-    assert np.array_equal(both.served[False, "fcsi"][0], fcsi)
-    assert np.array_equal(both.served[False, "fcsi"][1], sc[np.arange(n), fcsi])
+    assert np.array_equal(both.rows[False, "fcsi"][0], fcsi[None])
+    assert np.array_equal(both.rows[False, "fcsi"][1], sc[np.arange(n), fcsi][None])
     for block in (alone, both):
-        arrays = [block.cbrt_u, *block.cascades.values(),
-                  *(a for pair in block.served.values() for a in pair)]
+        arrays = [block.cbrt_u, *_row_arrays(block)]
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -533,7 +589,7 @@ def test_block_cascade_follows_the_series_cdf(geometry, air, shapes):
     # an independent sample of the unit-gain cascade S W
     m1, m2, n_elements = shapes
     cfg = make_config(geometry, air, FadingParams(m1=m1, m2=m2, n_elements=n_elements))
-    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).cascades[True][:, 0]
+    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).rows[True, "rs"][1][0]
                         for i in range(25)])
     unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
                             sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0)
@@ -555,7 +611,7 @@ def test_single_connected_cascade_mean(geometry, air, shapes):
     m1, m2, n_elements = shapes
     cfg = make_config(geometry, air, FadingParams(m1=m1, m2=m2, n_elements=n_elements),
                       SchemeId.SCR_RS)
-    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).cascades[False][:, 0]
+    z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).rows[False, "rs"][1][0]
                         for i in range(10)])
     root_means = math.exp(math.lgamma(m1 + 0.5) + math.lgamma(m2 + 0.5)
                           - math.lgamma(m1) - math.lgamma(m2)) / math.sqrt(m1 * m2)

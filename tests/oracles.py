@@ -34,9 +34,9 @@ that restarts from K_0, K_1 for every order; the package's
 bit for bit.
 
 ``cdf_Z_single_scalar`` is the round-robin series CDF at one z, every
-step on Python floats: the K_0/K_1 series or continued fraction
-(``bessel_k01_scaled_scalar``), the upward recurrence
-(``log_bessel_k_upto_scalar``) and the log-space term sum.  The
+step on Python floats: the K_0/K_1 series, run to convergence, or
+the 21-node trapezoid rule (``bessel_k01_scaled_scalar``), the upward
+recurrence (``log_bessel_k_upto_scalar``) and the log-space term sum.  The
 package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
 ``log_bessel_k`` must match them bit for bit at every element.
 
@@ -235,35 +235,19 @@ def _k01_series_scalar(x: float) -> tuple[float, float]:
     return k0, k1
 
 
-def _k01_cf2_scalar(x: float) -> tuple[float, float]:
-    """Steed continued fraction for exp(x) K0(x), exp(x) K1(x), x > 2."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 10001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    h = a1 * h
-    k0_scaled = math.sqrt(math.pi / (2.0 * x)) / s
-    k1_scaled = k0_scaled * (x + 0.5 - h) / x
-    return k0_scaled, k1_scaled
+def _k01_trapezoid_scalar(x: float) -> tuple[float, float]:
+    """21-node trapezoid rule for exp(x) K0(x), exp(x) K1(x), x > 2."""
+    t0, t1 = [], []
+    for k in range(21):
+        v2 = (0.3 * k) ** 2
+        w = 0.3 * math.exp(-v2)
+        if k == 0:
+            w *= 0.5
+        t0.append(w / math.sqrt(1.0 + v2 / (2.0 * x)))
+        t1.append(t0[-1] * (1.0 + v2 / x))
+    scale = math.sqrt(2.0 / x)
+    # one 1-D np.sum, as the package sums each lane's row
+    return scale * float(np.sum(t0)), scale * float(np.sum(t1))
 
 
 def bessel_k01_scaled_scalar(x: float) -> tuple[float, float]:
@@ -272,7 +256,7 @@ def bessel_k01_scaled_scalar(x: float) -> tuple[float, float]:
         k0, k1 = _k01_series_scalar(x)
         ex = math.exp(x)
         return k0 * ex, k1 * ex
-    return _k01_cf2_scalar(x)
+    return _k01_trapezoid_scalar(x)
 
 
 def log_bessel_k_upto_scalar(nu_max: int, x: float) -> list[float]:

@@ -182,7 +182,7 @@ SERIES_CASES = [(2, 2, 16), (1, 3, 2), (3, 1, 2), (1, 1, 4), (2, 2, 128)]
 def test_series_cdf_array_matches_scalar_oracle(m1, m2, n_elements):
     p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
     # xi = m1 m2 z: the K0/K1 argument 2 sqrt(xi) runs from the series
-    # (x <= 2) through x = 2 to the continued fraction at large x; the
+    # (x <= 2) through x = 2 to the trapezoid rule at large x; the
     # dense run near xi = 1.0065 holds arguments where np.log rounds
     # differently from math.log
     xi = np.concatenate([np.geomspace(1e-4, 1e4, 120), [1.0],

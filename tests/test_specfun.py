@@ -26,9 +26,12 @@ Proves:
    with scipy.special.kv; three-term recurrence at 1e-9; large-argument
    asymptotic sqrt(pi/2x) e^{-x} within 1% at x = 50; log_bessel_k
    against log(kve) - x and, for order 200, against a shifted log-space
-   quadrature of the same integral representation.  log_bessel_k is the
-   one Bessel-K function: with the row of orders 0 .. nu_max at one
-   argument, every entry equals the per-order recurrence oracle bit for
+   quadrature of the same integral representation.  exp(x) K0(x) and
+   exp(x) K1(x) at 16 points from 1e-300 to 1e9 against frozen 40-digit
+   mpmath values: 1e-15 relative above x = 2 (the trapezoid rule), 4e-15
+   at or below (the series).  log_bessel_k is the one Bessel-K
+   function: with the row of orders 0 .. nu_max at one argument, every
+   entry equals the per-order recurrence oracle bit for
    bit (orders 0 and 1, both K0/K1 branches, across the 1e280 rescale),
    a scalar order gives the row's last entry, integral float orders
    equal integer ones, and a row holding a negative, fractional, NaN or
@@ -296,7 +299,7 @@ def test_log_bessel_k_huge_order():
     assert math.isclose(specfun.log_bessel_k(nu, x), ref, rel_tol=1e-8)
 
 
-# x <= 2 takes the ascending K0/K1 series, x > 2 the continued fraction
+# x <= 2 takes the ascending K0/K1 series, x > 2 the trapezoid rule
 UPTO_ARGS = (1e-3, 0.5, 2.0, 2.5, 30.0, 700.0)
 
 
@@ -344,6 +347,36 @@ def test_bessel_k01_array_matches_scalar_oracle():
     want = [bessel_k01_scaled_scalar(x) for x in K01_ARGS.tolist()]
     assert hexes(k0) == hexes([w[0] for w in want])
     assert hexes(k1) == hexes([w[1] for w in want])
+
+
+#: (x, exp(x) K0(x), exp(x) K1(x)), from mpmath.besselk at 40 digits
+K01_MPMATH = [
+    (1e-300, 690.89145941387211763, 9.9999999999999997494e+299),
+    (1e-30, 69.193484305479782886, 9.9999999999999991666e+29),
+    (1e-06, 13.931456005075458808, 1.0000009999932843172e+6),
+    (0.01, 4.7686940285444618845, 100.97864845824004908),
+    (0.5, 1.52410938577390953, 2.7310097082117857054),
+    (1.0, 1.1444630798068950147, 1.6361534862632582465),
+    (1.82, 0.8784277681028787201, 1.0970461442425369003),
+    (2.0, 0.84156821507077141792, 1.0334768470686885732),
+    (2.0000000001, 0.84156821505158055313, 1.0334768470362055913),
+    (2.37, 0.77852443294021985412, 0.93006138711563585387),
+    (5.0, 0.54780756431351898687, 0.60027385878831258294),
+    (20.0, 0.27854487665718222393, 0.28542549694072644517),
+    (150.0, 0.10224771116019105277, 0.10258797256926120957),
+    (3000.0, 0.022881327571932436828, 0.022885140808837419562),
+    (1e6, 0.0012533139806513212103, 0.0012533146073081548719),
+    (1e9, 3.9633272971105951014e-5, 3.9633272990922587495e-5),
+]
+
+
+def test_bessel_k01_matches_mpmath():
+    xs, want0, want1 = (np.array(c) for c in zip(*K01_MPMATH))
+    k0, k1 = specfun._bessel_k01_scaled(xs)
+    # the trapezoid rule above x = 2; the series errs by 3.6e-15 at 1.82
+    tol = np.where(xs > 2.0, 1e-15, 4e-15)
+    assert np.all(np.abs(k0 - want0) <= tol * want0)
+    assert np.all(np.abs(k1 - want1) <= tol * want1)
 
 
 @pytest.mark.parametrize("nu_max", [0, 1, 2, 32, 300])

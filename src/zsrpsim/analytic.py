@@ -14,14 +14,14 @@ comparison, so
 
     ZSRP = E_psi[ F_Z(G0 / psi^2) ].
 
-Evaluation routes, cross-checked against each other:
+Evaluation routes, cross-checked against each other, arrays in and out:
 
 * ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
   rounding), the fast route for the single-user cascade; its terms
-  share one argument, so one Bessel-K recurrence gives every order.  It
-  takes an array of z: one array Bessel-K recurrence and one
-  (nodes x terms) order-statistic sum serve all distance nodes of an
-  integrand call, each node bit for bit as alone;
+  share one argument, so one Bessel-K recurrence gives every order.
+  One array Bessel-K recurrence and one (nodes x terms)
+  order-statistic sum serve all distance nodes of an integrand call,
+  each node bit for bit as alone;
 * ``cdf_Z_quadrature``: independent direct integration over the BS-side
   power sum, the adjudicating oracle; it raises F_S to the user count N
   (CDF of the served maximum), so proportional fairness needs no
@@ -203,16 +203,16 @@ def _order_stat_series(m1_elements: int, m_2: int, lead: float,
     return np.minimum(1.0, np.fmax(0.0, val)), bound
 
 
-def cdf_Z_single(z, p: ClosedFormParams):
+def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     """Series CDF of the single-user cascade Z = sigma1^2 sigma2^2 S W.
 
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
            K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
-    summed in log space.  ``z`` is a scalar or an array; every order at
-    every z comes from one array Bessel-K recurrence at 2 sqrt(xi), and
-    the terms of all z are summed as rows of one array, each bit for bit
-    as alone.  Validated against :func:`cdf_Z_quadrature`; returns 0 for
+    summed in log space, at each entry of the array ``z``.  Every order
+    at every z comes from one array Bessel-K recurrence at 2 sqrt(xi),
+    and the terms of all z are summed as rows of one array, each bit for
+    bit as alone.  Validated against :func:`cdf_Z_quadrature`; returns 0 for
     z <= 0.
     """
     z_arr = np.asarray(z, dtype=float)
@@ -231,21 +231,19 @@ def cdf_Z_single(z, p: ClosedFormParams):
             m_1, m_2, 2.0, specfun.apply_math(math.log, xi[ok]),
             [log_terms[ok]])
         out[pos] = vals
-    if np.ndim(z) == 0:
-        return float(out)
     return out
 
 
-def cdf_Z_quadrature(z, p: ClosedFormParams):
+def cdf_Z_quadrature(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     """CDF of the N-user maximum cascade by direct integration over W.
 
     Independent of the Bessel route: integrates F_S(z~ / w)^N (the CDF
     of the served maximum, the single-user cascade when N = 1) against
     the Gamma density of W by adaptive quadrature; the tail of W past
     the cutoff :func:`~zsrpsim.fading.tail_cutoff` holds less than
-    ``_W_TAIL_LEVEL``.  Works for any user count.  ``z`` is a scalar or
-    an array; the integrals of an array run together in one batched
-    quadrature, each bit for bit as alone.
+    ``_W_TAIL_LEVEL``.  Works for any user count.  The integrals at the
+    entries of the array ``z`` run together in one batched quadrature,
+    each bit for bit as alone.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
@@ -254,16 +252,14 @@ def cdf_Z_quadrature(z, p: ClosedFormParams):
         z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
         w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
+        # Gauss-Legendre nodes are interior, so every w is positive
         def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            w = np.maximum(w, 1e-300)
             return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
                     * pdf_W(w, p.m2, p.n_elements))
 
         val = specfun.adaptive_gl(integrand, 0.0, w_hi, _QUAD_ABS_TOL,
                                   z_tilde.size)
         out[pos] = np.minimum(1.0, np.maximum(0.0, val))
-    if np.ndim(z) == 0:
-        return float(out)
     return out
 
 

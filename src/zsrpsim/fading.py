@@ -7,6 +7,7 @@ norm over L independent elements is
 
 whose CDF has the finite Poisson-sum form used throughout the closed-form
 work.  Phases are i.i.d. uniform and independent of the magnitudes.
+The CDF and density take arrays and return arrays of the same shape.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +40,18 @@ class FadingParams:
             object.__setattr__(self, name, int(v))
 
 
+def _bisect(past: Callable[[float], bool], lo: float, hi: float,
+            steps: int) -> tuple[float, float]:
+    """[lo, hi] halved ``steps`` times around the x where ``past`` turns on."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def tail_cutoff(a: int, level: float) -> float:
     """An x with Q(a, x) < ``level``: the exact-one switch of :func:`cdf_S`
@@ -47,21 +61,17 @@ def tail_cutoff(a: int, level: float) -> float:
     which decreases in x; 200 doublings that do not bracket the level
     raise :class:`AccuracyError`.
     """
+    def past(x: float) -> bool:
+        return specfun.regularized_upper_gamma(a, x) < level
+
     hi = float(a)
     for _ in range(200):
-        if specfun.regularized_upper_gamma(a, hi) < level:
+        if past(hi):
             break
         hi *= 2.0
     else:
         raise AccuracyError("could not bracket the Gamma tail")
-    lo = 0.5 * hi
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if specfun.regularized_upper_gamma(a, mid) < level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(past, 0.5 * hi, hi, 30)[1]
 
 
 @lru_cache(maxsize=None)
@@ -70,23 +80,17 @@ def _lower_tail_threshold(a: int) -> float:
 
     Below it, 1 - Q has lost most of its digits to rounding, so the CDF
     comes from the positive lower-tail series alone.  Found by bisecting
-    on that series, which increases in x.
+    60 times on that series, which increases in x.
     """
-    lo, hi = 0.0, float(a)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if specfun.regularized_lower_gamma_tail(a, np.array([mid]))[0] < 2.0 ** -20:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(lambda x: specfun.regularized_lower_gamma_tail(
+        a, np.array([x]))[0] >= 2.0 ** -20, 0.0, float(a), 60)[0]
 
 
-def cdf_S(s, m1: int, n_elements: int):
+def cdf_S(s: np.ndarray, m1: int, n_elements: int) -> np.ndarray:
     """CDF of S ~ Gamma(m1*L, 1/m1): 1 - exp(-m1 s) sum_{t<m1 L} (m1 s)^t/t!.
 
-    Accepts scalars or arrays; negative arguments map to 0.  From m1 s =
-    ``tail_cutoff(a, 2^-60)`` on, 1 - Q rounds to exactly 1.0 (any Q below
+    At each entry of the array ``s``; arguments <= 0 map to 0.  From m1 s
+    = ``tail_cutoff(a, 2^-60)`` on, 1 - Q rounds to exactly 1.0 (any Q below
     2^-54 does; 2^6 covers Q's rounding), written without the sum; below
     :func:`_lower_tail_threshold` the positive lower-tail series gives the
     value, so a small CDF keeps its relative accuracy.
@@ -95,34 +99,25 @@ def cdf_S(s, m1: int, n_elements: int):
     arr = np.asarray(s, dtype=float)
     out = np.zeros(arr.shape)
     pos = arr > 0.0
-    if np.any(pos):
-        x = m1 * arr[pos]
-        tail = x < _lower_tail_threshold(a)
-        head = ~tail & (x < tail_cutoff(a, 2.0 ** -60))
-        vals = np.ones(x.shape)
-        if np.any(head):
-            vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])
-        if np.any(tail):
-            vals[tail] = specfun.regularized_lower_gamma_tail(a, x[tail])
-        out[pos] = vals
-    if np.ndim(s) == 0:
-        return float(out)
+    x = m1 * arr[pos]
+    tail = x < _lower_tail_threshold(a)
+    head = ~tail & (x < tail_cutoff(a, 2.0 ** -60))
+    vals = np.ones(x.shape)
+    if np.any(head):
+        vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])
+    if np.any(tail):
+        vals[tail] = specfun.regularized_lower_gamma_tail(a, x[tail])
+    out[pos] = vals
     return out
 
 
-def pdf_W(w, m2: int, n_elements: int):
-    """Density of W ~ Gamma(m2*L, 1/m2); zero for w <= 0 (and at 0 unless
-    the shape is 1, where the density limit is m2)."""
+def pdf_W(w: np.ndarray, m2: int, n_elements: int) -> np.ndarray:
+    """Density of W ~ Gamma(m2*L, 1/m2) at each entry of w; zero for w <= 0."""
     a = int(m2) * int(n_elements)
     arr = np.asarray(w, dtype=float)
     out = np.zeros(arr.shape)
     pos = arr > 0.0
-    if np.any(pos):
-        wp = arr[pos]
-        out[pos] = np.exp((a - 1) * np.log(wp) + a * math.log(m2) - m2 * wp
-                          - math.lgamma(a))
-    if a == 1:
-        out[arr == 0.0] = float(m2)
-    if np.ndim(w) == 0:
-        return float(out)
+    wp = arr[pos]
+    out[pos] = np.exp((a - 1) * np.log(wp) + a * math.log(m2) - m2 * wp
+                      - math.lgamma(a))
     return out

@@ -2,6 +2,7 @@
 
 Everything here is implemented from first principles on top of the Python
 math module and numpy arrays: no scipy, and no complex arithmetic.
+Arrays in, arrays out; ``regularized_upper_gamma`` alone is scalar.
 Provided primitives:
 
 * ``regularized_upper_gamma`` / ``regularized_upper_gamma_vec`` -- Q(a, x)
@@ -19,7 +20,7 @@ Provided primitives:
 * ``meijer_g_m0_log`` -- ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2,
   -(mu+1)/2), the seed of the closed form, by the positive Bessel tail
   integral x^(-(mu+1)/2) 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du,
-  at one seed or at every seed of an array in one batched quadrature
+  at every seed of an array in one batched quadrature
 
 The array forms give every element bit for bit the value of the same
 arithmetic on Python floats: numpy's elementwise + - * / and sqrt round
@@ -28,14 +29,14 @@ takes from the math module is that math function mapped over the
 elements (``apply_math``), because numpy's SIMD versions round
 differently from the C library on some arguments.  K0/K1 take a fixed
 count of the same steps in every lane: 16 series terms at x <= 2, a
-21-node trapezoid rule above.  A scalar call runs the array code with
-one lane, so there is no separate scalar route.
+21-node trapezoid rule above.  So every element of a batch gets the
+bits of its own one-element call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +67,6 @@ def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
     np.multiply.accumulate(terms, axis=-1, out=terms)
     np.add.accumulate(terms, axis=-1, out=terms)
     out = np.minimum(terms[..., -1], 1.0)
-    out[x == 0.0] = 1.0
     big = x >= 700.0
     if np.any(big):
         xb = x[big]
@@ -180,22 +180,17 @@ def _bessel_k01_trapezoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bessel_k01_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(x)*K0(x), exp(x)*K1(x) for each x > 0 of an array (or a scalar).
-
-    Both results have the shape of ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    k0, k1 = np.empty(flat.size), np.empty(flat.size)
-    series = flat <= 2.0
+    """exp(x)*K0(x), exp(x)*K1(x) at each entry x > 0 of a 1-D array."""
+    k0, k1 = np.empty(x.size), np.empty(x.size)
+    series = x <= 2.0
     if series.any():
-        xs = flat[series]
+        xs = x[series]
         k0s, k1s = _bessel_k01_series(xs)
         ex = apply_math(math.exp, xs)
         k0[series], k1[series] = k0s * ex, k1s * ex
     if not series.all():
-        k0[~series], k1[~series] = _bessel_k01_trapezoid(flat[~series])
-    return k0.reshape(x.shape), k1.reshape(x.shape)
+        k0[~series], k1[~series] = _bessel_k01_trapezoid(x[~series])
+    return k0, k1
 
 
 _LOG_1E280 = 280.0 * math.log(10.0)
@@ -231,7 +226,7 @@ def _scaled_k_table(nu_max: int, flat: np.ndarray
     return scaled, carry
 
 
-def log_bessel_k(nu, x):
+def log_bessel_k(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """ln K_nu(x), integer orders nu >= 0 broadcast against arguments x > 0.
 
     One order per argument, or a row of orders against a column of
@@ -239,7 +234,7 @@ def log_bessel_k(nu, x):
     argument runs one upward recurrence on exp(x)-scaled values with an
     explicit exponent carry, safe for huge orders and arguments, and each
     value takes one log: bit for bit what a recurrence at its argument
-    alone, stopped at its order, gives.  A float for scalars.
+    alone, stopped at its order, gives.
     """
     orders = np.asarray(nu)
     if not np.all(np.isfinite(orders) & (orders >= 0)
@@ -252,18 +247,16 @@ def log_bessel_k(nu, x):
         raise ValueError(f"argument must be > 0, got {bad!r}")
     scaled, carry = _scaled_k_table(int(orders.max(initial=0)), flat)
     lane = np.arange(flat.size).reshape(np.shape(x))
-    out = (apply_math(math.log, scaled[lane, orders]) + carry[lane, orders]
-           - flat[lane])
-    return float(out) if out.ndim == 0 else out
+    return (apply_math(math.log, scaled[lane, orders]) + carry[lane, orders]
+            - flat[lane])
 
 
-def log_sum_exp(log_terms: np.ndarray | Sequence[float],
-                signs: np.ndarray | Sequence[float] | None = None):
+def log_sum_exp(log_terms: np.ndarray, signs: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(log|sum|, sign) of sum_i signs_i * exp(log_terms_i) along the last axis.
 
-    A 1-D input is one sum and gives two floats; a (rows x terms) input
-    gives two arrays with one entry per row.  An empty or exactly
-    cancelled sum gives (-inf, 0.0).
+    A (rows x terms) input gives two arrays with one entry per row.  An
+    empty or exactly cancelled sum gives (-inf, 0.0).
     """
     logs = np.asarray(log_terms, dtype=float)
     sg = (np.ones_like(logs) if signs is None
@@ -278,8 +271,6 @@ def log_sum_exp(log_terms: np.ndarray | Sequence[float],
         ok = (m != -math.inf) & (total != 0.0)
         log_abs[ok] = m[ok] + apply_math(math.log, np.abs(total[ok]))
         sign[ok] = np.copysign(1.0, total[ok])
-    if logs.ndim == 1:
-        return float(log_abs), float(sign)
     return log_abs, sign
 
 
@@ -376,17 +367,16 @@ def meijer_g_m0_log(mu, nu, x):
     for any parameter size and G is positive.  The Bessel factor runs
     through the log-scaled recurrence, keeping huge orders finite.
 
-    Scalars give a float; equal-length arrays give one value per seed,
-    each bit for bit the scalar call's.  The seeds are evaluated
-    together: one scan over (seeds x 32) arrays, in which every
-    seed still scanning adds its next 32 points to each Bessel-K call,
-    and one :func:`adaptive_gl` over every seed's own bracket and
-    tolerance.  A lower limit 2 sqrt(x) past ``_SEED_U_LO_MAX``, an
+    Equal-length 1-D arrays give one value per seed, each bit for bit
+    its one-seed call's.  The seeds are evaluated together: one scan
+    over (seeds x 32) arrays, in which every seed still scanning adds
+    its next 32 points to each Bessel-K call, and one
+    :func:`adaptive_gl` over every seed's own bracket and tolerance.  A
+    lower limit 2 sqrt(x) past ``_SEED_U_LO_MAX``, an
     integrand that does not decay, or a quadrature that does not reach
     its tolerance raises :class:`AccuracyError`.
     """
-    mus, nus, xs = (a.ravel() for a in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (mu, nu, x))))
+    mus, nus, xs = (np.asarray(v, dtype=float) for v in (mu, nu, x))
     count = xs.size
     orders = np.abs(np.round(nus)).astype(int)
     u_lo = 2.0 * np.sqrt(xs)
@@ -443,7 +433,5 @@ def meijer_g_m0_log(mu, nu, x):
     t_lo = apply_math(math.log, u_lo)
     t_hi = apply_math(math.log, u_hi)
     vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), count)
-    out = (-0.5 * mu1 * apply_math(math.log, xs) + (1.0 - mus) * math.log(2.0)
-           + (g_max + apply_math(math.log, vals)))
-    scalar = all(np.ndim(v) == 0 for v in (mu, nu, x))
-    return float(out[0]) if scalar else out
+    return (-0.5 * mu1 * apply_math(math.log, xs) + (1.0 - mus) * math.log(2.0)
+            + (g_max + apply_math(math.log, vals)))

@@ -187,13 +187,16 @@ def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
 
 
 def bessel_k(nu: int, x: float) -> float:
-    """K_nu(x), integer nu >= 0, from :func:`log_bessel_k`."""
-    return math.exp(log_bessel_k(nu, x))
+    """K_nu(x), integer nu >= 0, from a one-element :func:`log_bessel_k` call."""
+    return math.exp(log_bessel_k(np.array([nu]), np.array([x]))[0])
 
 
 def log_bessel_k_loop(nu: int, x: float) -> float:
-    """ln K_nu(x) by its own upward recurrence from K_0(x), K_1(x)."""
-    k0s, k1s = _bessel_k01_scaled(x)
+    """ln K_nu(x) by its own upward recurrence from K_0(x), K_1(x).
+
+    The start K_0, K_1 is a one-element ``_bessel_k01_scaled`` call.
+    """
+    k0s, k1s = (float(k[0]) for k in _bessel_k01_scaled(np.array([x])))
     if nu == 0:
         return math.log(k0s) - x
     carry = 0.0
@@ -550,7 +553,6 @@ def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams) -> float:
     w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        w = np.maximum(w, 1e-300)
         return (cdf_S(z_tilde / w, p.m1, p.n_elements) ** p.n_users
                 * pdf_W(w, p.m2, p.n_elements))
 

@@ -52,7 +52,7 @@ Proves:
    closed forms (both serving rules, one seed call per closed form) lies
    within 1e-12 in ln G of the independent contour oracle, and one
    mixed-order array call of them and three far seeds gives each seed its
-   scalar call's bits; a closed form takes three seed integrals per row
+   one-element call's bits; a closed form takes three seed integrals per row
    (12 for default greedy serving, 3 for rotation) in one call and logs
    the seed and term counts; rows shorter than three terms take only
    their own seeds and still track quadrature to 1e-9; the 24-user
@@ -120,7 +120,7 @@ def test_params_validation():
 
 
 def test_unit_cascade_reduces_to_bessel():
-    got = an.cdf_Z_single(1.0, unit_params())
+    (got,) = an.cdf_Z_single(np.array([1.0]), unit_params())
     ref = 1.0 - 2.0 * float(special.kv(1.0, 2.0))
     assert math.isclose(got, ref, rel_tol=1e-12)
     assert math.isclose(got, UNIT_CDF_AT_1, rel_tol=1e-12)
@@ -130,32 +130,31 @@ def test_unit_cascade_reduces_to_bessel():
 def test_series_vs_quadrature(m1, m2, n_elements):
     # grid centered on the mean cascade level E[S W] = L^2
     p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
-    for z in np.geomspace(0.05 * n_elements**2, 20.0 * n_elements**2, 7):
-        got = an.cdf_Z_single(float(z), p)
-        ref = an.cdf_Z_quadrature(float(z), p)
-        assert abs(got - ref) < 1e-8, (m1, m2, n_elements, z)
+    z = np.geomspace(0.05 * n_elements**2, 20.0 * n_elements**2, 7)
+    gap = np.abs(an.cdf_Z_single(z, p) - an.cdf_Z_quadrature(z, p))
+    assert np.all(gap < 1e-8), (m1, m2, n_elements, gap)
 
 
 def test_cascade_cdf_edges():
     p = unit_params(m1=2, m2=2, n_elements=4)
-    assert an.cdf_Z_single(0.0, p) == 0.0
-    assert an.cdf_Z_single(-1.0, p) == 0.0
-    assert an.cdf_Z_single(1e9, p) == pytest.approx(1.0, abs=1e-12)
+    at_zero, below, far = an.cdf_Z_single(np.array([0.0, -1.0, 1e9]), p)
+    assert at_zero == 0.0 and below == 0.0
+    assert far == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(min_value=0.1, max_value=200.0), st.floats(min_value=0.01, max_value=50.0))
 @settings(max_examples=40, deadline=None)
 def test_cascade_cdf_monotone(z, dz):
     p = unit_params(m1=2, m2=2, n_elements=4)
-    lo = an.cdf_Z_single(z, p)
-    hi = an.cdf_Z_single(z + dz, p)
+    (lo,) = an.cdf_Z_single(np.array([z]), p)
+    (hi,) = an.cdf_Z_single(np.array([z + dz]), p)
     assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
     assert hi >= lo - 5e-16
 
 
 def test_series_cdf_takes_one_bessel_recurrence(closed_params, monkeypatch):
     p = closed_params(n_users=1)
-    z = p.ref_gain / (0.5 * p.r_eve_m) ** 2
+    z = np.array([p.ref_gain / (0.5 * p.r_eve_m) ** 2])
     want = an.cdf_Z_single(z, p)
     calls = []
     k01 = specfun._bessel_k01_scaled
@@ -165,7 +164,7 @@ def test_series_cdf_takes_one_bessel_recurrence(closed_params, monkeypatch):
         return k01(x)
 
     monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting)
-    assert an.cdf_Z_single(z, p) == want
+    assert hexes(an.cdf_Z_single(z, p)) == hexes(want)
     assert len(calls) == 1
 
 
@@ -190,7 +189,7 @@ def test_series_cdf_array_matches_scalar_oracle(m1, m2, n_elements):
     z = np.concatenate([[0.0, -1.0, -0.0], xi / (m1 * m2)])
     got = an.cdf_Z_single(z, p)
     assert hexes(got) == hexes([cdf_Z_single_scalar(v, p) for v in z.tolist()])
-    assert an.cdf_Z_single(float(z[50]), p) == got[50]
+    assert an.cdf_Z_single(z[50:51], p)[0] == got[50]
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=60.0), min_size=1, max_size=24),
@@ -200,7 +199,7 @@ def test_series_cdf_batch_invariant(zs, case):
     m1, m2, n_elements = case
     p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
     got = an.cdf_Z_single(np.array(zs), p)
-    assert hexes(got) == hexes([an.cdf_Z_single(z, p) for z in zs])
+    assert hexes(got) == hexes([an.cdf_Z_single(np.array([z]), p) for z in zs])
 
 
 def test_series_cdf_past_the_double_range_is_zero():
@@ -211,7 +210,7 @@ def test_series_cdf_past_the_double_range_is_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = an.cdf_Z_single(z, p)
-        assert an.cdf_Z_single(float(z[0]), p) == 0.0
+        assert an.cdf_Z_single(z[:1], p)[0] == 0.0
     assert got[0] == got[1] == 0.0
     assert hexes(got[2:]) == hexes([cdf_Z_single_scalar(float(z[2]), p)])
 
@@ -245,7 +244,7 @@ def test_order_stat_reconstruction():
         for m1, n_elements in ((2, 2),):
             for s in (0.5 * n_elements, 1.0 * n_elements, 2.0 * n_elements):
                 got = cdf_power_sum_order_stat(s, m1, n_elements, n_users)
-                ref = cdf_S(s, m1, n_elements) ** n_users
+                ref = cdf_S(np.array([s]), m1, n_elements)[0] ** n_users
                 assert abs(got - ref) <= 1e-9 * max(ref, 1e-300), (n_users, s)
 
 
@@ -387,10 +386,11 @@ def test_tail_integral_fallback_matches_mpmath():
     with pytest.raises(AccuracyError):
         meijer_g_m0_log_contour([0.5 * (1.0 - mu)],
                                 [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
-    log_g = specfun.meijer_g_m0_log(mu, nu, x)
+    got = specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]), np.array([x]))
     # a real log: G is positive
-    assert type(log_g) is float and math.isfinite(log_g)
-    assert abs(log_g - TAIL_LOG_G) <= 1e-12
+    assert got.dtype == np.float64 and got.shape == (1,)
+    assert math.isfinite(got[0])
+    assert abs(got[0] - TAIL_LOG_G) <= 1e-12
 
 
 @pytest.mark.parametrize("mu, nu, x", [(1e9, 0.0, 1.0),
@@ -399,14 +399,18 @@ def test_tail_integral_that_keeps_rising_refuses(mu, nu, x):
     # u^1e9 K_0(u) still rises at u = 1e8, where the scan gives up; one
     # such seed refuses a batched call
     with pytest.raises(AccuracyError, match="fails to decay"):
-        specfun.meijer_g_m0_log(*(np.array(v) for v in (mu, nu, x)))
+        specfun.meijer_g_m0_log(*(np.array(v, ndmin=1) for v in (mu, nu, x)))
+
+
+def one_seed(mu: float, nu: float, x: float) -> float:
+    """ln G at one seed, by a one-element array call."""
+    return specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]), np.array([x]))[0]
 
 
 @pytest.mark.parametrize("x", [1e3, 1e5, 2.5e5])
 def test_seed_up_to_the_range_limit_holds_1e12(x):
     # up to 2 sqrt(x) = 1000 a seed stays within 1e-12 in ln G of scipy
-    got = specfun.meijer_g_m0_log(28.0, 32.0, x)
-    assert abs(got - meijer_g_m0_log_quad(28.0, 32.0, x)) <= 1e-12
+    assert abs(one_seed(28.0, 32.0, x) - meijer_g_m0_log_quad(28.0, 32.0, x)) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [1e8, 1e10, 1e11])
@@ -418,7 +422,7 @@ def test_seed_past_the_range_limit_refuses(x, monkeypatch):
         ref = meijer_g_m0_log_quad(28.0, 32.0, x)
     assert math.isfinite(ref)
     with pytest.raises(AccuracyError, match="past 1000"):
-        specfun.meijer_g_m0_log(28.0, 32.0, x)
+        one_seed(28.0, 32.0, x)
     # one such seed refuses a batched call
     with pytest.raises(AccuracyError, match="past 1000"):
         specfun.meijer_g_m0_log(np.array([28.0, 28.0]), np.array([32.0, 32.0]),
@@ -427,10 +431,10 @@ def test_seed_past_the_range_limit_refuses(x, monkeypatch):
     # ln G comes out tens of nats off, or its log meets a 0.0 integral
     monkeypatch.setattr(specfun, "_SEED_U_LO_MAX", math.inf)
     if x < 1e11:
-        assert abs(specfun.meijer_g_m0_log(28.0, 32.0, x) - ref) > 10.0
+        assert abs(one_seed(28.0, 32.0, x) - ref) > 10.0
     else:
         with pytest.raises(ValueError, match="math domain error"):
-            specfun.meijer_g_m0_log(28.0, 32.0, x)
+            one_seed(28.0, 32.0, x)
 
 
 @pytest.mark.parametrize("h_br_m", [150.0, 1000.0])
@@ -449,7 +453,7 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
     assert [len(c) for c in calls] == [12]
     monkeypatch.undo()
     assert [len(row) for row in rows] == sizes
-    # every term's own tail integral, in one (bit for bit scalar) call
+    # every term's own tail integral, in one (bit for bit one-element) call
     terms = [(m_2 + b - 4, m_2 - b, j * big_x)
              for j, n_b in enumerate(sizes, start=1) for b in range(n_b)]
     want = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*terms)))
@@ -514,15 +518,16 @@ def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
         assert abs(log_g - want) <= 1e-12, (mu, nu, x, log_g - want)
 
 
-def test_seed_array_matches_scalar_calls(air, fading, monkeypatch):
+def test_seed_array_matches_one_element_calls(air, fading, monkeypatch):
     # one mixed-order call of the 120 fig4 seeds and three far seeds (a
     # peak far past the lower end, B > M, a high order) gives each seed
-    # the bits of its scalar call
+    # the bits of its one-element call
     seeds = sum(_fig4_seed_calls(air, fading, monkeypatch), [])
     seeds += [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4), (60.0, 64.0, 5.0)]
     got = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
-    want = [specfun.meijer_g_m0_log(*seed) for seed in seeds]
-    assert all(type(w) is float for w in want)
+    want = [specfun.meijer_g_m0_log(*(np.array([v]) for v in seed))
+            for seed in seeds]
+    assert all(w.shape == (1,) for w in want)
     assert hexes(got) == hexes(want)
 
 

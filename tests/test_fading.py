@@ -7,7 +7,8 @@ Proves:
  Group 2 — gamma CDF / PDF kernels against scipy.stats.gamma
    frozen one-element value 1 - 1/e; frozen (m1=2, L=2) value; grid
    agreement at 1e-10, also past the exp(-x) underflow at shape 800; zero
-   below the support; array broadcast; density
+   below the support, for the CDF and for the density at w <= 0 (shape 1
+   included); array broadcast; density
    peaks at the analytic mode (m2 L - 1)/m2 and integrates to one;
    monotone CDF bounded in [0, 1] (property, with the pair where 1 - Q
    read rounding noise); below the threshold x_lo where the CDF crosses
@@ -77,9 +78,14 @@ def test_fading_params_store_integral_floats_as_int():
 # --- Group 2: CDF / PDF kernels ---
 
 
+def cdf_S_at(s: float, m1: int, n_elements: int) -> float:
+    """The CDF at one point, by a one-element array call."""
+    return float(fd.cdf_S(np.array([s]), m1, n_elements)[0])
+
+
 def test_cdf_S_frozen_values():
-    assert math.isclose(fd.cdf_S(1.0, 1, 1), 1.0 - math.exp(-1.0), rel_tol=1e-12)
-    assert math.isclose(fd.cdf_S(1.0, 2, 2), CDF_S_M2_L2_AT_1, rel_tol=1e-10)
+    assert math.isclose(cdf_S_at(1.0, 1, 1), 1.0 - math.exp(-1.0), rel_tol=1e-12)
+    assert math.isclose(cdf_S_at(1.0, 2, 2), CDF_S_M2_L2_AT_1, rel_tol=1e-10)
 
 
 def test_cdf_S_vs_scipy_grid():
@@ -96,12 +102,12 @@ def test_cdf_S_past_exp_underflow():
     s = np.array([300.0, 375.0, 420.0, 500.0])
     ref = stats.gamma.cdf(s, a=800, scale=0.5)
     assert np.allclose(fd.cdf_S(s, 2, 400), ref, rtol=1e-9, atol=1e-12)
-    assert math.isclose(fd.cdf_S(375.0, 2, 400), ref[1], rel_tol=1e-9)
+    assert math.isclose(cdf_S_at(375.0, 2, 400), ref[1], rel_tol=1e-9)
 
 
 def test_cdf_S_below_support():
-    assert fd.cdf_S(0.0, 2, 4) == 0.0
-    assert fd.cdf_S(-3.0, 2, 4) == 0.0
+    assert cdf_S_at(0.0, 2, 4) == 0.0
+    assert cdf_S_at(-3.0, 2, 4) == 0.0
     out = fd.cdf_S(np.array([-1.0, 0.0, 1.0]), 1, 1)
     assert out[0] == 0.0 and out[1] == 0.0 and out[2] > 0.0
 
@@ -117,8 +123,8 @@ def test_cdf_S_below_support():
 @example(m1=3, n_elements=23, s=5.778634264018569, ds=1.0)
 @example(m1=1, n_elements=1, s=5e-324, ds=1.0)  # x / (a+1) underflows to 0
 def test_cdf_S_monotone_bounded(m1, n_elements, s, ds):
-    lo = fd.cdf_S(s, m1, n_elements)
-    hi = fd.cdf_S(s + ds, m1, n_elements)
+    lo = cdf_S_at(s, m1, n_elements)
+    hi = cdf_S_at(s + ds, m1, n_elements)
     assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
     # monotone up to rounding in the saturated tail
     assert hi >= lo - 5e-16
@@ -166,7 +172,7 @@ def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
             continue
         got = fd.cdf_S(x / m1, m1, a // m1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), m1
-        assert fd.cdf_S(float(x_a / m1), m1, a // m1) == 1.0
+        assert cdf_S_at(float(x_a / m1), m1, a // m1) == 1.0
     # only the points below the threshold reached the Poisson sum
     assert seen and max(seen) < x_a
 
@@ -192,24 +198,19 @@ def test_pdf_W_vs_scipy_grid():
         ref = stats.gamma.pdf(w, a=m2 * n_elements, scale=1.0 / m2)
         got = fd.pdf_W(w, m2, n_elements)
         assert np.allclose(got, ref, rtol=1e-10), (m2, n_elements)
+    # zero off the support, shape 1 (the exponential) included
+    for m2, n_elements in ((1, 1), (3, 1), (2, 16)):
+        assert np.all(fd.pdf_W(np.array([-1.0, 0.0]), m2, n_elements) == 0.0)
 
 
 def test_pdf_W_mode_and_mass():
     m2, n_elements = 2, 16
     mode = (m2 * n_elements - 1) / m2
-    at_mode = fd.pdf_W(mode, m2, n_elements)
-    assert at_mode > fd.pdf_W(mode * 0.9, m2, n_elements)
-    assert at_mode > fd.pdf_W(mode * 1.1, m2, n_elements)
-    mass, err = integrate.quad(lambda w: fd.pdf_W(w, m2, n_elements), 0.0, np.inf)
+    below, at_mode, above = fd.pdf_W(mode * np.array([0.9, 1.0, 1.1]), m2, n_elements)
+    assert at_mode > below and at_mode > above
+    mass, err = integrate.quad(
+        lambda w: fd.pdf_W(np.array([w]), m2, n_elements)[0], 0.0, np.inf)
     assert math.isclose(mass, 1.0, rel_tol=1e-9)
-
-
-def test_pdf_W_origin_limit():
-    # overall shape m2 L = 1 is the exponential case: finite density m2 = 1
-    # at the origin; any larger shape vanishes there
-    assert fd.pdf_W(0.0, 1, 1) == 1.0
-    assert fd.pdf_W(0.0, 3, 1) == 0.0
-    assert fd.pdf_W(0.0, 2, 16) == 0.0
 
 
 # --- Group 3: the estimator's power sums ---

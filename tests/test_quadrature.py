@@ -9,8 +9,8 @@ Proves:
    thresholds G0 / r^2 the batched route reproduces bit for bit; the
    volume-weighted average of (r/R)^2; the tail integral of one composite
    seed, alone and in a mixed-order batch of seeds; integrals given one
-   bracket and tolerance each; ``cdf_Z_quadrature`` of an array against its element-wise scalar
-   calls, with the support edge and the array shape kept.
+   bracket and tolerance each; ``cdf_Z_quadrature`` of an array against
+   its one-element calls, with the support edge and the array shape kept.
 
  Group 2 — failure and cost
    one integrand with a jump among converging ones makes the batched call
@@ -106,12 +106,13 @@ def test_psi_average_polynomial_bits():
 def test_tail_integral_seed_bits(mu, nu, x, monkeypatch):
     # the seed alone and first of a mixed-order batch, whose seeds each
     # take their own bracket and tolerance
+    alone = [np.array([v]) for v in (mu, nu, x)]
     batch = [np.array([mu, 60.0, 28.0]), np.array([nu, 64.0, 31.0]),
              np.array([x, 5.0, 3.2])]
-    got = [specfun.meijer_g_m0_log(mu, nu, x), *specfun.meijer_g_m0_log(*batch)]
+    got = [*specfun.meijer_g_m0_log(*alone), *specfun.meijer_g_m0_log(*batch)]
     assert hexes(got[:1]) == hexes(got[1:2])
     monkeypatch.setattr(specfun, "adaptive_gl", adaptive_gl_each)
-    want = [specfun.meijer_g_m0_log(mu, nu, x), *specfun.meijer_g_m0_log(*batch)]
+    want = [*specfun.meijer_g_m0_log(*alone), *specfun.meijer_g_m0_log(*batch)]
     assert hexes(got) == hexes(want)
 
 
@@ -129,14 +130,14 @@ def test_per_integral_brackets_and_tolerances():
         assert hexes(got) == hexes(adaptive_gl_each(peaks, *args, 4))
 
 
-def test_cdf_Z_quadrature_array_matches_scalar_calls(air):
+def test_cdf_Z_quadrature_array_matches_one_element_calls(air):
     p = params_at(310.0, air)
     r = np.array([[1.0, 1.0, 500.0], [300.0, 150.0, 50.0]])
     z = p.ref_gain / r ** 2 * np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     got = an.cdf_Z_quadrature(z, p)
     assert got.shape == z.shape
-    want = [an.cdf_Z_quadrature(float(zi), p) for zi in z.ravel()]
-    assert all(type(w) is float for w in want)
+    want = [an.cdf_Z_quadrature(np.array([zi]), p) for zi in z.ravel()]
+    assert all(w.shape == (1,) for w in want)
     assert hexes(got) == hexes(want)
     assert got[0, 0] == got[0, 1] == 0.0
     assert 0.0 < got[0, 2] < got[1, 0] < got[1, 1] < got[1, 2] <= 1.0

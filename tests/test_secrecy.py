@@ -15,9 +15,12 @@ Proves:
    partial trailing blocks are handled; a served-user row's standard
    error follows the binomial formula, and a round-robin row's equals the
    standard error of its per-trial user averages, rebuilt here from the
-   documented draw order; the one variance formula is within 2 ulp of the
-   binomial one at K = 1 (no hits and all hits included) and equals the
-   round-robin one it replaced bit for bit at K = N; a hand-built block
+   documented draw order; at wiretap exponent 3, around a BS-centred
+   ball and a fixed centre offset from the BS, both round-robin
+   architectures' p_hat (near 0.2) and error equal that rebuild; the one
+   variance formula is within 2 ulp of the binomial one at K = 1 (no hits
+   and all hits included) and equals the round-robin one it replaced bit
+   for bit at K = N; a hand-built block
    counts (sum k, K n, sum k^2) for a round-robin and a PFS row, ties
    secure; trials = 0 and a negative seed rejected.
 
@@ -78,7 +81,7 @@ from zsrpsim import secrecy as sec
 from zsrpsim.analytic import ClosedFormParams, cdf_Z_single
 from zsrpsim.fading import FadingParams, cdf_S
 from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
-                                 large_scale_gain, ris_user_gain, sample_eve_distance)
+                                 ris_user_gain, sample_eve_distance)
 from zsrpsim.scheduling import SchemeId
 
 # closed-form references for the default scenario (independently validated
@@ -184,6 +187,39 @@ def test_seed_reproducibility_and_fields(geometry, air, fading):
     assert math.isclose(a.std_err, expect_se, rel_tol=1e-12)
 
 
+def _round_robin_trial_means(cfg, trials: int, seed: int) -> np.ndarray:
+    """Each trial's share of round-robin users in the event, rebuilt from
+    the documented draw order of each block: BS-side powers, user-side
+    powers, the unit-ball radius and, for a fixed centre, the cosine of
+    the polar angle, uniform on (-1, 1]."""
+    geometry, air, fading = cfg.geometry, cfg.air, cfg.fading
+    n_el, m1, m2 = fading.n_elements, fading.m1, fading.m2
+    sigma2_sq = bs_ris_gain(geometry, air)
+    sigma1_sq = np.array([ris_user_gain(geometry, air, u) for u in range(cfg.n_users)])
+    means = []
+    for i in range(-(-trials // sec.BLOCK_TRIALS)):
+        n = min(sec.BLOCK_TRIALS, trials - i * sec.BLOCK_TRIALS)
+        rng = sec._block_rng(seed, i)
+        gb = _documented_powers(rng, m2, (n_el, n))
+        gr = _documented_powers(rng, m1, (n_el, n, cfg.n_users))
+        d_be = sample_eve_distance(rng, size=n) * geometry.r_eve_m
+        if cfg.eve_center == "fixed":
+            # the eavesdropper at radius d_be from the ball's centre, the BS
+            # on the centre's vertical, dz above it
+            cos_polar = 1.0 - 2.0 * rng.random(n)
+            sin_polar = np.sqrt(1.0 - cos_polar ** 2)
+            dz = geometry.h_br_m - cfg.eve_center_h_m
+            d_be = np.hypot(d_be * sin_polar, d_be * cos_polar - dz)
+        if cfg.scheme.fully_connected:
+            cascade = gb.sum(axis=0)[:, None] * gr.sum(axis=0)
+        else:
+            cascade = (np.sqrt(gb)[:, :, None] * np.sqrt(gr)).sum(axis=0) ** 2
+        main = sigma2_sq * sigma1_sq * cascade
+        eve = air.ref_gain * np.maximum(d_be, 1e-9) ** -cfg.alpha_eve
+        means.append((main < eve[:, None]).mean(axis=1))
+    return np.concatenate(means)
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.SCR_RS])
 def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
     # p_hat averages N correlated user indicators per trial; its error is
@@ -191,29 +227,28 @@ def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
     # binomial one of T * N independent indicators
     cfg = make_config(geometry, air, fading, scheme=scheme)
     trials, seed = 2 * sec.BLOCK_TRIALS + 808, 23
-    n_el, m1, m2 = fading.n_elements, fading.m1, fading.m2
-    sigma2_sq = bs_ris_gain(geometry, air)
-    sigma1_sq = np.array([ris_user_gain(geometry, air, u) for u in range(cfg.n_users)])
-    means = []
-    for i in range(3):
-        n = min(sec.BLOCK_TRIALS, trials - i * sec.BLOCK_TRIALS)
-        rng = sec._block_rng(seed, i)
-        gb = _documented_powers(rng, m2, (n_el, n))
-        gr = _documented_powers(rng, m1, (n_el, n, cfg.n_users))
-        d_be = sample_eve_distance(rng, size=n) * geometry.r_eve_m
-        if scheme.fully_connected:
-            cascade = gb.sum(axis=0)[:, None] * gr.sum(axis=0)
-        else:
-            cascade = (np.sqrt(gb)[:, :, None] * np.sqrt(gr)).sum(axis=0) ** 2
-        main = sigma2_sq * sigma1_sq * cascade
-        eve = large_scale_gain(air.ref_gain, np.maximum(d_be, 1e-9), cfg.alpha_eve)
-        means.append((main < eve[:, None]).mean(axis=1))
-    means = np.concatenate(means)
+    means = _round_robin_trial_means(cfg, trials, seed)
     est = sec.run_monte_carlo(cfg, trials, seed)
     assert math.isclose(est.p_hat, means.mean(), rel_tol=1e-12)
     assert math.isclose(est.std_err, means.std() / math.sqrt(trials), rel_tol=1e-12)
     binomial = math.sqrt(est.p_hat * (1.0 - est.p_hat) / trials)
     assert not math.isclose(est.std_err, binomial, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("center", [{}, {"eve_center": "fixed", "eve_center_h_m": 175.0}],
+                         ids=["bs", "fixed"])
+@pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.SCR_RS])
+def test_wiretap_exponent_three_from_per_trial_means(air, fading, scheme, center):
+    # alpha_eve = 3, around a BS-centred ball and a fixed centre 25 m above
+    # the BS; the 50 m ball puts p near 0.2, so every indicator counts
+    geometry = ScenarioGeometry(r_eve_m=50.0)
+    cfg = make_config(geometry, air, fading, scheme=scheme, alpha_eve=3.0, **center)
+    trials, seed = 2 * sec.BLOCK_TRIALS + 808, 23
+    means = _round_robin_trial_means(cfg, trials, seed)
+    est = sec.run_monte_carlo(cfg, trials, seed)
+    assert 0.05 < est.p_hat < 0.5
+    assert math.isclose(est.p_hat, means.mean(), rel_tol=1e-12)
+    assert math.isclose(est.std_err, means.std() / math.sqrt(trials), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("trials", (1, 2, 7, 4_096, 22_528, 400_000))

@@ -351,7 +351,7 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 #: Largest lower limit 2 sqrt(x) of a seed's tail integral.  ln G is
 #: about -2 sqrt(x), so past it the rounding of ln G alone exceeds 1e-12
 #: (1.1e-12 at x = 5e5 against a 40-digit reference), and from x ~ 5e7 on
-#: the scan's bracket misses the e^-u edge layer of the integrand, of
+#: the grid's bracket misses the e^-u edge layer of the integrand, of
 #: width 1/u in t = ln u, and ln G comes out tens of nats off.
 _SEED_U_LO_MAX = 1e3
 
@@ -368,17 +368,18 @@ def meijer_g_m0_log(mu, nu, x):
     through the log-scaled recurrence, keeping huge orders finite.
 
     Equal-length 1-D arrays give one value per seed, each bit for bit
-    its one-seed call's.  The seeds are evaluated together: one scan
-    over (seeds x 32) arrays, in which every seed still scanning adds
-    its next 32 points to each Bessel-K call, and one
-    :func:`adaptive_gl` over every seed's own bracket and tolerance.  A
-    lower limit 2 sqrt(x) past ``_SEED_U_LO_MAX``, an
-    integrand that does not decay, or a quadrature that does not reach
-    its tolerance raises :class:`AccuracyError`.
+    its one-seed call's: one Bessel-K call over a fixed (seeds x n) grid
+    brackets every seed, then one :func:`adaptive_gl` integrates each over
+    its own bracket and tolerance.  A non-finite mu, a non-finite or
+    non-integer nu, or an x <= 0 raises ``ValueError``; a lower limit
+    2 sqrt(x) past ``_SEED_U_LO_MAX``, an integrand that does not decay,
+    or a quadrature that does not reach its tolerance raises
+    :class:`AccuracyError`.
     """
     mus, nus, xs = (np.asarray(v, dtype=float) for v in (mu, nu, x))
-    count = xs.size
-    orders = np.abs(np.round(nus)).astype(int)
+    if not np.all((xs > 0.0) & np.isfinite(mus + nus)):
+        raise ValueError(f"need finite mu, nu and x > 0, got {mu}, {nu}, {x}")
+    orders = np.abs(nus)
     u_lo = 2.0 * np.sqrt(xs)
     mu1 = mus + 1.0
     if np.any(u_lo > _SEED_U_LO_MAX):
@@ -400,31 +401,25 @@ def meijer_g_m0_log(mu, nu, x):
         return (mu1[rows] * apply_math(math.log, u)
                 + log_bessel_k(orders[rows], u))
 
-    # coarse geometric scan for the integrand peak and a -60 nats cutoff;
-    # the peak sits near sqrt(mu^2 - nu^2) when that exceeds the lower end.
-    # Each seed scans u_lo, 1.2 u_lo, ... 32 points at a time until the
-    # first point past its tail floor that lies 60 nats below the running
-    # peak; the seeds still scanning share each call.
+    # one geometric grid u_lo, 1.2 u_lo, ... per seed; its cutoff is the
+    # first point past the tail floor 60 nats below the running peak, which
+    # sits near sqrt(mu^2 - nu^2) when that exceeds u_lo.  K_{nu+1} / K_nu >
+    # (nu + sqrt(nu^2 + u^2)) / u (Segura, JMAA 374, 2011) bounds the slope
+    # of log_g by (mu + 1 - sqrt(nu^2 + u^2)) / u <= -1/2 from u_ok >= 50 on,
+    # so each x1.2 step there drops over 5 nats and the cutoff comes at most
+    # 12 points past u_ok; n keeps one point more for the rounded products.
     tail_floor = np.maximum(np.maximum(u_lo * 4.0, orders * 3.0), 50.0)
-    u_next, u_hi = u_lo.copy(), np.empty(count)
-    g_max = np.full(count, -math.inf)
-    live = np.arange(count)
-    while live.size:
-        steps = np.full((live.size, 32), 1.2)
-        steps[:, 0] = u_next[live]
-        us = np.multiply.accumulate(steps, axis=1)
-        gs = log_g(us.ravel(), np.repeat(live, 32)).reshape(us.shape)
-        peaks = np.maximum.accumulate(
-            np.column_stack((g_max[live], gs)), axis=1)[:, 1:]
-        stop = (gs < peaks - 60.0) & (us > tail_floor[live, None])
-        end = np.where(stop.any(axis=1), stop.argmax(axis=1), 32)
-        if np.any((us > 1e8) & (np.arange(32) < end[:, None])):
-            raise AccuracyError("Bessel tail integral fails to decay")
-        last = np.minimum(end, 31)
-        lanes = np.arange(live.size)
-        u_hi[live], g_max[live] = us[lanes, last], peaks[lanes, last]
-        u_next[live] = us[:, -1] * 1.2
-        live = live[end == 32]
+    u_ok = np.maximum(tail_floor, 2.0 * mu1)
+    n = 14 + int(np.ceil(np.log(u_ok / u_lo) / math.log(1.2)).max(initial=0))
+    us = np.multiply.accumulate(
+        np.column_stack((u_lo, np.full((xs.size, n - 1), 1.2))), axis=1)
+    lanes = np.arange(xs.size)
+    gs = log_g(us.ravel(), np.repeat(lanes, n)).reshape(us.shape)
+    peaks = np.maximum.accumulate(gs, axis=1)
+    stop = ((gs < peaks - 60.0) & (us > tail_floor[:, None])).argmax(axis=1)
+    if np.any(us[lanes, stop - 1] > 1e8):
+        raise AccuracyError("Bessel tail integral fails to decay")
+    u_hi, g_max = us[lanes, stop], peaks[lanes, stop]
 
     def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return apply_math(math.exp, log_g(apply_math(math.exp, ts), rows)
@@ -432,6 +427,6 @@ def meijer_g_m0_log(mu, nu, x):
 
     t_lo = apply_math(math.log, u_lo)
     t_hi = apply_math(math.log, u_hi)
-    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), count)
+    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), xs.size)
     return (-0.5 * mu1 * apply_math(math.log, xs) + (1.0 - mus) * math.log(2.0)
             + (g_max + apply_math(math.log, vals)))

@@ -44,6 +44,11 @@ package's array ``cdf_Z_single``, ``_bessel_k01_scaled`` and
 ``scipy.integrate.quad`` over ``scipy.special.kve``, the reference of
 acceptance criterion 4 and of the seed range limit.
 
+``seed_bracket_scan`` is the lockstep scan that bracketed the package's
+seeds, 32 points of each live seed per round, before they read their
+cutoff off one fixed grid; ``meijer_g_m0_log_scan`` is the package's
+seed evaluator over the scan's brackets and must match it bit for bit.
+
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
 breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
@@ -67,7 +72,8 @@ from zsrpsim.analytic import (_QUAD_ABS_TOL, _W_TAIL_LEVEL, ClosedFormParams,
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W, tail_cutoff
 from zsrpsim.specfun import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
-                             EULER_GAMMA, _bessel_k01_scaled, log_bessel_k)
+                             EULER_GAMMA, _bessel_k01_scaled, adaptive_gl,
+                             apply_math, log_bessel_k)
 
 
 def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
@@ -489,6 +495,76 @@ def meijer_g_m0_log_quad(mu: float, nu: float, x: float) -> float:
         for lo, hi in ((u_lo, peak_u), (peak_u, math.inf)) if hi > lo)
     return (-0.5 * (mu + 1.0) * math.log(x) + (1.0 - mu) * math.log(2.0)
             + peak + math.log(total))
+
+
+def _seed_log_g(mu: np.ndarray, nu: np.ndarray):
+    """(mu + 1) ln u + ln K_|nu|(u) at points ``u`` of seeds ``rows``."""
+
+    def log_g(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return ((mu[rows] + 1.0) * apply_math(math.log, u)
+                + log_bessel_k(np.abs(nu[rows]), u))
+
+    return log_g
+
+
+def seed_bracket_scan(mu, nu, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(stop index, u_hi, g_max) of each seed by the lockstep scan.
+
+    Each seed scans u_lo, 1.2 u_lo, ... 32 points at a time until the
+    first point past its tail floor that lies 60 nats below the running
+    peak; the seeds still scanning share each Bessel-K call.  A point
+    past 1e8 before the cutoff raises :class:`AccuracyError`.  This is
+    how ``specfun.meijer_g_m0_log`` bracketed its seeds before it read
+    the cutoff off one fixed grid, which must find the same points.
+    """
+    mu, nu, x = (np.asarray(v, dtype=float) for v in (mu, nu, x))
+    log_g = _seed_log_g(mu, nu)
+    u_lo = 2.0 * np.sqrt(x)
+    tail_floor = np.maximum(np.maximum(u_lo * 4.0, np.abs(nu) * 3.0), 50.0)
+    u_next, u_hi = u_lo.copy(), np.empty(x.size)
+    g_max = np.full(x.size, -math.inf)
+    k_hi = np.zeros(x.size, dtype=int)
+    live, base = np.arange(x.size), 0
+    while live.size:
+        steps = np.full((live.size, 32), 1.2)
+        steps[:, 0] = u_next[live]
+        us = np.multiply.accumulate(steps, axis=1)
+        gs = log_g(us.ravel(), np.repeat(live, 32)).reshape(us.shape)
+        peaks = np.maximum.accumulate(
+            np.column_stack((g_max[live], gs)), axis=1)[:, 1:]
+        stop = (gs < peaks - 60.0) & (us > tail_floor[live, None])
+        end = np.where(stop.any(axis=1), stop.argmax(axis=1), 32)
+        if np.any((us > 1e8) & (np.arange(32) < end[:, None])):
+            raise AccuracyError("Bessel tail integral fails to decay")
+        last = np.minimum(end, 31)
+        lanes = np.arange(live.size)
+        u_hi[live], g_max[live] = us[lanes, last], peaks[lanes, last]
+        k_hi[live] = base + last
+        u_next[live] = us[:, -1] * 1.2
+        live, base = live[end == 32], base + 32
+    return k_hi, u_hi, g_max
+
+
+def meijer_g_m0_log_scan(mu, nu, x) -> np.ndarray:
+    """``specfun.meijer_g_m0_log`` over the brackets of :func:`seed_bracket_scan`.
+
+    The quadrature, its tolerance and the closing arithmetic are the
+    package's, so the two must agree bit for bit.
+    """
+    mu, nu, x = (np.asarray(v, dtype=float) for v in (mu, nu, x))
+    _, u_hi, g_max = seed_bracket_scan(mu, nu, x)
+    log_g = _seed_log_g(mu, nu)
+
+    def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return apply_math(math.exp, log_g(apply_math(math.exp, ts), rows)
+                          - g_max[rows])
+
+    t_lo = apply_math(math.log, 2.0 * np.sqrt(x))
+    t_hi = apply_math(math.log, u_hi)
+    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), x.size)
+    return (-0.5 * (mu + 1.0) * apply_math(math.log, x)
+            + (1.0 - mu) * math.log(2.0)
+            + (g_max + apply_math(math.log, vals)))
 
 
 def upper_gamma_poisson_loop(a: int, x: np.ndarray) -> np.ndarray:

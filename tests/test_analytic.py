@@ -44,8 +44,9 @@ Proves:
    integrand still rising at u = 1e8 refuses, alone or in a batch; up to
    a lower limit 2 sqrt(x) = 1000 a seed holds 1e-12 in ln G against
    scipy quadrature, and past it (x = 1e8, 1e10, 1e11) it refuses, alone
-   or in a batch, where the unchecked scan came out tens of nats off or
-   met log(0); the
+   or in a batch, where the unchecked bracket came out tens of nats off or
+   met log(0); a fractional or non-finite order, a non-finite mu or an
+   x <= 0 raises ValueError; the
    contiguous recurrence of four composite rows, their 12 seeds in one
    call, matches the tail integral term by term to 1e-12 at h = 150/1000
    m, on both sides of B = M; each of the 120 seeds of the default fig4
@@ -396,10 +397,25 @@ def test_tail_integral_fallback_matches_mpmath():
 @pytest.mark.parametrize("mu, nu, x", [(1e9, 0.0, 1.0),
                                        ([28.0, 1e9], [32.0, 0.0], [1.0, 1.0])])
 def test_tail_integral_that_keeps_rising_refuses(mu, nu, x):
-    # u^1e9 K_0(u) still rises at u = 1e8, where the scan gives up; one
-    # such seed refuses a batched call
+    # u^1e9 K_0(u) still rises at u = 1e8, past which no bracket may
+    # reach; one such seed refuses a batched call
     with pytest.raises(AccuracyError, match="fails to decay"):
         specfun.meijer_g_m0_log(*(np.array(v, ndmin=1) for v in (mu, nu, x)))
+
+
+@pytest.mark.parametrize("mu, nu, x, match", [
+    ([28.0], [2.5], [1.0], "order must be a nonnegative integer"),
+    ([28.0, 28.0], [2.0, 2.5], [1.0, 1.0], "order must be a nonnegative integer"),
+    ([28.0], [2.0], [0.0], "x > 0"),
+    ([28.0, 28.0], [2.0, 2.0], [1.0, -1.0], "x > 0"),
+    ([math.nan], [2.0], [1.0], "finite mu"),
+    ([28.0], [math.inf], [1.0], "finite mu, nu")])
+def test_seed_outside_its_domain_raises_value_error(mu, nu, x, match):
+    # a fractional order is not rounded to its integer neighbour; x <= 0
+    # has no lower limit 2 sqrt(x) to start a grid from, nor a non-finite
+    # mu or nu a grid length
+    with pytest.raises(ValueError, match=match):
+        specfun.meijer_g_m0_log(*(np.array(v) for v in (mu, nu, x)))
 
 
 def one_seed(mu: float, nu: float, x: float) -> float:
@@ -427,7 +443,7 @@ def test_seed_past_the_range_limit_refuses(x, monkeypatch):
     with pytest.raises(AccuracyError, match="past 1000"):
         specfun.meijer_g_m0_log(np.array([28.0, 28.0]), np.array([32.0, 32.0]),
                                 np.array([1e3, x]))
-    # unchecked, the scan's bracket misses the integrand's e^-u edge layer:
+    # unchecked, the grid's bracket misses the integrand's e^-u edge layer:
     # ln G comes out tens of nats off, or its log meets a 0.0 integral
     monkeypatch.setattr(specfun, "_SEED_U_LO_MAX", math.inf)
     if x < 1e11:

@@ -8,7 +8,13 @@ Proves:
    L = 32 elements against one recursion per distance node, whose gain
    thresholds G0 / r^2 the batched route reproduces bit for bit; the
    volume-weighted average of (r/R)^2; the tail integral of one composite
-   seed, alone and in a mixed-order batch of seeds; integrals given one
+   seed, alone and in a mixed-order batch of seeds; the seeds' fixed
+   bracketing grid against the lockstep scan it replaced
+   (``oracles.meijer_g_m0_log_scan``), for closed-form seeds (mu, nu, x) =
+   (M + B - 4, |M - B|, jX), M <= 128, B <= 2, and general mu in [-3, 500],
+   nu <= 500, x in [1e-10, 2.5e5], alone and in batches (property), and
+   the scan's cutoff at most 12 points past u_ok = max(tail floor,
+   2 (mu + 1)), the bound the grid length rests on; integrals given one
    bracket and tolerance each; ``cdf_Z_quadrature`` of an array against
    its one-element calls, with the support edge and the array shape kept.
 
@@ -23,8 +29,12 @@ Proves:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsrpsim import analytic as an
 from zsrpsim import specfun
@@ -34,7 +44,8 @@ from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
 from oracles import (adaptive_gl_each, adaptive_gl_recursive,
-                     cdf_Z_quadrature_recursive, zsrp_pfs_value_recursive)
+                     cdf_Z_quadrature_recursive, meijer_g_m0_log_scan,
+                     seed_bracket_scan, zsrp_pfs_value_recursive)
 
 
 def hexes(values) -> list[str]:
@@ -115,6 +126,55 @@ def test_tail_integral_seed_bits(mu, nu, x, monkeypatch):
     want = [*specfun.meijer_g_m0_log(*alone), *specfun.meijer_g_m0_log(*batch)]
     assert hexes(got) == hexes(want)
 
+
+def seed_log_gs(f, seeds) -> list[str] | str:
+    """``float.hex`` of each seed's ln G by ``f``, or the refusal it raises."""
+    try:
+        return hexes(f(*(np.array(v) for v in zip(*seeds))))
+    except AccuracyError as exc:
+        return f"AccuracyError: {exc}"
+
+
+seed_x = st.floats(-10.0, math.log10(2.5e5)).map(lambda e: 10.0 ** e)
+#: (mu, nu, x) = (M + B - 4, |M - B|, jX) of a closed-form seed, M = m2 L
+package_seed = st.builds(
+    lambda m, b, x: (float(m + b - 4), float(abs(m - b)), x),
+    st.integers(1, 128), st.integers(0, 2), seed_x)
+general_seed = st.tuples(st.floats(-3.0, 500.0),
+                         st.integers(0, 500).map(float), seed_x)
+
+
+@given(st.lists(st.one_of(package_seed, general_seed), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_seed_grid_matches_the_scan(seeds):
+    # the fixed grid finds the lockstep scan's cutoff and peak, alone and
+    # in a batch whose seeds need grids of different lengths
+    assert (seed_log_gs(specfun.meijer_g_m0_log, seeds)
+            == seed_log_gs(meijer_g_m0_log_scan, seeds))
+
+
+def test_scan_cutoff_lies_within_12_points_past_u_ok():
+    # what the grid length rests on: from u_ok = max(tail floor, 2 (mu + 1))
+    # on each x1.2 step drops over 5 nats, so the scan stops at most 12
+    # points past the first grid point >= u_ok, for mu up to 1e4
+    rng = np.random.default_rng(23)
+    mu = np.concatenate(([1e4, 1e4, -3.0, 500.0], rng.uniform(-3.0, 1e4, 150),
+                         rng.uniform(-3.0, 60.0, 50)))
+    nu = np.concatenate(([0.0, 500.0, 500.0, 0.0],
+                         rng.integers(0, 501, 200).astype(float)))
+    x = np.concatenate(([1e-10, 2.5e5, 1e-10, 2.5e5],
+                        10.0 ** rng.uniform(-10.0, math.log10(2.5e5), 200)))
+    stop = np.concatenate(
+        [seed_bracket_scan(*(v[i:i + 25] for v in (mu, nu, x)))[0]
+         for i in range(0, mu.size, 25)])
+    u_lo = 2.0 * np.sqrt(x)
+    u_ok = np.maximum(np.maximum(np.maximum(u_lo * 4.0, nu * 3.0), 50.0),
+                      2.0 * (mu + 1.0))
+    grid = np.multiply.accumulate(
+        np.column_stack((u_lo, np.full((mu.size, 199), 1.2))), axis=1)
+    first_ok = (grid >= u_ok[:, None]).argmax(axis=1)
+    assert np.all(first_ok > 0) and np.all(stop <= first_ok + 12)
+    assert np.all(stop < 14 + np.ceil(np.log(u_ok / u_lo) / math.log(1.2)))
 
 def test_per_integral_brackets_and_tolerances():
     # peaks at 0, 1, 2 and 3 over brackets, tolerances and refinement

@@ -17,11 +17,10 @@ comparison, so
 Evaluation routes, cross-checked against each other, arrays in and out:
 
 * ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
-  rounding), the fast route for the single-user cascade; its terms
-  share one argument, so one Bessel-K recurrence gives every order.
-  One array Bessel-K recurrence and one (nodes x terms)
-  order-statistic sum serve all distance nodes of an integrand call,
-  each node bit for bit as alone;
+  rounding), the fast route for the single-user cascade: a sum of
+  positive terms that share one argument.  One array Bessel-K
+  recurrence and one (nodes x terms) log-sum serve all distance nodes
+  of an integrand call, each node bit for bit as alone;
 * ``cdf_Z_quadrature``: independent direct integration over the BS-side
   power sum, the adjudicating oracle; it raises F_S to the user count N
   (CDF of the served maximum), so proportional fairness needs no
@@ -42,11 +41,10 @@ one a depth-first recursion makes, so every value is bit for bit the
 recursion's.  Where F_S is exactly 1.0 in double precision,
 :func:`~zsrpsim.fading.cdf_S` writes it without the Poisson sum.
 
-Proportional-fair order statistics enter through collapsed polynomial
-coefficients of the N-fold truncated exponential product; one series
-routine sums them, row by row of a (rows x terms) array, for the
-Meijer-G composite (one row) and, at N = 1, for the Bessel-K CDF (one
-row per node).  Along one order-statistic row the Meijer-G terms are
+Proportional-fair order statistics enter the closed form through
+collapsed polynomial coefficients of the N-fold truncated exponential
+product, in one alternating sum with a rounding bound.  Along one
+order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
 10.29.4), so a row costs three seed integrals (the positive tail
 integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one step of a
@@ -64,7 +62,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
 
@@ -128,79 +125,57 @@ class AnalyticZsrp:
 # CDF of the (scheduled) cascaded gain
 # ---------------------------------------------------------------------------
 
-def _log_binom(n: int, k: int) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
-@lru_cache(maxsize=None)
-def _log_ordered_sum_coefficients(j: int, m1_elements: int) -> tuple[float, ...]:
-    """log gamma_{j,B}: one log-space convolution of the cached row j - 1.
-
-    The coefficients span hundreds of orders of magnitude once j (m1 L)
-    gets large; a linear-space polynomial power silently flushes the
-    deep-tail entries to zero (or subnormals with a handful of
-    significant bits), which feeds visible error into the composite sum
-    because those entries multiply astronomically large power factors.
-    All terms are positive so logaddexp is exact to rounding.
-    """
-    base = np.array([-math.lgamma(t + 1) for t in range(m1_elements)])
-    if j == 1:
-        return tuple(base)
-    cur = np.array(_log_ordered_sum_coefficients(j - 1, m1_elements))
-    nxt = np.full(cur.size + m1_elements - 1, -np.inf)
-    for t in range(m1_elements):
-        nxt[t:t + cur.size] = np.logaddexp(nxt[t:t + cur.size], cur + base[t])
-    return tuple(nxt)
-
-
-def _order_stat_series(m1_elements: int, m_2: int, lead: float,
-                       log_arg: np.ndarray,
-                       log_kernels: list[np.ndarray]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """1 + sum over (j, B) of the collapsed order-statistic expansion, per row.
+def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
+                       log_kernels: list[list[float]]) -> tuple[float, float]:
+    """1 + sum over (j, B) of the collapsed order-statistic expansion.
 
     Term (j, B) is (-1)^j C(N, j) gamma_{j,B} j^{(m2 L - B)/2}
-    arg^{(m2 L + B)/2} lead / Gamma(m2 L) times the kernel, which is
-    positive.  ``log_arg`` holds ln arg for each row, and
-    ``log_kernels[j - 1]`` is the log kernel of B = 0, 1, ... of
-    order-statistic index j, an array that broadcasts to (rows x terms).
-    Each row is summed in log space and clamped to [0, 1].  Shared by
-    the Bessel-K series CDF (one row per node) and the Meijer-G composite
-    (one row), which differ only in ``lead``, the argument and the
-    kernels; N is the kernel count.  Each row also gets the rounding
-    bound eps max(1, max|ln t|) (1 + sum|t|) of its signed sum (Higham
-    2002, sec. 4.2, with each term's exp rounding).
+    X^{(m2 L + B)/2} (3/2) / Gamma(m2 L) times the kernel, which is
+    positive; ``log_x`` is ln X and ``log_kernels[j - 1]`` holds the log
+    kernels of B = 0, 1, ... of index j, so N is the kernel count.
+    gamma_{j,B}, the coefficient of x^B in (sum_{t<m1 L} x^t / t!)^j,
+    spans hundreds of orders of magnitude; a linear-space power flushes
+    its deep tail, which meets astronomically large power factors, to
+    zero, so row j is one log-space convolution of row j - 1 (positive
+    terms: exact to rounding).  Returns the sum, clamped to [0, 1], and
+    its rounding bound eps max(1, max|ln t|) (1 + sum|t|) (Higham 2002,
+    sec. 4.2, with each term's exp rounding).
     """
-    ln_gamma_m2 = math.lgamma(m_2)
+    n_users = len(log_kernels)
+    log_lead = math.log(1.5) - math.lgamma(m_2)
+    log_coef = base = np.array([-math.lgamma(t + 1)
+                                for t in range(m1_elements)])
     logs: list[np.ndarray] = []
     signs: list[np.ndarray] = []
     for j, log_k in enumerate(log_kernels, start=1):
-        log_coef = np.array(_log_ordered_sum_coefficients(j, m1_elements))
+        if j > 1:
+            nxt = np.full(log_coef.size + m1_elements - 1, -np.inf)
+            for t in range(m1_elements):
+                nxt[t:t + log_coef.size] = np.logaddexp(
+                    nxt[t:t + log_coef.size], log_coef + base[t])
+            log_coef = nxt
         b = np.arange(log_coef.size)
         log_j = math.log(j)
-        sign_j = -1.0 if j % 2 else 1.0
-        log_lead = math.log(lead) - ln_gamma_m2 + _log_binom(len(log_kernels), j)
-        logs.append(log_lead + log_coef
-                    + 0.5 * (m_2 + b) * (log_j + log_arg[:, None]) - b * log_j
-                    + log_k)
-        signs.append(np.broadcast_to(sign_j, logs[-1].shape))
-    all_logs = np.concatenate(logs, axis=1)
-    total_log, total_sign = specfun.log_sum_exp(
-        all_logs, np.concatenate(signs, axis=1))
+        log_binom = (math.lgamma(n_users + 1) - math.lgamma(j + 1)
+                     - math.lgamma(n_users - j + 1))
+        logs.append(log_lead + log_binom + log_coef
+                    + 0.5 * (m_2 + b) * (log_j + log_x) - b * log_j + log_k)
+        signs.append(np.full(b.size, -1.0 if j % 2 else 1.0))
+    all_logs = np.concatenate(logs)
+    (total_log,), (total_sign,) = specfun.log_sum_exp(
+        all_logs[None], np.concatenate(signs)[None])
     # an empty or cancelled sum (sign 0) leaves F = 1
-    val = np.ones(total_log.shape)
-    neg = total_sign < 0.0
-    # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
-    below = neg & (total_log < 0.0)
-    val[below] = -specfun.apply_math(math.expm1, total_log[below])
-    val[neg & ~below] = 0.0
-    pos = total_sign > 0.0
-    val[pos] = 1.0 + specfun.apply_math(math.exp, total_log[pos])
+    val = 1.0
+    if total_sign < 0.0:
+        # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
+        val = -math.expm1(total_log) if total_log < 0.0 else 0.0
+    elif total_sign > 0.0:
+        val = 1.0 + math.exp(total_log)
     with np.errstate(over="ignore"):  # a term past the double range refuses
-        bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum(axis=1))
-                 * np.maximum(1.0, np.abs(all_logs).max(axis=1)))
-    # fmax, as Python's max(0.0, v) does, maps a NaN to 0.0
-    return np.minimum(1.0, np.fmax(0.0, val)), bound
+        bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum())
+                 * np.maximum(1.0, np.abs(all_logs).max()))
+    # max(0.0, v) maps a NaN to 0.0
+    return min(1.0, max(0.0, val)), float(bound)
 
 
 def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
@@ -211,9 +186,9 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
 
     summed in log space, at each entry of the array ``z``.  Every order
     at every z comes from one array Bessel-K recurrence at 2 sqrt(xi),
-    and the terms of all z are summed as rows of one array, each bit for
-    bit as alone.  Validated against :func:`cdf_Z_quadrature`; returns 0 for
-    z <= 0.
+    and the positive terms of all z are summed as rows of one array,
+    each bit for bit as alone.  Validated against
+    :func:`cdf_Z_quadrature`; returns 0 for z <= 0.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
@@ -222,15 +197,23 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
         m_2 = p.m2 * p.n_elements
         m_1 = p.m1 * p.n_elements
         xi = p.m1 * p.m2 * z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
-        log_terms = specfun.log_bessel_k(np.abs(m_2 - np.arange(m_1)),
+        t = np.arange(m_1)
+        log_terms = specfun.log_bessel_k(np.abs(m_2 - t),
                                          2.0 * np.sqrt(xi)[:, None])
         # the recurrence passes the double range below xi ~ 1e-70: F = 0.0
         ok = np.isfinite(log_terms).all(axis=1)
+        log_sum, _ = specfun.log_sum_exp(
+            math.log(2.0) - math.lgamma(m_2)
+            - np.array([math.lgamma(v + 1) for v in range(m_1)])
+            + 0.5 * (m_2 + t) * specfun.apply_math(math.log, xi[ok])[:, None]
+            + log_terms[ok])
         vals = np.zeros(ok.size)
-        vals[ok], _ = _order_stat_series(
-            m_1, m_2, 2.0, specfun.apply_math(math.log, xi[ok]),
-            [log_terms[ok]])
-        out[pos] = vals
+        # F = 1 - sum, or 0 where the sum reaches 1; expm1 keeps
+        # precision when the sum is close to 1
+        below = log_sum < 0.0
+        vals[np.flatnonzero(ok)[below]] = -specfun.apply_math(
+            math.expm1, log_sum[below])
+        out[pos] = np.minimum(1.0, np.fmax(0.0, vals))
     return out
 
 
@@ -290,21 +273,19 @@ def _log_composite_rows(m_2: int, big_x: float,
     flat = iter(specfun.meijer_g_m0_log(
         *(np.array(v) for v in zip(*seeds))).tolist())
     rows = [list(islice(flat, min(3, n_b))) for n_b in row_sizes]
-    long_rows = [(row, n_b, jx)
-                 for row, n_b, jx in zip(rows, row_sizes, jxs) if n_b > 3]
-    if not long_rows:
-        return rows
-    ys = [2.0 * math.sqrt(jx) for _, _, jx in long_rows]
+    ys = [2.0 * math.sqrt(jx) for jx in jxs]
     # K_(M-b+1)(y) for b = 3 .. n_b - 1 of the longest row, at each y
     log_ks = specfun.log_bessel_k(
-        np.abs(m_2 - np.arange(3, max(n_b for _, n_b, _ in long_rows)) + 1),
-        np.array(ys)[:, None])
+        np.abs(m_2 - np.arange(3, max(row_sizes)) + 1), np.array(ys)[:, None])
     ln2 = math.log(2.0)
 
     def log_g_over_i(b: int, log_jx: float) -> float:
         return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
 
-    for (row, n_b, jx), y, log_k in zip(long_rows, ys, log_ks.tolist()):
+    for row, n_b, jx, y, log_k in zip(rows, row_sizes, jxs, ys,
+                                      log_ks.tolist()):
+        if n_b <= 3:
+            continue
         log_jx, log_y = math.log(jx), math.log(y)
         scale, mant = row[2] - log_g_over_i(2, log_jx), 1.0
         for b in range(3, n_b):
@@ -351,12 +332,10 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
     row_sizes = [j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1)]
     closed = None
     try:
-        log_kernels = [np.array(row)
-                       for row in _log_composite_rows(m_2, big_x, row_sizes)]
-        (value,), (bound,) = _order_stat_series(
-            m_1, m_2, 1.5, np.array([math.log(big_x)]), log_kernels)
+        value, bound = _order_stat_series(
+            m_1, m_2, math.log(big_x), _log_composite_rows(m_2, big_x, row_sizes))
         if bound <= REL_GAP_WARN * value:
-            closed = float(value)
+            closed = value
         else:
             reason = (f"order-statistic sum {value:.3e} has rounding bound "
                       f"{bound:.1e}, past {REL_GAP_WARN:g} of it")

@@ -95,12 +95,15 @@ class AltitudeResult:
     n_evaluations: int
 
 
-def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
-        Callable[[float], float], Callable[[], int]]:
-    """(objective, evaluation count) of one search.
+def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
+    """Altitude minimizing the ZSRP within the search tolerance.
 
-    The objective caches its values, so the count is the number of
-    distinct altitudes evaluated.
+    A 16-point pre-scan locates the best coarse point (insurance against
+    a vanished dip), then golden-section refines the bracket formed by
+    its neighbors.  The MC evaluator holds the seed fixed across
+    altitudes, so repeated searches return the same argmin.  The
+    objective caches its values, so the evaluation count is the number
+    of distinct altitudes evaluated.
     """
     base = spec.config
     cache: dict[float, float] = {}
@@ -116,18 +119,6 @@ def _bind_objective(spec: AltitudeSearchSpec) -> tuple[
                                            threads=spec.threads).p_hat
         return cache[h]
 
-    return objective, (lambda: len(cache))
-
-
-def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
-    """Altitude minimizing the ZSRP within the search tolerance.
-
-    A 16-point pre-scan locates the best coarse point (insurance against
-    a vanished dip), then golden-section refines the bracket formed by
-    its neighbors.  The MC evaluator holds the seed fixed across
-    altitudes, so repeated searches return the same argmin.
-    """
-    objective, n_calls = _bind_objective(spec)
     step = (spec.h_hi_m - spec.h_lo_m) / (PRESCAN_POINTS - 1)
     scan = [spec.h_lo_m + i * step for i in range(PRESCAN_POINTS)]
     scan_vals = [objective(h) for h in scan]
@@ -139,5 +130,5 @@ def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
     else:
         h_star, val = golden_section_min(objective, lo, hi, spec.tol_m)
     logger.info("altitude search: h*=%.3f m zsrp=%.6g after %d "
-                "objective evaluations", h_star, val, n_calls())
-    return AltitudeResult(h_m=h_star, zsrp=val, n_evaluations=n_calls())
+                "objective evaluations", h_star, val, len(cache))
+    return AltitudeResult(h_m=h_star, zsrp=val, n_evaluations=len(cache))

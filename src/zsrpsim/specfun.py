@@ -379,6 +379,11 @@ def meijer_g_m0_log(mu, nu, x):
     mus, nus, xs = (np.asarray(v, dtype=float) for v in (mu, nu, x))
     if not np.all((xs > 0.0) & np.isfinite(mus + nus)):
         raise ValueError(f"need finite mu, nu and x > 0, got {mu}, {nu}, {x}")
+    fractional = nus != np.floor(nus)
+    if np.any(fractional):
+        i = int(fractional.argmax())
+        raise ValueError(f"order must be a nonnegative integer, got "
+                         f"nu = {float(nus[i])!r} at seed {i}")
     orders = np.abs(nus)
     u_lo = 2.0 * np.sqrt(xs)
     mu1 = mus + 1.0
@@ -391,8 +396,8 @@ def meijer_g_m0_log(mu, nu, x):
     # du = u dt folds into the exponent.  The tolerance is absolute on the
     # peak-normalized integral, whose value falls to about 1 / (2 sqrt x)
     # once the peak sits at the lower end, so it is not a relative one:
-    # tolerance / value is 1.3e-11 at x = 1, 7.4e-10 at 7.2e4 (the largest
-    # default fig4 seed) and 1.4e-9 at 2.5e5, at (mu, nu) = (28, 32).  The
+    # tolerance / value is 1.3e-11 at x = 1, 4.1e-10 at 2.39e4 (the largest
+    # default fig2/fig4 seed) and 1.4e-9 at 2.5e5, at (mu, nu) = (28, 32).  The
     # 24-point rule over-delivers, so the seeds stay at rounding level
     # against 40-digit references.  Every array of points, each of its seed
     # ``rows[i]``, takes one Bessel-K recurrence, each value bit for bit

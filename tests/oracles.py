@@ -3,9 +3,10 @@
 The subset-term enumeration below expands the proportional-fair order
 statistic F_S(s)^N over every non-empty user subset and every weak
 composition of its size, term by term.  The package sums the same
-expansion through collapsed coefficients, whose linear-space form is
-:func:`ordered_sum_coefficients`; this explicit form exists only to
-check that collapse (acceptance criterion 3 and ``test_analytic``).
+expansion through collapsed coefficients, which
+:func:`ordered_sum_coefficients` computes exactly; this explicit form
+exists only to check that collapse (acceptance criterion 3 and
+``test_analytic``).
 
 The package uses the fully connected cascade gain ||h_br||^2 ||h_rn||^2
 as a formula.  The scattering-matrix construction at the end of this
@@ -63,12 +64,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
 
-from zsrpsim.analytic import (_QUAD_ABS_TOL, _W_TAIL_LEVEL, ClosedFormParams,
-                              _log_binom, _log_ordered_sum_coefficients)
+from zsrpsim.analytic import _QUAD_ABS_TOL, _W_TAIL_LEVEL, ClosedFormParams
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W, tail_cutoff
 from zsrpsim.specfun import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
@@ -80,15 +81,22 @@ def ordered_sum_coefficients(j: int, m1_elements: int) -> np.ndarray:
     """Coefficients gamma_{j,B} of x^B in (sum_{t<m1 L} x^t / t!)^j.
 
     These collapse the multinomial expansion of the j-fold truncated
-    exponential product; B runs from 0 to j (m1 L - 1).  Entries below
-    the double-precision floor come back as zero; the internal series
-    routes consume the log-space representation instead.
+    exponential product; B runs from 0 to j (m1 L - 1).  The j-fold
+    product runs on exact fractions, and each coefficient is rounded to
+    a float once, so entries below the double-precision floor come back
+    as zero; the package's log-space rows share no code with this.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    if j == 0:
-        return np.array([1.0])
-    return np.exp(np.array(_log_ordered_sum_coefficients(j, m1_elements)))
+    base = [Fraction(1, math.factorial(t)) for t in range(m1_elements)]
+    row = [Fraction(1)]
+    for _ in range(j):
+        nxt = [Fraction(0)] * (len(row) + m1_elements - 1)
+        for b, c in enumerate(row):
+            for t, d in enumerate(base):
+                nxt[b + t] += c * d
+        row = nxt
+    return np.array([float(c) for c in row])
 
 
 #: Cap on explicitly enumerated subset terms (memory guard).
@@ -179,7 +187,7 @@ def cdf_power_sum_order_stat(s: float, m1: int, n_elements: int,
     """F_S(s)^N rebuilt from the explicit subset-term expansion.
 
     Exists to validate the expansion; production paths use the collapsed
-    coefficients of :func:`ordered_sum_coefficients`.
+    coefficients that :func:`ordered_sum_coefficients` computes exactly.
     """
     if s <= 0.0:
         return 0.0
@@ -297,12 +305,12 @@ def cdf_Z_single_scalar(z: float, p: ClosedFormParams) -> float:
     log_k = log_bessel_k_upto_scalar(max(m_2, abs(m_2 - m_1 + 1)),
                                      2.0 * math.sqrt(xi))
     log_arg = math.log(xi)
-    log_lead = math.log(2.0) - math.lgamma(m_2) + _log_binom(1, 1)
-    logs = np.array([log_lead + log_coef
+    # ln C(1, 1) = 0 and the row-1 coefficients ln(1 / b!)
+    log_lead = math.log(2.0) - math.lgamma(m_2) + 0.0
+    logs = np.array([log_lead + -math.lgamma(b + 1)
                      + 0.5 * (m_2 + b) * (math.log(1) + log_arg) - b * math.log(1)
                      + log_k[abs(m_2 - b)]
-                     for b, log_coef in enumerate(
-                         _log_ordered_sum_coefficients(1, m_1))])
+                     for b in range(m_1)])
     # signed log-sum-exp of the terms, every sign -1
     m = float(np.max(logs))
     total = float(np.sum(np.full(logs.size, -1.0) * np.exp(logs - m)))

@@ -23,8 +23,10 @@ Proves:
  Group 3 — greedy-selection order statistics
    the subset expansion reconstructs the N-th CDF power to 1e-9; term
    inventory and coefficient structure for the smallest case; the
-   multinomial coefficient rows satisfy the defining polynomial identity;
-   combinatorial guards reject oversized expansions.
+   multinomial coefficient rows (from an exact-fraction oracle) satisfy the
+   defining polynomial identity; fed Poisson kernels, the closed form's
+   order-statistic sum equals F_S(y)^N to 1e-12 for m1 L = 1/2/5/16,
+   N <= 6 and M = 4/32; combinatorial guards reject oversized expansions.
 
  Group 4 — averaging over the wiretap sphere
    volume-weighted radial averaging integrates (r/R)^2 to 3/5; constants
@@ -46,7 +48,7 @@ Proves:
    scipy quadrature, and past it (x = 1e8, 1e10, 1e11) it refuses, alone
    or in a batch, where the unchecked bracket came out tens of nats off or
    met log(0); a fractional or non-finite order, a non-finite mu or an
-   x <= 0 raises ValueError; the
+   x <= 0 raises ValueError, a fractional order naming its nu and seed; the
    contiguous recurrence of four composite rows, their 12 seeds in one
    call, matches the tail integral term by term to 1e-12 at h = 150/1000
    m, on both sides of B = M; each of the 120 seeds of the default fig4
@@ -291,6 +293,30 @@ def test_coefficient_rows_edge_cases():
         ordered_sum_coefficients(-1, 4)
 
 
+@pytest.mark.parametrize("m1_elements", [1, 2, 5, 16])
+@pytest.mark.parametrize("m_2", [4, 32])
+def test_order_stat_series_sums_poisson_kernels_to_the_cdf_power(m1_elements, m_2):
+    # kernels ln K_{j,B} = ln Gamma(M) - ln 1.5 - (M - B)/2 ln j
+    # - (M + B)/2 ln X + B ln y - j y turn term (j, B) into
+    # (-1)^j C(N, j) gamma_{j,B} y^B e^{-j y}, so the sum is
+    # (1 - e^{-y} sum_{t<m1 L} y^t / t!)^N = F_S(y)^N at unit rate
+    log_x = math.log(BIG_X_DEFAULT)
+    for n_users in range(1, 7):
+        for y in (0.5, 1.0, 3.0, 10.0, 40.0):
+            kernels = []
+            for j in range(1, n_users + 1):
+                b = np.arange(j * (m1_elements - 1) + 1)
+                kernels.append((math.lgamma(m_2) - math.log(1.5)
+                                - 0.5 * (m_2 - b) * math.log(j)
+                                - 0.5 * (m_2 + b) * log_x + b * math.log(y)
+                                - j * y).tolist())
+            value, _ = an._order_stat_series(m1_elements, m_2, log_x, kernels)
+            want = cdf_S(np.array([y]), 1, m1_elements)[0] ** n_users
+            # absolute: the rounding bound the sum returns leaves out the
+            # kernels' own rounding, so the error can exceed it
+            assert abs(value - want) <= 1e-12, (n_users, y, value - want)
+
+
 def test_combinatorial_guards():
     with pytest.raises(ValueError, match="at most"):
         enumerate_subset_terms(13, 2)
@@ -404,8 +430,10 @@ def test_tail_integral_that_keeps_rising_refuses(mu, nu, x):
 
 
 @pytest.mark.parametrize("mu, nu, x, match", [
-    ([28.0], [2.5], [1.0], "order must be a nonnegative integer"),
-    ([28.0, 28.0], [2.0, 2.5], [1.0, 1.0], "order must be a nonnegative integer"),
+    ([28.0], [2.5], [1.0],
+     r"order must be a nonnegative integer, got nu = 2\.5 at seed 0$"),
+    ([28.0, 28.0], [2.0, 2.5], [1.0, 1.0],
+     r"order must be a nonnegative integer, got nu = 2\.5 at seed 1$"),
     ([28.0], [2.0], [0.0], "x > 0"),
     ([28.0, 28.0], [2.0, 2.0], [1.0, -1.0], "x > 0"),
     ([math.nan], [2.0], [1.0], "finite mu"),

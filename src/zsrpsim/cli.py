@@ -139,8 +139,11 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
 
 def _emit(text: str, path: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
         logger.info("wrote %s", path)
     else:
         sys.stdout.write(text)

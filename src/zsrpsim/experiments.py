@@ -122,12 +122,20 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in _str_list(raw))
 
 
+def _int(raw: str) -> int:
+    """Integer text as is (a 20-digit seed stays exact), else an integral
+    float of magnitude <= 2^53 such as ``16.0`` or ``1e5``."""
+    try:
+        return int(raw)
+    except ValueError:
+        v = float(raw)
+    if not (v.is_integer() and abs(v) <= 2.0 ** 53):
+        raise ValueError(f"{raw} is not an integer of magnitude <= 2^53")
+    return int(v)
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
-    values = _float_list(raw)
-    for v in values:
-        if not v.is_integer():
-            raise ValueError(f"{v:g} is not an integer")
-    return tuple(int(v) for v in values)
+    return tuple(_int(p) for p in _str_list(raw))
 
 
 def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
@@ -139,17 +147,17 @@ def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
 #: Config keys by section, each with the parser of its raw text.  A key
 #: names its dataclass field, except ``users`` and ``elements``.
 CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
-    "geometry": {"r_br_m": float, "h_br_m": float, "users": int,
+    "geometry": {"r_br_m": float, "h_br_m": float, "users": _int,
                  "d_rn_m": _float_list, "r_eve_m": float},
     "environment": {"a2": float, "b2": float, "alpha_zenith": float,
                     "alpha_ground": float, "ref_gain": float,
                     "gamma_b_db": float, "alpha_eve": float,
                     "eve_center": str, "eve_center_h_m": float},
-    "fading": {"m1": int, "m2": int, "elements": int},
+    "fading": {"m1": _int, "m2": _int, "elements": _int},
     "experiment": {"kind": str, "schemes": _scheme_list,
                    "evaluators": _str_list, "r_grid_m": _float_list,
                    "l_grid": _int_list, "h_grid_m": _float_list,
-                   "trials": int, "seed": int, "threads": int, "output": str},
+                   "trials": _int, "seed": _int, "threads": _int, "output": str},
 }
 
 
@@ -185,10 +193,10 @@ def load_config(path: Union[str, Path, None],
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
         p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
         try:
             cp.read_string(p.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {p}: {exc}") from None
     values = _parsed(cp)

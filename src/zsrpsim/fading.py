@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -40,50 +39,37 @@ class FadingParams:
             object.__setattr__(self, name, int(v))
 
 
-def _bisect(past: Callable[[float], bool], lo: float, hi: float,
-            steps: int) -> tuple[float, float]:
-    """[lo, hi] halved ``steps`` times around the x where ``past`` turns on."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if past(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 @lru_cache(maxsize=None)
 def tail_cutoff(a: int, level: float) -> float:
-    """An x with Q(a, x) < ``level``: the exact-one switch of :func:`cdf_S`
-    and the W cutoff of the cascade quadrature.
+    """An x with Q(a, x) < ``level`` <= Q(a, x (1 - 2^-30)): the lower-tail
+    and exact-one switches of :func:`cdf_S` and the W cutoff of the
+    cascade quadrature.
 
-    Found by doubling from a, then bisecting 30 times on the scalar Q,
-    which decreases in x; 200 doublings that do not bracket the level
-    raise :class:`AccuracyError`.
+    Q decreases in x.  From x = a, x doubles while Q(a, x) >= ``level``
+    and halves while Q(a, x/2) < ``level``; 200 steps that do not bracket
+    the level raise :class:`AccuracyError`.  Then 30 bisections on [x/2, x].
     """
     def past(x: float) -> bool:
         return specfun.regularized_upper_gamma(a, x) < level
 
     hi = float(a)
     for _ in range(200):
-        if past(hi):
+        if not past(hi):
+            hi *= 2.0
+        elif past(0.5 * hi):
+            hi *= 0.5
+        else:
             break
-        hi *= 2.0
     else:
         raise AccuracyError("could not bracket the Gamma tail")
-    return _bisect(past, 0.5 * hi, hi, 30)[1]
-
-
-@lru_cache(maxsize=None)
-def _lower_tail_threshold(a: int) -> float:
-    """An x_lo with P(a, x) = 1 - Q(a, x) < 2^-20 for every x < x_lo.
-
-    Below it, 1 - Q has lost most of its digits to rounding, so the CDF
-    comes from the positive lower-tail series alone.  Found by bisecting
-    60 times on that series, which increases in x.
-    """
-    return _bisect(lambda x: specfun.regularized_lower_gamma_tail(
-        a, np.array([x]))[0] >= 2.0 ** -20, 0.0, float(a), 60)[0]
+    lo = 0.5 * hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def cdf_S(s: np.ndarray, m1: int, n_elements: int) -> np.ndarray:
@@ -91,16 +77,17 @@ def cdf_S(s: np.ndarray, m1: int, n_elements: int) -> np.ndarray:
 
     At each entry of the array ``s``; arguments <= 0 map to 0.  From m1 s
     = ``tail_cutoff(a, 2^-60)`` on, 1 - Q rounds to exactly 1.0 (any Q below
-    2^-54 does; 2^6 covers Q's rounding), written without the sum; below
-    :func:`_lower_tail_threshold` the positive lower-tail series gives the
-    value, so a small CDF keeps its relative accuracy.
+    2^-54 does; 2^6 covers Q's rounding), written without the sum.  Below
+    ``tail_cutoff(a, 1 - 2^-20)``, where 1 - Q crosses 2^-20 and has lost
+    most of its digits to rounding, the positive lower-tail series gives
+    the value, so a small CDF keeps its relative accuracy.
     """
     a = int(m1) * int(n_elements)
     arr = np.asarray(s, dtype=float)
     out = np.zeros(arr.shape)
     pos = arr > 0.0
     x = m1 * arr[pos]
-    tail = x < _lower_tail_threshold(a)
+    tail = x < tail_cutoff(a, 1.0 - 2.0 ** -20)
     head = ~tail & (x < tail_cutoff(a, 2.0 ** -60))
     vals = np.ones(x.shape)
     if np.any(head):

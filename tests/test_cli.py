@@ -32,8 +32,9 @@ Proves:
 
  Group 5 — exit codes
    a repeated evaluator, scheme or grid value exits with the
-   configuration code; an accuracy failure maps to its documented exit
-   code.
+   configuration code, and so do a config file that is not UTF-8 and an
+   ``--out`` path in a missing directory or naming a directory; an
+   accuracy failure maps to its documented exit code.
 """
 
 from __future__ import annotations
@@ -387,6 +388,23 @@ def test_repeated_scheme_or_grid_value_is_config_error(lines, tmp_path, capsys,
     rc, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--trials", "2048")
     assert rc == 2 and out == ""
     assert "listed more than once" in caplog.text
+
+
+def test_undecodable_config_file_is_config_error(tmp_path, capsys, caplog):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"[experiment]\nseed = 4\n; caf\xe9\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--evaluator", "mc",
+                         "--trials", "2048")
+    assert rc == 2 and out == ""
+    assert f"cannot read config file {cfg}" in caplog.text
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_config_error(where, tmp_path, capsys, caplog):
+    path = tmp_path / "absent" / "rows.csv" if where == "missing-directory" else tmp_path
+    rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--out", str(path))
+    assert rc == 2 and out == ""
+    assert f"cannot write {path}" in caplog.text
 
 
 def test_accuracy_exit_code(capsys, caplog, monkeypatch):

@@ -7,11 +7,13 @@ Proves:
    configuration error; a scalar user distance is replicated across users
    while a mismatched list is rejected; a centre altitude is accepted only
    for a fixed eavesdropper centre, which otherwise pins the configured
-   altitude; integer lists reject fractional entries instead of truncating
-   them; NaN or infinite values and a negative seed are configuration
-   errors; every key, set to a non-default value, lands in its dataclass
-   field; the README config block lists exactly the loader's keys and
-   loads to the defaults.
+   altitude; integer keys, lists and scalars alike, take integral floats
+   (16.0, 1e5) and reject fractional or out-of-range ones (2.5, 1e300)
+   instead of truncating them, while integer text stays exact; NaN or
+   infinite values and a negative seed are configuration errors; every
+   key, set to a non-default value, lands in its dataclass field; the
+   README config block lists exactly the loader's keys and loads to the
+   defaults.
 
  Group 2 — experiment specification
    kind/scheme/evaluator/grid/trials/seed/threads validation, NaN and
@@ -153,6 +155,19 @@ def test_int_list_rejects_fractions(tmp_path):
     path = write_ini(tmp_path, "[experiment]\nl_grid = 4.0, 8\n")
     _, spec = ex.load_config(path)
     assert spec.l_grid == (4, 8)
+    # scalar integer keys follow the same rule; integer text stays exact
+    path = write_ini(tmp_path, "[fading]\nm1 = 2.0\nelements = 16.0\n"
+                               "[geometry]\nusers = 2.0\n"
+                               "[experiment]\ntrials = 1e5\n"
+                               "seed = 12345678901234567891\n")
+    scenario, spec = ex.load_config(path)
+    assert (scenario.fading.m1, scenario.fading.n_elements) == (2, 16)
+    assert scenario.geometry.n_users == 2
+    assert spec.trials == 100000 and spec.seed == 12345678901234567891
+    for section, key, raw in (("fading", "m1", "2.5"), ("experiment", "seed", "1e300")):
+        path = write_ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: {raw} is not an integer"):
+            ex.load_config(path)
 
 
 @pytest.mark.parametrize("section,key,raw", [

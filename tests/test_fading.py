@@ -11,14 +11,16 @@ Proves:
    included); array broadcast; density
    peaks at the analytic mode (m2 L - 1)/m2 and integrates to one;
    monotone CDF bounded in [0, 1] (property, with the pair where 1 - Q
-   read rounding noise); below the threshold x_lo where the CDF crosses
-   2^-20 it keeps 1e-12 relative accuracy against scipy's gammainc down to
-   1e-300; past the exact-one
-   threshold x_a = tail_cutoff(a, 2^-60) (shapes 1, 4, 32, 64, 96) the
-   CDF is written as 1.0 without the Poisson sum, bit for bit equal to
-   1 - Q on a dense grid across x_a, and Q(a, x) < 2^-60 from x_a on.
-   The same search gives the W cutoff of the cascade quadrature:
-   Q(a, x) < 1e-13 <= Q(a, 0.9 x); a level it cannot bracket raises
+   read rounding noise); below the lower-tail switch x_lo =
+   tail_cutoff(a, 1 - 2^-20), where the CDF crosses 2^-20, it keeps 1e-12
+   relative accuracy against scipy's gammainc down to 1e-300, and at x_lo
+   the lower-tail series and 1 - Q agree within 2^-46; past the exact-one
+   switch x_a = tail_cutoff(a, 2^-60) (shapes 1, 4, 32, 64, 96) the CDF is
+   written as 1.0 without the Poisson sum, bit for bit equal to 1 - Q on a
+   dense grid across x_a, and Q(a, x) < 2^-60 from x_a on.  The one
+   search serves both switches and the W cutoff of the cascade quadrature
+   (shapes 1 to 800): Q(a, x) < level <= Q(a, x (1 - 2^-29)) at all three
+   levels; a level it cannot bracket, by doubling or by halving, raises
    AccuracyError.
 
  Group 3 — the estimator's power sums
@@ -136,7 +138,7 @@ def test_cdf_S_lower_tail_relative_accuracy(m1, n_elements):
     # the threshold sits where the CDF crosses 2^-20; below it the positive
     # lower-tail series replaces 1 - Q, whose rounding leaves few digits
     a = m1 * n_elements
-    x_lo = fd._lower_tail_threshold(a)
+    x_lo = fd.tail_cutoff(a, 1.0 - 2.0 ** -20)
     below, above = special.gammainc(a, x_lo * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
     assert below < 2.0 ** -20 < above
     s = np.geomspace(1e-300, 2.0 * a + 50.0, 40001) / m1
@@ -154,7 +156,7 @@ def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
     assert specfun.regularized_upper_gamma(a, 0.9 * x_a) >= 2.0 ** -60
     # from above the lower-tail switch (0.25 x_a up to a = 64), where the
     # CDF is 1 - Q, to past x_a
-    x_lo = max(0.25 * x_a, fd._lower_tail_threshold(a))
+    x_lo = max(0.25 * x_a, fd.tail_cutoff(a, 1.0 - 2.0 ** -20))
     x = np.concatenate((np.linspace(x_lo, 4.0 * x_a, 40001),
                         np.geomspace(4.0 * x_a, 1e6, 2001), [x_a]))
     want = 1.0 - specfun.regularized_upper_gamma_vec(a, x)
@@ -177,19 +179,38 @@ def test_cdf_S_exact_one_skip_keeps_the_bits(a, monkeypatch):
     assert seen and max(seen) < x_a
 
 
-@pytest.mark.parametrize("a", [1, 4, 32, 64, 96])
+_CUTOFF_SHAPES = [1, 4, 32, 64, 96, 256, 800]
+
+
+@pytest.mark.parametrize("a", _CUTOFF_SHAPES)
 def test_tail_cutoff_w_level(a):
-    # the cascade quadrature's W cutoff: less than the level lies past it,
-    # and it sits within 10 % of where Q crosses the level
-    x = fd.tail_cutoff(a, _W_TAIL_LEVEL)
-    assert specfun.regularized_upper_gamma(a, x) < _W_TAIL_LEVEL
-    assert specfun.regularized_upper_gamma(a, 0.9 * x) >= _W_TAIL_LEVEL
+    # all three levels the search serves (the lower-tail switch, the W
+    # cutoff of the cascade quadrature, the exact-one switch): less than
+    # the level lies past the cutoff, and Q crosses the level within
+    # 2^-29 relative below it
+    for level in (1.0 - 2.0 ** -20, _W_TAIL_LEVEL, 2.0 ** -60):
+        x = fd.tail_cutoff(a, level)
+        assert specfun.regularized_upper_gamma(a, x) < level, level
+        assert specfun.regularized_upper_gamma(a, x * (1.0 - 2.0 ** -29)) >= level, level
 
 
 def test_tail_cutoff_bracket_failure():
     # no x has Q(a, x) < 0, so the 200 doublings end in a typed refusal
     with pytest.raises(AccuracyError, match="could not bracket"):
         fd.tail_cutoff(4, 0.0)
+    # nor Q(a, x) >= 1.5, so the 200 halvings end in the same refusal
+    with pytest.raises(AccuracyError, match="could not bracket"):
+        fd.tail_cutoff(4, 1.5)
+
+
+@pytest.mark.parametrize("a", _CUTOFF_SHAPES)
+def test_cdf_S_has_no_jump_at_the_lower_tail_switch(a):
+    # at the switch the lower-tail series and 1 - Q, the two sides of
+    # cdf_S, give the same value to rounding
+    x = fd.tail_cutoff(a, 1.0 - 2.0 ** -20)
+    series = specfun.regularized_lower_gamma_tail(a, np.array([x]))[0]
+    poisson = 1.0 - specfun.regularized_upper_gamma(a, x)
+    assert abs(series - poisson) <= 2.0 ** -46
 
 
 def test_pdf_W_vs_scipy_grid():

@@ -51,8 +51,14 @@ integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one step of a
 Bessel-K recurrence at the row's argument per further term.  A closed
 form evaluates the seeds of all its rows in one batched call and the
 Bessel factors of all its rows in one array recurrence.
-Single-connected architectures have no tractable cascaded distribution
-here and raise :class:`AnalyticUnavailableError`.
+Users at different RIS-user distances share W, and GCSI-PFS serves the
+largest unscaled power sum S_n, whose index is uniform and independent
+of its value.  So with z~_n = G0 / (psi^2 sigma1n^2 sigma2^2) its ZSRP
+is (1/N) sum_n E[F_S(z~_n / W)^N]: as for round robin, the user average
+of the common-distance value at each user's own distance, each distinct
+distance evaluated once.  Single-connected architectures have no
+tractable cascaded distribution here and raise
+:class:`AnalyticUnavailableError`.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ import dataclasses
 import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional
@@ -406,9 +413,9 @@ def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
 
     ``config`` is a :class:`~zsrpsim.secrecy.ScenarioConfig`.  Only the
     fully-connected architecture is tractable here; single-connected
-    schemes raise :class:`AnalyticUnavailableError`.  Mixed RIS-user
-    distances are supported for round-robin (slot average of per-user
-    results); proportional fairness requires identical users.  The
+    schemes raise :class:`AnalyticUnavailableError`.  Both rules take any
+    RIS-user distances: each distinct sigma1^2 is evaluated once and the
+    values are averaged over users (see the module docstring).  The
     formulas also require the free-space wiretap exponent and an
     eavesdropper ball centred on the BS: a ``fixed`` centre offset from
     the current BS altitude is refused.  With ``closed_form`` False only
@@ -432,27 +439,19 @@ def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
             f"its fixed centre at {config.eve_center_h_m:g} m is offset from "
             f"the BS altitude {geometry.h_br_m:g} m; use the Monte-Carlo "
             "evaluator")
-    environment = config.air
-    fading = config.fading
-    sigma2_sq = bs_ris_gain(geometry, environment)
-    n_users = geometry.n_users
-    sigma1 = [ris_user_gain(geometry, environment, u)
-              for u in range(n_users)]
+    air, fading, n_users = config.air, config.fading, geometry.n_users
+    counts = Counter(ris_user_gain(geometry, air, u) for u in range(n_users))
     p = ClosedFormParams(
         m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
-        sigma1_sq=sigma1[0], sigma2_sq=sigma2_sq,
-        ref_gain=environment.ref_gain, r_eve_m=geometry.r_eve_m,
-        n_users=n_users)
-    round_robin = scheme.rule == "rs"
-    if all(abs(s - sigma1[0]) <= 1e-12 * sigma1[0] for s in sigma1):
-        return zsrp_from_params(p, round_robin, closed_form)
-    if not round_robin:
-        raise AnalyticUnavailableError(
-            "proportional-fair closed form requires a common RIS-user "
-            "distance; mixed distances need the Monte-Carlo evaluator")
-    parts = [zsrp_from_params(dataclasses.replace(p, sigma1_sq=s), True,
-                              closed_form) for s in sigma1]
-    value = sum(part.value for part in parts) / n_users
-    closed = (None if any(part.closed_form is None for part in parts)
-              else sum(part.closed_form for part in parts) / n_users)
-    return _report(value, closed)
+        sigma1_sq=next(iter(counts)), sigma2_sq=bs_ris_gain(geometry, air),
+        ref_gain=air.ref_gain, r_eve_m=geometry.r_eve_m, n_users=n_users)
+    parts = [zsrp_from_params(dataclasses.replace(p, sigma1_sq=s),
+                              scheme.rule == "rs", closed_form) for s in counts]
+    if len(parts) == 1:
+        return parts[0]
+    weights = counts.values()
+    closed = [part.closed_form for part in parts]
+    return _report(
+        sum(k * part.value for k, part in zip(weights, parts)) / n_users,
+        None if None in closed
+        else sum(k * c for k, c in zip(weights, closed)) / n_users)

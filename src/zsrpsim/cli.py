@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="evaluate the ZSRP at one operating point")
     p_z.add_argument("--evaluator", choices=EVALUATORS + ("both",),
                      help="default: the config file's evaluators, else both")
+    # a query is ``run --experiment single``
+    p_z.set_defaults(experiment="single", timing=False)
 
     p_o = sub.add_parser("optimize-altitude", parents=[shared, scheme],
                          help="search the ZSRP-minimizing hovering altitude")
@@ -106,7 +108,8 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
 
     A ``--scheme`` or ``--evaluator`` flag replaces the config file's
     scheme or evaluator list; a list that neither sets is the
-    subcommand's default.
+    subcommand's default.  An unwritable output path is refused before
+    anything is evaluated.
     """
     scenario, spec = load_config(args.config, _DEFAULT_SPECS[args.command])
     seed = spec.seed
@@ -134,7 +137,13 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
     if getattr(args, "evaluator", None) is not None:
         updates["evaluators"] = (EVALUATORS if args.evaluator == "both"
                                  else (args.evaluator,))
-    return scenario, dataclasses.replace(spec, **updates)
+    spec = dataclasses.replace(spec, **updates)
+    out, parent = spec.output, os.path.dirname(os.path.abspath(spec.output))
+    if out and (os.path.isdir(out) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write {out}: not a file in an existing, "
+                          "writable directory")
+    return scenario, spec
 
 
 def _emit(text: str, path: str) -> None:
@@ -158,20 +167,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.experiment is not None:
         spec = dataclasses.replace(spec, kind=args.experiment)
     rows = run_experiment(scenario, spec, timing=args.timing)
-    logger.info("experiment %s: %d rows", spec.kind, len(rows))
-    _emit(format_csv(rows), spec.output)
-    return 0
-
-
-def cmd_zsrp(args: argparse.Namespace) -> int:
-    """One operating point: ``run --experiment single``."""
-    scenario, spec = _resolved(args)
-    spec = dataclasses.replace(spec, kind="single")
-    rows = run_experiment(scenario, spec)
     if not rows:
         # run_experiment has logged why the closed form is unavailable
         raise ConfigError("no analytic value for scheme "
                           + ", ".join(repr(s.value) for s in spec.schemes))
+    logger.info("experiment %s: %d rows", spec.kind, len(rows))
     _emit(format_csv(rows), spec.output)
     return 0
 
@@ -203,7 +203,7 @@ def cmd_optimize_altitude(args: argparse.Namespace) -> int:
 
 _DISPATCH = {
     "run": cmd_run,
-    "zsrp": cmd_zsrp,
+    "zsrp": cmd_run,
     "optimize-altitude": cmd_optimize_altitude,
 }
 

@@ -50,6 +50,12 @@ seeds, 32 points of each live seed per round, before they read their
 cutoff off one fixed grid; ``meijer_g_m0_log_scan`` is the package's
 seed evaluator over the scan's brackets and must match it bit for bit.
 
+``eve_within`` is the law of the BS-eavesdropper distance for a ball
+whose centre is offset from the BS, the sphere-sphere lens volume over
+the ball volume; ``zsrp_offset_ball`` integrates it over the served user
+power sum and the BS-side sum by fixed Gauss-Legendre rules, an oracle
+for the fixed-centre Monte-Carlo rows that shares no code with them.
+
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
 breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
@@ -658,6 +664,76 @@ def zsrp_pfs_value_recursive(p: ClosedFormParams) -> float:
 
     val = adaptive_gl_recursive(integrand, 0.0, r_eve, 1e-10)
     return min(1.0, max(0.0, val))
+
+
+def eve_within(t, big_r: float, offset: float) -> np.ndarray:
+    """P(eavesdropper within ``t`` of the BS), ball centre ``offset`` away.
+
+    The eavesdropper is uniform in a ball of radius ``big_r``: the
+    probability is the volume of that ball's intersection with the ball
+    of radius t around the BS over its own volume, the sphere-sphere lens
+    V = pi (R + t - d)^2 (d^2 + 2dt - 3t^2 + 2dR + 6tR - 3R^2) / (12 d)
+    (Weisstein, "Sphere-Sphere Intersection", MathWorld) where the
+    surfaces cross, else 0 or the smaller ball.  At d = 0 it is
+    min(1, t/R)^3.
+    """
+    t = np.asarray(t, dtype=float)
+    r, d = big_r, offset
+    nested = (np.minimum(t, r) / r) ** 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lens = ((r + t - d) ** 2
+                * (d * d + 2 * d * t - 3 * t * t + 2 * d * r + 6 * t * r
+                   - 3 * r * r) / (16.0 * d * r ** 3))
+    return np.where(t + r <= d, 0.0, np.where(np.abs(r - t) >= d, nested, lens))
+
+
+def _gl_panels(lo, hi, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [lo, hi] along the last
+    axis, for arrays of brackets ``lo``, ``hi``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = np.asarray(lo, dtype=float)[..., None, None]
+    width = (np.asarray(hi, dtype=float)[..., None, None] - lo) / panels
+    left = lo + width * np.arange(panels)[:, None]
+    shape = left.shape[:-2] + (panels * order,)
+    nodes = (left + 0.5 * width * (x + 1.0)).reshape(shape)
+    weights = np.broadcast_to(0.5 * width * w, left.shape[:-1] + (order,))
+    return nodes, weights.reshape(shape)
+
+
+def zsrp_offset_ball(p: ClosedFormParams, offset: float, panels: int = 12,
+                     order: int = 20) -> float:
+    """ZSRP around an eavesdropper ball whose centre lies ``offset`` from
+    the BS, free-space wiretap: E[eve_within(t, R, offset)] with
+    t = sqrt(G0 / (sigma1^2 sigma2^2 S W)), S the largest of ``p.n_users``
+    user power sums (one for round robin) and W the BS-side sum.
+
+    Fixed composite Gauss-Legendre rules over W and, at each W node, over
+    S between the kinks of eve_within (t = R + d and t = |R - d|).  Where
+    t > R + d the integrand is 1, and its mass F_S^N is taken exactly.
+    F_S is scipy's ``gammainc``.
+    """
+    a1, a2 = p.m1 * p.n_elements, p.m2 * p.n_elements
+    r, d, n = p.r_eve_m, offset, p.n_users
+    c = p.ref_gain / (p.sigma1_sq * p.sigma2_sq)
+    s_top = special.gammainccinv(a1, 1e-18) / p.m1
+    w_top = special.gammainccinv(a2, 1e-18) / p.m2
+
+    def log_gamma_pdf(x, a, rate):
+        return a * math.log(rate) + (a - 1) * np.log(x) - rate * x - math.lgamma(a)
+
+    w, w_wt = _gl_panels(0.0, w_top, panels, order)
+    # S below which t > R + d, and above which t < |R - d|
+    s_far = np.minimum(c / (w * (r + d) ** 2), s_top)
+    s_near = (np.full_like(w, s_top) if d == r
+              else np.minimum(c / (w * (r - d) ** 2), s_top))
+    inner = special.gammainc(a1, p.m1 * s_far) ** n
+    for lo, hi in ((s_far, s_near), (s_near, np.full_like(w, s_top))):
+        s, s_wt = _gl_panels(lo, hi, panels, order)
+        dens = n * special.gammainc(a1, p.m1 * s) ** (n - 1) * np.exp(
+            log_gamma_pdf(s, a1, p.m1))
+        t = np.sqrt(c / (w[:, None] * s))
+        inner = inner + (s_wt * dens * eve_within(t, r, d)).sum(axis=1)
+    return float((w_wt * np.exp(log_gamma_pdf(w, a2, p.m2)) * inner).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,9 @@ Proves:
    refusal takes its 72 seeds in one call; a seed error of 1e-9 in ln G in the flat
    environment moves the closed form past 1e-6 and warns, leaving the
    quadrature value's bits alone; the scheme dispatcher and its
-   documented refusals.
+   documented refusals; mixed RIS-user distances under both serving
+   rules average the common-distance values, each distinct distance
+   evaluated once, and the greedy average matches Monte Carlo.
 """
 
 from __future__ import annotations
@@ -721,12 +723,47 @@ def test_scheme_dispatch_heterogeneous_users(air, fading):
 
     geom = ScenarioGeometry(d_rn_m=(30.0, 50.0, 80.0, 120.0))
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading, scheme=SchemeId.FCR_RS)
-    # rotation averages the per-user marginals
+    # rotation averages the per-user marginals, with the slot average's bits
     out = an.zsrp_for_scheme(cfg)
-    assert 0.0 < out.value < 1.0
-    # greedy selection across unequal users has no expansion here
-    with pytest.raises(AnalyticUnavailableError):
-        an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=SchemeId.FCR_GCSI_PFS))
+    assert out.value.hex() == "0x1.7529d7fd9a476p-2"
+
+
+def test_greedy_serving_with_mixed_distances_is_the_user_average(air, fading):
+    from zsrpsim.propagation import ScenarioGeometry
+    from zsrpsim.secrecy import run_monte_carlo
+
+    # GCSI-PFS serves the largest unscaled power sum, uniform over users:
+    # the value averages the common-distance values at each user's distance
+    geom = ScenarioGeometry(h_br_m=150.0, d_rn_m=(30.0, 50.0, 70.0, 90.0))
+    cfg = ScenarioConfig(geometry=geom, air=air, fading=fading,
+                         scheme=SchemeId.FCR_GCSI_PFS)
+    out = an.zsrp_for_scheme(cfg)
+    assert math.isclose(out.value, 0.1907192919881172, rel_tol=1e-12, abs_tol=0.0)
+    assert out.closed_form is not None and out.rel_gap < 1e-12
+    est = run_monte_carlo(cfg, 400_000, 7)
+    assert abs(est.p_hat - out.value) < 4.0 * est.std_err
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS])
+def test_repeated_distances_are_evaluated_once(scheme, air, fading, monkeypatch):
+    from zsrpsim.propagation import ScenarioGeometry
+
+    geom = ScenarioGeometry(d_rn_m=(50.0, 50.0, 80.0, 80.0))
+    cfg = ScenarioConfig(geometry=geom, air=air, fading=fading, scheme=scheme)
+    per_user = [an.zsrp_for_scheme(dataclasses.replace(
+        cfg, geometry=dataclasses.replace(geom, d_rn_m=(d,) * 4))).value
+        for d in geom.d_rn_m]
+    calls = []
+    unwrapped = an.zsrp_from_params
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].sigma1_sq)
+        return unwrapped(*args, **kwargs)
+
+    monkeypatch.setattr(an, "zsrp_from_params", counted)
+    out = an.zsrp_for_scheme(cfg)
+    assert len(calls) == 2 and calls[0] > calls[1]
+    assert math.isclose(out.value, sum(per_user) / 4, rel_tol=1e-15, abs_tol=0.0)
 
 
 def test_offset_fixed_centre_refused(geometry, air, fading):

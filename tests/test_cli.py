@@ -2,7 +2,9 @@
 
 Proves:
  Group 1 — parser surface
-   the three subcommands exist; the installed console script answers.
+   the three subcommands exist; the installed console script answers;
+   a query and an analytic altitude search run with scipy and hypothesis
+   unimportable (the runtime needs numpy only).
 
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
@@ -14,7 +16,8 @@ Proves:
    configuration code, while one whose Meijer composite is refused for its
    rounding bound, or for seeds past the tail integral's range (users 3
    km from the RIS, a 10 m eavesdropper ball), still answers from
-   quadrature with exit 0; the configured SNR does not move the estimate.
+   quadrature with exit 0; greedy serving with mixed RIS-user distances
+   answers analytically; the configured SNR does not move the estimate.
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
@@ -32,13 +35,16 @@ Proves:
 
  Group 5 — exit codes
    a repeated evaluator, scheme or grid value exits with the
-   configuration code, and so do a config file that is not UTF-8 and an
-   ``--out`` path in a missing directory or naming a directory; an
-   accuracy failure maps to its documented exit code.
+   configuration code, and so do a config file that is not UTF-8, an
+   ``--out`` path in a missing directory or naming a directory (refused
+   by every subcommand before anything is evaluated) and a ``run`` whose
+   analytic rows are all skipped; an accuracy failure maps to its
+   documented exit code.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -62,6 +68,21 @@ def test_subcommands_present():
     sub = {a.dest: a for a in parser._actions}.get("command")
     assert set(cli._DISPATCH) == {"run", "zsrp", "optimize-altitude"}
     assert sub is not None
+
+
+def test_runs_on_numpy_alone():
+    # neither scipy nor hypothesis is importable: the runtime needs numpy only
+    code = ("import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            f"sys.path.insert(0, {os.path.dirname(os.path.dirname(cli.__file__))!r})\n"
+            "from zsrpsim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    for argv, n_rows in ((["zsrp", "--trials", "2048", "--seed", "1"], 2),
+                         (["optimize-altitude"], 1)):
+        out = subprocess.run([sys.executable, "-c", code, *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.strip().split("\n")) == 1 + n_rows
 
 
 def test_console_script_installed():
@@ -180,6 +201,16 @@ def test_zsrp_far_seed_refuses_the_closed_form_only(tmp_path, capsys, caplog):
     assert row.split(",")[2:4] == ["fcr-gcsi-pfs", "analytic"]
     assert "closed-form composite unavailable" in caplog.text
     assert "past 1000" in caplog.text
+
+
+def test_zsrp_greedy_serving_takes_mixed_distances(tmp_path, capsys):
+    cfg = tmp_path / "mixed.ini"
+    cfg.write_text("[geometry]\nh_br_m = 150\nd_rn_m = 30, 50, 70, 90\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--evaluator",
+                         "analytic", "--scheme", "fcr-gcsi-pfs")
+    assert rc == 0
+    (row,) = out.strip().split("\n")[1:]
+    assert row.split(",")[2:5] == ["fcr-gcsi-pfs", "analytic", "0.190719292"]
 
 
 def test_zsrp_unknown_scheme_is_config_error(capsys):
@@ -400,11 +431,33 @@ def test_undecodable_config_file_is_config_error(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_unwritable_out_path_is_config_error(where, tmp_path, capsys, caplog):
+def test_unwritable_out_path_is_config_error(where, tmp_path, capsys, caplog,
+                                            monkeypatch):
+    # the path is refused before anything is evaluated
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "optimal_altitude", never)
     path = tmp_path / "absent" / "rows.csv" if where == "missing-directory" else tmp_path
-    rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--out", str(path))
+    for command in ("zsrp", "run", "optimize-altitude"):
+        caplog.clear()
+        rc, out, _ = run_cli(capsys, command, "--out", str(path))
+        assert rc == 2 and out == ""
+        assert f"cannot write {path}" in caplog.text
+    assert not (tmp_path / "absent").exists()
+
+
+def test_run_without_rows_is_config_error(tmp_path, capsys, caplog):
+    # analytic rows of single-connected schemes only: nothing to write
+    cfg = tmp_path / "sc.ini"
+    cfg.write_text("[experiment]\nkind = single\nschemes = scr-rs, scr-gcsi-pfs\n"
+                   "evaluators = analytic\n")
+    out_csv = tmp_path / "rows.csv"
+    rc, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out_csv))
     assert rc == 2 and out == ""
-    assert f"cannot write {path}" in caplog.text
+    assert "no analytic value for scheme 'scr-rs', 'scr-gcsi-pfs'" in caplog.text
+    assert not out_csv.exists()
 
 
 def test_accuracy_exit_code(capsys, caplog, monkeypatch):

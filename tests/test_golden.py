@@ -16,7 +16,8 @@ Proves:
    and round robin around a fixed centre.  The regeneration block of
    ``tests/data/README.md`` writes exactly the Monte-Carlo fixtures
    compared here, each by a command that resolves to the same scenario,
-   spec and subcommand flags as the test's own.
+   spec and subcommand flags as the test's own.  A Monte-Carlo fixture
+   that differs names the running numpy next to the one that made it.
 
  Group 3 — analytic precision
    the quadrature value and the closed form of both fully connected rules
@@ -31,9 +32,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zsrpsim import cli
@@ -43,6 +46,16 @@ from zsrpsim.scheduling import SchemeId
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
+#: numpy that made the seed-pinned MC fixtures: NEP 19 lets Generator
+#: streams change between numpy versions, so a mismatch names both
+FIXTURE_NUMPY = re.search(r"made with numpy (\S+) ",
+                          (DATA / "README.md").read_text()).group(1)
+
+
+def _assert_mc_fixture(out: Path, name: str) -> None:
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes(), (
+        f"{name}.csv differs: fixtures made with numpy {FIXTURE_NUMPY}, "
+        f"running numpy {np.__version__}")
 
 CASES = {
     "fig4-mc": ("fig4", "mc-all.ini", "5000", "1"),
@@ -61,7 +74,7 @@ def test_cli_reproduces_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
-    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+    _assert_mc_fixture(out, name)
 
 
 # --- Group 2: one-point queries ---
@@ -79,7 +92,7 @@ def test_zsrp_reproduces_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
-    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+    _assert_mc_fixture(out, name)
 
 
 def test_analytic_altitude_search_reproduces_fixture(tmp_path, monkeypatch):
@@ -105,7 +118,7 @@ def test_mc_altitude_search_reproduces_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     rc = cli.main([*_mc_argv(name), "--out", str(out)])
     assert rc == 0
-    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+    _assert_mc_fixture(out, name)
 
 
 def _mc_argv(name: str) -> list[str]:

@@ -63,6 +63,16 @@ Proves:
    single connected cascade over 10 blocks has the mean
    L + L(L - 1) (E[sqrt(g_b)] E[sqrt(g_r)])^2 within 4 standard errors
    for two fading settings.
+
+ Group 7 — an eavesdropper ball with a fixed centre
+   the offset-ball oracle (the sphere-sphere lens volume integrated over
+   the served power sum and W by fixed Gauss-Legendre rules) equals the
+   BS-centred analytic value to 1e-10 at zero offset for both serving
+   rules; the fixed-centre MC rows (centre at 150 m, BS at 300 m and
+   450 m, default users and users 150 m from the RIS, where the offset
+   moves the ZSRP by up to 20 %) lie within 4 standard errors of it; the
+   drawn BS-eavesdropper distance follows the lens law at an offset
+   inside and past the radius (Kolmogorov-Smirnov, p > 1e-4).
 """
 
 from __future__ import annotations
@@ -78,11 +88,13 @@ import pytest
 from scipy import stats
 
 from zsrpsim import secrecy as sec
-from zsrpsim.analytic import ClosedFormParams, cdf_Z_single
+from zsrpsim.analytic import ClosedFormParams, cdf_Z_single, zsrp_for_scheme
 from zsrpsim.fading import FadingParams, cdf_S
 from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
                                  ris_user_gain, sample_eve_distance)
 from zsrpsim.scheduling import SchemeId
+
+from oracles import eve_within, zsrp_offset_ball
 
 # closed-form references for the default scenario (independently validated
 # against quadrature in the analytic-layer tests)
@@ -652,3 +664,48 @@ def test_single_connected_cascade_mean(geometry, air, shapes):
                           - math.lgamma(m1) - math.lgamma(m2)) / math.sqrt(m1 * m2)
     want = n_elements + n_elements * (n_elements - 1) * root_means ** 2
     assert abs(z.mean() - want) <= 4.0 * z.std() / math.sqrt(z.size)
+
+
+# --- Group 7: an eavesdropper ball with a fixed centre ---
+
+
+def _cascade_params(cfg: sec.ScenarioConfig) -> ClosedFormParams:
+    """The cascade of one user (the served maximum of N under PFS)."""
+    geom, air, fad = cfg.geometry, cfg.air, cfg.fading
+    return ClosedFormParams(
+        m1=fad.m1, m2=fad.m2, n_elements=fad.n_elements,
+        sigma1_sq=ris_user_gain(geom, air, 0), sigma2_sq=bs_ris_gain(geom, air),
+        ref_gain=air.ref_gain, r_eve_m=geom.r_eve_m,
+        n_users=1 if cfg.scheme.rule == "rs" else cfg.n_users)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS])
+def test_offset_ball_oracle_at_zero_offset_is_the_analytic_value(geometry, air,
+                                                                 fading, scheme):
+    cfg = make_config(geometry, air, fading, scheme)
+    want = zsrp_for_scheme(cfg).value
+    assert math.isclose(zsrp_offset_ball(_cascade_params(cfg), 0.0), want,
+                        rel_tol=1e-10, abs_tol=0.0)
+
+
+def test_fixed_centre_mc_matches_the_offset_ball_oracle(air, fading):
+    configs = [make_config(ScenarioGeometry(h_br_m=h, d_rn_m=(d_rn,) * 4), air,
+                           fading, scheme, eve_center="fixed", eve_center_h_m=150.0)
+               for d_rn in (50.0, 150.0) for h in (300.0, 450.0)
+               for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS)]
+    estimates = sec.run_monte_carlo_many(configs, 400_000, 2026)
+    for cfg, est in zip(configs, estimates):
+        want = zsrp_offset_ball(_cascade_params(cfg), cfg.geometry.h_br_m - 150.0)
+        assert abs(est.p_hat - want) < 4.0 * est.std_err, (cfg.geometry, cfg.scheme)
+
+
+@pytest.mark.parametrize("h_br_m", [450.0, 1000.0])
+def test_fixed_centre_distance_follows_the_lens_law(air, fading, h_br_m):
+    # offsets 300 m (inside the 500 m ball) and 850 m (past it)
+    cfg = make_config(ScenarioGeometry(h_br_m=h_br_m), air, fading,
+                      eve_center="fixed", eve_center_h_m=150.0)
+    block = sec._draw_block([cfg], 2026, 0, 20_000)
+    dist = sec._eve_distance(cfg, block.cbrt_u, block.dir_z)
+    law = functools.partial(eve_within, big_r=cfg.geometry.r_eve_m,
+                            offset=h_br_m - 150.0)
+    assert stats.kstest(dist, law).pvalue > 1e-4

@@ -700,17 +700,17 @@ def _gl_panels(lo, hi, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights.reshape(shape)
 
 
-def zsrp_offset_ball(p: ClosedFormParams, offset: float, panels: int = 12,
-                     order: int = 20) -> float:
+def zsrp_offset_ball(p: ClosedFormParams, offset: float) -> float:
     """ZSRP around an eavesdropper ball whose centre lies ``offset`` from
     the BS, free-space wiretap: E[eve_within(t, R, offset)] with
     t = sqrt(G0 / (sigma1^2 sigma2^2 S W)), S the largest of ``p.n_users``
     user power sums (one for round robin) and W the BS-side sum.
 
-    Fixed composite Gauss-Legendre rules over W and, at each W node, over
-    S between the kinks of eve_within (t = R + d and t = |R - d|).  Where
-    t > R + d the integrand is 1, and its mass F_S^N is taken exactly.
-    F_S is scipy's ``gammainc``.
+    Fixed composite Gauss-Legendre rules, 12 panels of 20 nodes (the rules
+    the 1e-10 zero-offset check was measured with), over W and, at each W
+    node, over S between the kinks of eve_within (t = R + d and
+    t = |R - d|).  Where t > R + d the integrand is 1, and its mass F_S^N
+    is taken exactly.  F_S is scipy's ``gammainc``.
     """
     a1, a2 = p.m1 * p.n_elements, p.m2 * p.n_elements
     r, d, n = p.r_eve_m, offset, p.n_users
@@ -721,14 +721,14 @@ def zsrp_offset_ball(p: ClosedFormParams, offset: float, panels: int = 12,
     def log_gamma_pdf(x, a, rate):
         return a * math.log(rate) + (a - 1) * np.log(x) - rate * x - math.lgamma(a)
 
-    w, w_wt = _gl_panels(0.0, w_top, panels, order)
+    w, w_wt = _gl_panels(0.0, w_top, 12, 20)
     # S below which t > R + d, and above which t < |R - d|
     s_far = np.minimum(c / (w * (r + d) ** 2), s_top)
     s_near = (np.full_like(w, s_top) if d == r
               else np.minimum(c / (w * (r - d) ** 2), s_top))
     inner = special.gammainc(a1, p.m1 * s_far) ** n
     for lo, hi in ((s_far, s_near), (s_near, np.full_like(w, s_top))):
-        s, s_wt = _gl_panels(lo, hi, panels, order)
+        s, s_wt = _gl_panels(lo, hi, 12, 20)
         dens = n * special.gammainc(a1, p.m1 * s) ** (n - 1) * np.exp(
             log_gamma_pdf(s, a1, p.m1))
         t = np.sqrt(c / (w[:, None] * s))

@@ -46,16 +46,18 @@ from zsrpsim.scheduling import SchemeId
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-#: numpy that made the seed-pinned MC fixtures: NEP 19 lets Generator
-#: streams change between numpy versions, so a mismatch names both
-FIXTURE_NUMPY = re.search(r"made with numpy (\S+) ",
-                          (DATA / "README.md").read_text()).group(1)
 
 
 def _assert_mc_fixture(out: Path, name: str) -> None:
-    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes(), (
-        f"{name}.csv differs: fixtures made with numpy {FIXTURE_NUMPY}, "
-        f"running numpy {np.__version__}")
+    if out.read_bytes() == (DATA / f"{name}.csv").read_bytes():
+        return
+    # NEP 19 lets Generator streams change between numpy versions, so a
+    # mismatch names the numpy the fixtures record next to the running one
+    made = re.search(r"made with numpy (\S+) ", (DATA / "README.md").read_text())
+    pytest.fail(f"{name}.csv differs: fixtures made with numpy "
+                f"{made.group(1) if made else 'unknown'}, "
+                f"running numpy {np.__version__}")
+
 
 CASES = {
     "fig4-mc": ("fig4", "mc-all.ini", "5000", "1"),

@@ -20,26 +20,25 @@ Evaluation routes, cross-checked against each other, arrays in and out:
   rounding), the fast route for the single-user cascade: a sum of
   positive terms that share one argument.  One array Bessel-K
   recurrence and one (nodes x terms) log-sum serve all distance nodes
-  of an integrand call, each node bit for bit as alone;
-* ``cdf_Z_quadrature``: independent direct integration over the BS-side
-  power sum, the adjudicating oracle; it raises F_S to the user count N
-  (CDF of the served maximum), so proportional fairness needs no
-  separate route;
+  of an integrand call, each node bit for bit as alone.  Round robin
+  psi-averages it with :func:`psi_average`;
+* ``cdf_Z_quadrature``: the proportional-fair value as one positive 1-D
+  integral over the served user-side power sum, no nested distance
+  average;
 * a closed-form composite reducing the psi-average to Meijer G
   functions, reported as ``closed_form`` (where the rounding bound of its
   sum admits it) next to the quadrature ``value`` with their gap.
 
-Every quadrature here (the inner integrals over W, the distance average
-and the tail integrals of the composite seeds) is the one adaptive
-Gauss-Legendre rule :func:`~zsrpsim.specfun.adaptive_gl`, which refines
-breadth first: each level evaluates the halves of every open panel of
-every integral together, in integrand calls of at most
-``specfun._GL_PANELS_PER_CALL`` panels.  So the proportional-fair
-``value`` integrates the inner integrals of all distance nodes of an
-outer call at once.  Each panel sum, convergence test and fold is the
-one a depth-first recursion makes, so every value is bit for bit the
-recursion's.  Where F_S is exactly 1.0 in double precision,
-:func:`~zsrpsim.fading.cdf_S` writes it without the Poisson sum.
+Every quadrature here (the distance average, the proportional-fair
+integral and the tail integrals of the composite seeds) is the one
+adaptive Gauss-Legendre rule :func:`~zsrpsim.specfun.adaptive_gl`, which
+refines breadth first: each level evaluates the halves of every open
+panel of every integral together, in integrand calls of at most
+``specfun._GL_PANELS_PER_CALL`` panels.  Each panel sum, convergence
+test and fold is the one a depth-first recursion makes, so every value
+is bit for bit the recursion's.  Where F_S is exactly 1.0 in double
+precision, :func:`~zsrpsim.fading.cdf_S` writes it without the Poisson
+sum.
 
 Proportional-fair order statistics enter the closed form through
 collapsed polynomial coefficients of the N-fold truncated exponential
@@ -84,10 +83,6 @@ logger = logging.getLogger(__name__)
 #: Resolution of the closed-form cross-check: a larger closed-form vs
 #: quadrature gap warns, and a larger relative rounding bound refuses.
 REL_GAP_WARN = 1e-6
-#: Absolute tolerance of each integral over W in :func:`cdf_Z_quadrature`,
-#: and the Gamma tail mass of W left past its cutoff.
-_QUAD_ABS_TOL = 1e-12
-_W_TAIL_LEVEL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -194,8 +189,8 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     summed in log space, at each entry of the array ``z``.  Every order
     at every z comes from one array Bessel-K recurrence at 2 sqrt(xi),
     and the positive terms of all z are summed as rows of one array,
-    each bit for bit as alone.  Validated against
-    :func:`cdf_Z_quadrature`; returns 0 for z <= 0.
+    each bit for bit as alone.  Checked in the tests against direct
+    integration over W; returns 0 for z <= 0.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
@@ -224,33 +219,65 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     return out
 
 
-def cdf_Z_quadrature(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
-    """CDF of the N-user maximum cascade by direct integration over W.
+def _cdf_u(b: np.ndarray, a_2: int) -> np.ndarray:
+    """CDF of U = (psi/R)^2 G, G ~ Gamma(a_2, 1), at each entry of ``b`` > 0.
 
-    Independent of the Bessel route: integrates F_S(z~ / w)^N (the CDF
-    of the served maximum, the single-user cascade when N = 1) against
-    the Gamma density of W by adaptive quadrature; the tail of W past
-    the cutoff :func:`~zsrpsim.fading.tail_cutoff` holds less than
-    ``_W_TAIL_LEVEL``.  Works for any user count.  The integrals at the
-    entries of the array ``z`` run together in one batched quadrature,
-    each bit for bit as alone.
+    (psi/R)^2 has CDF v^(3/2) on [0, 1] for psi uniform in the ball, so
+
+        F_U(b) = P(a_2, b) + b^(3/2) Gamma(a_2 - 3/2, b) / Gamma(a_2).
+
+    For a_2 = n + 2, Gamma(n + 1/2, b) / Gamma(n + 1/2) = erfc(sqrt b)
+    + sum_{k<n} e^-b b^(k+1/2) / Gamma(k + 3/2) (DLMF 8.4.6 and 8.8.2),
+    positive terms, each formed in log space so that none overflows
+    where e^-b underflows; Gamma(n + 1/2) / Gamma(n + 2) is a product of
+    ratios, which rounds less than a difference of lgammas.  At a_2 = 1,
+    Gamma(-1/2, b) = 2 (e^-b / sqrt b - sqrt(pi) erfc(sqrt b)).
     """
-    z_arr = np.asarray(z, dtype=float)
-    out = np.zeros(z_arr.shape)
-    pos = z_arr > 0.0
-    if np.any(pos):
-        z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
-        w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
+    root = np.sqrt(b)
+    erfc = specfun.apply_math(math.erfc, root)
+    if a_2 == 1:
+        gamma_ratio = 2.0 * (np.exp(-b) / root - math.sqrt(math.pi) * erfc)
+    else:
+        n = a_2 - 2
+        log_terms = ((np.arange(n) + 0.5) * np.log(b)[:, None] - b[:, None]
+                     - np.array([math.lgamma(k + 1.5) for k in range(n)]))
+        gamma_ratio = (math.sqrt(math.pi)
+                       * math.prod((k + 0.5) / (k + 1) for k in range(n))
+                       / (a_2 - 1) * (erfc + np.exp(log_terms).sum(axis=1)))
+    return cdf_S(b, 1, a_2) + b * root * gamma_ratio
 
-        # Gauss-Legendre nodes are interior, so every w is positive
-        def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
-                    * pdf_W(w, p.m2, p.n_elements))
 
-        val = specfun.adaptive_gl(integrand, 0.0, w_hi, _QUAD_ABS_TOL,
-                                  z_tilde.size)
-        out[pos] = np.minimum(1.0, np.maximum(0.0, val))
-    return out
+def cdf_Z_quadrature(p: ClosedFormParams) -> float:
+    """psi-averaged CDF of the served cascade, by one quadrature over the
+    served user-side power sum.
+
+    The ZSR event sigma1^2 sigma2^2 S W < G0 / psi^2 reads U < X / (m1 S)
+    with U = m2 W psi^2 / R^2 (:func:`_cdf_u`) and X = ``p.big_x``.  The
+    served S is the largest of N independent Gamma(m1 L, 1/m1) sums (one
+    sum when N = 1), so
+
+        ZSRP = int_0^inf F_U(X / (m1 s)) N F_S(s)^(N-1) f_S(s) ds,
+
+    a positive integrand, taken by :func:`~zsrpsim.specfun.adaptive_gl`
+    up to the point past which one sum holds less than 1e-17 of its mass
+    (:func:`~zsrpsim.fading.tail_cutoff`).  A first pass to 1e-8 absolute
+    sizes the second, to 1e-13 of the first's result but at least 1e-300,
+    so that a result at the bottom of the double range still converges.
+    Returns the value clamped to [0, 1].
+    """
+    a_2 = p.m2 * p.n_elements
+
+    # Gauss-Legendre nodes are interior, so every s is positive
+    def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (_cdf_u(p.big_x / (p.m1 * s), a_2) * p.n_users
+                * cdf_S(s, p.m1, p.n_elements) ** (p.n_users - 1)
+                * pdf_W(s, p.m1, p.n_elements))
+
+    s_hi = tail_cutoff(p.m1 * p.n_elements, 1e-17) / p.m1
+    (coarse,) = specfun.adaptive_gl(integrand, 0.0, s_hi, 1e-8, 1)
+    (val,) = specfun.adaptive_gl(integrand, 0.0, s_hi,
+                                 max(1e-13 * coarse, 1e-300), 1)
+    return min(1.0, max(0.0, float(val)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +417,23 @@ def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
 
 def zsrp_from_params(p: ClosedFormParams, round_robin: bool,
                      closed_form: bool = True) -> AnalyticZsrp:
-    """ZSRP of one scheduling rule: the psi-average of its cascade CDF.
+    """ZSRP of one scheduling rule.
 
-    The rule, never N, picks the CDF: round robin sets N = 1 and averages
-    :func:`cdf_Z_single`, proportional fairness :func:`cdf_Z_quadrature`.
+    The rule, never N, picks the route: round robin sets N = 1 and
+    psi-averages the series CDF :func:`cdf_Z_single`; proportional
+    fairness takes the one 1-D integral of :func:`cdf_Z_quadrature`.
     ``closed_form`` comes from the Meijer composite, omitted where it
     refuses or when ``closed_form`` is False.
     """
     if round_robin:
-        p, cdf = dataclasses.replace(p, n_users=1), cdf_Z_single
+        p = dataclasses.replace(p, n_users=1)
+        # float_power squares by pow, as the scalar ``r ** 2`` of one node
+        # does; ``r ** 2`` of an array multiplies, which rounds differently
+        value = psi_average(
+            lambda r: cdf_Z_single(p.ref_gain / np.float_power(r, 2), p),
+            p.r_eve_m)
     else:
-        cdf = cdf_Z_quadrature
-    # float_power squares by pow, as the scalar ``r ** 2`` of one node
-    # does; ``r ** 2`` of an array multiplies, which rounds differently
-    value = psi_average(
-        lambda r: cdf(p.ref_gain / np.float_power(r, 2), p), p.r_eve_m)
+        value = cdf_Z_quadrature(p)
     return _report(value, _closed_form(p) if closed_form else None)
 
 

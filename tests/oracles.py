@@ -60,9 +60,19 @@ for the fixed-centre Monte-Carlo rows that shares no code with them.
 recursion, one integral at a time; every integral of the package's
 breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
 ``adaptive_gl_each`` puts it in ``adaptive_gl``'s place, with one
-bracket and tolerance per integral where those are given, and
-``zsrp_pfs_value_recursive`` is the proportional-fair quadrature value
-as one recursion per distance node computes it.
+bracket and tolerance per integral where those are given.
+
+``cdf_Z_quadrature_recursive`` is the CDF F_Z of the served cascade by
+direct integration of F_S(z~ / w)^N over the density of W, one
+recursion for one z: the adjudicating oracle of the round-robin series
+CDF.  ``cdf_Z_quadrature_batched`` takes the same integrals of an array
+of z in one breadth-first ``adaptive_gl`` call and must match it bit for
+bit.  ``zsrp_pfs_value_recursive`` is the proportional-fair ZSRP as the
+distance average of that F_Z, one recursion per distance node, nested in
+a recursion over the distance.  ``zsrp_pfs_1d_recursive`` is the
+package's one 1-D integral over the served user-side power sum
+(``analytic.cdf_Z_quadrature``), restated node by node and taken depth
+first; the package must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
-from zsrpsim.analytic import _QUAD_ABS_TOL, _W_TAIL_LEVEL, ClosedFormParams
+from zsrpsim.analytic import ClosedFormParams
 from zsrpsim.errors import AccuracyError
 from zsrpsim.fading import cdf_S, pdf_W, tail_cutoff
 from zsrpsim.specfun import (_GL_MAX_DEPTH, _GL_NODES, _GL_WEIGHTS,
@@ -635,6 +645,12 @@ def adaptive_gl_each(f, lo, hi, abs_tol, count: int) -> np.ndarray:
         for i in range(count)])
 
 
+#: Absolute tolerance of each integral over W of the direct F_Z
+#: quadrature, and the Gamma tail mass of W left past its cutoff.
+_QUAD_ABS_TOL = 1e-12
+_W_TAIL_LEVEL = 1e-13
+
+
 def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams) -> float:
     """F_S(z~ / w)^N against the density of W, one recursion for one z."""
     if z <= 0.0:
@@ -650,6 +666,24 @@ def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams) -> float:
     return min(1.0, max(0.0, val))
 
 
+def cdf_Z_quadrature_batched(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
+    """:func:`cdf_Z_quadrature_recursive` at every entry of the array ``z``,
+    the integrals in one breadth-first ``adaptive_gl`` call."""
+    z_arr = np.asarray(z, dtype=float)
+    out = np.zeros(z_arr.shape)
+    pos = z_arr > 0.0
+    z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
+    w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
+
+    def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (cdf_S(z_tilde[rows] / w, p.m1, p.n_elements) ** p.n_users
+                * pdf_W(w, p.m2, p.n_elements))
+
+    val = adaptive_gl(integrand, 0.0, w_hi, _QUAD_ABS_TOL, z_tilde.size)
+    out[pos] = np.minimum(1.0, np.maximum(0.0, val))
+    return out
+
+
 def zsrp_pfs_value_recursive(p: ClosedFormParams) -> float:
     """Proportional-fair ZSRP value: one inner recursion per distance node.
 
@@ -663,6 +697,51 @@ def zsrp_pfs_value_recursive(p: ClosedFormParams) -> float:
                 * 3.0 * r ** 2 / r_eve ** 3)
 
     val = adaptive_gl_recursive(integrand, 0.0, r_eve, 1e-10)
+    return min(1.0, max(0.0, val))
+
+
+def _cdf_u_nodes(b: np.ndarray, a_2: int) -> np.ndarray:
+    """F_U(b) = P(a_2, b) + b^(3/2) Gamma(a_2 - 3/2, b) / Gamma(a_2) at each
+    node, U = (psi/R)^2 G with G ~ Gamma(a_2, 1); the finite sum of the
+    half-integer upper Gamma function is taken node by node."""
+    root = np.sqrt(b)
+    erfc = np.array([math.erfc(v) for v in root.tolist()])
+    if a_2 == 1:
+        # Gamma(-1/2, b) = 2 (e^-b / sqrt b - sqrt(pi) erfc(sqrt b))
+        gamma_ratio = 2.0 * (np.exp(-b) / root - math.sqrt(math.pi) * erfc)
+    else:
+        # Gamma(n + 1/2, b) / Gamma(n + 1/2)
+        #   = erfc(sqrt b) + sum_{k<n} e^-b b^(k+1/2) / Gamma(k + 3/2)
+        n = a_2 - 2
+        k = np.arange(n)
+        lgam = np.array([math.lgamma(v + 1.5) for v in range(n)])
+        sums = np.array([np.exp((k + 0.5) * log_b - bi - lgam).sum()
+                         for bi, log_b in zip(b, np.log(b))])
+        # Gamma(n + 1/2) / Gamma(n + 2) as a product of ratios
+        ratio = math.sqrt(math.pi) * math.prod(
+            (v + 0.5) / (v + 1) for v in range(n)) / (a_2 - 1)
+        gamma_ratio = ratio * (erfc + sums)
+    return cdf_S(b, 1, a_2) + b * root * gamma_ratio
+
+
+def zsrp_pfs_1d_recursive(p: ClosedFormParams) -> float:
+    """ZSRP as one integral over the served user-side power sum, depth first.
+
+    Integrates F_U(X / (m1 s)) N F_S(s)^(N-1) f_S(s) over
+    [0, tail_cutoff(m1 L, 1e-17) / m1], first to 1e-8 absolute, then to
+    1e-13 of that result (at least 1e-300), and clamps to [0, 1].
+    """
+    a_2 = p.m2 * p.n_elements
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return (_cdf_u_nodes(p.big_x / (p.m1 * s), a_2) * p.n_users
+                * cdf_S(s, p.m1, p.n_elements) ** (p.n_users - 1)
+                * pdf_W(s, p.m1, p.n_elements))
+
+    s_hi = tail_cutoff(p.m1 * p.n_elements, 1e-17) / p.m1
+    coarse = adaptive_gl_recursive(integrand, 0.0, s_hi, 1e-8)
+    val = adaptive_gl_recursive(integrand, 0.0, s_hi,
+                                max(1e-13 * coarse, 1e-300))
     return min(1.0, max(0.0, val))
 
 

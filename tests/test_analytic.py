@@ -35,6 +35,10 @@ Proves:
  Group 5 — end-to-end probabilities
    frozen default-scenario values for rotation and greedy serving with the
    closed form agreeing to better than 1e-6 (and frozen gaps near 1e-12);
+   the round-robin value lies within 1e-12 of the one-user
+   proportional-fair integral over the default fig4 altitudes at L = 16,
+   and is recorded as failing that at L = 32 and h = 220/310/450 m, where
+   the series cancels (strict xfail);
    the rounding bound of the order-statistic sum, not a user or term cap,
    decides the closed form: every default fig2, fig3 and fig4 grid point
    keeps it for both serving rules, 13 default users keep it within 1e-9
@@ -83,10 +87,12 @@ from zsrpsim import analytic as an
 from zsrpsim import specfun
 from zsrpsim.errors import AccuracyError, AnalyticUnavailableError
 from zsrpsim.fading import cdf_S
+from zsrpsim.propagation import ScenarioGeometry, bs_ris_gain, ris_user_gain
 from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
-from oracles import (cdf_power_sum_order_stat, cdf_Z_single_scalar,
+from oracles import (cdf_power_sum_order_stat, cdf_Z_quadrature_recursive,
+                     cdf_Z_single_scalar,
                      enumerate_subset_terms, meijer_g_m0_log_contour,
                      meijer_g_m0_log_quad, ordered_sum_coefficients)
 
@@ -136,7 +142,8 @@ def test_series_vs_quadrature(m1, m2, n_elements):
     # grid centered on the mean cascade level E[S W] = L^2
     p = unit_params(m1=m1, m2=m2, n_elements=n_elements)
     z = np.geomspace(0.05 * n_elements**2, 20.0 * n_elements**2, 7)
-    gap = np.abs(an.cdf_Z_single(z, p) - an.cdf_Z_quadrature(z, p))
+    quad = [cdf_Z_quadrature_recursive(v, p) for v in z.tolist()]
+    gap = np.abs(an.cdf_Z_single(z, p) - quad)
     assert np.all(gap < 1e-8), (m1, m2, n_elements, gap)
 
 
@@ -377,6 +384,30 @@ def test_pfs_single_user_equals_rs(closed_params):
     rs = an.zsrp_from_params(closed_params(n_users=1), True)
     pfs = an.zsrp_from_params(closed_params(n_users=1), False)
     assert math.isclose(rs.value, pfs.value, rel_tol=1e-10)
+
+
+#: At L = 32 the round-robin series cancels: it lies 2.5e-12 (220 m),
+#: 2.0e-12 (310 m) and 1.1e-11 (450 m) from the one-user integral.
+_RR_SERIES_CANCELS = pytest.mark.xfail(
+    strict=True, reason="round-robin series cancels at L = 32")
+
+
+@pytest.mark.parametrize(
+    "n_elements, h_br_m",
+    [(16, h) for h in (60.0, 100.0, 150.0, 220.0, 310.0, 450.0, 700.0, 1000.0)]
+    + [pytest.param(32, h, marks=_RR_SERIES_CANCELS)
+       for h in (220.0, 310.0, 450.0)])
+def test_rs_value_is_the_one_user_integral(n_elements, h_br_m, air):
+    # the round-robin series, psi-averaged, against the proportional-fair
+    # 1-D integral of one user: two routes that share no integral
+    geom = ScenarioGeometry(h_br_m=h_br_m)
+    p = an.ClosedFormParams(
+        m1=2, m2=2, n_elements=n_elements, sigma1_sq=ris_user_gain(geom, air, 0),
+        sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+        r_eve_m=geom.r_eve_m, n_users=4)
+    rs = an.zsrp_from_params(p, True, closed_form=False).value
+    one_user = an.cdf_Z_quadrature(dataclasses.replace(p, n_users=1))
+    assert abs(rs - one_user) <= 1e-12 * one_user
 
 
 def test_pfs_improves_with_users(closed_params):

@@ -2,9 +2,10 @@
 
 Proves:
  Group 1 — parser surface
-   the three subcommands exist; the installed console script answers;
-   a query and an analytic altitude search run with scipy and hypothesis
-   unimportable (the runtime needs numpy only).
+   the three subcommands exist; the ``[project.scripts]`` entry of
+   ``pyproject.toml`` resolves to ``cli.main`` and the module answers; a
+   query, an analytic altitude search and an analytic greedy query run
+   with scipy and hypothesis unimportable (the runtime needs numpy only).
 
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
@@ -44,9 +45,12 @@ Proves:
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +82,9 @@ def test_runs_on_numpy_alone():
             "from zsrpsim import cli\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
     for argv, n_rows in ((["zsrp", "--trials", "2048", "--seed", "1"], 2),
-                         (["optimize-altitude"], 1)):
+                         (["optimize-altitude"], 1),
+                         (["zsrp", "--evaluator", "analytic",
+                           "--scheme", "fcr-gcsi-pfs"], 1)):
         out = subprocess.run([sys.executable, "-c", code, *argv],
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
@@ -86,6 +92,13 @@ def test_runs_on_numpy_alone():
 
 
 def test_console_script_installed():
+    # the [project.scripts] entry names cli.main; pyproject.toml is read
+    # with a regex because Python 3.10 has no tomllib
+    pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^zsrpsim\s*=\s*"([\w.]+):(\w+)"\s*$', pyproject,
+                           re.MULTILINE)
+    module, attr = target
+    assert getattr(importlib.import_module(module), attr) is cli.main
     out = subprocess.run(
         [sys.executable, "-m", "zsrpsim.cli", "zsrp", "--trials", "2048", "--seed", "3"],
         capture_output=True,

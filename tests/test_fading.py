@@ -41,7 +41,6 @@ from scipy import integrate, special, stats
 
 from zsrpsim import fading as fd
 from zsrpsim import specfun
-from zsrpsim.analytic import _W_TAIL_LEVEL
 from zsrpsim.errors import AccuracyError
 
 # frozen: P[Gamma(4, 1/2) <= 1]
@@ -184,11 +183,11 @@ _CUTOFF_SHAPES = [1, 4, 32, 64, 96, 256, 800]
 
 @pytest.mark.parametrize("a", _CUTOFF_SHAPES)
 def test_tail_cutoff_w_level(a):
-    # all three levels the search serves (the lower-tail switch, the W
-    # cutoff of the cascade quadrature, the exact-one switch): less than
-    # the level lies past the cutoff, and Q crosses the level within
-    # 2^-29 relative below it
-    for level in (1.0 - 2.0 ** -20, _W_TAIL_LEVEL, 2.0 ** -60):
+    # every level the search serves (the lower-tail switch, the W cutoff
+    # of the direct F_Z oracle, the cutoff of the proportional-fair
+    # integral over S, the exact-one switch): less than the level lies
+    # past the cutoff, and Q crosses the level within 2^-29 relative below it
+    for level in (1.0 - 2.0 ** -20, 1e-13, 1e-17, 2.0 ** -60):
         x = fd.tail_cutoff(a, level)
         assert specfun.regularized_upper_gamma(a, x) < level, level
         assert specfun.regularized_upper_gamma(a, x * (1.0 - 2.0 ** -29)) >= level, level

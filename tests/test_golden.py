@@ -24,7 +24,11 @@ Proves:
    stay within 1e-12 relative of the fixture at three altitudes and two
    more element counts; at the same points the quadrature value lies
    within 1e-12 and the closed form within 5e-12 relative of a 40-digit
-   mpmath evaluation of the Meijer-G series.
+   mpmath evaluation of the Meijer-G series.  The proportional-fair
+   value also lies within 1e-12 of a 60-digit evaluation of that series
+   at L = 32 (h = 220, 310 and 450 m, and 12 users at 310 m) and at
+   m1 = m2 = L = 1 (310 m), where the series cancels or the integral
+   takes its a = m2 L = 1 branch.
 """
 
 from __future__ import annotations
@@ -209,3 +213,26 @@ def test_analytic_near_mpmath_truth(case):
     truth = float(case["zsrp"])
     assert abs(res.value - truth) <= 1e-12 * truth
     assert abs(res.closed_form - truth) <= 5e-12 * truth
+
+
+PFS_MP_CASES = json.loads((DATA / "analytic-pfs-mp.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", PFS_MP_CASES,
+    ids=[f"h{c['h_br_m']:g}-L{c['elements']}-N{c['users']}-m{c['m1']}{c['m2']}"
+         for c in PFS_MP_CASES])
+def test_pfs_value_near_mpmath_truth(case):
+    # value only: the closed form is about 2e-9 off at L = 32
+    scenario, _ = load_config(None)
+    geometry = scenario.geometry
+    cfg = dataclasses.replace(
+        scenario, scheme=SchemeId.from_string(case["scheme"]),
+        geometry=dataclasses.replace(
+            geometry, h_br_m=case["h_br_m"],
+            d_rn_m=geometry.d_rn_m[:1] * case["users"]),
+        fading=dataclasses.replace(scenario.fading, m1=case["m1"],
+                                   m2=case["m2"], n_elements=case["elements"]))
+    truth = float(case["zsrp"])
+    value = zsrp_for_scheme(cfg, closed_form=False).value
+    assert abs(value - truth) <= 1e-12 * truth

@@ -2,11 +2,14 @@
 
 Proves:
  Group 1 — bit for bit against the depth-first recursion
-   (``oracles.adaptive_gl_recursive``, compared by ``float.hex``): every
-   inner F_S^N integral at the 24 distance nodes of an outer panel, at
-   h = 150 m and 1000 m; a proportional-fair ``value`` at N = 12 users and
-   L = 32 elements against one recursion per distance node, whose gain
-   thresholds G0 / r^2 the batched route reproduces bit for bit; the
+   (``oracles.adaptive_gl_recursive``, compared by ``float.hex``): the
+   direct F_S^N integrals over W at the 24 distance nodes of an outer
+   panel, at h = 150 m and 1000 m, in one batched call of the oracle copy
+   against one recursion each; the proportional-fair ``value``, one 1-D
+   integral over the served user-side power sum, against its node-by-node
+   depth-first restatement (``oracles.zsrp_pfs_1d_recursive``) at h = 150,
+   310 and 1000 m and at N = 12 users and L = 32 elements, where it also
+   lies within 1e-12 of the nested distance-by-W recursion; the
    volume-weighted average of (r/R)^2; the tail integral of one composite
    seed, alone and in a mixed-order batch of seeds; the seeds' fixed
    bracketing grid against the lockstep scan it replaced
@@ -15,16 +18,19 @@ Proves:
    nu <= 500, x in [1e-10, 2.5e5], alone and in batches (property), and
    the scan's cutoff at most 12 points past u_ok = max(tail floor,
    2 (mu + 1)), the bound the grid length rests on; integrals given one
-   bracket and tolerance each; ``cdf_Z_quadrature`` of an array against
-   its one-element calls, with the support edge and the array shape kept.
+   bracket and tolerance each.
 
  Group 2 — failure and cost
    one integrand with a jump among converging ones makes the batched call
    raise ``AccuracyError`` at the depth cap, as the recursion does for
    that integrand alone, while the converging ones still match the
-   recursion without it; one default ``fcr-gcsi-pfs`` value takes fewer
-   than 500 integrand calls (one call per distance node took 3,028 at
-   h = 310 m) and no call gets more than 16 panels of 24 points.
+   recursion without it; one default ``fcr-gcsi-pfs`` value makes at
+   most 14 F_S calls, two per integrand call, at h = 310 m (the nested
+   distance-by-W quadrature made 196, and one inner call per distance
+   node 3,028) and no call gets more than 16 panels of 24 points; a
+   value far below the double range (eavesdropper radius 10^105.25 to
+   10^110 m) converges to at most 1e-300 or to 0, where a second-pass
+   tolerance of 1e-13 of a subnormal first result failed to converge.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig
 
 from oracles import (adaptive_gl_each, adaptive_gl_recursive,
-                     cdf_Z_quadrature_recursive, meijer_g_m0_log_scan,
-                     seed_bracket_scan, zsrp_pfs_value_recursive)
+                     cdf_Z_quadrature_batched, cdf_Z_quadrature_recursive,
+                     meijer_g_m0_log_scan, seed_bracket_scan,
+                     zsrp_pfs_1d_recursive, zsrp_pfs_value_recursive)
 
 
 def hexes(values) -> list[str]:
@@ -73,33 +80,25 @@ def test_inner_integrals_of_an_outer_panel(h_br_m, panel, air):
     lo, hi = (f * p.r_eve_m for f in panel)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z = [p.ref_gain / r ** 2 for r in mid + half * specfun._GL_NODES]
-    got = an.cdf_Z_quadrature(np.array(z), p)
+    got = cdf_Z_quadrature_batched(np.array(z), p)
     want = [cdf_Z_quadrature_recursive(zi, p) for zi in z]
     assert hexes(got) == hexes(want)
+
+
+@pytest.mark.parametrize("h_br_m", [150.0, 310.0, 1000.0])
+def test_pfs_value_matches_its_recursion(h_br_m, air):
+    p = params_at(h_br_m, air)
+    got = an.zsrp_from_params(p, False, closed_form=False)
+    assert hexes([got.value]) == hexes([zsrp_pfs_1d_recursive(p)])
 
 
 def test_pfs_value_many_users_and_elements(air):
     p = params_at(310.0, air, n_users=12, n_elements=32)
     got = an.zsrp_from_params(p, False, closed_form=False)
     assert got.closed_form is None
-    assert hexes([got.value]) == hexes([zsrp_pfs_value_recursive(p)])
-
-
-def test_pfs_thresholds_are_the_per_node_ones(air, monkeypatch):
-    # the batched route maps an array of distances to the gain thresholds
-    # G0 / r^2 that a per-node call computes with the scalar r ** 2
-    p = params_at(310.0, air)
-    seen = {}
-
-    def capture(cdf_at_distance, r_eve_m):
-        seen["cdf"] = cdf_at_distance
-        return 0.5
-
-    monkeypatch.setattr(an, "psi_average", capture)
-    monkeypatch.setattr(an, "cdf_Z_quadrature", lambda z, p: z)
-    an.zsrp_from_params(p, False, closed_form=False)
-    r = np.random.default_rng(5).uniform(0.0, p.r_eve_m, 20_000)
-    assert hexes(seen["cdf"](r)) == hexes([p.ref_gain / ri ** 2 for ri in r])
+    assert hexes([got.value]) == hexes([zsrp_pfs_1d_recursive(p)])
+    nested = zsrp_pfs_value_recursive(p)
+    assert abs(got.value - nested) <= 1e-12 * nested
 
 
 def test_psi_average_polynomial_bits():
@@ -190,19 +189,6 @@ def test_per_integral_brackets_and_tolerances():
         assert hexes(got) == hexes(adaptive_gl_each(peaks, *args, 4))
 
 
-def test_cdf_Z_quadrature_array_matches_one_element_calls(air):
-    p = params_at(310.0, air)
-    r = np.array([[1.0, 1.0, 500.0], [300.0, 150.0, 50.0]])
-    z = p.ref_gain / r ** 2 * np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    got = an.cdf_Z_quadrature(z, p)
-    assert got.shape == z.shape
-    want = [an.cdf_Z_quadrature(np.array([zi]), p) for zi in z.ravel()]
-    assert all(w.shape == (1,) for w in want)
-    assert hexes(got) == hexes(want)
-    assert got[0, 0] == got[0, 1] == 0.0
-    assert 0.0 < got[0, 2] < got[1, 0] < got[1, 1] < got[1, 2] <= 1.0
-
-
 # --- Group 2: failure and cost ---
 
 
@@ -238,6 +224,12 @@ def test_pfs_value_takes_few_integrand_calls(geometry, air, fading, monkeypatch)
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading,
                          scheme=SchemeId.FCR_GCSI_PFS)
     an.zsrp_for_scheme(cfg, closed_form=False)
-    assert 0 < len(sizes) < 500
+    assert 0 < len(sizes) <= 14
     # 16 panels of 24 points: the cap that keeps peak memory in place
     assert max(sizes) <= 16 * 24
+
+
+@pytest.mark.parametrize("log10_r", [105.25, 106.25, 110.0])
+def test_pfs_value_far_below_the_double_range(log10_r, air):
+    p = params_at(150.0, air, r_eve_m=10.0 ** log10_r)
+    assert 0.0 <= an.cdf_Z_quadrature(p) <= 1e-300

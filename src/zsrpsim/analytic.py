@@ -446,8 +446,9 @@ def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
     RIS-user distances: each distinct sigma1^2 is evaluated once and the
     values are averaged over users (see the module docstring).  The
     formulas also require the free-space wiretap exponent and an
-    eavesdropper ball centred on the BS: a ``fixed`` centre offset from
-    the current BS altitude is refused.  With ``closed_form`` False only
+    eavesdropper ball centred on the BS: a centre offset from the current
+    BS altitude is refused, and so is a radius whose square (cube for
+    round robin) overflows a double.  With ``closed_form`` False only
     the quadrature ``value`` is computed (the altitude search uses no
     more), and ``closed_form`` and ``rel_gap`` come back None.
     """
@@ -461,13 +462,19 @@ def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
             "analytic ZSRP requires the free-space wiretap exponent 2; "
             f"got alpha_eve={config.alpha_eve}")
     geometry = config.geometry
-    if (config.eve_center == "fixed"
-            and config.eve_center_h_m != geometry.h_br_m):
+    if config.eve_offset_m:
         raise AnalyticUnavailableError(
             "analytic ZSRP requires the eavesdropper ball centred on the BS; "
             f"its fixed centre at {config.eve_center_h_m:g} m is offset from "
             f"the BS altitude {geometry.h_br_m:g} m; use the Monte-Carlo "
             "evaluator")
+    try:
+        # big_x squares the radius and psi_average cubes it, as floats
+        geometry.r_eve_m ** (3 if scheme.rule == "rs" else 2)
+    except OverflowError:
+        raise AnalyticUnavailableError(
+            f"eavesdropper radius {geometry.r_eve_m:g} m is too large for the "
+            "analytic route; use the Monte-Carlo evaluator") from None
     air, fading, n_users = config.air, config.fading, geometry.n_users
     counts = Counter(ris_user_gain(geometry, air, u) for u in range(n_users))
     p = ClosedFormParams(

@@ -188,7 +188,8 @@ def load_config(path: Union[str, Path, None],
     dataclass default (an ``[experiment]`` key its value in
     ``defaults``), so a missing or empty file resolves to the default
     desk-scale scenario.  Unknown sections or keys are rejected
-    rather than ignored, so typos fail loudly.
+    rather than ignored, so typos fail loudly.  ``eve_center = fixed``
+    without ``eve_center_h_m`` pins the ball at the configured altitude.
     """
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
@@ -214,9 +215,16 @@ def load_config(path: Union[str, Path, None],
         fading_keys["n_elements"] = fading_keys.pop("elements")
     air_fields = {f.name for f in dataclasses.fields(AirGroundParams)}
     environment = values["environment"]
+    centre = environment.pop("eve_center", "bs")
+    if centre not in ("bs", "fixed"):
+        raise ConfigError("eve_center must be 'bs' or 'fixed'")
+    if centre == "bs" and "eve_center_h_m" in environment:
+        raise ConfigError("eve_center_h_m applies only to eve_center = fixed")
 
     try:
         geometry = ScenarioGeometry(d_rn_m=d_rn, **geometry_keys)
+        if centre == "fixed":  # pinned once: sweeps move the BS, not the ball
+            environment.setdefault("eve_center_h_m", geometry.h_br_m)
         air = AirGroundParams(**{key: value for key, value in environment.items()
                                  if key in air_fields})
         fading = FadingParams(**fading_keys)

@@ -87,13 +87,14 @@ def cdf_S(s: np.ndarray, m1: int, n_elements: int) -> np.ndarray:
     out = np.zeros(arr.shape)
     pos = arr > 0.0
     x = m1 * arr[pos]
-    tail = x < tail_cutoff(a, 1.0 - 2.0 ** -20)
+    x_lo = tail_cutoff(a, 1.0 - 2.0 ** -20)
+    tail = x < x_lo
     head = ~tail & (x < tail_cutoff(a, 2.0 ** -60))
     vals = np.ones(x.shape)
     if np.any(head):
         vals[head] = 1.0 - specfun.regularized_upper_gamma_vec(a, x[head])
     if np.any(tail):
-        vals[tail] = specfun.regularized_lower_gamma_tail(a, x[tail])
+        vals[tail] = specfun.regularized_lower_gamma_tail(a, x[tail], x_lo)
     out[pos] = vals
     return out
 

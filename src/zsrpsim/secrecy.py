@@ -11,14 +11,14 @@ Trials are simulated in fixed-size blocks, each with its own SFC64
 stream seeded by ``SeedSequence((seed, block index))``.  A block draws,
 in this order, the BS-side and then the user-side Gamma(m, 1/m) element
 powers, each the mean of m unit exponentials and stored element axis
-first, then the eavesdropper placement.  Workers only ever merge
-integer event counts, so the estimate is bit-identical for any thread
-count and any partitioning of blocks across workers.
+first, then the eavesdropper's unit-ball distance and polar direction.
+Workers only ever merge integer event counts, so the estimate is
+bit-identical for any thread count and any partitioning of blocks.
 
 Shared draws: a config's draws depend only on its draw layout (the
-fading shapes and element count, the user count and the eavesdropper
-centre mode) besides (seed, trials).  Configs that share a layout differ
-only in scalars (scheme, altitude, radii, RIS-user distances, wiretap
+fading shapes and element count and the user count) besides (seed,
+trials).  Configs that share a layout differ only in scalars (scheme,
+altitude, radii, eavesdropper centre, RIS-user distances, wiretap
 exponent, environment), so :func:`run_monte_carlo_many` draws each block
 once for all of them and evaluates every row on the same samples.  Each
 row's estimate is bit-identical to running it alone, which is how
@@ -28,8 +28,8 @@ counted for every row and dropped.
 
 Memoized blocks: a block is drawn by :func:`_draw_block` into reduced
 samples (the users each scheme counts and their cascades, the unit
-distance draw and, for a fixed centre, the polar direction) and counted
-per row by :func:`_count_block`.  :func:`run_monte_carlo` keeps the
+distance and the polar direction) and counted per row by
+:func:`_count_block`.  :func:`run_monte_carlo` keeps the
 reduced blocks of its last miss, read-only, in a one-entry memo keyed by
 (draw layout, scheme, seed, trials); the thread count is not in the key,
 since the draws do not depend on it.  A PFS scheme keeps its (1, n) pick
@@ -64,8 +64,9 @@ BLOCK_TRIALS = 4096
 class ScenarioConfig:
     """Full parameterization of one simulated downlink.
 
-    A ``fixed`` eavesdropper ball built without ``eve_center_h_m`` is
-    pinned at the configured BS altitude; copies keep that centre.
+    The eavesdropper ball moves with the BS when ``eve_center_h_m`` is
+    None; otherwise its centre stays at that altitude on the BS's
+    vertical while sweeps and searches move the BS.
     """
 
     geometry: ScenarioGeometry
@@ -74,7 +75,6 @@ class ScenarioConfig:
     scheme: SchemeId
     gamma_b_db: float = 20.0
     alpha_eve: float = 2.0
-    eve_center: str = "bs"
     eve_center_h_m: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -82,14 +82,6 @@ class ScenarioConfig:
             raise ValueError("gamma_b_db must be finite")
         if not 0.0 < self.alpha_eve < math.inf:
             raise ValueError("alpha_eve must be positive and finite")
-        if self.eve_center not in ("bs", "fixed"):
-            raise ValueError("eve_center must be 'bs' or 'fixed'")
-        if self.eve_center == "bs" and self.eve_center_h_m is not None:
-            raise ValueError("eve_center_h_m applies only to eve_center = fixed")
-        if self.eve_center == "fixed" and self.eve_center_h_m is None:
-            # pin the ball at the configured altitude once, so sweeps and
-            # searches move the BS relative to a fixed region
-            object.__setattr__(self, "eve_center_h_m", self.geometry.h_br_m)
         if (self.eve_center_h_m is not None
                 and not 0.0 < self.eve_center_h_m < math.inf):
             raise ValueError("eve_center_h_m must be positive and finite")
@@ -97,6 +89,12 @@ class ScenarioConfig:
     @property
     def n_users(self) -> int:
         return self.geometry.n_users
+
+    @property
+    def eve_offset_m(self) -> float:
+        """BS altitude above the eavesdropper ball's centre; 0 if centred."""
+        return (0.0 if self.eve_center_h_m is None
+                else self.geometry.h_br_m - self.eve_center_h_m)
 
 
 @dataclass(frozen=True)
@@ -121,26 +119,7 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _layout(config: ScenarioConfig) -> tuple:
     """What fixes a config's draws for a given (seed, trials)."""
-    return config.fading, config.n_users, config.eve_center
-
-
-def _eve_distance(config: ScenarioConfig, cbrt_u: np.ndarray,
-                  dir_z: Optional[np.ndarray]) -> np.ndarray:
-    """BS-eavesdropper distances of one row from its block's shared draws.
-
-    ``cbrt_u`` is the unit-radius distance draw: scaling it by the row's
-    radius is bit-equal to drawing at that radius.  'bs' keeps the
-    uniform ball centered on the BS, so the distance is the sampled
-    radius.  'fixed' keeps the ball's center at eve_center_h_m and
-    measures distance to the possibly different current BS altitude
-    along the polar direction ``dir_z``.
-    """
-    rho = config.geometry.r_eve_m * cbrt_u
-    if dir_z is None:
-        return rho
-    dz = config.geometry.h_br_m - config.eve_center_h_m
-    return np.sqrt(np.maximum(rho ** 2 - 2.0 * rho * dir_z * dz + dz ** 2,
-                              0.0))
+    return config.fading, config.n_users
 
 
 #: Round robin's index into the user gains: each gain as a column.
@@ -153,11 +132,12 @@ class _Block(NamedTuple):
     ``rows`` maps (fully connected?, rule) to the users a trial counts,
     as an index into the user gains, and their cascades, user axis first:
     :data:`_ALL_USERS` and the (N, n) cascade for round robin, the (1, n)
-    pick and served cascade for PFS.
+    pick and served cascade for PFS.  ``cbrt_u`` and ``dir_z`` place the
+    eavesdropper for every centre (see :func:`_eve_gain`).
     """
 
     cbrt_u: np.ndarray
-    dir_z: Optional[np.ndarray]
+    dir_z: np.ndarray
     rows: dict[tuple[bool, str], tuple[object, np.ndarray]]
 
 
@@ -189,8 +169,9 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     """Reduced samples of one block for configs sharing one draw layout.
 
     Draw order: BS-side powers (L, n), user-side powers (L, n, N), both by
-    :func:`_element_powers`, then the eavesdropper placement; with the
-    element axis first, every sum over elements adds whole rows.  The
+    :func:`_element_powers`, then the unit-ball distance and the polar
+    direction cosine (n each); with the element axis first, every sum
+    over elements adds whole rows.  The
     draws, each needed cascade type and each needed PFS pick are computed
     once for all configs (see :func:`_layout`); only what their schemes
     count is kept, user axis first and read-only, so no array with an
@@ -202,9 +183,7 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     gb_pow = _element_powers(rng, fad.m2, (n_el, n))
     gr_pow = _element_powers(rng, fad.m1, (n_el, n, n_users))
     cbrt_u = sample_eve_distance(rng, size=n)
-    dir_z = None
-    if configs[0].eve_center == "fixed":
-        dir_z = 1.0 - 2.0 * rng.random(n)
+    dir_z = 1.0 - 2.0 * rng.random(n)
 
     needs = sorted({(c.scheme.fully_connected, c.scheme.rule) for c in configs})
     user_sums = gr_pow.sum(axis=0)
@@ -243,18 +222,25 @@ def _user_gains(config: ScenarioConfig) -> np.ndarray:
 
 
 def _eve_key(config: ScenarioConfig) -> tuple:
-    """What fixes a row's eavesdropper gains on one block's draws."""
-    geom = config.geometry
-    dz = (None if config.eve_center_h_m is None
-          else geom.h_br_m - config.eve_center_h_m)
-    return geom.r_eve_m, dz, config.alpha_eve, config.air.ref_gain
+    """Every input of a row's eavesdropper gains on one block's draws:
+    (radius, offset of the BS from the ball's centre, alpha_e, G0)."""
+    return (config.geometry.r_eve_m, config.eve_offset_m, config.alpha_eve,
+            config.air.ref_gain)
 
 
-def _eve_gain(block: _Block, config: ScenarioConfig) -> np.ndarray:
-    """Large-scale gain of each trial's eavesdropper for one row."""
-    d_be = _eve_distance(config, block.cbrt_u, block.dir_z)
-    return large_scale_gain(config.air.ref_gain, np.maximum(d_be, 1e-9),
-                            config.alpha_eve)
+def _eve_gain(block: _Block, key: tuple) -> np.ndarray:
+    """Large-scale gain of each trial's eavesdropper for one :func:`_eve_key`.
+
+    The eavesdropper sits rho = R ``cbrt_u`` from the ball's centre (bit
+    for bit a draw at radius R), the BS ``offset`` above it; the law of
+    cosines along ``dir_z`` gives their distance, rho at offset 0.
+    """
+    r_eve, offset, alpha_eve, ref_gain = key
+    d_be = r_eve * block.cbrt_u
+    if offset:
+        d_be = np.sqrt(np.maximum(d_be ** 2 - 2.0 * d_be * block.dir_z * offset
+                                  + offset ** 2, 0.0))
+    return large_scale_gain(ref_gain, np.maximum(d_be, 1e-9), alpha_eve)
 
 
 def _count_block(block: _Block, config: ScenarioConfig, user_gains: np.ndarray,
@@ -335,7 +321,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
         eve: dict[tuple, np.ndarray] = {}
         for k in members:
             if eve_keys[k] not in eve:
-                eve[eve_keys[k]] = _eve_gain(block, configs[k])
+                eve[eve_keys[k]] = _eve_gain(block, eve_keys[k])
         return [_count_block(block, configs[k], gains[k], eve[eve_keys[k]])
                 for k in members]
 
@@ -371,6 +357,6 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
             _memo.clear()
             drawn = _memo[key] = _map(
                 lambda b: _draw_block([config], seed, *b), blocks, threads)
-    gains = _user_gains(config)
-    return _estimate([_count_block(b, config, gains, _eve_gain(b, config))
+    gains, eve_key = _user_gains(config), _eve_key(config)
+    return _estimate([_count_block(b, config, gains, _eve_gain(b, eve_key))
                       for b in drawn], trials, seed)

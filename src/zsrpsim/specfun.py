@@ -76,8 +76,10 @@ def regularized_upper_gamma_vec(a: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def regularized_lower_gamma_tail(a: int, x: np.ndarray) -> np.ndarray:
-    """Regularized lower incomplete gamma P(a, x), integer a >= 1, 0 < x < a + 1.
+def regularized_lower_gamma_tail(a: int, x: np.ndarray,
+                                 x_max: float) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x), integer a >= 1, for
+    0 < x <= ``x_max`` < a + 1.
 
     Sums the positive series (DLMF 8.7.1)
 
@@ -86,11 +88,12 @@ def regularized_lower_gamma_tail(a: int, x: np.ndarray) -> np.ndarray:
     so a P far below the rounding of 1 - Q(a, x) keeps its relative
     accuracy.  The terms come from one multiplicative accumulate along a
     trailing axis; the term count takes the geometric remainder of the
-    largest ratio x / (a+1) of ``x`` below the double precision epsilon.
+    ratio ``x_max`` / (a+1) below the double precision epsilon, so each
+    element of ``x`` gets the bits it gets alone.
     """
     x = np.asarray(x, dtype=float)
     eps = np.finfo(float).eps
-    r = max(float(np.max(x)) / (a + 1), eps)
+    r = max(x_max / (a + 1), eps)
     n = math.ceil(math.log(eps * (1.0 - r)) / math.log(r))
     terms = np.empty(x.shape + (n,))
     terms[..., 0] = np.exp(a * np.log(x) - x - math.lgamma(a + 1))

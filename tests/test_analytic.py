@@ -802,16 +802,28 @@ def test_offset_fixed_centre_refused(geometry, air, fading):
 
     high = ScenarioGeometry(h_br_m=600.0)
     offset = ScenarioConfig(geometry=high, air=air, fading=fading, scheme=SchemeId.FCR_RS,
-                            eve_center="fixed", eve_center_h_m=150.0)
+                            eve_center_h_m=150.0)
     for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
         with pytest.raises(AnalyticUnavailableError, match="centred on the BS"):
             an.zsrp_for_scheme(dataclasses.replace(offset, scheme=scheme))
-    # a fixed centre at the BS altitude (or defaulting to it) is the BS ball
-    bs = dataclasses.replace(offset, eve_center="bs", eve_center_h_m=None)
-    want = an.zsrp_for_scheme(bs).value
-    for h0 in (600.0, None):
-        at_bs = dataclasses.replace(offset, eve_center_h_m=h0)
-        assert an.zsrp_for_scheme(at_bs).value == want
+    # a fixed centre at the BS altitude is the BS ball
+    bs = dataclasses.replace(offset, eve_center_h_m=None)
+    at_bs = dataclasses.replace(offset, eve_center_h_m=600.0)
+    assert an.zsrp_for_scheme(at_bs) == an.zsrp_for_scheme(bs)
+
+
+def test_radius_past_the_double_range_refused(geometry, air, fading):
+    # round robin cubes the radius, proportional fairness squares it:
+    # 1e103 m cubes past the double range but squares within it
+    for r_eve_m, refused in ((1e103, {"fcr-rs"}), (1e160, {"fcr-rs", "fcr-gcsi-pfs"})):
+        big = dataclasses.replace(geometry, r_eve_m=r_eve_m)
+        for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
+            cfg = ScenarioConfig(geometry=big, air=air, fading=fading, scheme=scheme)
+            if scheme.value in refused:
+                with pytest.raises(AnalyticUnavailableError, match="too large"):
+                    an.zsrp_for_scheme(cfg, closed_form=False)
+            else:
+                assert 0.0 < an.zsrp_for_scheme(cfg, closed_form=False).value < 1e-300
 
 
 def test_integral_float_shapes_accepted(geometry, air):

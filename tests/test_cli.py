@@ -17,8 +17,11 @@ Proves:
    configuration code, while one whose Meijer composite is refused for its
    rounding bound, or for seeds past the tail integral's range (users 3
    km from the RIS, a 10 m eavesdropper ball), still answers from
-   quadrature with exit 0; greedy serving with mixed RIS-user distances
-   answers analytically; the configured SNR does not move the estimate.
+   quadrature with exit 0; an eavesdropper radius whose square overflows
+   a double refuses the closed form with the configuration code for both
+   rules and leaves the simulation to answer; greedy serving with mixed
+   RIS-user distances answers analytically; the configured SNR does not
+   move the estimate.
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
@@ -390,6 +393,20 @@ def test_altitude_analytic_needs_closed_form(capsys):
         capsys, "optimize-altitude", "--scheme", "scr-rs", "--evaluator", "analytic"
     )
     assert rc == 2
+
+
+def test_radius_past_the_double_range_refuses_closed_form(capsys, caplog, tmp_path):
+    ini = tmp_path / "huge.ini"
+    ini.write_text("[geometry]\nr_eve_m = 1e160\n")
+    for scheme in ("fcr-rs", "fcr-gcsi-pfs"):
+        rc, out, _ = run_cli(capsys, "zsrp", "--config", str(ini), "--scheme", scheme,
+                             "--evaluator", "analytic")
+        assert rc == 2 and out == ""
+    assert "too large for the analytic route" in caplog.text
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(ini), "--evaluator", "both",
+                         "--trials", "2048", "--seed", "3")
+    assert rc == 0
+    assert [ln.split(",")[3] for ln in out.strip().split("\n")[1:]] == ["mc"]
 
 
 def test_offset_fixed_centre_refuses_closed_form(capsys, caplog, tmp_path):

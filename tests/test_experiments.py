@@ -5,9 +5,10 @@ Proves:
    absent and empty files give the documented defaults; missing files,
    malformed INI, unknown sections/keys, and bad values raise the
    configuration error; a scalar user distance is replicated across users
-   while a mismatched list is rejected; a centre altitude is accepted only
-   for a fixed eavesdropper centre, which otherwise pins the configured
-   altitude; integer keys, lists and scalars alike, take integral floats
+   while a mismatched list is rejected; the eavesdropper centre mode is
+   ``bs`` or ``fixed``, a centre altitude is accepted only with ``fixed``,
+   which otherwise pins the configured altitude, and ``bs`` leaves no
+   altitude on the scenario; integer keys, lists and scalars alike, take integral floats
    (16.0, 1e5) and reject fractional or out-of-range ones (2.5, 1e300)
    instead of truncating them, while integer text stays exact; NaN or
    infinite values and a negative seed are configuration errors; every
@@ -140,12 +141,24 @@ def test_experiment_section_parsed(tmp_path):
 
 def test_centre_altitude_needs_fixed_centre(tmp_path):
     cfg = tmp_path / "c.ini"
-    cfg.write_text("[environment]\neve_center = bs\neve_center_h_m = 150\n")
-    with pytest.raises(ConfigError, match="eve_center_h_m"):
+    # a centre altitude means nothing for a BS-centred ball, the default
+    for mode in ("eve_center = bs\n", ""):
+        cfg.write_text(f"[environment]\n{mode}eve_center_h_m = 150\n")
+        with pytest.raises(ConfigError, match="eve_center_h_m applies only"):
+            ex.load_config(cfg)
+    cfg.write_text("[environment]\neve_center = moon\n")
+    with pytest.raises(ConfigError, match="eve_center must be 'bs' or 'fixed'"):
         ex.load_config(cfg)
+    for bad in ("-5", "nan", "inf"):
+        cfg.write_text(f"[environment]\neve_center = fixed\neve_center_h_m = {bad}\n")
+        with pytest.raises(ConfigError, match="eve_center_h_m must be positive"):
+            ex.load_config(cfg)
+    # a fixed centre is pinned at the configured altitude when none is given
     cfg.write_text("[environment]\neve_center = fixed\n[geometry]\nh_br_m = 220\n")
     scenario, _ = ex.load_config(cfg)
-    assert scenario.eve_center_h_m == 220.0
+    assert scenario.eve_center_h_m == 220.0 and scenario.eve_offset_m == 0.0
+    cfg.write_text("[environment]\neve_center = bs\n")
+    assert ex.load_config(cfg)[0].eve_center_h_m is None
 
 
 def test_int_list_rejects_fractions(tmp_path):
@@ -205,8 +218,7 @@ def test_every_key_reaches_its_field(tmp_path):
         (scenario.air, {"a2": 12.08, "b2": 0.11, "alpha_zenith": 1.8,
                         "alpha_ground": 3.2, "ref_gain": 1e6}),
         (scenario.fading, {"m1": 3, "m2": 1, "n_elements": 8}),
-        (scenario, {"gamma_b_db": 10.0, "alpha_eve": 2.5, "eve_center": "fixed",
-                    "eve_center_h_m": 300.0}),
+        (scenario, {"gamma_b_db": 10.0, "alpha_eve": 2.5, "eve_center_h_m": 300.0}),
         (spec, {"kind": "fig4", "schemes": (SchemeId.SCR_RS, SchemeId.FCR_RS),
                 "evaluators": ("analytic",), "r_grid_m": (150.0, 250.0),
                 "l_grid": (2, 6), "h_grid_m": (80.0, 120.0), "trials": 2000,
@@ -363,7 +375,7 @@ def test_fixed_centre_sweep_keeps_only_centred_closed_form():
     import dataclasses
 
     scenario, base = ex.load_config(None)
-    scenario = dataclasses.replace(scenario, eve_center="fixed")
+    scenario = dataclasses.replace(scenario, eve_center_h_m=scenario.geometry.h_br_m)
     spec = ex.ExperimentSpec(**{
         **base.__dict__, "kind": "fig4", "h_grid_m": (100.0, 150.0, 600.0),
         "trials": 1000, "schemes": (SchemeId.FCR_RS,), "evaluators": ("analytic",),

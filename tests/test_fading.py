@@ -14,7 +14,9 @@ Proves:
    read rounding noise); below the lower-tail switch x_lo =
    tail_cutoff(a, 1 - 2^-20), where the CDF crosses 2^-20, it keeps 1e-12
    relative accuracy against scipy's gammainc down to 1e-300, and at x_lo
-   the lower-tail series and 1 - Q agree within 2^-46; past the exact-one
+   the lower-tail series and 1 - Q agree within 2^-46; every element of
+   a batch is float.hex-equal to its one-element call, below and across
+   the switch, for shapes 1 to 800 (property); past the exact-one
    switch x_a = tail_cutoff(a, 2^-60) (shapes 1, 4, 32, 64, 96) the CDF is
    written as 1.0 without the Poisson sum, bit for bit equal to 1 - Q on a
    dense grid across x_a, and Q(a, x) < 2^-60 from x_a on.  The one
@@ -207,9 +209,26 @@ def test_cdf_S_has_no_jump_at_the_lower_tail_switch(a):
     # at the switch the lower-tail series and 1 - Q, the two sides of
     # cdf_S, give the same value to rounding
     x = fd.tail_cutoff(a, 1.0 - 2.0 ** -20)
-    series = specfun.regularized_lower_gamma_tail(a, np.array([x]))[0]
+    series = specfun.regularized_lower_gamma_tail(a, np.array([x]), x)[0]
     poisson = 1.0 - specfun.regularized_upper_gamma(a, x)
     assert abs(series - poisson) <= 2.0 ** -46
+
+
+@given(
+    st.sampled_from([(1, 1), (2, 8), (2, 16), (1, 32), (2, 32), (4, 16), (1, 800)]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+             min_size=2, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_cdf_S_batch_equals_each_element_alone(shape, fractions):
+    # each element keeps the bits it gets alone, whatever else shares its
+    # array; the fractions place s below and across the lower-tail switch
+    m1, n_elements = shape
+    x_lo = fd.tail_cutoff(m1 * n_elements, 1.0 - 2.0 ** -20)
+    s = np.array(fractions) * 1.2 * x_lo / m1
+    batch = fd.cdf_S(s, m1, n_elements)
+    alone = [fd.cdf_S(np.array([v]), m1, n_elements)[0] for v in s]
+    assert [v.hex() for v in batch.tolist()] == [v.hex() for v in alone]
 
 
 def test_pdf_W_vs_scipy_grid():

@@ -217,11 +217,12 @@ def test_mc_search_deterministic(geometry, air, fading):
 
 # pinned from a replay that emptied the memo before every objective call,
 # so every altitude ran alone (see tests/data/README.md):
-# (scheme, eve_center, trials) -> (h*, zsrp, n_evaluations), seed 7
+# (scheme, eve_center_h_m, trials) -> (h*, zsrp, n_evaluations), seed 7;
+# None centres the ball on the BS, 150.0 fixes it at the default altitude
 MC_SEARCH_PINNED = {
-    (SchemeId.SCR_GCSI_PFS, "bs", 20_000): (293.5414948020044, 0.0007, 30),
-    (SchemeId.FCR_RS, "fixed", 20_000): (709.0889908913257, 1.25e-05, 30),
-    (SchemeId.SCR_RS, "bs", 9_000): (299.6416149687907, 0.001, 30),
+    (SchemeId.SCR_GCSI_PFS, None, 20_000): (293.5414948020044, 0.0007, 30),
+    (SchemeId.FCR_RS, 150.0, 20_000): (709.0889908913257, 1.25e-05, 30),
+    (SchemeId.SCR_RS, None, 9_000): (299.6416149687907, 0.001, 30),
 }
 
 
@@ -231,7 +232,7 @@ def test_mc_search_matches_pinned(geometry, air, fading, key):
 
     scheme, center, trials = key
     cfg = dataclasses.replace(make_config(geometry, air, fading, scheme),
-                              eve_center=center)
+                              eve_center_h_m=center)
     res = op.optimal_altitude(op.AltitudeSearchSpec(
         config=cfg, evaluator="mc", trials=trials, seed=7))
     assert (res.h_m, res.zsrp, res.n_evaluations) == MC_SEARCH_PINNED[key]

@@ -21,9 +21,9 @@ Proves:
  Group 4 — random eavesdropper placement
    inverse-cube-root sampling: mean 3R/4 within 1 m at 1e6 draws, an
    eighth of the mass below R/2, KS distance to (r/R)^3 below 0.002;
-   the estimator's distances stay in range: the sampled radius for a
-   BS-centred ball, within |rho -+ |dz|| of it for a ball centred |dz|
-   away from the BS.
+   the estimator's eavesdropper gains read distances in range: the
+   sampled radius for a BS-centred ball, within |rho -+ |dz|| of it for a
+   ball centred |dz| away from the BS.
 
  Group 5 — containers
    user count, 3-D mast distance, validation; NaN and infinite lengths,
@@ -44,7 +44,7 @@ from scipy import stats
 from zsrpsim import propagation as pr
 from zsrpsim.fading import FadingParams
 from zsrpsim.scheduling import SchemeId
-from zsrpsim.secrecy import ScenarioConfig, _eve_distance
+from zsrpsim.secrecy import ScenarioConfig, _Block, _eve_gain, _eve_key
 
 # frozen default link variances, recomputed from scratch in Group 3
 BS_RIS_VARIANCE = 0.1379736692021992
@@ -207,24 +207,28 @@ def test_eve_distance_statistics(rng):
 
 
 def test_eve_placement_ranges(rng, air):
-    # the estimator's placement: a unit-radius draw scaled per row and, for
-    # a fixed centre, the polar direction cosine fixing the offset leg
+    # the estimator's placement: a unit-radius draw scaled per row and the
+    # polar direction cosine fixing the offset leg of a fixed centre
     r_max, n = 350.0, 2000
-    cbrt_u = pr.sample_eve_distance(rng, size=n)
-    dir_z = 1.0 - 2.0 * rng.random(n)
-    rho = r_max * cbrt_u
+    block = _Block(pr.sample_eve_distance(rng, size=n), 1.0 - 2.0 * rng.random(n), {})
+    rho = r_max * block.cbrt_u
     geometry = pr.ScenarioGeometry(h_br_m=400.0, r_eve_m=r_max)
     centred = ScenarioConfig(geometry=geometry, air=air, fading=FadingParams(),
                              scheme=SchemeId.FCR_RS)
-    assert np.array_equal(_eve_distance(centred, cbrt_u, None), rho)
-    offset = dataclasses.replace(centred, eve_center="fixed",
-                                 eve_center_h_m=150.0)
-    d = _eve_distance(offset, cbrt_u, dir_z)
+    assert np.array_equal(_eve_gain(block, _eve_key(centred)),
+                          pr.large_scale_gain(air.ref_gain, rho, 2.0))
+    offset = dataclasses.replace(centred, eve_center_h_m=150.0)
+
+    def distance(block: _Block) -> np.ndarray:
+        # at alpha_e = 1 and G0 = 1 the gain is the inverse distance
+        return 1.0 / _eve_gain(block, (r_max, offset.eve_offset_m, 1.0, 1.0))
+
+    d = distance(block)
     dz = 400.0 - 150.0
     assert np.all(d >= np.abs(rho - dz) - 1e-9)
     assert np.all(d <= rho + dz + 1e-9)
     # straight above and below the centre the legs add and subtract exactly
-    ends = _eve_distance(offset, np.full(2, 0.5), np.array([1.0, -1.0]))
+    ends = distance(_Block(np.full(2, 0.5), np.array([1.0, -1.0]), {}))
     assert np.allclose(ends, [dz - 0.5 * r_max, dz + 0.5 * r_max], rtol=1e-12)
 
 

@@ -2,11 +2,10 @@
 
 Proves:
  Group 1 — scenario container
-   user count passthrough, validation of the SNR,
-   wiretap exponent, and eavesdropper-center settings (a centre altitude
-   only with a fixed centre, NaN and infinite values refused); a fixed
-   centre is pinned at the configured altitude once and stays there when
-   the BS moves.
+   user count passthrough, validation of the SNR, wiretap exponent and
+   centre altitude (NaN, infinite and nonpositive values refused); a
+   fixed centre stays where it was set when the BS moves, and the
+   eavesdropper offset follows the BS (0.0 for a ball centred on it).
 
  Group 2 — estimator behavior
    dominating wiretap (vanishing sphere) drives the estimate to one; the
@@ -33,20 +32,26 @@ Proves:
  Group 4 — batched rows over shared draws
    ``run_monte_carlo_many`` equals a per-config ``run_monte_carlo`` loop
    exactly (p_hat and std_err) on the fig2 radius grid, fig3 with mixed
-   element counts, fig4 around a fixed eavesdropper centre and mixed
-   RIS-user distances and user counts, over all five schemes, 1-3 worker
-   threads and a trial count that is not a multiple of the block size;
-   each block is drawn once per draw layout, not once per row.
+   element counts, fig4 around a fixed eavesdropper centre, BS-centred
+   and fixed-centre rows in one call (a centre at the BS altitude
+   included) and mixed RIS-user distances and user counts, over all five
+   schemes, 1-3 worker threads and a trial count that is not a multiple
+   of the block size; each block is drawn once per draw layout, not once
+   per row, and the centre is not part of the layout: a BS-centred row
+   and a fixed centre at the BS altitude share their eavesdropper gains
+   and their estimates.
 
  Group 5 — memoized blocks behind ``run_monte_carlo``
    for every scheme around a BS-centred and a fixed centre on 1-3 worker
    threads, a cold call, a warm call made after another altitude and the
    streaming ``run_monte_carlo_many`` agree exactly, and the blocks are
    drawn once; a new seed, trial count, scheme or draw layout replaces
-   the one entry while the thread count does not; the kept arrays are
-   read-only and hold only what the scheme counts, user axis first (the
-   (N, n) cascade behind one shared index, or the (1, n) pick and served
-   cascade), at most 8 (N + 2) bytes per trial; bad arguments raise
+   the one entry while the thread count and the eavesdropper centre do
+   not; the kept arrays are read-only and hold only what the scheme
+   counts, user axis first (the (N, n) cascade behind one shared index,
+   or the (1, n) pick and served cascade), and the distance and polar
+   direction of every block, at most 8 (N + 2) bytes per trial; bad
+   arguments raise
    before any draw and leave the entry in place; threads racing over two
    keys get the streaming values.
 
@@ -65,7 +70,9 @@ Proves:
    for two fading settings.
 
  Group 7 — an eavesdropper ball with a fixed centre
-   the offset-ball oracle (the sphere-sphere lens volume integrated over
+   at offset 0 the eavesdropper gain reads the sampled radius, bit for
+   bit the law-of-cosines form, on drawn samples at three radii; the
+   offset-ball oracle (the sphere-sphere lens volume integrated over
    the served power sum and W by fixed Gauss-Legendre rules) equals the
    BS-centred analytic value to 1e-10 at zero offset for both serving
    rules; the fixed-centre MC rows (centre at 150 m, BS at 300 m and
@@ -91,7 +98,7 @@ from zsrpsim import secrecy as sec
 from zsrpsim.analytic import ClosedFormParams, cdf_Z_single, zsrp_for_scheme
 from zsrpsim.fading import FadingParams, cdf_S
 from zsrpsim.propagation import (AirGroundParams, ScenarioGeometry, bs_ris_gain,
-                                 ris_user_gain, sample_eve_distance)
+                                 large_scale_gain, ris_user_gain, sample_eve_distance)
 from zsrpsim.scheduling import SchemeId
 
 from oracles import eve_within, zsrp_offset_ball
@@ -130,13 +137,11 @@ def test_config_validation(geometry, air, fading):
         make_config(geometry, air, fading, gamma_b_db=float("nan"))
     with pytest.raises(ValueError):
         make_config(geometry, air, fading, alpha_eve=0.0)
-    with pytest.raises(ValueError):
-        make_config(geometry, air, fading, eve_center="moon")
-    with pytest.raises(ValueError):
-        make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=-5.0)
-    # a centre altitude means nothing for a BS-centred ball
     with pytest.raises(ValueError, match="eve_center_h_m"):
-        make_config(geometry, air, fading, eve_center="bs", eve_center_h_m=150.0)
+        make_config(geometry, air, fading, eve_center_h_m=-5.0)
+    # the mode string is the config file's: load_config resolves it
+    with pytest.raises(TypeError):
+        make_config(geometry, air, fading, eve_center="fixed")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -144,18 +149,21 @@ def test_config_refuses_non_finite(geometry, air, fading, bad):
     with pytest.raises(ValueError, match="alpha_eve must be positive and finite"):
         make_config(geometry, air, fading, alpha_eve=bad)
     with pytest.raises(ValueError, match="eve_center_h_m must be positive and finite"):
-        make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=bad)
+        make_config(geometry, air, fading, eve_center_h_m=bad)
 
 
 def test_fixed_centre_pinned_once(geometry, air, fading):
-    import dataclasses
-
-    cfg = make_config(geometry, air, fading, eve_center="fixed")
-    assert cfg.eve_center_h_m == geometry.h_br_m
-    # moving the BS keeps the ball where it was pinned
-    moved = dataclasses.replace(cfg, geometry=dataclasses.replace(geometry, h_br_m=600.0))
+    cfg = make_config(geometry, air, fading, eve_center_h_m=geometry.h_br_m)
+    assert cfg.eve_offset_m == 0.0
+    # moving the BS keeps the ball where it was pinned; the offset follows
+    high = dataclasses.replace(geometry, h_br_m=600.0)
+    moved = dataclasses.replace(cfg, geometry=high)
     assert moved.eve_center_h_m == geometry.h_br_m
-    assert make_config(geometry, air, fading).eve_center_h_m is None
+    assert moved.eve_offset_m == 600.0 - geometry.h_br_m
+    # a ball without a centre altitude moves with the BS
+    centred = make_config(geometry, air, fading)
+    assert centred.eve_center_h_m is None
+    assert dataclasses.replace(centred, geometry=high).eve_offset_m == 0.0
 
 
 # --- Group 2: estimator behavior ---
@@ -202,8 +210,8 @@ def test_seed_reproducibility_and_fields(geometry, air, fading):
 def _round_robin_trial_means(cfg, trials: int, seed: int) -> np.ndarray:
     """Each trial's share of round-robin users in the event, rebuilt from
     the documented draw order of each block: BS-side powers, user-side
-    powers, the unit-ball radius and, for a fixed centre, the cosine of
-    the polar angle, uniform on (-1, 1]."""
+    powers, the unit-ball radius and, last, the cosine of the polar
+    angle, uniform on (-1, 1], which only a fixed centre reads."""
     geometry, air, fading = cfg.geometry, cfg.air, cfg.fading
     n_el, m1, m2 = fading.n_elements, fading.m1, fading.m2
     sigma2_sq = bs_ris_gain(geometry, air)
@@ -215,7 +223,7 @@ def _round_robin_trial_means(cfg, trials: int, seed: int) -> np.ndarray:
         gb = _documented_powers(rng, m2, (n_el, n))
         gr = _documented_powers(rng, m1, (n_el, n, cfg.n_users))
         d_be = sample_eve_distance(rng, size=n) * geometry.r_eve_m
-        if cfg.eve_center == "fixed":
+        if cfg.eve_center_h_m is not None:
             # the eavesdropper at radius d_be from the ball's centre, the BS
             # on the centre's vertical, dz above it
             cos_polar = 1.0 - 2.0 * rng.random(n)
@@ -247,7 +255,7 @@ def test_round_robin_error_from_per_trial_means(geometry, air, fading, scheme):
     assert not math.isclose(est.std_err, binomial, rel_tol=1e-3)
 
 
-@pytest.mark.parametrize("center", [{}, {"eve_center": "fixed", "eve_center_h_m": 175.0}],
+@pytest.mark.parametrize("center", [{}, {"eve_center_h_m": 175.0}],
                          ids=["bs", "fixed"])
 @pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.SCR_RS])
 def test_wiretap_exponent_three_from_per_trial_means(air, fading, scheme, center):
@@ -298,8 +306,8 @@ def test_count_block_counts_k_of_k_users(geometry, air, fading):
     eve_gain = np.array([2.5, 6.0, 11.0])
     cascade = np.array([[1.0, 3.0, 5.0], [1.0, 3.0, 5.0]])
     pick, served = np.array([[1, 0, 1]]), np.array([[3.0, 3.0, 5.0]])
-    block = sec._Block(np.ones(3), None, {(True, "rs"): (sec._ALL_USERS, cascade),
-                                          (False, "gcsi"): (pick, served)})
+    block = sec._Block(np.ones(3), np.zeros(3), {(True, "rs"): (sec._ALL_USERS, cascade),
+                                                 (False, "gcsi"): (pick, served)})
     # main gains [[1, 3, 5], [2, 6, 10]]: k = (2, 1, 2)
     rs = make_config(geometry, air, fading, SchemeId.FCR_RS)
     assert sec._count_block(block, rs, user_gains, eve_gain) == (5, 6, 9)
@@ -376,7 +384,7 @@ def test_heterogeneous_user_distances(air, fading):
 
 
 def test_fixed_center_runs(geometry, air, fading):
-    cfg = make_config(geometry, air, fading, eve_center="fixed", eve_center_h_m=200.0)
+    cfg = make_config(geometry, air, fading, eve_center_h_m=200.0)
     est = sec.run_monte_carlo(cfg, trials=8_192, seed=17)
     assert 0.0 <= est.p_hat <= 1.0
 
@@ -397,7 +405,7 @@ def _batch_cases() -> dict[str, list[sec.ScenarioConfig]]:
             config, scheme=scheme,
             geometry=dataclasses.replace(config.geometry, **geometry))
 
-    fixed = dataclasses.replace(base, eve_center="fixed", eve_center_h_m=150.0)
+    fixed = dataclasses.replace(base, eve_center_h_m=150.0)
     distances = ((30.0, 50.0, 80.0, 120.0), (50.0,) * 4, (40.0, 60.0, 90.0))
     return {
         "fig2": [at(base, s, r_eve_m=r) for r in (100.0, 200.0, 300.0, 400.0, 500.0)
@@ -408,6 +416,11 @@ def _batch_cases() -> dict[str, list[sec.ScenarioConfig]]:
                          for s in SchemeId for n in (4, 8, 16)],
         "fig4-fixed": [at(fixed, s, h_br_m=h) for h in (60.0, 150.0, 450.0, 1000.0)
                        for s in SchemeId],
+        # BS-centred, centred at 150 m (the BS altitude at h = 150 m) and
+        # at 400 m, all in one call
+        "mixed-centres": [dataclasses.replace(at(base, s, h_br_m=h), eve_center_h_m=c)
+                          for h in (150.0, 450.0) for s in SchemeId
+                          for c in (None, 150.0, 400.0)],
         "mixed-d-rn": [at(base, s, d_rn_m=d, r_eve_m=r) for d in distances
                        for s in SchemeId for r in (250.0, 500.0)],
     }
@@ -443,6 +456,28 @@ def test_batch_draws_once_per_layout_and_block(monkeypatch):
     assert sorted(calls) == sorted([sec.BLOCK_TRIALS, sec.BLOCK_TRIALS, 808] * 3)
 
 
+def test_batch_mixed_centres_share_blocks_and_gains(monkeypatch):
+    calls = []
+    draw = sec.sample_eve_distance
+
+    def counting(rng, size):
+        calls.append(size)
+        return draw(rng, size=size)
+
+    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    configs = _batch_cases()["mixed-centres"]
+    estimates = sec.run_monte_carlo_many(configs, BATCH_TRIALS, BATCH_SEED)
+    # every centre shares one layout, so each block is drawn once
+    assert sorted(calls) == [808, sec.BLOCK_TRIALS, sec.BLOCK_TRIALS]
+    # a centre at the BS altitude is the BS-centred ball, gains and all
+    by_row = {(c.geometry.h_br_m, c.scheme, c.eve_center_h_m): (c, e)
+              for c, e in zip(configs, estimates)}
+    for scheme in SchemeId:
+        (bs, est_bs), (at_bs, est_at_bs) = (by_row[150.0, scheme, c] for c in (None, 150.0))
+        assert sec._eve_key(bs) == sec._eve_key(at_bs)
+        assert est_bs == est_at_bs
+
+
 def test_batch_edge_cases(geometry, air, fading):
     cfg = make_config(geometry, air, fading)
     assert sec.run_monte_carlo_many([], 5_000, seed=1, threads=2) == []
@@ -473,7 +508,7 @@ def _counting_draws(monkeypatch) -> list:
 
 def _memo_config(scheme: SchemeId, center: str, h_br_m: float = 220.0,
                  **kw) -> sec.ScenarioConfig:
-    centre = {"eve_center": "fixed", "eve_center_h_m": 150.0} if center == "fixed" else {}
+    centre = {"eve_center_h_m": 150.0} if center == "fixed" else {}
     return sec.ScenarioConfig(geometry=ScenarioGeometry(h_br_m=h_br_m),
                               air=AirGroundParams(), fading=FadingParams(),
                               scheme=scheme, **centre, **kw)
@@ -508,24 +543,29 @@ def test_memo_cold_warm_and_streaming_agree(monkeypatch, scheme, center, threads
 def test_memo_entry_replaced_by_key(monkeypatch):
     draws = _counting_draws(monkeypatch)
     base = _memo_config(SchemeId.FCR_GCSI_PFS, "bs")
+    # (config, trials, seed, whether it replaces the entry)
     variants = [
-        (base, BATCH_TRIALS, BATCH_SEED),
-        (base, BATCH_TRIALS, BATCH_SEED + 1),
-        (base, BATCH_TRIALS - 1, BATCH_SEED + 1),
-        (dataclasses.replace(base, scheme=SchemeId.SCR_GCSI_PFS), BATCH_TRIALS, BATCH_SEED),
+        (base, BATCH_TRIALS, BATCH_SEED, True),
+        # the centre is a row scalar, not part of the key
+        (_memo_config(SchemeId.FCR_GCSI_PFS, "fixed"), BATCH_TRIALS, BATCH_SEED, False),
+        (base, BATCH_TRIALS, BATCH_SEED + 1, True),
+        (base, BATCH_TRIALS - 1, BATCH_SEED + 1, True),
+        (dataclasses.replace(base, scheme=SchemeId.SCR_GCSI_PFS), BATCH_TRIALS,
+         BATCH_SEED, True),
         (dataclasses.replace(base, fading=FadingParams(n_elements=8)), BATCH_TRIALS,
-         BATCH_SEED),
+         BATCH_SEED, True),
         (dataclasses.replace(base, geometry=ScenarioGeometry(d_rn_m=(40.0, 60.0, 90.0))),
-         BATCH_TRIALS, BATCH_SEED),
-        (_memo_config(SchemeId.FCR_GCSI_PFS, "fixed"), BATCH_TRIALS, BATCH_SEED),
-        (base, BATCH_TRIALS, BATCH_SEED),
+         BATCH_TRIALS, BATCH_SEED, True),
+        (base, BATCH_TRIALS, BATCH_SEED, True),
     ]
-    for k, (cfg, trials, seed) in enumerate(variants):
+    drawn = 0
+    for cfg, trials, seed, replaces in variants:
         est = sec.run_monte_carlo(cfg, trials, seed, threads=2)
         assert list(sec._memo) == [(sec._layout(cfg), cfg.scheme, seed, trials)]
-        assert len(draws) == 3 * (k + 1)
+        drawn += 3 * replaces
+        assert len(draws) == drawn
         assert est == sec.run_monte_carlo_many([cfg], trials, seed)[0]
-        del draws[3 * (k + 1):]  # the streaming reference draws too
+        del draws[drawn:]  # the streaming reference draws too
 
 
 @pytest.mark.parametrize("center", ("bs", "fixed"))
@@ -538,7 +578,8 @@ def test_memo_arrays_read_only_and_reduced(monkeypatch, scheme, center):
     assert [b.cbrt_u.size for b in blocks] == [sec.BLOCK_TRIALS, sec.BLOCK_TRIALS, 808]
     kept = 0
     for block in blocks:
-        assert (block.dir_z is None) == (center == "bs")
+        # every centre keeps the polar direction
+        assert block.dir_z.shape == block.cbrt_u.shape
         assert list(block.rows) == [(scheme.fully_connected, scheme.rule)]
         ((users, cascade),) = block.rows.values()
         if scheme.rule == "rs":
@@ -547,9 +588,7 @@ def test_memo_arrays_read_only_and_reduced(monkeypatch, scheme, center):
             assert cascade.shape == (cfg.n_users, block.cbrt_u.size)
         else:
             assert users.shape == cascade.shape == (1, block.cbrt_u.size)
-        arrays = [block.cbrt_u, *_row_arrays(block)]
-        if block.dir_z is not None:
-            arrays.append(block.dir_z)
+        arrays = [block.cbrt_u, block.dir_z, *_row_arrays(block)]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -626,7 +665,7 @@ def test_in_place_reduction_leaves_other_rows_alone(geometry, air, fading):
     assert np.array_equal(both.rows[False, "fcsi"][0], fcsi[None])
     assert np.array_equal(both.rows[False, "fcsi"][1], sc[np.arange(n), fcsi][None])
     for block in (alone, both):
-        arrays = [block.cbrt_u, *_row_arrays(block)]
+        arrays = [block.cbrt_u, block.dir_z, *_row_arrays(block)]
         assert not any(a.flags.writeable for a in arrays)
 
 
@@ -679,6 +718,22 @@ def _cascade_params(cfg: sec.ScenarioConfig) -> ClosedFormParams:
         n_users=1 if cfg.scheme.rule == "rs" else cfg.n_users)
 
 
+def test_zero_offset_gain_is_the_law_of_cosines_form(geometry, air, fading):
+    # the gain at offset 0 reads the sampled radius; the law-of-cosines
+    # form it skips gives the same bits, since IEEE sqrt(rho^2) = rho
+    cfg = make_config(geometry, air, fading)
+    for i in range(8):
+        block = sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS)
+        for r_eve in (1e-3, 500.0, 3.7e5):
+            rho = r_eve * block.cbrt_u
+            cosines = np.sqrt(np.maximum(rho ** 2 - 2.0 * rho * block.dir_z * 0.0
+                                         + 0.0 ** 2, 0.0))
+            assert np.array_equal(cosines, rho)
+            want = large_scale_gain(air.ref_gain, np.maximum(cosines, 1e-9), 2.0)
+            got = sec._eve_gain(block, (r_eve, 0.0, 2.0, air.ref_gain))
+            assert [g.hex() for g in got.tolist()] == [w.hex() for w in want.tolist()]
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS])
 def test_offset_ball_oracle_at_zero_offset_is_the_analytic_value(geometry, air,
                                                                  fading, scheme):
@@ -690,7 +745,7 @@ def test_offset_ball_oracle_at_zero_offset_is_the_analytic_value(geometry, air,
 
 def test_fixed_centre_mc_matches_the_offset_ball_oracle(air, fading):
     configs = [make_config(ScenarioGeometry(h_br_m=h, d_rn_m=(d_rn,) * 4), air,
-                           fading, scheme, eve_center="fixed", eve_center_h_m=150.0)
+                           fading, scheme, eve_center_h_m=150.0)
                for d_rn in (50.0, 150.0) for h in (300.0, 450.0)
                for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS)]
     estimates = sec.run_monte_carlo_many(configs, 400_000, 2026)
@@ -703,9 +758,10 @@ def test_fixed_centre_mc_matches_the_offset_ball_oracle(air, fading):
 def test_fixed_centre_distance_follows_the_lens_law(air, fading, h_br_m):
     # offsets 300 m (inside the 500 m ball) and 850 m (past it)
     cfg = make_config(ScenarioGeometry(h_br_m=h_br_m), air, fading,
-                      eve_center="fixed", eve_center_h_m=150.0)
+                      eve_center_h_m=150.0)
     block = sec._draw_block([cfg], 2026, 0, 20_000)
-    dist = sec._eve_distance(cfg, block.cbrt_u, block.dir_z)
+    # at alpha_e = 1 and G0 = 1 the gain is the inverse distance
+    dist = 1.0 / sec._eve_gain(block, (cfg.geometry.r_eve_m, cfg.eve_offset_m, 1.0, 1.0))
     law = functools.partial(eve_within, big_r=cfg.geometry.r_eve_m,
                             offset=h_br_m - 150.0)
     assert stats.kstest(dist, law).pvalue > 1e-4

@@ -233,7 +233,8 @@ def _eve_gain(block: _Block, key: tuple) -> np.ndarray:
 
     The eavesdropper sits rho = R ``cbrt_u`` from the ball's centre (bit
     for bit a draw at radius R), the BS ``offset`` above it; the law of
-    cosines along ``dir_z`` gives their distance, rho at offset 0.
+    cosines along ``dir_z`` gives their distance, which at offset 0 is
+    rho to the bit (IEEE sqrt(rho^2) = rho), so rho is used directly.
     """
     r_eve, offset, alpha_eve, ref_gain = key
     d_be = r_eve * block.cbrt_u

@@ -457,14 +457,7 @@ def test_batch_draws_once_per_layout_and_block(monkeypatch):
 
 
 def test_batch_mixed_centres_share_blocks_and_gains(monkeypatch):
-    calls = []
-    draw = sec.sample_eve_distance
-
-    def counting(rng, size):
-        calls.append(size)
-        return draw(rng, size=size)
-
-    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    calls = _counting_draws(monkeypatch)
     configs = _batch_cases()["mixed-centres"]
     estimates = sec.run_monte_carlo_many(configs, BATCH_TRIALS, BATCH_SEED)
     # every centre shares one layout, so each block is drawn once

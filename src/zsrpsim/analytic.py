@@ -47,17 +47,25 @@ order-statistic row the Meijer-G terms are
 Bessel tail integrals tied by a contiguous recurrence (DLMF 10.29.1 and
 10.29.4), so a row costs three seed integrals (the positive tail
 integral of :func:`~zsrpsim.specfun.meijer_g_m0_log`) plus one step of a
-Bessel-K recurrence at the row's argument per further term.  A closed
-form evaluates the seeds of all its rows in one batched call and the
-Bessel factors of all its rows in one array recurrence.
+Bessel-K recurrence at the row's argument per further term.
 Users at different RIS-user distances share W, and GCSI-PFS serves the
 largest unscaled power sum S_n, whose index is uniform and independent
 of its value.  So with z~_n = G0 / (psi^2 sigma1n^2 sigma2^2) its ZSRP
 is (1/N) sum_n E[F_S(z~_n / W)^N]: as for round robin, the user average
 of the common-distance value at each user's own distance, each distinct
 distance evaluated once.  Single-connected architectures have no
-tractable cascaded distribution here and raise
+tractable cascaded distribution here and are refused with
 :class:`AnalyticUnavailableError`.
+
+:func:`zsrp_many` evaluates many scenarios in one batch, and
+:func:`zsrp_for_scheme` is its one-row call without the closed form.
+Rows that share (m1, m2, L, N, rule) share each integral call: one
+psi-average of the series CDF for round robin, one pair of tolerance
+passes of the 1-D integral for GCSI-PFS.  The distinct seeds of all
+closed forms go to one :func:`~zsrpsim.specfun.meijer_g_m0_log` call and
+their Bessel factors to one array recurrence.  Each row comes out bit
+for bit as it does alone, and a row refused, or whose closed form is
+refused, leaves its neighbours alone.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -180,17 +188,20 @@ def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
     return min(1.0, max(0.0, val)), float(bound)
 
 
-def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
+def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
+                 scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Series CDF of the single-user cascade Z = sigma1^2 sigma2^2 S W.
 
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
            K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
-    summed in log space, at each entry of the array ``z``.  Every order
-    at every z comes from one array Bessel-K recurrence at 2 sqrt(xi),
-    and the positive terms of all z are summed as rows of one array,
-    each bit for bit as alone.  Checked in the tests against direct
-    integration over W; returns 0 for z <= 0.
+    summed in log space, at each entry of the array ``z``.  ``scale``
+    holds sigma1^2 sigma2^2 at each entry, for entries of rows at
+    different distances; by default it is ``p``'s.  Every order at every
+    z comes from one array Bessel-K recurrence at 2 sqrt(xi), and the
+    positive terms of all z are summed as rows of one array, each bit
+    for bit as alone.  Checked in the tests against direct integration
+    over W; returns 0 for z <= 0.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
@@ -198,7 +209,9 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     if np.any(pos):
         m_2 = p.m2 * p.n_elements
         m_1 = p.m1 * p.n_elements
-        xi = p.m1 * p.m2 * z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
+        scales = np.broadcast_to(
+            p.sigma1_sq * p.sigma2_sq if scale is None else scale, z_arr.shape)
+        xi = p.m1 * p.m2 * z_arr[pos] / scales[pos]
         t = np.arange(m_1)
         log_terms = specfun.log_bessel_k(np.abs(m_2 - t),
                                          2.0 * np.sqrt(xi)[:, None])
@@ -247,14 +260,15 @@ def _cdf_u(b: np.ndarray, a_2: int) -> np.ndarray:
     return cdf_S(b, 1, a_2) + b * root * gamma_ratio
 
 
-def cdf_Z_quadrature(p: ClosedFormParams) -> float:
-    """psi-averaged CDF of the served cascade, by one quadrature over the
-    served user-side power sum.
+def cdf_Z_quadrature(ps: Sequence[ClosedFormParams]) -> list[float]:
+    """psi-averaged CDF of the served cascade of each row, by one quadrature
+    over the served user-side power sum.
 
-    The ZSR event sigma1^2 sigma2^2 S W < G0 / psi^2 reads U < X / (m1 S)
-    with U = m2 W psi^2 / R^2 (:func:`_cdf_u`) and X = ``p.big_x``.  The
-    served S is the largest of N independent Gamma(m1 L, 1/m1) sums (one
-    sum when N = 1), so
+    The rows share m1, m2, L and N.  The ZSR event sigma1^2 sigma2^2 S W
+    < G0 / psi^2 reads U < X / (m1 S) with U = m2 W psi^2 / R^2
+    (:func:`_cdf_u`) and X = ``p.big_x`` of the row.  The served S is the
+    largest of N independent Gamma(m1 L, 1/m1) sums (one sum when N = 1),
+    so
 
         ZSRP = int_0^inf F_U(X / (m1 s)) N F_S(s)^(N-1) f_S(s) ds,
 
@@ -263,77 +277,138 @@ def cdf_Z_quadrature(p: ClosedFormParams) -> float:
     (:func:`~zsrpsim.fading.tail_cutoff`).  A first pass to 1e-8 absolute
     sizes the second, to 1e-13 of the first's result but at least 1e-300,
     so that a result at the bottom of the double range still converges.
-    Returns the value clamped to [0, 1].
+    Each pass integrates every row at once, each row bit for bit as
+    alone.  Returns the values clamped to [0, 1].
     """
+    p = ps[0]
     a_2 = p.m2 * p.n_elements
+    big_x = np.array([q.big_x for q in ps])
 
     # Gauss-Legendre nodes are interior, so every s is positive
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (_cdf_u(p.big_x / (p.m1 * s), a_2) * p.n_users
+        return (_cdf_u(big_x[rows] / (p.m1 * s), a_2) * p.n_users
                 * cdf_S(s, p.m1, p.n_elements) ** (p.n_users - 1)
                 * pdf_W(s, p.m1, p.n_elements))
 
     s_hi = tail_cutoff(p.m1 * p.n_elements, 1e-17) / p.m1
-    (coarse,) = specfun.adaptive_gl(integrand, 0.0, s_hi, 1e-8, 1)
-    (val,) = specfun.adaptive_gl(integrand, 0.0, s_hi,
-                                 max(1e-13 * coarse, 1e-300), 1)
-    return min(1.0, max(0.0, float(val)))
+    coarse = specfun.adaptive_gl(integrand, 0.0, s_hi, 1e-8, len(ps))
+    vals = specfun.adaptive_gl(integrand, 0.0, s_hi,
+                               np.maximum(1e-13 * coarse, 1e-300), len(ps))
+    return [min(1.0, max(0.0, v)) for v in vals.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # Closed-form psi-averaged ZSRP (Meijer G composites)
 # ---------------------------------------------------------------------------
 
-def _log_composite_rows(m_2: int, big_x: float,
-                        row_sizes: list[int]) -> list[list[float]]:
-    """ln G of the composite for B = 0 .. n_b - 1 of each order-statistic row.
+#: One composite: M = m2 L, the argument X and the term count of each
+#: order-statistic row
+_Composite = tuple[int, float, list[int]]
 
-    Row j (from 1) has ``row_sizes[j - 1]`` terms at argument jX.  With
-    M = m_2, y = 2 sqrt(jX) and the tail integral
+
+def _seed_log_gs(composites: Sequence[_Composite]
+                 ) -> list[dict | AccuracyError]:
+    """ln G of the seeds B < 3 of every row of each composite, by seed.
+
+    Row j (from 1) of a composite (M, X, sizes) has seeds (mu, nu, x) =
+    (M + B - 4, M - B, jX).  The distinct seeds of all composites go to
+    one :func:`~zsrpsim.specfun.meijer_g_m0_log` call, each bit for bit
+    its own, so a seed shared by two composites is integrated once.
+    Where that call refuses, each composite's seeds go to a call of their
+    own, so that only a composite whose own seeds refuse gets the
+    :class:`AccuracyError` in place of its values.
+    """
+    seeds = [[(m_2 + b - 4, m_2 - b, j * big_x)
+              for j, n_b in enumerate(sizes, start=1) for b in range(min(3, n_b))]
+             for m_2, big_x, sizes in composites]
+
+    def evaluate(batch: list) -> dict:
+        unique = list(dict.fromkeys(batch))
+        return dict(zip(unique, specfun.meijer_g_m0_log(
+            *(np.array(v) for v in zip(*unique))).tolist()))
+
+    try:
+        shared = evaluate(sum(seeds, []))
+        return [shared] * len(composites)
+    except AccuracyError:
+        pass
+    out: list[dict | AccuracyError] = []
+    for own in seeds:
+        try:
+            out.append(evaluate(own))
+        except AccuracyError as exc:
+            out.append(exc)
+    return out
+
+
+def _log_composite_rows(composites: Sequence[_Composite]
+                        ) -> list[list[list[float]] | AccuracyError]:
+    """ln G of the composite for B = 0 .. n_b - 1 of each order-statistic
+    row of each composite, or the :class:`AccuracyError` its seeds raise.
+
+    Row j (from 1) of a composite (M, X, sizes) has ``sizes[j - 1]``
+    terms at argument jX.  With y = 2 sqrt(jX) and the tail integral
     I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of
     :func:`~zsrpsim.specfun.meijer_g_m0_log`,
-    G = jX^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 of every row
-    come from one call of that evaluator; every further I(B) from
+    G = jX^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from
+    :func:`_seed_log_gs`; every further I(B) from
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
 
-    adding only positive terms from B = 2 on.  The Bessel factors of all
-    rows come from one array Bessel-K recurrence over their y, one step
-    per term.  I(B) is carried in linear space under a running log scale.
+    adding only positive terms from B = 2 on.  The Bessel factors of the
+    rows of all composites come from one array Bessel-K recurrence over
+    their y, one step per term.  I(B) is carried in linear space under a
+    running log scale.
     """
-    jxs = [j * big_x for j in range(1, len(row_sizes) + 1)]
-    seeds = [(m_2 + b - 4, m_2 - b, jx)
-             for jx, n_b in zip(jxs, row_sizes) for b in range(min(3, n_b))]
-    flat = iter(specfun.meijer_g_m0_log(
-        *(np.array(v) for v in zip(*seeds))).tolist())
-    rows = [list(islice(flat, min(3, n_b))) for n_b in row_sizes]
-    ys = [2.0 * math.sqrt(jx) for jx in jxs]
-    # K_(M-b+1)(y) for b = 3 .. n_b - 1 of the longest row, at each y
-    log_ks = specfun.log_bessel_k(
-        np.abs(m_2 - np.arange(3, max(row_sizes)) + 1), np.array(ys)[:, None])
-    ln2 = math.log(2.0)
-
-    def log_g_over_i(b: int, log_jx: float) -> float:
-        return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
-
-    for row, n_b, jx, y, log_k in zip(rows, row_sizes, jxs, ys,
-                                      log_ks.tolist()):
-        if n_b <= 3:
+    out: list[list[list[float]] | AccuracyError] = []
+    lanes: list[tuple[int, float, int]] = []   # (M, y, n_b) of longer rows
+    for (m_2, big_x, sizes), seed_log_g in zip(composites,
+                                                _seed_log_gs(composites)):
+        if isinstance(seed_log_g, AccuracyError):
+            out.append(seed_log_g)
             continue
-        log_jx, log_y = math.log(jx), math.log(y)
-        scale, mant = row[2] - log_g_over_i(2, log_jx), 1.0
-        for b in range(3, n_b):
-            log_step = (m_2 + b - 4) * log_y + log_k[b - 3]
-            mant = math.exp(log_step - scale) + (2 * b - 5) * mant
-            if mant > 1e200:
-                scale += math.log(mant)
-                mant = 1.0
-            row.append(scale + math.log(mant) + log_g_over_i(b, log_jx))
-    return rows
+        out.append([[seed_log_g[(m_2 + b - 4, m_2 - b, j * big_x)]
+                     for b in range(min(3, n_b))]
+                    for j, n_b in enumerate(sizes, start=1)])
+        lanes += [(m_2, 2.0 * math.sqrt(j * big_x), n_b)
+                  for j, n_b in enumerate(sizes, start=1) if n_b > 3]
+    if not lanes:
+        return out
+    # K_(M-b+1)(y) for b = 3 .. n_b - 1 of each longer row; a shorter
+    # row's unused orders are padded with 0
+    orders = np.zeros((len(lanes), max(n_b for *_, n_b in lanes) - 3), int)
+    for lane, (m_2, _, n_b) in enumerate(lanes):
+        orders[lane, :n_b - 3] = np.abs(m_2 - np.arange(3, n_b) + 1)
+    log_ks = iter(specfun.log_bessel_k(
+        orders, np.array([y for _, y, _ in lanes])[:, None]))
+    ln2 = math.log(2.0)
+    for (m_2, big_x, sizes), rows in zip(composites, out):
+        if isinstance(rows, AccuracyError):
+            continue
+        for j, (row, n_b) in enumerate(zip(rows, sizes), start=1):
+            if n_b <= 3:
+                continue
+            log_k = next(log_ks).tolist()
+            jx = j * big_x
+            log_jx, log_y = math.log(jx), math.log(2.0 * math.sqrt(jx))
+
+            def log_g_over_i(b: int) -> float:
+                return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
+
+            scale, mant = row[2] - log_g_over_i(2), 1.0
+            for b in range(3, n_b):
+                log_step = (m_2 + b - 4) * log_y + log_k[b - 3]
+                mant = math.exp(log_step - scale) + (2 * b - 5) * mant
+                if mant > 1e200:
+                    scale += math.log(mant)
+                    mant = 1.0
+                row.append(scale + math.log(mant) + log_g_over_i(b))
+    return out
 
 
-def _closed_form(params: ClosedFormParams) -> Optional[float]:
-    """Meijer-G composite for the psi-averaged ZSRP, or None where it refuses.
+def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
+    """Meijer-G composite for the psi-averaged ZSRP of each row, or None
+    where it refuses.
 
     Each Bessel term of the cascade CDF integrates in closed form over
     the eavesdropper distance:
@@ -352,53 +427,76 @@ def _closed_form(params: ClosedFormParams) -> Optional[float]:
 
     so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
     recurrence step at y per further term (:func:`_log_composite_rows`).
-    The 3N seeds of all rows go to one call of
+    The distinct seeds of all rows of all composites go to one call of
     :func:`~zsrpsim.specfun.meijer_g_m0_log`, one batched tail-integral
-    quadrature, and the recurrences of all rows to one array Bessel-K
-    call, each value bit for bit its own.  Logs the seed and term counts
-    at DEBUG.  Where the rounding bound of the order-statistic sum
-    (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its value, or
-    where no seed reaches its tolerance, it logs why at INFO and returns
-    None, leaving the quadrature value alone.
+    quadrature, and the recurrences to one array Bessel-K call, each
+    value bit for bit its own.  Logs the seed and term counts of each
+    composite at DEBUG.  Where the rounding bound of the order-statistic
+    sum (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its
+    value, or where a seed of the composite does not reach its
+    tolerance, it logs why at INFO and gives None for that row alone,
+    leaving its quadrature value alone.
     """
-    m_1, m_2 = params.m1 * params.n_elements, params.m2 * params.n_elements
-    big_x = params.big_x
-    row_sizes = [j * (m_1 - 1) + 1 for j in range(1, params.n_users + 1)]
-    closed = None
-    try:
-        value, bound = _order_stat_series(
-            m_1, m_2, math.log(big_x), _log_composite_rows(m_2, big_x, row_sizes))
-        if bound <= REL_GAP_WARN * value:
-            closed = value
+    composites = [(p.m2 * p.n_elements, p.big_x,
+                   [j * (p.m1 * p.n_elements - 1) + 1
+                    for j in range(1, p.n_users + 1)]) for p in ps]
+    out: list[Optional[float]] = []
+    for p, (m_2, big_x, sizes), rows in zip(ps, composites,
+                                            _log_composite_rows(composites)):
+        closed = None
+        if isinstance(rows, AccuracyError):
+            reason = str(rows)
         else:
-            reason = (f"order-statistic sum {value:.3e} has rounding bound "
-                      f"{bound:.1e}, past {REL_GAP_WARN:g} of it")
-    except AccuracyError as exc:
-        reason = str(exc)
-    logger.debug("closed-form composite: %d seed integrals in one batched "
-                 "quadrature, %d terms",
-                 sum(min(3, n_b) for n_b in row_sizes), sum(row_sizes))
-    if closed is None:
-        logger.info("closed-form composite unavailable here (%s); "
-                    "quadrature value returned alone", reason)
-    return closed
+            value, bound = _order_stat_series(
+                p.m1 * p.n_elements, m_2, math.log(big_x), rows)
+            if bound <= REL_GAP_WARN * value:
+                closed = value
+            else:
+                reason = (f"order-statistic sum {value:.3e} has rounding "
+                          f"bound {bound:.1e}, past {REL_GAP_WARN:g} of it")
+        logger.debug("closed-form composite: %d seed integrals in one batched "
+                     "quadrature, %d terms",
+                     sum(min(3, n_b) for n_b in sizes), sum(sizes))
+        if closed is None:
+            logger.info("closed-form composite unavailable here (%s); "
+                        "quadrature value returned alone", reason)
+        out.append(closed)
+    return out
 
 
-def psi_average(cdf_at_distance: Callable[[np.ndarray], np.ndarray],
-                r_eve_m: float) -> float:
-    """E_psi[cdf(psi)] for psi uniform-in-ball: density 3 r^2 / R^3, to 1e-10.
+def psi_average(cdf_at_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                r_eve_m: Sequence[float]) -> list[float]:
+    """E_psi[cdf_i(psi)] of each row i for psi uniform in the ball of
+    radius ``r_eve_m[i]``: density 3 r^2 / R^3, to 1e-10.
 
-    ``cdf_at_distance`` takes an array of distances (the nodes of up to
-    ``specfun._GL_PANELS_PER_CALL`` panels) and returns the CDF at each.
+    ``cdf_at_distance(r, rows)`` takes an array of distances (the nodes
+    of up to ``specfun._GL_PANELS_PER_CALL`` panels of any rows) and the
+    row of each, and returns the CDF of that row at each distance.  The
+    rows are integrated at once, each bit for bit as alone.
     """
-    if r_eve_m <= 0.0:
+    if not all(r > 0.0 for r in r_eve_m):
         raise ValueError("r_eve_m must be positive")
+    # the cube of each radius as a float, as one row alone takes it
+    cubes = np.array([r ** 3 for r in r_eve_m], dtype=float)
 
     def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return cdf_at_distance(r) * 3.0 * r ** 2 / r_eve_m ** 3
+        return cdf_at_distance(r, rows) * 3.0 * r ** 2 / cubes[rows]
 
-    (val,) = specfun.adaptive_gl(integrand, 0.0, r_eve_m, 1e-10, 1)
-    return min(1.0, max(0.0, float(val)))
+    vals = specfun.adaptive_gl(integrand, 0.0, np.array(r_eve_m, dtype=float),
+                               1e-10, len(cubes))
+    return [min(1.0, max(0.0, v)) for v in vals.tolist()]
+
+
+def _round_robin_values(ps: Sequence[ClosedFormParams]) -> list[float]:
+    """psi-averaged series CDF of each row; the rows share m1, m2 and L."""
+    gains = np.array([p.ref_gain for p in ps], dtype=float)
+    scales = np.array([p.sigma1_sq * p.sigma2_sq for p in ps])
+    # float_power squares by pow, as the scalar ``r ** 2`` of one node
+    # does; ``r ** 2`` of an array multiplies, which rounds differently
+    return psi_average(
+        lambda r, rows: cdf_Z_single(gains[rows] / np.float_power(r, 2),
+                                     ps[0], scales[rows]),
+        [p.r_eve_m for p in ps])
 
 
 def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
@@ -415,42 +513,40 @@ def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
     return AnalyticZsrp(value=value, closed_form=closed, rel_gap=rel_gap)
 
 
-def zsrp_from_params(p: ClosedFormParams, round_robin: bool,
-                     closed_form: bool = True) -> AnalyticZsrp:
-    """ZSRP of one scheduling rule.
+def zsrp_from_params(rows: Sequence[tuple[ClosedFormParams, bool]],
+                     closed_form: bool) -> list[AnalyticZsrp]:
+    """ZSRP of each (parameters, round robin) row.
 
     The rule, never N, picks the route: round robin sets N = 1 and
     psi-averages the series CDF :func:`cdf_Z_single`; proportional
     fairness takes the one 1-D integral of :func:`cdf_Z_quadrature`.
-    ``closed_form`` comes from the Meijer composite, omitted where it
+    Rows that share (m1, m2, L, N, rule) share one integral call, each
+    row bit for bit as alone.  ``closed_form`` comes from the Meijer
+    composite (:func:`_closed_forms`, all rows at once), omitted where it
     refuses or when ``closed_form`` is False.
     """
-    if round_robin:
-        p = dataclasses.replace(p, n_users=1)
-        # float_power squares by pow, as the scalar ``r ** 2`` of one node
-        # does; ``r ** 2`` of an array multiplies, which rounds differently
-        value = psi_average(
-            lambda r: cdf_Z_single(p.ref_gain / np.float_power(r, 2), p),
-            p.r_eve_m)
-    else:
-        value = cdf_Z_quadrature(p)
-    return _report(value, _closed_form(p) if closed_form else None)
+    params = [dataclasses.replace(p, n_users=1) if round_robin else p
+              for p, round_robin in rows]
+    groups: dict[tuple, list[int]] = {}
+    for i, (p, (_, round_robin)) in enumerate(zip(params, rows)):
+        groups.setdefault((p.m1, p.m2, p.n_elements, p.n_users, round_robin),
+                          []).append(i)
+    values = [0.0] * len(rows)
+    for (*_, round_robin), members in groups.items():
+        group = [params[i] for i in members]
+        for i, value in zip(members, _round_robin_values(group) if round_robin
+                            else cdf_Z_quadrature(group)):
+            values[i] = value
+    closed = (_closed_forms(params) if closed_form and params
+              else [None] * len(params))
+    return [_report(v, c) for v, c in zip(values, closed)]
 
 
-def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
-    """Analytic ZSRP of a concrete scenario under its configured scheme.
+def _cascade_params(config) -> tuple[ClosedFormParams, Counter]:
+    """Cascade parameters of ``config`` and the count of each RIS-user gain.
 
-    ``config`` is a :class:`~zsrpsim.secrecy.ScenarioConfig`.  Only the
-    fully-connected architecture is tractable here; single-connected
-    schemes raise :class:`AnalyticUnavailableError`.  Both rules take any
-    RIS-user distances: each distinct sigma1^2 is evaluated once and the
-    values are averaged over users (see the module docstring).  The
-    formulas also require the free-space wiretap exponent and an
-    eavesdropper ball centred on the BS: a centre offset from the current
-    BS altitude is refused, and so is a radius whose square (cube for
-    round robin) overflows a double.  With ``closed_form`` False only
-    the quadrature ``value`` is computed (the altitude search uses no
-    more), and ``closed_form`` and ``rel_gap`` come back None.
+    Raises :class:`AnalyticUnavailableError` where the analytic route
+    does not apply (see :func:`zsrp_many`).
     """
     scheme = config.scheme
     if not scheme.fully_connected:
@@ -481,13 +577,66 @@ def zsrp_for_scheme(config, closed_form: bool = True) -> AnalyticZsrp:
         m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
         sigma1_sq=next(iter(counts)), sigma2_sq=bs_ris_gain(geometry, air),
         ref_gain=air.ref_gain, r_eve_m=geometry.r_eve_m, n_users=n_users)
-    parts = [zsrp_from_params(dataclasses.replace(p, sigma1_sq=s),
-                              scheme.rule == "rs", closed_form) for s in counts]
-    if len(parts) == 1:
-        return parts[0]
-    weights = counts.values()
-    closed = [part.closed_form for part in parts]
-    return _report(
-        sum(k * part.value for k, part in zip(weights, parts)) / n_users,
-        None if None in closed
-        else sum(k * c for k, c in zip(weights, closed)) / n_users)
+    return p, counts
+
+
+def zsrp_many(configs: Sequence, closed_form: bool
+              ) -> list[AnalyticZsrp | AnalyticUnavailableError]:
+    """Analytic ZSRP of each scenario under its configured scheme.
+
+    Each config is a :class:`~zsrpsim.secrecy.ScenarioConfig`; its outcome
+    is an :class:`AnalyticZsrp`, or the :class:`AnalyticUnavailableError`
+    that refuses it, in place.  Only the fully-connected architecture is
+    tractable here: single-connected schemes are refused.  Both rules
+    take any RIS-user distances: each distinct sigma1^2 is evaluated once
+    and the values are averaged over users (see the module docstring).
+    The formulas also require the free-space wiretap exponent and an
+    eavesdropper ball centred on the BS: a centre offset from the current
+    BS altitude is refused, and so is a radius whose square (cube for
+    round robin) overflows a double.  All rows of all configs go to one
+    :func:`zsrp_from_params` call, and each outcome is bit for bit the
+    one its config gets alone.  With ``closed_form`` False only the
+    quadrature ``value`` is computed (the altitude search uses no more),
+    and ``closed_form`` and ``rel_gap`` come back None.
+    """
+    plans: list[Counter | AnalyticUnavailableError] = []
+    rows: list[tuple[ClosedFormParams, bool]] = []
+    for config in configs:
+        try:
+            p, counts = _cascade_params(config)
+        except AnalyticUnavailableError as exc:
+            plans.append(exc)
+            continue
+        plans.append(counts)
+        rows += [(dataclasses.replace(p, sigma1_sq=s), config.scheme.rule == "rs")
+                 for s in counts]
+    results = iter(zsrp_from_params(rows, closed_form))
+    out: list[AnalyticZsrp | AnalyticUnavailableError] = []
+    for config, counts in zip(configs, plans):
+        if isinstance(counts, AnalyticUnavailableError):
+            out.append(counts)
+            continue
+        parts = list(islice(results, len(counts)))
+        if len(parts) == 1:
+            out.append(parts[0])
+            continue
+        n_users, weights = config.geometry.n_users, counts.values()
+        closed = [part.closed_form for part in parts]
+        out.append(_report(
+            sum(k * part.value for k, part in zip(weights, parts)) / n_users,
+            None if None in closed
+            else sum(k * c for k, c in zip(weights, closed)) / n_users))
+    return out
+
+
+def zsrp_for_scheme(config) -> AnalyticZsrp:
+    """Quadrature value of one scenario: its row of :func:`zsrp_many`
+    without the closed form, its refusal raised.
+
+    The altitude search takes its golden-section steps, one altitude at
+    a time, through here.
+    """
+    (out,) = zsrp_many([config], closed_form=False)
+    if isinstance(out, AnalyticUnavailableError):
+        raise out
+    return out

@@ -10,6 +10,9 @@ thread count.  All Monte-Carlo rows of a run go to one
 :func:`~zsrpsim.secrecy.run_monte_carlo_many` call, which draws each block
 once per draw layout (one layout per element count on ``fig3``, one for the
 whole run otherwise) and returns the same values as separate runs would.
+All analytic rows go to one :func:`~zsrpsim.analytic.zsrp_many` call,
+which shares each integral among the rows that share a route and returns
+each row bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Union
 
-from .analytic import zsrp_for_scheme
+from .analytic import zsrp_many
 from .errors import AnalyticUnavailableError, ConfigError
 from .fading import FadingParams
 from .propagation import AirGroundParams, ScenarioGeometry
 from .scheduling import SchemeId
 from .secrecy import ScenarioConfig, run_monte_carlo_many
-# kept importable here: perfbench/tracer.py wraps it by module name
+# kept importable here: perfbench/tracer.py wraps them by module name
+from .analytic import zsrp_for_scheme  # noqa: F401
 from .secrecy import run_monte_carlo  # noqa: F401
 
 logger = logging.getLogger(__name__)
@@ -264,39 +268,41 @@ def run_experiment(scenario: ScenarioConfig, spec: ExperimentSpec,
     quadrature value at INFO.
     Wall-clock stamps are collected only when ``timing`` is set, keeping
     the default output byte-reproducible; the Monte-Carlo rows share one
-    batch, so each gets an even share of its wall time.
+    batch and the analytic rows another, so each row gets an even share
+    of its batch's wall time.
     """
     sweep_var, values = spec.grid()
     points = [(value, _at_grid_point(scenario, sweep_var, value))
               for value in values]
-    mc_configs = [dataclasses.replace(at_point, scheme=scheme)
-                  for _, at_point in points for scheme in spec.schemes
-                  if "mc" in spec.evaluators]
+    configs = [dataclasses.replace(at_point, scheme=scheme)
+               for _, at_point in points for scheme in spec.schemes]
+    mc_configs = configs if "mc" in spec.evaluators else []
     t0 = time.perf_counter()
     estimates = iter(run_monte_carlo_many(mc_configs, spec.trials, spec.seed,
                                           threads=spec.threads))
     mc_ms = (time.perf_counter() - t0) * 1e3 / max(len(mc_configs), 1)
+    analytic_configs = configs if "analytic" in spec.evaluators else []
+    t0 = time.perf_counter()
+    outcomes = iter(zsrp_many(analytic_configs, closed_form=True))
+    analytic_ms = ((time.perf_counter() - t0) * 1e3
+                   / max(len(analytic_configs), 1))
     rows: list[dict] = []
     skipped: set[SchemeId] = set()
     for value, at_point in points:
         for scheme in spec.schemes:
-            cfg = dataclasses.replace(at_point, scheme=scheme)
             for evaluator in spec.evaluators:
                 if evaluator == "mc":
                     est = next(estimates)
                     zsrp, std_err, wall_ms = est.p_hat, est.std_err, mc_ms
                 else:
-                    t0 = time.perf_counter()
-                    try:
-                        res = zsrp_for_scheme(cfg)
-                    except AnalyticUnavailableError as exc:
+                    res = next(outcomes)
+                    if isinstance(res, AnalyticUnavailableError):
                         if scheme not in skipped:
                             skipped.add(scheme)
                             logger.warning("omitting analytic rows for %s: %s",
-                                           scheme.value, exc)
+                                           scheme.value, res)
                         continue
-                    zsrp, std_err = res.value, None
-                    wall_ms = (time.perf_counter() - t0) * 1e3
+                    zsrp, std_err, wall_ms = res.value, None, analytic_ms
                     if res.rel_gap is not None:
                         logger.info("%s%s: closed form %.10g agrees with "
                                     "quadrature to %.2e relative", scheme.value,

@@ -10,7 +10,11 @@ step alike, is one :func:`~zsrpsim.secrecy.run_monte_carlo` call.  The
 altitudes of one search share its memo key (draw layout, scheme, seed,
 trials), so the first call draws each block once and every later call
 only compares the kept samples at its altitude, with the values that
-separate runs would give.
+separate runs would give.  The analytic pre-scan takes its altitudes in
+one :func:`~zsrpsim.analytic.zsrp_many` call, which shares each integral
+among them, and each golden-section step one
+:func:`~zsrpsim.analytic.zsrp_for_scheme` call; every value is the one
+the altitude gets alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .analytic import zsrp_for_scheme
+from .analytic import zsrp_for_scheme, zsrp_many
+from .errors import AnalyticUnavailableError
 from .experiments import DEFAULT_SEED, DEFAULT_TRIALS, EVALUATORS
 from .secrecy import ScenarioConfig, run_monte_carlo
 
@@ -100,27 +105,38 @@ def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
 
     A 16-point pre-scan locates the best coarse point (insurance against
     a vanished dip), then golden-section refines the bracket formed by
-    its neighbors.  The MC evaluator holds the seed fixed across
-    altitudes, so repeated searches return the same argmin.  The
-    objective caches its values, so the evaluation count is the number
-    of distinct altitudes evaluated.
+    its neighbors.  The analytic pre-scan evaluates its 16 altitudes in
+    one batch, each value bit for bit its own; the golden-section steps,
+    each depending on the last, take one altitude at a time.  The MC
+    evaluator holds the seed fixed across altitudes, so repeated
+    searches return the same argmin.  The objective caches its values,
+    so the evaluation count is the number of distinct altitudes
+    evaluated.
     """
     base = spec.config
     cache: dict[float, float] = {}
 
+    def at(h: float) -> ScenarioConfig:
+        return dataclasses.replace(
+            base, geometry=dataclasses.replace(base.geometry, h_br_m=h))
+
     def objective(h: float) -> float:
         if h not in cache:
-            geometry = dataclasses.replace(base.geometry, h_br_m=h)
-            cfg = dataclasses.replace(base, geometry=geometry)
             if spec.evaluator == "analytic":
-                cache[h] = zsrp_for_scheme(cfg, closed_form=False).value
+                cache[h] = zsrp_for_scheme(at(h)).value
             else:
-                cache[h] = run_monte_carlo(cfg, spec.trials, spec.seed,
+                cache[h] = run_monte_carlo(at(h), spec.trials, spec.seed,
                                            threads=spec.threads).p_hat
         return cache[h]
 
     step = (spec.h_hi_m - spec.h_lo_m) / (PRESCAN_POINTS - 1)
     scan = [spec.h_lo_m + i * step for i in range(PRESCAN_POINTS)]
+    if spec.evaluator == "analytic":
+        for h, res in zip(scan, zsrp_many([at(h) for h in scan],
+                                          closed_form=False)):
+            if isinstance(res, AnalyticUnavailableError):
+                raise res
+            cache[h] = res.value
     scan_vals = [objective(h) for h in scan]
     best = min(range(PRESCAN_POINTS), key=lambda i: scan_vals[i])
     lo = scan[max(best - 1, 0)]

@@ -36,6 +36,7 @@ bits of its own one-element call.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -107,16 +108,26 @@ def regularized_upper_gamma(a: int, x: float) -> float:
     return float(regularized_upper_gamma_vec(a, np.array([x], dtype=float))[0])
 
 
+#: Most elements :func:`apply_math` holds as Python floats at once
+_MATH_CHUNK = 1024
+
+
 def apply_math(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
     """The math-module function ``fn`` applied to each element of ``a``.
 
     numpy's SIMD log, exp and expm1 round differently from the C library
     on some arguments, so array code that must equal a scalar
     ``math.log`` / ``math.exp`` / ``math.expm1`` expression bit for bit
-    maps the math function instead.
+    maps the math function instead.  The elements become Python floats
+    ``_MATH_CHUNK`` at a time, so a large array never has all of its
+    elements as Python floats at once.
     """
     a = np.asarray(a, dtype=float)
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    flat = a.ravel()
+    values = (flat.tolist() if flat.size <= _MATH_CHUNK else
+              chain.from_iterable(flat[i:i + _MATH_CHUNK].tolist()
+                                  for i in range(0, flat.size, _MATH_CHUNK)))
+    return np.fromiter(map(fn, values), float, a.size).reshape(a.shape)
 
 
 def _bessel_k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,32 +211,44 @@ _LOG_1E280 = 280.0 * math.log(10.0)
 
 
 def _scaled_k_table(nu_max: int, flat: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
     """exp(x) K_n(x) / carry factor and ln carry factor, n = 0 .. nu_max.
 
-    Two tables with one row per argument of ``flat`` and one column per
-    order (at least orders 0 and 1), from one upward recurrence over
-    every lane with an explicit exponent carry per lane.  Each order is
-    recorded after its rescale check, so column n holds exactly what a
-    recurrence stopped at order n holds.
+    Two tables with one row per order (at least orders 0 and 1) and one
+    column per argument of ``flat``, from one upward recurrence over
+    every lane with an explicit exponent carry per lane.  Each step
+    writes one contiguous row, recorded after its rescale check, so row
+    n holds exactly what a recurrence stopped at order n holds.  The
+    carry table is allocated once some lane first rescales past 1e280;
+    until then every carry is 0, and ``None`` stands for a table of
+    zeros.
     """
     km, kc = _bessel_k01_scaled(flat)
-    scaled = np.empty((flat.size, max(nu_max, 1) + 1))
-    carry = np.zeros(scaled.shape)
-    scaled[:, 0], scaled[:, 1] = km, kc
+    scaled = np.empty((max(nu_max, 1) + 1, flat.size))
+    scaled[0], scaled[1] = km, kc
+    carry = None
     lane_carry = np.zeros(flat.size)
     # below x ~ 1e-28 one step from a rescaled 1e280 can pass the double
     # range; that lane goes to inf silently, as the float recurrence does
     with np.errstate(over="ignore"):
         for n in range(1, nu_max):
-            km, kc = kc, km + (2.0 * n / flat) * kc
-            big = kc > 1e280
-            if big.any():
+            # K_(n+1) = K_(n-1) + (2n / x) K_n, formed in its own row
+            row = scaled[n + 1]
+            np.divide(2.0 * n, flat, out=row)
+            row *= kc
+            row += km
+            km, kc = kc, row
+            if not kc.max() <= 1e280:  # NaN-safe: then test each lane
+                big = kc > 1e280
+                # km is the previous row as recorded: rescale a copy
+                km = km.copy()
                 km[big] *= 1e-280
                 kc[big] *= 1e-280
                 lane_carry[big] += _LOG_1E280
-            scaled[:, n + 1] = kc
-            carry[:, n + 1] = lane_carry
+                if carry is None:
+                    carry = np.zeros(scaled.shape)
+            if carry is not None:
+                carry[n + 1] = lane_carry
     return scaled, carry
 
 
@@ -250,8 +273,11 @@ def log_bessel_k(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"argument must be > 0, got {bad!r}")
     scaled, carry = _scaled_k_table(int(orders.max(initial=0)), flat)
     lane = np.arange(flat.size).reshape(np.shape(x))
-    return (apply_math(math.log, scaled[lane, orders]) + carry[lane, orders]
-            - flat[lane])
+    log_k = apply_math(math.log, scaled[orders, lane])
+    if carry is not None:
+        log_k += carry[orders, lane]
+    log_k -= flat[lane]
+    return log_k
 
 
 def log_sum_exp(log_terms: np.ndarray, signs: np.ndarray | None = None
@@ -262,15 +288,16 @@ def log_sum_exp(log_terms: np.ndarray, signs: np.ndarray | None = None
     empty or exactly cancelled sum gives (-inf, 0.0).
     """
     logs = np.asarray(log_terms, dtype=float)
-    sg = (np.ones_like(logs) if signs is None
-          else np.broadcast_to(np.asarray(signs, dtype=float), logs.shape))
     log_abs = np.full(logs.shape[:-1], -math.inf)
     sign = np.zeros(logs.shape[:-1])
     if logs.shape[-1]:
         m = np.max(logs, axis=-1)
         shift = np.where(m == -math.inf, 0.0, m)
+        terms = np.exp(logs - shift[..., None])
+        if signs is not None:
+            terms = np.asarray(signs, dtype=float) * terms
         # a row sums exactly as a lone 1-D np.sum of that row does
-        total = np.sum(sg * np.exp(logs - shift[..., None]), axis=-1)
+        total = np.sum(terms, axis=-1)
         ok = (m != -math.inf) & (total != 0.0)
         log_abs[ok] = m[ok] + apply_math(math.log, np.abs(total[ok]))
         sign[ok] = np.copysign(1.0, total[ok])
@@ -375,9 +402,9 @@ def meijer_g_m0_log(mu, nu, x):
     brackets every seed, then one :func:`adaptive_gl` integrates each over
     its own bracket and tolerance.  A non-finite mu, a non-finite or
     non-integer nu, or an x <= 0 raises ``ValueError``; a lower limit
-    2 sqrt(x) past ``_SEED_U_LO_MAX``, an integrand that does not decay,
-    or a quadrature that does not reach its tolerance raises
-    :class:`AccuracyError`.
+    2 sqrt(x) past ``_SEED_U_LO_MAX``, an integrand whose log is not
+    finite on the bracketing grid or that does not decay, or a quadrature
+    that does not reach its tolerance raises :class:`AccuracyError`.
     """
     mus, nus, xs = (np.asarray(v, dtype=float) for v in (mu, nu, x))
     if not np.all((xs > 0.0) & np.isfinite(mus + nus)):
@@ -422,7 +449,20 @@ def meijer_g_m0_log(mu, nu, x):
     us = np.multiply.accumulate(
         np.column_stack((u_lo, np.full((xs.size, n - 1), 1.2))), axis=1)
     lanes = np.arange(xs.size)
-    gs = log_g(us.ravel(), np.repeat(lanes, n)).reshape(us.shape)
+    # in calls of at most _GL_PANELS_PER_CALL panels' worth of points, as
+    # the quadrature takes them: each call's Bessel table stays small.
+    # Where the recurrence passes the double range (a radius past ~1e40
+    # m puts 2 sqrt(x) near 1e-40) the grid cannot bracket the seed
+    points, rows = us.ravel(), np.repeat(lanes, n)
+    gs = np.empty(points.size)
+    chunk = _GL_PANELS_PER_CALL * _GL_NODES.size
+    for start in range(0, points.size, chunk):
+        part = slice(start, start + chunk)
+        gs[part] = log_g(points[part], rows[part])
+        if not np.isfinite(gs[part]).all():
+            raise AccuracyError("ln of the Bessel tail integrand is not "
+                                "finite on the bracketing grid")
+    gs = gs.reshape(us.shape)
     peaks = np.maximum.accumulate(gs, axis=1)
     stop = ((gs < peaks - 60.0) & (us > tail_floor[:, None])).argmax(axis=1)
     if np.any(us[lanes, stop - 1] > 1e8):

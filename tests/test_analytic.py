@@ -110,6 +110,22 @@ def unit_params(**kw) -> an.ClosedFormParams:
     return an.ClosedFormParams(**base)
 
 
+def from_params(p: an.ClosedFormParams, round_robin: bool,
+                closed_form: bool = True) -> an.AnalyticZsrp:
+    """One (parameters, rule) row of ``zsrp_from_params``."""
+    (out,) = an.zsrp_from_params([(p, round_robin)], closed_form)
+    return out
+
+
+def analytic_row(cfg: ScenarioConfig) -> an.AnalyticZsrp:
+    """One scenario's row of ``zsrp_many``, closed form included, its
+    refusal raised."""
+    (out,) = an.zsrp_many([cfg], True)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 # --- Group 1: parameter container ---
 
 
@@ -232,9 +248,9 @@ def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkey
     nodes, starts = [], []
     cdf, k01 = an.cdf_Z_single, specfun._bessel_k01_scaled
 
-    def counting_cdf(z, q):
+    def counting_cdf(z, q, scale=None):
         nodes.append(np.size(z))
-        return cdf(z, q)
+        return cdf(z, q, scale)
 
     def counting_k01(x):
         starts.append(np.size(x))
@@ -242,7 +258,7 @@ def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkey
 
     monkeypatch.setattr(an, "cdf_Z_single", counting_cdf)
     monkeypatch.setattr(specfun, "_bessel_k01_scaled", counting_k01)
-    an.zsrp_from_params(p, True, closed_form=False)
+    an.zsrp_from_params([(p, True)], False)
     # one K0/K1 evaluation per integrand call, covering all of its nodes
     assert starts == nodes
     assert min(nodes) >= specfun._GL_NODES.size
@@ -340,24 +356,25 @@ def test_combinatorial_guards():
 
 def test_psi_average_polynomial():
     r_max = 500.0
-    got = an.psi_average(lambda r: (r / r_max) ** 2, r_max)
+    (got,) = an.psi_average(lambda r, rows: (r / r_max) ** 2, [r_max])
     assert math.isclose(got, 0.6, rel_tol=1e-9)
 
 
 def test_psi_average_constant():
-    assert math.isclose(an.psi_average(lambda r: 0.37, 123.0), 0.37, rel_tol=1e-12)
+    (got,) = an.psi_average(lambda r, rows: 0.37, [123.0])
+    assert math.isclose(got, 0.37, rel_tol=1e-12)
 
 
 def test_psi_average_domain():
     with pytest.raises(ValueError):
-        an.psi_average(lambda r: 1.0, 0.0)
+        an.psi_average(lambda r, rows: 1.0, [0.0])
 
 
 # --- Group 5: end-to-end probabilities ---
 
 
 def test_rs_frozen_default(closed_params):
-    out = an.zsrp_from_params(closed_params(n_users=4), True)
+    out = from_params(closed_params(n_users=4), True)
     assert math.isclose(out.value, RS_DEFAULT, rel_tol=1e-10)
     assert out.closed_form is not None
     assert out.rel_gap < 1e-6
@@ -366,7 +383,7 @@ def test_rs_frozen_default(closed_params):
 
 
 def test_pfs_frozen_default(closed_params):
-    out = an.zsrp_from_params(closed_params(n_users=4), False)
+    out = from_params(closed_params(n_users=4), False)
     assert math.isclose(out.value, PFS_DEFAULT, rel_tol=1e-10)
     assert out.closed_form is not None
     assert out.rel_gap < 1e-6
@@ -375,14 +392,14 @@ def test_pfs_frozen_default(closed_params):
 def test_rs_independent_of_user_count(closed_params):
     # rotation serves a fixed marginal user; homogeneous users make the
     # average independent of how many there are
-    one = an.zsrp_from_params(closed_params(n_users=1), True)
-    four = an.zsrp_from_params(closed_params(n_users=4), True)
+    one = from_params(closed_params(n_users=1), True)
+    four = from_params(closed_params(n_users=4), True)
     assert math.isclose(one.value, four.value, rel_tol=1e-12)
 
 
 def test_pfs_single_user_equals_rs(closed_params):
-    rs = an.zsrp_from_params(closed_params(n_users=1), True)
-    pfs = an.zsrp_from_params(closed_params(n_users=1), False)
+    rs = from_params(closed_params(n_users=1), True)
+    pfs = from_params(closed_params(n_users=1), False)
     assert math.isclose(rs.value, pfs.value, rel_tol=1e-10)
 
 
@@ -405,19 +422,19 @@ def test_rs_value_is_the_one_user_integral(n_elements, h_br_m, air):
         m1=2, m2=2, n_elements=n_elements, sigma1_sq=ris_user_gain(geom, air, 0),
         sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
         r_eve_m=geom.r_eve_m, n_users=4)
-    rs = an.zsrp_from_params(p, True, closed_form=False).value
-    one_user = an.cdf_Z_quadrature(dataclasses.replace(p, n_users=1))
+    rs = from_params(p, True, closed_form=False).value
+    (one_user,) = an.cdf_Z_quadrature([dataclasses.replace(p, n_users=1)])
     assert abs(rs - one_user) <= 1e-12 * one_user
 
 
 def test_pfs_improves_with_users(closed_params):
-    vals = [an.zsrp_from_params(closed_params(n_users=n), False).value
+    vals = [from_params(closed_params(n_users=n), False).value
             for n in (1, 2, 4)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_value_decreases_with_radius(closed_params):
-    vals = [an.zsrp_from_params(closed_params(n_users=1, r_eve_m=r), True).value
+    vals = [from_params(closed_params(n_users=1, r_eve_m=r), True).value
             for r in (300.0, 500.0, 800.0)]
     assert vals[0] > vals[1] > vals[2]
 
@@ -430,7 +447,7 @@ def test_closed_form_grid_agreement(closed_params):
         for r in (300.0, 500.0, 800.0):
             p = closed_params(n_users=4, n_elements=n_elements, r_eve_m=r)
             for round_robin in (True, False):
-                out = an.zsrp_from_params(p, round_robin)
+                out = from_params(p, round_robin)
                 assert out.closed_form is not None, (n_elements, r, round_robin)
                 assert out.rel_gap < 1e-6, (n_elements, r, round_robin, out.rel_gap)
 
@@ -525,7 +542,7 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
     m_2, m_1 = 32, 32
     sizes = [j * (m_1 - 1) + 1 for j in (1, 2, 3, 4)]
     calls = _count_seeds(monkeypatch)
-    rows = an._log_composite_rows(m_2, big_x, sizes)
+    (rows,) = an._log_composite_rows([(m_2, big_x, sizes)])
     # the three seeds of every row in one call
     assert [len(c) for c in calls] == [12]
     monkeypatch.undo()
@@ -573,7 +590,7 @@ def _fig4_seed_calls(air, fading, monkeypatch) -> list:
                 sigma1_sq=ris_user_gain(geom, air, 0),
                 sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
                 r_eve_m=geom.r_eve_m, n_users=n_users)
-            assert an._closed_form(p) is not None, (h, n_users)
+            assert an._closed_forms([p])[0] is not None, (h, n_users)
     monkeypatch.undo()
     return calls
 
@@ -617,7 +634,7 @@ def test_closed_form_takes_three_seeds_per_row(geometry, air, fading, monkeypatc
         calls = _count_seeds(monkeypatch)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="zsrpsim.analytic"):
-            out = an.zsrp_for_scheme(dataclasses.replace(cfg, scheme=scheme))
+            out = analytic_row(dataclasses.replace(cfg, scheme=scheme))
         assert out.closed_form is not None
         # one tail integral per seed, not one per term, all in one call
         assert [len(c) for c in calls] == [n_seeds], scheme
@@ -636,7 +653,7 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
     p = closed_params(n_users=n_users, m1=1, n_elements=n_elements,
                       r_eve_m=5000.0)
     calls = _count_seeds(monkeypatch)
-    out = an.zsrp_from_params(p, False)
+    out = from_params(p, False)
     assert [len(c) for c in calls] == [n_seeds]
     assert 1e-3 < out.value < 0.5
     assert out.closed_form is not None
@@ -645,7 +662,7 @@ def test_short_rows_use_only_their_seeds(closed_params, monkeypatch,
 
 def test_many_users_fall_back_to_quadrature(closed_params):
     # 24 users: the order-statistic sum's rounding bound is 1.1e-5 of it
-    out = an.zsrp_from_params(closed_params(n_users=24), False)
+    out = from_params(closed_params(n_users=24), False)
     assert out.closed_form is None
     assert 0.0 < out.value < 1.0
 
@@ -653,12 +670,12 @@ def test_many_users_fall_back_to_quadrature(closed_params):
 def test_rounding_bound_admits_13_users_and_refuses_24(closed_params, caplog,
                                                        monkeypatch):
     # the bound, not a user count, decides: 3.0e-9 at N = 13, 1.1e-5 at 24
-    out = an.zsrp_from_params(closed_params(n_users=13), False)
+    out = from_params(closed_params(n_users=13), False)
     assert out.closed_form is not None
     assert abs(out.closed_form - out.value) <= 1e-9 * out.value
     calls = _count_seeds(monkeypatch)
     with caplog.at_level("INFO", logger="zsrpsim.analytic"):
-        assert an._closed_form(closed_params(n_users=24)) is None
+        assert an._closed_forms([closed_params(n_users=24)])[0] is None
     # the refusal still evaluates every seed, all 3 x 24 in one call
     assert [len(c) for c in calls] == [72]
     (reason,) = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
@@ -688,18 +705,18 @@ def test_default_grids_keep_their_closed_forms(air, fading, caplog):
                     sigma1_sq=ris_user_gain(geom, air, 0),
                     sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
                     r_eve_m=geom.r_eve_m, n_users=n_users)
-                assert an._closed_form(p) is not None, (geom, n_elements, n_users)
+                assert an._closed_forms([p])[0] is not None, (geom, n_elements, n_users)
     assert "unavailable" not in caplog.text
 
 
 def test_both_rules_fall_back_past_the_rounding_bound(closed_params, monkeypatch):
     p = closed_params(n_users=4)
-    want = {rr: an.zsrp_from_params(p, rr).value for rr in (True, False)}
+    want = {rr: from_params(p, rr).value for rr in (True, False)}
     # a resolution below either composite's rounding bound (7.7e-14 and
     # 1.9e-12 of the result): the quadrature value stands alone
     monkeypatch.setattr(an, "REL_GAP_WARN", 1e-15)
     for round_robin, value in want.items():
-        out = an.zsrp_from_params(p, round_robin)
+        out = from_params(p, round_robin)
         assert (out.value, out.closed_form, out.rel_gap) == (value, None, None), \
             round_robin
 
@@ -715,13 +732,13 @@ def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):
     flat_air = AirGroundParams(alpha_zenith=2.0, alpha_ground=2.0)
     geom = ScenarioGeometry(h_br_m=40.0)
     cfg = ScenarioConfig(geometry=geom, air=flat_air, fading=fading, scheme=SchemeId.FCR_RS)
-    want = an.zsrp_for_scheme(cfg, closed_form=False).value
+    want = an.zsrp_for_scheme(cfg).value
     seed = specfun.meijer_g_m0_log
     monkeypatch.setattr(specfun, "meijer_g_m0_log",
                         lambda *args: seed(*args) + 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = an.zsrp_for_scheme(cfg)
+        out = analytic_row(cfg)
     assert any("deviates" in str(w.message) for w in caught)
     assert out.closed_form is not None
     assert out.rel_gap > 1e-6
@@ -768,7 +785,7 @@ def test_greedy_serving_with_mixed_distances_is_the_user_average(air, fading):
     geom = ScenarioGeometry(h_br_m=150.0, d_rn_m=(30.0, 50.0, 70.0, 90.0))
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading,
                          scheme=SchemeId.FCR_GCSI_PFS)
-    out = an.zsrp_for_scheme(cfg)
+    out = analytic_row(cfg)
     assert math.isclose(out.value, 0.1907192919881172, rel_tol=1e-12, abs_tol=0.0)
     assert out.closed_form is not None and out.rel_gap < 1e-12
     est = run_monte_carlo(cfg, 400_000, 7)
@@ -788,12 +805,13 @@ def test_repeated_distances_are_evaluated_once(scheme, air, fading, monkeypatch)
     unwrapped = an.zsrp_from_params
 
     def counted(*args, **kwargs):
-        calls.append(args[0].sigma1_sq)
+        calls.append([p.sigma1_sq for p, _ in args[0]])
         return unwrapped(*args, **kwargs)
 
     monkeypatch.setattr(an, "zsrp_from_params", counted)
     out = an.zsrp_for_scheme(cfg)
-    assert len(calls) == 2 and calls[0] > calls[1]
+    # one call, one row per distinct distance
+    assert len(calls) == 1 and len(calls[0]) == 2 and calls[0][0] > calls[0][1]
     assert math.isclose(out.value, sum(per_user) / 4, rel_tol=1e-15, abs_tol=0.0)
 
 
@@ -809,7 +827,7 @@ def test_offset_fixed_centre_refused(geometry, air, fading):
     # a fixed centre at the BS altitude is the BS ball
     bs = dataclasses.replace(offset, eve_center_h_m=None)
     at_bs = dataclasses.replace(offset, eve_center_h_m=600.0)
-    assert an.zsrp_for_scheme(at_bs) == an.zsrp_for_scheme(bs)
+    assert analytic_row(at_bs) == analytic_row(bs)
 
 
 def test_radius_past_the_double_range_refused(geometry, air, fading):
@@ -821,9 +839,9 @@ def test_radius_past_the_double_range_refused(geometry, air, fading):
             cfg = ScenarioConfig(geometry=big, air=air, fading=fading, scheme=scheme)
             if scheme.value in refused:
                 with pytest.raises(AnalyticUnavailableError, match="too large"):
-                    an.zsrp_for_scheme(cfg, closed_form=False)
+                    an.zsrp_for_scheme(cfg)
             else:
-                assert 0.0 < an.zsrp_for_scheme(cfg, closed_form=False).value < 1e-300
+                assert 0.0 < an.zsrp_for_scheme(cfg).value < 1e-300
 
 
 def test_integral_float_shapes_accepted(geometry, air):

@@ -4,8 +4,9 @@ Proves:
  Group 1 — parser surface
    the three subcommands exist; the ``[project.scripts]`` entry of
    ``pyproject.toml`` resolves to ``cli.main`` and the module answers; a
-   query, an analytic altitude search and an analytic greedy query run
-   with scipy and hypothesis unimportable (the runtime needs numpy only).
+   query, an analytic altitude search, an analytic greedy query and a
+   16-row analytic fig4 sweep (``tests/data/analytic-fc.ini``) run with
+   scipy and hypothesis unimportable (the runtime needs numpy only).
 
  Group 2 — probability queries
    default query prints both evaluator rows in the CSV contract; scheme
@@ -84,10 +85,14 @@ def test_runs_on_numpy_alone():
             f"sys.path.insert(0, {os.path.dirname(os.path.dirname(cli.__file__))!r})\n"
             "from zsrpsim import cli\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
+    analytic_fc = Path(__file__).resolve().parent / "data" / "analytic-fc.ini"
     for argv, n_rows in ((["zsrp", "--trials", "2048", "--seed", "1"], 2),
                          (["optimize-altitude"], 1),
                          (["zsrp", "--evaluator", "analytic",
-                           "--scheme", "fcr-gcsi-pfs"], 1)):
+                           "--scheme", "fcr-gcsi-pfs"], 1),
+                         # one batched analytic evaluation of 16 rows
+                         (["run", "--experiment", "fig4",
+                           "--config", str(analytic_fc)], 16)):
         out = subprocess.run([sys.executable, "-c", code, *argv],
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr

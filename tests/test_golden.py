@@ -44,7 +44,7 @@ import numpy as np
 import pytest
 
 from zsrpsim import cli
-from zsrpsim.analytic import zsrp_for_scheme
+from zsrpsim.analytic import zsrp_for_scheme, zsrp_many
 from zsrpsim.experiments import load_config
 from zsrpsim.scheduling import SchemeId
 
@@ -196,7 +196,8 @@ def _analytic(scheme: str, h_br_m: float, elements: int):
         scenario, geometry=dataclasses.replace(scenario.geometry, h_br_m=h_br_m),
         fading=dataclasses.replace(scenario.fading, n_elements=elements),
         scheme=SchemeId.from_string(scheme))
-    return zsrp_for_scheme(cfg)
+    (res,) = zsrp_many([cfg], True)
+    return res
 
 
 @pytest.mark.parametrize("case", ANALYTIC_CASES, ids=[_case_id(c) for c in ANALYTIC_CASES])
@@ -234,5 +235,5 @@ def test_pfs_value_near_mpmath_truth(case):
         fading=dataclasses.replace(scenario.fading, m1=case["m1"],
                                    m2=case["m2"], n_elements=case["elements"]))
     truth = float(case["zsrp"])
-    value = zsrp_for_scheme(cfg, closed_form=False).value
+    value = zsrp_for_scheme(cfg).value
     assert abs(value - truth) <= 1e-12 * truth

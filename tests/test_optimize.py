@@ -155,13 +155,13 @@ def test_default_scenario_interior_optimum(geometry, air, fading):
 def test_analytic_search_builds_no_closed_form(geometry, air, fading,
                                                monkeypatch):
     calls = []
-    closed_form = an._closed_form
+    closed_forms = an._closed_forms
 
     def counting(params):
-        calls.append(params)
-        return closed_form(params)
+        calls.append(list(params))
+        return closed_forms(params)
 
-    monkeypatch.setattr(an, "_closed_form", counting)
+    monkeypatch.setattr(an, "_closed_forms", counting)
     for scheme in (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS):
         cfg = make_config(geometry, air, fading, scheme)
         spec = op.AltitudeSearchSpec(config=cfg, h_lo_m=100.0, h_hi_m=600.0,
@@ -169,8 +169,8 @@ def test_analytic_search_builds_no_closed_form(geometry, air, fading,
         res = op.optimal_altitude(spec)
         assert res.n_evaluations >= 16 and calls == []
         at_h = make_config(ScenarioGeometry(h_br_m=res.h_m), air, fading, scheme)
-        full = zsrp_for_scheme(at_h)
-        assert full.closed_form is not None and len(calls) == 1
+        (full,) = an.zsrp_many([at_h], True)
+        assert full.closed_form is not None and len(sum(calls, [])) == 1
         assert res.zsrp.hex() == full.value.hex()
         calls.clear()
     # a run keeps its cross-check: one composite per analytic row
@@ -181,7 +181,8 @@ def test_analytic_search_builds_no_closed_form(geometry, air, fading,
                                 "evaluators": ("analytic",),
                                 "h_grid_m": (150.0, 310.0)})
     rows = ex.run_experiment(scenario, spec)
-    assert len(rows) == 4 and len(calls) == 4
+    # all four in one batch
+    assert len(rows) == 4 and [len(c) for c in calls] == [4]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -88,13 +88,13 @@ def test_inner_integrals_of_an_outer_panel(h_br_m, panel, air):
 @pytest.mark.parametrize("h_br_m", [150.0, 310.0, 1000.0])
 def test_pfs_value_matches_its_recursion(h_br_m, air):
     p = params_at(h_br_m, air)
-    got = an.zsrp_from_params(p, False, closed_form=False)
+    (got,) = an.zsrp_from_params([(p, False)], False)
     assert hexes([got.value]) == hexes([zsrp_pfs_1d_recursive(p)])
 
 
 def test_pfs_value_many_users_and_elements(air):
     p = params_at(310.0, air, n_users=12, n_elements=32)
-    got = an.zsrp_from_params(p, False, closed_form=False)
+    (got,) = an.zsrp_from_params([(p, False)], False)
     assert got.closed_form is None
     assert hexes([got.value]) == hexes([zsrp_pfs_1d_recursive(p)])
     nested = zsrp_pfs_value_recursive(p)
@@ -104,12 +104,12 @@ def test_pfs_value_many_users_and_elements(air):
 def test_psi_average_polynomial_bits():
     r_max = 37.5
 
-    def cdf(r):
+    def cdf(r, rows=None):
         return (r / r_max) ** 2
 
     want = adaptive_gl_recursive(lambda r: cdf(r) * 3.0 * r ** 2 / r_max ** 3,
                                  0.0, r_max, 1e-10)
-    assert hexes([an.psi_average(cdf, r_max)]) == hexes([min(1.0, want)])
+    assert hexes(an.psi_average(cdf, [r_max])) == hexes([min(1.0, want)])
 
 
 @pytest.mark.parametrize("mu, nu, x", [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4)])
@@ -223,7 +223,7 @@ def test_pfs_value_takes_few_integrand_calls(geometry, air, fading, monkeypatch)
     geom = ScenarioGeometry(h_br_m=310.0)
     cfg = ScenarioConfig(geometry=geom, air=air, fading=fading,
                          scheme=SchemeId.FCR_GCSI_PFS)
-    an.zsrp_for_scheme(cfg, closed_form=False)
+    an.zsrp_for_scheme(cfg)
     assert 0 < len(sizes) <= 14
     # 16 panels of 24 points: the cap that keeps peak memory in place
     assert max(sizes) <= 16 * 24
@@ -232,4 +232,5 @@ def test_pfs_value_takes_few_integrand_calls(geometry, air, fading, monkeypatch)
 @pytest.mark.parametrize("log10_r", [105.25, 106.25, 110.0])
 def test_pfs_value_far_below_the_double_range(log10_r, air):
     p = params_at(150.0, air, r_eve_m=10.0 ** log10_r)
-    assert 0.0 <= an.cdf_Z_quadrature(p) <= 1e-300
+    (value,) = an.cdf_Z_quadrature([p])
+    assert 0.0 <= value <= 1e-300

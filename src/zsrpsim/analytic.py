@@ -189,19 +189,19 @@ def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
 
 
 def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
-                 scale: Optional[np.ndarray] = None) -> np.ndarray:
+                 scale: float | np.ndarray) -> np.ndarray:
     """Series CDF of the single-user cascade Z = sigma1^2 sigma2^2 S W.
 
     F(z) = 1 - (2/Gamma(m2 L)) sum_{t<m1 L} (1/t!) xi^((m2 L + t)/2)
            K_{m2 L - t}(2 sqrt(xi)),   xi = m1 m2 z / (sigma1^2 sigma2^2),
 
     summed in log space, at each entry of the array ``z``.  ``scale``
-    holds sigma1^2 sigma2^2 at each entry, for entries of rows at
-    different distances; by default it is ``p``'s.  Every order at every
-    z comes from one array Bessel-K recurrence at 2 sqrt(xi), and the
-    positive terms of all z are summed as rows of one array, each bit
-    for bit as alone.  Checked in the tests against direct integration
-    over W; returns 0 for z <= 0.
+    holds sigma1^2 sigma2^2, one value or one per entry, so that entries
+    of rows at different distances share a call; ``p`` gives m1, m2 and
+    L.  Every order at every z comes from one array Bessel-K recurrence
+    at 2 sqrt(xi), and the positive terms of all z are summed as rows of
+    one array, each bit for bit as alone.  Checked in the tests against
+    direct integration over W; returns 0 for z <= 0.
     """
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
@@ -209,8 +209,7 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
     if np.any(pos):
         m_2 = p.m2 * p.n_elements
         m_1 = p.m1 * p.n_elements
-        scales = np.broadcast_to(
-            p.sigma1_sq * p.sigma2_sq if scale is None else scale, z_arr.shape)
+        scales = np.broadcast_to(scale, z_arr.shape)
         xi = p.m1 * p.m2 * z_arr[pos] / scales[pos]
         t = np.arange(m_1)
         log_terms = specfun.log_bessel_k(np.abs(m_2 - t),

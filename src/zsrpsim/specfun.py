@@ -124,9 +124,8 @@ def apply_math(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel()
-    values = (flat.tolist() if flat.size <= _MATH_CHUNK else
-              chain.from_iterable(flat[i:i + _MATH_CHUNK].tolist()
-                                  for i in range(0, flat.size, _MATH_CHUNK)))
+    values = chain.from_iterable(flat[i:i + _MATH_CHUNK].tolist()
+                                 for i in range(0, flat.size, _MATH_CHUNK))
     return np.fromiter(map(fn, values), float, a.size).reshape(a.shape)
 
 

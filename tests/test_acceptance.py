@@ -90,7 +90,7 @@ def test_criterion_02_series_cdf_vs_quadrature():
         p = unit_params(m1, m2, n_elements)
         grid = np.geomspace(0.05 * n_elements**2, 20.0 * n_elements**2, 20)
         quad = [cdf_Z_quadrature_recursive(z, p) for z in grid.tolist()]
-        gap = np.abs(an.cdf_Z_single(grid, p) - quad)
+        gap = np.abs(an.cdf_Z_single(grid, p, p.sigma1_sq * p.sigma2_sq) - quad)
         worst = max(worst, float(gap.max()))
     ok = worst < 1e-8
     report(2, ok, f"worst abs gap {worst:.2e}")

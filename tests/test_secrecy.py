@@ -672,7 +672,7 @@ def test_block_cascade_follows_the_series_cdf(geometry, air, shapes):
                         for i in range(25)])
     unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
                             sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0)
-    assert stats.kstest(z, lambda x: cdf_Z_single(x, unit)).pvalue > 1e-4
+    assert stats.kstest(z, lambda x: cdf_Z_single(x, unit, 1.0)).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4))

@@ -61,9 +61,10 @@ tractable cascaded distribution here and are refused with
 :func:`zsrp_for_scheme` is its one-row call without the closed form.
 Rows that share (m1, m2, L, N, rule) share each integral call: one
 psi-average of the series CDF for round robin, one pair of tolerance
-passes of the 1-D integral for GCSI-PFS.  The distinct seeds of all
-closed forms go to one :func:`~zsrpsim.specfun.meijer_g_m0_log` call and
-their Bessel factors to one array recurrence.  Each row comes out bit
+passes of the 1-D integral for GCSI-PFS.  The closed forms of a batch
+are one pass: their distinct seeds go to one
+:func:`~zsrpsim.specfun.meijer_g_m0_log` call, their Bessel factors to
+one array recurrence, then one loop sums each.  Each row comes out bit
 for bit as it does alone, and a row refused, or whose closed form is
 refused, leaves its neighbours alone.
 """
@@ -300,27 +301,17 @@ def cdf_Z_quadrature(ps: Sequence[ClosedFormParams]) -> list[float]:
 # Closed-form psi-averaged ZSRP (Meijer G composites)
 # ---------------------------------------------------------------------------
 
-#: One composite: M = m2 L, the argument X and the term count of each
-#: order-statistic row
-_Composite = tuple[int, float, list[int]]
-
-
-def _seed_log_gs(composites: Sequence[_Composite]
+def _seed_log_gs(seeds: Sequence[list[tuple[int, int, float]]]
                  ) -> list[dict | AccuracyError]:
-    """ln G of the seeds B < 3 of every row of each composite, by seed.
+    """ln G of each composite's seeds (mu, nu, x), by seed.
 
-    Row j (from 1) of a composite (M, X, sizes) has seeds (mu, nu, x) =
-    (M + B - 4, M - B, jX).  The distinct seeds of all composites go to
-    one :func:`~zsrpsim.specfun.meijer_g_m0_log` call, each bit for bit
-    its own, so a seed shared by two composites is integrated once.
-    Where that call refuses, each composite's seeds go to a call of their
-    own, so that only a composite whose own seeds refuse gets the
+    The distinct seeds of all composites go to one
+    :func:`~zsrpsim.specfun.meijer_g_m0_log` call, each bit for bit its
+    own, so a seed shared by two composites is integrated once.  Where
+    that call refuses, each composite's seeds go to a call of their own,
+    so that only a composite whose own seeds refuse gets the
     :class:`AccuracyError` in place of its values.
     """
-    seeds = [[(m_2 + b - 4, m_2 - b, j * big_x)
-              for j, n_b in enumerate(sizes, start=1) for b in range(min(3, n_b))]
-             for m_2, big_x, sizes in composites]
-
     def evaluate(batch: list) -> dict:
         unique = list(dict.fromkeys(batch))
         return dict(zip(unique, specfun.meijer_g_m0_log(
@@ -328,7 +319,7 @@ def _seed_log_gs(composites: Sequence[_Composite]
 
     try:
         shared = evaluate(sum(seeds, []))
-        return [shared] * len(composites)
+        return [shared] * len(seeds)
     except AccuracyError:
         pass
     out: list[dict | AccuracyError] = []
@@ -340,69 +331,40 @@ def _seed_log_gs(composites: Sequence[_Composite]
     return out
 
 
-def _log_composite_rows(composites: Sequence[_Composite]
-                        ) -> list[list[list[float]] | AccuracyError]:
-    """ln G of the composite for B = 0 .. n_b - 1 of each order-statistic
-    row of each composite, or the :class:`AccuracyError` its seeds raise.
+def _composite_row(m_2: int, jx: float, n_b: int, seed_log_g: dict,
+                   log_k: list[float]) -> list[float]:
+    """ln G of the composite for B = 0 .. n_b - 1 of one order-statistic
+    row at argument jX, with M = ``m_2``.
 
-    Row j (from 1) of a composite (M, X, sizes) has ``sizes[j - 1]``
-    terms at argument jX.  With y = 2 sqrt(jX) and the tail integral
+    With y = 2 sqrt(jX) and the tail integral
     I(B) = int_y^inf u^(M+B-4) K_(M-B)(u) du of
     :func:`~zsrpsim.specfun.meijer_g_m0_log`,
-    G = jX^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 come from
-    :func:`_seed_log_gs`; every further I(B) from
+    G = jX^(-(M+B-3)/2) 2^(5-M-B) I(B).  The seeds B < 3 are read off
+    ``seed_log_g``; every further I(B) comes from
 
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),
 
-    adding only positive terms from B = 2 on.  The Bessel factors of the
-    rows of all composites come from one array Bessel-K recurrence over
-    their y, one step per term.  I(B) is carried in linear space under a
-    running log scale.
+    with ln K_(M-B+1)(y) at ``log_k[B - 3]``, adding only positive terms
+    from B = 2 on.  I(B) is carried in linear space under a running log
+    scale.
     """
-    out: list[list[list[float]] | AccuracyError] = []
-    lanes: list[tuple[int, float, int]] = []   # (M, y, n_b) of longer rows
-    for (m_2, big_x, sizes), seed_log_g in zip(composites,
-                                                _seed_log_gs(composites)):
-        if isinstance(seed_log_g, AccuracyError):
-            out.append(seed_log_g)
-            continue
-        out.append([[seed_log_g[(m_2 + b - 4, m_2 - b, j * big_x)]
-                     for b in range(min(3, n_b))]
-                    for j, n_b in enumerate(sizes, start=1)])
-        lanes += [(m_2, 2.0 * math.sqrt(j * big_x), n_b)
-                  for j, n_b in enumerate(sizes, start=1) if n_b > 3]
-    if not lanes:
-        return out
-    # K_(M-b+1)(y) for b = 3 .. n_b - 1 of each longer row; a shorter
-    # row's unused orders are padded with 0
-    orders = np.zeros((len(lanes), max(n_b for *_, n_b in lanes) - 3), int)
-    for lane, (m_2, _, n_b) in enumerate(lanes):
-        orders[lane, :n_b - 3] = np.abs(m_2 - np.arange(3, n_b) + 1)
-    log_ks = iter(specfun.log_bessel_k(
-        orders, np.array([y for _, y, _ in lanes])[:, None]))
-    ln2 = math.log(2.0)
-    for (m_2, big_x, sizes), rows in zip(composites, out):
-        if isinstance(rows, AccuracyError):
-            continue
-        for j, (row, n_b) in enumerate(zip(rows, sizes), start=1):
-            if n_b <= 3:
-                continue
-            log_k = next(log_ks).tolist()
-            jx = j * big_x
-            log_jx, log_y = math.log(jx), math.log(2.0 * math.sqrt(jx))
+    row = [seed_log_g[(m_2 + b - 4, m_2 - b, jx)] for b in range(min(3, n_b))]
+    if n_b <= 3:
+        return row
+    log_jx, log_y = math.log(jx), math.log(2.0 * math.sqrt(jx))
 
-            def log_g_over_i(b: int) -> float:
-                return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * ln2
+    def log_g_over_i(b: int) -> float:
+        return -0.5 * (m_2 + b - 3) * log_jx - (m_2 + b - 5) * math.log(2.0)
 
-            scale, mant = row[2] - log_g_over_i(2), 1.0
-            for b in range(3, n_b):
-                log_step = (m_2 + b - 4) * log_y + log_k[b - 3]
-                mant = math.exp(log_step - scale) + (2 * b - 5) * mant
-                if mant > 1e200:
-                    scale += math.log(mant)
-                    mant = 1.0
-                row.append(scale + math.log(mant) + log_g_over_i(b))
-    return out
+    scale, mant = row[2] - log_g_over_i(2), 1.0
+    for b in range(3, n_b):
+        log_step = (m_2 + b - 4) * log_y + log_k[b - 3]
+        mant = math.exp(log_step - scale) + (2 * b - 5) * mant
+        if mant > 1e200:
+            scale += math.log(mant)
+            mant = 1.0
+        row.append(scale + math.log(mant) + log_g_over_i(b))
+    return row
 
 
 def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
@@ -425,27 +387,48 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
         I(B+1) = y^(M+B-3) K_(M-B)(y) + (2B-3) I(B),   y = 2 sqrt(jX),
 
     so a row takes three seed integrals (B = 0, 1, 2) and one Bessel-K
-    recurrence step at y per further term (:func:`_log_composite_rows`).
+    recurrence step at y per further term (:func:`_composite_row`).
     The distinct seeds of all rows of all composites go to one call of
     :func:`~zsrpsim.specfun.meijer_g_m0_log`, one batched tail-integral
-    quadrature, and the recurrences to one array Bessel-K call, each
-    value bit for bit its own.  Logs the seed and term counts of each
-    composite at DEBUG.  Where the rounding bound of the order-statistic
-    sum (:func:`_order_stat_series`) exceeds ``REL_GAP_WARN`` of its
-    value, or where a seed of the composite does not reach its
-    tolerance, it logs why at INFO and gives None for that row alone,
-    leaving its quadrature value alone.
+    quadrature, and the recurrences of the composites whose seeds hold to
+    one array Bessel-K call, each value bit for bit its own.  One loop
+    over the composites then builds and sums their rows
+    (:func:`_order_stat_series`) and logs the seed and term counts of
+    each at DEBUG.  Where the rounding bound of the sum exceeds
+    ``REL_GAP_WARN`` of its value, or where a seed of the composite does
+    not reach its tolerance, it logs why at INFO and gives None for that
+    row alone, leaving its quadrature value alone.
     """
-    composites = [(p.m2 * p.n_elements, p.big_x,
-                   [j * (p.m1 * p.n_elements - 1) + 1
-                    for j in range(1, p.n_users + 1)]) for p in ps]
+    sizes = [[j * (p.m1 * p.n_elements - 1) + 1 for j in range(1, p.n_users + 1)]
+             for p in ps]
+    # row j (from 1) has seeds (mu, nu, x) = (M + B - 4, M - B, jX), B < 3
+    seeds = [[(p.m2 * p.n_elements + b - 4, p.m2 * p.n_elements - b, j * p.big_x)
+              for j, n_b in enumerate(row_sizes, start=1)
+              for b in range(min(3, n_b))] for p, row_sizes in zip(ps, sizes)]
+    seed_log_gs = _seed_log_gs(seeds)
+    # (M, y, n_b) of the longer rows of the composites whose seeds held
+    lanes = [(p.m2 * p.n_elements, 2.0 * math.sqrt(j * p.big_x), n_b)
+             for p, row_sizes, log_g in zip(ps, sizes, seed_log_gs)
+             if not isinstance(log_g, AccuracyError)
+             for j, n_b in enumerate(row_sizes, start=1) if n_b > 3]
+    log_ks = iter([])
+    if lanes:
+        # K_(M-b+1)(y) for b = 3 .. n_b - 1 of each lane; a shorter
+        # lane's unused orders are padded with 0
+        orders = np.zeros((len(lanes), max(n_b for *_, n_b in lanes) - 3), int)
+        for lane, (m_2, _, n_b) in enumerate(lanes):
+            orders[lane, :n_b - 3] = np.abs(m_2 - np.arange(3, n_b) + 1)
+        log_ks = iter(specfun.log_bessel_k(
+            orders, np.array([y for _, y, _ in lanes])[:, None]))
     out: list[Optional[float]] = []
-    for p, (m_2, big_x, sizes), rows in zip(ps, composites,
-                                            _log_composite_rows(composites)):
-        closed = None
-        if isinstance(rows, AccuracyError):
-            reason = str(rows)
+    for p, row_sizes, own, log_g in zip(ps, sizes, seeds, seed_log_gs):
+        m_2, big_x, closed = p.m2 * p.n_elements, p.big_x, None
+        if isinstance(log_g, AccuracyError):
+            reason = str(log_g)
         else:
+            rows = [_composite_row(m_2, j * big_x, n_b, log_g,
+                                   next(log_ks).tolist() if n_b > 3 else [])
+                    for j, n_b in enumerate(row_sizes, start=1)]
             value, bound = _order_stat_series(
                 p.m1 * p.n_elements, m_2, math.log(big_x), rows)
             if bound <= REL_GAP_WARN * value:
@@ -454,8 +437,7 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
                 reason = (f"order-statistic sum {value:.3e} has rounding "
                           f"bound {bound:.1e}, past {REL_GAP_WARN:g} of it")
         logger.debug("closed-form composite: %d seed integrals in one batched "
-                     "quadrature, %d terms",
-                     sum(min(3, n_b) for n_b in sizes), sum(sizes))
+                     "quadrature, %d terms", len(own), sum(row_sizes))
         if closed is None:
             logger.info("closed-form composite unavailable here (%s); "
                         "quadrature value returned alone", reason)
@@ -552,7 +534,7 @@ def _cascade_params(config) -> tuple[ClosedFormParams, Counter]:
         raise AnalyticUnavailableError(
             f"no closed-form ZSRP for scheme {scheme.value!r}; "
             f"use the Monte-Carlo evaluator")
-    if abs(config.alpha_eve - 2.0) > 1e-12:
+    if config.alpha_eve != 2.0:
         raise AnalyticUnavailableError(
             "analytic ZSRP requires the free-space wiretap exponent 2; "
             f"got alpha_eve={config.alpha_eve}")

@@ -19,7 +19,6 @@ the altitude gets alone.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from typing import Callable
 
 from .analytic import zsrp_for_scheme, zsrp_many
 from .errors import AnalyticUnavailableError
-from .experiments import DEFAULT_SEED, DEFAULT_TRIALS, EVALUATORS
+from .experiments import (DEFAULT_SEED, DEFAULT_TRIALS, EVALUATORS,
+                          _at_grid_point)
 from .secrecy import ScenarioConfig, run_monte_carlo
 
 logger = logging.getLogger(__name__)
@@ -113,27 +113,23 @@ def optimal_altitude(spec: AltitudeSearchSpec) -> AltitudeResult:
     so the evaluation count is the number of distinct altitudes
     evaluated.
     """
-    base = spec.config
     cache: dict[float, float] = {}
-
-    def at(h: float) -> ScenarioConfig:
-        return dataclasses.replace(
-            base, geometry=dataclasses.replace(base.geometry, h_br_m=h))
 
     def objective(h: float) -> float:
         if h not in cache:
+            config = _at_grid_point(spec.config, "h_br_m", h)
             if spec.evaluator == "analytic":
-                cache[h] = zsrp_for_scheme(at(h)).value
+                cache[h] = zsrp_for_scheme(config).value
             else:
-                cache[h] = run_monte_carlo(at(h), spec.trials, spec.seed,
+                cache[h] = run_monte_carlo(config, spec.trials, spec.seed,
                                            threads=spec.threads).p_hat
         return cache[h]
 
     step = (spec.h_hi_m - spec.h_lo_m) / (PRESCAN_POINTS - 1)
     scan = [spec.h_lo_m + i * step for i in range(PRESCAN_POINTS)]
     if spec.evaluator == "analytic":
-        for h, res in zip(scan, zsrp_many([at(h) for h in scan],
-                                          closed_form=False)):
+        configs = [_at_grid_point(spec.config, "h_br_m", h) for h in scan]
+        for h, res in zip(scan, zsrp_many(configs, closed_form=False)):
             if isinstance(res, AnalyticUnavailableError):
                 raise res
             cache[h] = res.value

@@ -53,9 +53,10 @@ Proves:
    or in a batch, where the unchecked bracket came out tens of nats off or
    met log(0); a fractional or non-finite order, a non-finite mu or an
    x <= 0 raises ValueError, a fractional order naming its nu and seed; the
-   contiguous recurrence of four composite rows, their 12 seeds in one
-   call, matches the tail integral term by term to 1e-12 at h = 150/1000
-   m, on both sides of B = M; each of the 120 seeds of the default fig4
+   contiguous recurrence of the four rows of a four-user closed form, as
+   handed to the order-statistic sum, their 12 seeds in one call,
+   matches the tail integral term by term to 1e-12 at h = 150/1000 m, on
+   both sides of B = M; each of the 120 seeds of the default fig4
    closed forms (both serving rules, one seed call per closed form) lies
    within 1e-12 in ln G of the independent contour oracle, and one
    mixed-order array call of them and three far seeds gives each seed its
@@ -66,9 +67,11 @@ Proves:
    refusal takes its 72 seeds in one call; a seed error of 1e-9 in ln G in the flat
    environment moves the closed form past 1e-6 and warns, leaving the
    quadrature value's bits alone; the scheme dispatcher and its
-   documented refusals; mixed RIS-user distances under both serving
-   rules average the common-distance values, each distinct distance
-   evaluated once, and the greedy average matches Monte Carlo.
+   documented refusals, a wiretap exponent one ulp above 2 among them,
+   which leaves the Monte-Carlo rows of a sweep as they are; mixed
+   RIS-user distances under both serving rules average the
+   common-distance values, each distinct distance evaluated once, and
+   the greedy average matches Monte Carlo.
 """
 
 from __future__ import annotations
@@ -542,12 +545,22 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
     from zsrpsim.propagation import ScenarioGeometry, bs_ris_gain, ris_user_gain
 
     geom = ScenarioGeometry(h_br_m=h_br_m)
-    big_x = closed_params(sigma1_sq=bs_ris_gain(geom, air),
-                          sigma2_sq=ris_user_gain(geom, air, 0)).big_x
+    p = closed_params(sigma1_sq=bs_ris_gain(geom, air),
+                      sigma2_sq=ris_user_gain(geom, air, 0), n_users=4)
+    big_x = p.big_x
     m_2, m_1 = 32, 32
     sizes = [j * (m_1 - 1) + 1 for j in (1, 2, 3, 4)]
     calls = _count_seeds(monkeypatch)
-    (rows,) = an._log_composite_rows([(m_2, big_x, sizes)])
+    kernels = []
+    series = an._order_stat_series
+
+    def passing(m1_elements, m_2, log_x, log_kernels):
+        kernels.append(log_kernels)
+        return series(m1_elements, m_2, log_x, log_kernels)
+
+    monkeypatch.setattr(an, "_order_stat_series", passing)
+    an._closed_forms([p])
+    (rows,) = kernels
     # the three seeds of every row in one call
     assert [len(c) for c in calls] == [12]
     monkeypatch.undo()
@@ -769,6 +782,25 @@ def test_scheme_dispatch_refusals(geometry, air, fading):
                           scheme=SchemeId.FCR_RS, alpha_eve=3.0)
     with pytest.raises(AnalyticUnavailableError):
         an.zsrp_for_scheme(bent)
+
+
+def test_wiretap_exponent_one_ulp_off_two_is_refused(geometry, air, fading):
+    from zsrpsim.experiments import ExperimentSpec, run_experiment
+
+    near = ScenarioConfig(geometry=geometry, air=air, fading=fading,
+                          scheme=SchemeId.FCR_RS,
+                          alpha_eve=math.nextafter(2.0, 3.0))
+    with pytest.raises(AnalyticUnavailableError, match="alpha_eve"):
+        an.zsrp_for_scheme(near)
+    (out,) = an.zsrp_many([near], closed_form=True)
+    assert isinstance(out, AnalyticUnavailableError)
+    # the sweep drops the analytic rows and keeps its Monte-Carlo rows
+    schemes = (SchemeId.FCR_RS, SchemeId.FCR_GCSI_PFS)
+    both = ExperimentSpec(schemes=schemes, trials=4096, seed=3)
+    rows = run_experiment(near, both)
+    assert [r["evaluator"] for r in rows] == ["mc", "mc"]
+    mc_only = dataclasses.replace(both, evaluators=("mc",))
+    assert rows == run_experiment(near, mc_only)
 
 
 def test_scheme_dispatch_heterogeneous_users(air, fading):

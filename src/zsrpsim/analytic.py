@@ -64,8 +64,9 @@ psi-average of the series CDF for round robin, one pair of tolerance
 passes of the 1-D integral for GCSI-PFS.  The closed forms of a batch
 are one pass: their distinct seeds go to one
 :func:`~zsrpsim.specfun.meijer_g_m0_log` call, their Bessel factors to
-one array recurrence, then one loop sums each.  Each row comes out bit
-for bit as it does alone, and a row refused, or whose closed form is
+one array recurrence, then one loop sums each; a seed that cannot be
+evaluated refuses its own composites alone.  Each row comes out bit for
+bit as it does alone, and a row refused, or whose closed form is
 refused, leaves its neighbours alone.
 """
 
@@ -173,8 +174,11 @@ def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
                     + 0.5 * (m_2 + b) * (log_j + log_x) - b * log_j + log_k)
         signs.append(np.full(b.size, -1.0 if j % 2 else 1.0))
     all_logs = np.concatenate(logs)
-    (total_log,), (total_sign,) = specfun.log_sum_exp(
-        all_logs[None], np.concatenate(signs)[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # past-range terms refuse
+        (total_log,), (total_sign,) = specfun.log_sum_exp(
+            all_logs[None], np.concatenate(signs)[None])
+        bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum())
+                 * np.maximum(1.0, np.abs(all_logs).max()))
     # an empty or cancelled sum (sign 0) leaves F = 1
     val = 1.0
     if total_sign < 0.0:
@@ -182,9 +186,6 @@ def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
         val = -math.expm1(total_log) if total_log < 0.0 else 0.0
     elif total_sign > 0.0:
         val = 1.0 + math.exp(total_log)
-    with np.errstate(over="ignore"):  # a term past the double range refuses
-        bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum())
-                 * np.maximum(1.0, np.abs(all_logs).max()))
     # max(0.0, v) maps a NaN to 0.0
     return min(1.0, max(0.0, val)), float(bound)
 
@@ -278,7 +279,8 @@ def cdf_Z_quadrature(ps: Sequence[ClosedFormParams]) -> list[float]:
     sizes the second, to 1e-13 of the first's result but at least 1e-300,
     so that a result at the bottom of the double range still converges.
     Each pass integrates every row at once, each row bit for bit as
-    alone.  Returns the values clamped to [0, 1].
+    alone.  Returns the values clamped to [0, 1]; a pass that leaves any
+    row unconverged raises :class:`AccuracyError`.
     """
     p = ps[0]
     a_2 = p.m2 * p.n_elements
@@ -291,45 +293,22 @@ def cdf_Z_quadrature(ps: Sequence[ClosedFormParams]) -> list[float]:
                 * pdf_W(s, p.m1, p.n_elements))
 
     s_hi = tail_cutoff(p.m1 * p.n_elements, 1e-17) / p.m1
-    coarse = specfun.adaptive_gl(integrand, 0.0, s_hi, 1e-8, len(ps))
-    vals = specfun.adaptive_gl(integrand, 0.0, s_hi,
-                               np.maximum(1e-13 * coarse, 1e-300), len(ps))
+    coarse = _converged(specfun.adaptive_gl(integrand, 0.0, s_hi, 1e-8, len(ps)))
+    vals = _converged(specfun.adaptive_gl(
+        integrand, 0.0, s_hi, np.maximum(1e-13 * coarse, 1e-300), len(ps)))
     return [min(1.0, max(0.0, v)) for v in vals.tolist()]
+
+
+def _converged(vals: np.ndarray) -> np.ndarray:
+    """``vals``, if each integral converged (is finite); else refused."""
+    if not np.isfinite(vals).all():
+        raise AccuracyError("quadrature failed to converge")
+    return vals
 
 
 # ---------------------------------------------------------------------------
 # Closed-form psi-averaged ZSRP (Meijer G composites)
 # ---------------------------------------------------------------------------
-
-def _seed_log_gs(seeds: Sequence[list[tuple[int, int, float]]]
-                 ) -> list[dict | AccuracyError]:
-    """ln G of each composite's seeds (mu, nu, x), by seed.
-
-    The distinct seeds of all composites go to one
-    :func:`~zsrpsim.specfun.meijer_g_m0_log` call, each bit for bit its
-    own, so a seed shared by two composites is integrated once.  Where
-    that call refuses, each composite's seeds go to a call of their own,
-    so that only a composite whose own seeds refuse gets the
-    :class:`AccuracyError` in place of its values.
-    """
-    def evaluate(batch: list) -> dict:
-        unique = list(dict.fromkeys(batch))
-        return dict(zip(unique, specfun.meijer_g_m0_log(
-            *(np.array(v) for v in zip(*unique))).tolist()))
-
-    try:
-        shared = evaluate(sum(seeds, []))
-        return [shared] * len(seeds)
-    except AccuracyError:
-        pass
-    out: list[dict | AccuracyError] = []
-    for own in seeds:
-        try:
-            out.append(evaluate(own))
-        except AccuracyError as exc:
-            out.append(exc)
-    return out
-
 
 def _composite_row(m_2: int, jx: float, n_b: int, seed_log_g: dict,
                    log_k: list[float]) -> list[float]:
@@ -394,10 +373,10 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
     one array Bessel-K call, each value bit for bit its own.  One loop
     over the composites then builds and sums their rows
     (:func:`_order_stat_series`) and logs the seed and term counts of
-    each at DEBUG.  Where the rounding bound of the sum exceeds
-    ``REL_GAP_WARN`` of its value, or where a seed of the composite does
-    not reach its tolerance, it logs why at INFO and gives None for that
-    row alone, leaving its quadrature value alone.
+    each at DEBUG.  Where a seed of the composite refuses (the first
+    reason among its seeds), or the rounding bound of the sum exceeds
+    ``REL_GAP_WARN`` of its value, it logs why at INFO and gives None for
+    that row alone, leaving its quadrature value alone.
     """
     sizes = [[j * (p.m1 * p.n_elements - 1) + 1 for j in range(1, p.n_users + 1)]
              for p in ps]
@@ -405,11 +384,14 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
     seeds = [[(p.m2 * p.n_elements + b - 4, p.m2 * p.n_elements - b, j * p.big_x)
               for j, n_b in enumerate(row_sizes, start=1)
               for b in range(min(3, n_b))] for p, row_sizes in zip(ps, sizes)]
-    seed_log_gs = _seed_log_gs(seeds)
+    unique = list(dict.fromkeys(sum(seeds, [])))
+    log_gs, seed_reasons = specfun.meijer_g_m0_log(*map(np.array, zip(*unique)))
+    log_g = dict(zip(unique, log_gs.tolist()))
+    refused = dict(zip(unique, seed_reasons))
+    reasons = [next(filter(None, map(refused.get, own)), "") for own in seeds]
     # (M, y, n_b) of the longer rows of the composites whose seeds held
     lanes = [(p.m2 * p.n_elements, 2.0 * math.sqrt(j * p.big_x), n_b)
-             for p, row_sizes, log_g in zip(ps, sizes, seed_log_gs)
-             if not isinstance(log_g, AccuracyError)
+             for p, row_sizes, reason in zip(ps, sizes, reasons) if not reason
              for j, n_b in enumerate(row_sizes, start=1) if n_b > 3]
     log_ks = iter([])
     if lanes:
@@ -421,11 +403,9 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
         log_ks = iter(specfun.log_bessel_k(
             orders, np.array([y for _, y, _ in lanes])[:, None]))
     out: list[Optional[float]] = []
-    for p, row_sizes, own, log_g in zip(ps, sizes, seeds, seed_log_gs):
+    for p, row_sizes, own, reason in zip(ps, sizes, seeds, reasons):
         m_2, big_x, closed = p.m2 * p.n_elements, p.big_x, None
-        if isinstance(log_g, AccuracyError):
-            reason = str(log_g)
-        else:
+        if not reason:
             rows = [_composite_row(m_2, j * big_x, n_b, log_g,
                                    next(log_ks).tolist() if n_b > 3 else [])
                     for j, n_b in enumerate(row_sizes, start=1)]
@@ -453,7 +433,8 @@ def psi_average(cdf_at_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``cdf_at_distance(r, rows)`` takes an array of distances (the nodes
     of up to ``specfun._GL_PANELS_PER_CALL`` panels of any rows) and the
     row of each, and returns the CDF of that row at each distance.  The
-    rows are integrated at once, each bit for bit as alone.
+    rows are integrated at once, each bit for bit as alone; a row that
+    does not converge raises :class:`AccuracyError`.
     """
     if not all(r > 0.0 for r in r_eve_m):
         raise ValueError("r_eve_m must be positive")
@@ -463,8 +444,8 @@ def psi_average(cdf_at_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return cdf_at_distance(r, rows) * 3.0 * r ** 2 / cubes[rows]
 
-    vals = specfun.adaptive_gl(integrand, 0.0, np.array(r_eve_m, dtype=float),
-                               1e-10, len(cubes))
+    vals = _converged(specfun.adaptive_gl(
+        integrand, 0.0, np.array(r_eve_m, dtype=float), 1e-10, len(cubes)))
     return [min(1.0, max(0.0, v)) for v in vals.tolist()]
 
 

@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import AccuracyError, AnalyticUnavailableError, ConfigError
-from .experiments import (EVALUATORS, EXPERIMENT_KINDS, ExperimentSpec,
+from .experiments import (EVALUATORS, EXPERIMENT_KINDS, ExperimentSpec, _int,
                           format_csv, load_config, run_experiment)
 from .optimize import AltitudeSearchSpec, optimal_altitude
 from .scheduling import SchemeId
@@ -44,10 +44,10 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE",
                    help="INI-style config file (sections: geometry, "
                         "environment, fading, experiment)")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_int,
                    help="RNG seed; overrides config file and " + ENV_SEED)
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials per point")
-    p.add_argument("--threads", type=int, help="worker threads for MC blocks")
+    p.add_argument("--trials", type=_int, help="Monte-Carlo trials per point")
+    p.add_argument("--threads", type=_int, help="worker threads for MC blocks")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     return p
 
@@ -116,7 +116,7 @@ def _resolved(args: argparse.Namespace) -> tuple[ScenarioConfig, ExperimentSpec]
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _int(env_seed)
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer, "
                               f"got {env_seed!r}") from None

@@ -16,11 +16,12 @@ Provided primitives:
 * ``apply_math``      -- a math-module function mapped over an array
 * ``adaptive_gl``     -- breadth-first adaptive Gauss-Legendre integrals
   of many integrands at once, over one bracket and tolerance or one
-  each, each bit for bit the depth-first recursion's
+  each, bit for bit the depth-first recursion's or NaN where it fails
 * ``meijer_g_m0_log`` -- ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2,
   -(mu+1)/2), the seed of the closed form, by the positive Bessel tail
   integral x^(-(mu+1)/2) 2^(1-mu) int_{2 sqrt x}^inf u^mu K_nu(u) du,
-  at every seed of an array in one batched quadrature
+  at every seed of an array in one batched quadrature, NaN with its
+  reason where a seed refuses
 
 The array forms give every element bit for bit the value of the same
 arithmetic on Python floats: numpy's elementwise + - * / and sqrt round
@@ -40,8 +41,6 @@ from itertools import chain
 from typing import Callable
 
 import numpy as np
-
-from .errors import AccuracyError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -336,13 +335,14 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``f(x, rows)`` returns integrand ``rows[i]`` at ``x[i]``, elementwise.
     ``lo``, ``hi`` and ``abs_tol`` are one value for every integral or
     one per integral.  A panel whose halves differ from it by more than
-    its tolerance is split, each half taking half the tolerance, up to
-    ``_GL_MAX_DEPTH`` halvings.  The refinement runs breadth first: one
-    level's left and right halves of every open panel of every integral
-    go to ``f`` together, at most ``_GL_PANELS_PER_CALL`` panels per
-    call.  Each panel sum, convergence test and left + right fold is the
-    one a depth-first recursion makes, so each integral comes out bit
-    for bit as if integrated alone.
+    its tolerance, or whose sum is not finite, is split, each half taking
+    half the tolerance, up to ``_GL_MAX_DEPTH`` halvings, past which an
+    integral still open comes back NaN in place.  The refinement runs
+    breadth first: one level's left and right halves of every open panel
+    of every integral go to ``f`` together, at most
+    ``_GL_PANELS_PER_CALL`` panels per call.  Each panel sum, convergence
+    test and left + right fold is the one a depth-first recursion makes,
+    so each integral comes out bit for bit as if integrated alone.
     """
     rows = np.arange(count)
     a = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
@@ -356,12 +356,14 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                              np.concatenate((mid, b)), np.tile(rows, 2))
         left, right = halves[:a.size], halves[a.size:]
         total = left + right
-        done = np.abs(total - whole) <= tol
+        with np.errstate(invalid="ignore"):  # inf - inf: the panel splits
+            done = np.abs(total - whole) <= tol
         levels.append((total, done))
         if done.all():
             break
         if depth >= _GL_MAX_DEPTH:
-            raise AccuracyError("quadrature failed to converge")
+            total[~done] = math.nan
+            break
         split = ~done
         a = np.concatenate((a[split], mid[split]))
         b = np.concatenate((mid[split], b[split]))
@@ -385,8 +387,9 @@ def adaptive_gl(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 _SEED_U_LO_MAX = 1e3
 
 
-def meijer_g_m0_log(mu, nu, x):
-    """ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2), integer nu.
+def meijer_g_m0_log(mu, nu, x) -> tuple[np.ndarray, list[str]]:
+    """ln G^{3,0}_{1,3}(x | (1-mu)/2; nu/2, -nu/2, -(mu+1)/2), integer nu,
+    and the reason each seed refuses.
 
     Uses the tail-integral identity
 
@@ -399,11 +402,12 @@ def meijer_g_m0_log(mu, nu, x):
     Equal-length 1-D arrays give one value per seed, each bit for bit
     its one-seed call's: one Bessel-K call over a fixed (seeds x n) grid
     brackets every seed, then one :func:`adaptive_gl` integrates each over
-    its own bracket and tolerance.  A non-finite mu, a non-finite or
-    non-integer nu, or an x <= 0 raises ``ValueError``; a lower limit
-    2 sqrt(x) past ``_SEED_U_LO_MAX``, an integrand whose log is not
-    finite on the bracketing grid or that does not decay, or a quadrature
-    that does not reach its tolerance raises :class:`AccuracyError`.
+    its own bracket and tolerance.  A seed refuses in place, with ln G
+    NaN, its reason ("" where it holds) naming a lower limit 2 sqrt(x)
+    past ``_SEED_U_LO_MAX``, an integrand whose log is not finite on the
+    bracketing grid or that does not decay, or a quadrature that does not
+    reach its tolerance; it goes no further.  A non-finite mu, a
+    non-finite or non-integer nu, or an x <= 0 raises ``ValueError``.
     """
     mus, nus, xs = (np.asarray(v, dtype=float) for v in (mu, nu, x))
     if not np.all((xs > 0.0) & np.isfinite(mus + nus)):
@@ -413,13 +417,12 @@ def meijer_g_m0_log(mu, nu, x):
         i = int(fractional.argmax())
         raise ValueError(f"order must be a nonnegative integer, got "
                          f"nu = {float(nus[i])!r} at seed {i}")
-    orders = np.abs(nus)
     u_lo = 2.0 * np.sqrt(xs)
-    mu1 = mus + 1.0
-    if np.any(u_lo > _SEED_U_LO_MAX):
-        raise AccuracyError(
-            f"Bessel tail integral from 2 sqrt(x) = {u_lo.max():.4g} is past "
-            f"{_SEED_U_LO_MAX:g}, beyond which its ln G misses 1e-12")
+    reasons = np.array([f"Bessel tail integral from 2 sqrt(x) = {u:.4g} is past "
+                        f"{_SEED_U_LO_MAX:g}, beyond which its ln G misses 1e-12"
+                        if u > _SEED_U_LO_MAX else "" for u in u_lo.tolist()], object)
+    seeds = np.flatnonzero(u_lo <= _SEED_U_LO_MAX)
+    mu1, orders, u_lo = mus[seeds] + 1.0, np.abs(nus[seeds]), u_lo[seeds]
 
     # integrate in t = ln u so the bracket width stays a few nats wide;
     # du = u dt folds into the exponent.  The tolerance is absolute on the
@@ -446,8 +449,8 @@ def meijer_g_m0_log(mu, nu, x):
     u_ok = np.maximum(tail_floor, 2.0 * mu1)
     n = 14 + int(np.ceil(np.log(u_ok / u_lo) / math.log(1.2)).max(initial=0))
     us = np.multiply.accumulate(
-        np.column_stack((u_lo, np.full((xs.size, n - 1), 1.2))), axis=1)
-    lanes = np.arange(xs.size)
+        np.column_stack((u_lo, np.full((seeds.size, n - 1), 1.2))), axis=1)
+    lanes = np.arange(seeds.size)
     # in calls of at most _GL_PANELS_PER_CALL panels' worth of points, as
     # the quadrature takes them: each call's Bessel table stays small.
     # Where the recurrence passes the double range (a radius past ~1e40
@@ -458,22 +461,26 @@ def meijer_g_m0_log(mu, nu, x):
     for start in range(0, points.size, chunk):
         part = slice(start, start + chunk)
         gs[part] = log_g(points[part], rows[part])
-        if not np.isfinite(gs[part]).all():
-            raise AccuracyError("ln of the Bessel tail integrand is not "
-                                "finite on the bracketing grid")
     gs = gs.reshape(us.shape)
     peaks = np.maximum.accumulate(gs, axis=1)
     stop = ((gs < peaks - 60.0) & (us > tail_floor[:, None])).argmax(axis=1)
-    if np.any(us[lanes, stop - 1] > 1e8):
-        raise AccuracyError("Bessel tail integral fails to decay")
     u_hi, g_max = us[lanes, stop], peaks[lanes, stop]
+    finite = np.isfinite(gs).all(axis=1)
+    decays = us[lanes, stop - 1] <= 1e8
+    reasons[seeds[~finite]] = ("ln of the Bessel tail integrand is not finite "
+                               "on the bracketing grid")
+    reasons[seeds[finite & ~decays]] = "Bessel tail integral fails to decay"
+    ok = np.flatnonzero(finite & decays)
 
     def shifted(ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return apply_math(math.exp, log_g(apply_math(math.exp, ts), rows)
-                          - g_max[rows])
+        return apply_math(math.exp, log_g(apply_math(math.exp, ts), ok[rows])
+                          - g_max[ok[rows]])
 
-    t_lo = apply_math(math.log, u_lo)
-    t_hi = apply_math(math.log, u_hi)
-    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), xs.size)
-    return (-0.5 * mu1 * apply_math(math.log, xs) + (1.0 - mus) * math.log(2.0)
-            + (g_max + apply_math(math.log, vals)))
+    t_lo, t_hi = (apply_math(math.log, u[ok]) for u in (u_lo, u_hi))
+    vals = adaptive_gl(shifted, t_lo, t_hi, 1e-12 * (t_hi - t_lo), ok.size)
+    reasons[seeds[ok][np.isnan(vals)]] = "quadrature failed to converge"
+    log_gs = np.full(xs.size, math.nan)
+    log_gs[seeds[ok]] = (-0.5 * mu1[ok] * apply_math(math.log, xs[seeds[ok]])
+                         + (1.0 - mus[seeds[ok]]) * math.log(2.0)
+                         + (g_max[ok] + apply_math(math.log, vals)))
+    return log_gs, reasons.tolist()

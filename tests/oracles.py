@@ -49,6 +49,7 @@ acceptance criterion 4 and of the seed range limit.
 seeds, 32 points of each live seed per round, before they read their
 cutoff off one fixed grid; ``meijer_g_m0_log_scan`` is the package's
 seed evaluator over the scan's brackets and must match it bit for bit.
+The scan raises where the package refuses a seed in place.
 
 ``eve_within`` is the law of the BS-eavesdropper distance for a ball
 whose centre is offset from the BS, the sphere-sphere lens volume over
@@ -58,7 +59,8 @@ for the fixed-centre Monte-Carlo rows that shares no code with them.
 
 ``adaptive_gl_recursive`` is the depth-first adaptive Gauss-Legendre
 recursion, one integral at a time; every integral of the package's
-breadth-first ``specfun.adaptive_gl`` must match it bit for bit.
+breadth-first ``specfun.adaptive_gl`` must match it bit for bit, or come
+back NaN where the recursion raises at its depth cap.
 ``adaptive_gl_each`` puts it in ``adaptive_gl``'s place, with one
 bracket and tolerance per integral where those are given.
 

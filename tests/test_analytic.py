@@ -47,11 +47,13 @@ Proves:
    value alone; greedy never hurts; monotone response to the sphere
    radius; agreement across a surface-size/radius grid; where the contour
    oracle refuses, the tail-integral seed matches mpmath to 1e-12; an
-   integrand still rising at u = 1e8 refuses, alone or in a batch; up to
-   a lower limit 2 sqrt(x) = 1000 a seed holds 1e-12 in ln G against
-   scipy quadrature, and past it (x = 1e8, 1e10, 1e11) it refuses, alone
-   or in a batch, where the unchecked bracket came out tens of nats off or
-   met log(0); a fractional or non-finite order, a non-finite mu or an
+   integrand still rising at u = 1e8 refuses in place (NaN and its
+   reason), alone or in a batch whose other seed keeps its one-seed bits;
+   up to a lower limit 2 sqrt(x) = 1000 a seed holds 1e-12 in ln G
+   against scipy quadrature, and past it (x = 1e8, 1e10, 1e11) it refuses
+   in place with its 2 sqrt(x) named, alone or in a batch whose other
+   seed keeps its bits, where the unchecked bracket came out tens of
+   nats off or met log(0); a fractional or non-finite order, a non-finite mu or an
    x <= 0 raises ValueError, a fractional order naming its nu and seed; the
    contiguous recurrence of the four rows of a four-user closed form, as
    handed to the order-statistic sum, their 12 seeds in one call,
@@ -471,9 +473,10 @@ def test_tail_integral_fallback_matches_mpmath():
     with pytest.raises(AccuracyError):
         meijer_g_m0_log_contour([0.5 * (1.0 - mu)],
                                 [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
-    got = specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]), np.array([x]))
+    got, reasons = specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]),
+                                           np.array([x]))
     # a real log: G is positive
-    assert got.dtype == np.float64 and got.shape == (1,)
+    assert got.dtype == np.float64 and got.shape == (1,) and reasons == [""]
     assert math.isfinite(got[0])
     assert abs(got[0] - TAIL_LOG_G) <= 1e-12
 
@@ -482,9 +485,15 @@ def test_tail_integral_fallback_matches_mpmath():
                                        ([28.0, 1e9], [32.0, 0.0], [1.0, 1.0])])
 def test_tail_integral_that_keeps_rising_refuses(mu, nu, x):
     # u^1e9 K_0(u) still rises at u = 1e8, past which no bracket may
-    # reach; one such seed refuses a batched call
-    with pytest.raises(AccuracyError, match="fails to decay"):
-        specfun.meijer_g_m0_log(*(np.array(v, ndmin=1) for v in (mu, nu, x)))
+    # reach; such a seed refuses in place, and its batch neighbour keeps
+    # its one-seed bits
+    got, reasons = specfun.meijer_g_m0_log(
+        *(np.array(v, ndmin=1) for v in (mu, nu, x)))
+    assert math.isnan(got[-1])
+    assert reasons[-1] == "Bessel tail integral fails to decay"
+    if got.size == 2:
+        assert reasons[0] == ""
+        assert hexes(got[:1]) == hexes([one_seed(28.0, 32.0, 1.0)])
 
 
 @pytest.mark.parametrize("mu, nu, x, match", [
@@ -505,8 +514,10 @@ def test_seed_outside_its_domain_raises_value_error(mu, nu, x, match):
 
 
 def one_seed(mu: float, nu: float, x: float) -> float:
-    """ln G at one seed, by a one-element array call."""
-    return specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]), np.array([x]))[0]
+    """ln G at one seed, by a one-element array call; NaN where it refuses."""
+    (log_g,), _ = specfun.meijer_g_m0_log(np.array([mu]), np.array([nu]),
+                                          np.array([x]))
+    return float(log_g)
 
 
 @pytest.mark.parametrize("x", [1e3, 1e5, 2.5e5])
@@ -523,12 +534,17 @@ def test_seed_past_the_range_limit_refuses(x, monkeypatch):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         ref = meijer_g_m0_log_quad(28.0, 32.0, x)
     assert math.isfinite(ref)
-    with pytest.raises(AccuracyError, match="past 1000"):
-        one_seed(28.0, 32.0, x)
-    # one such seed refuses a batched call
-    with pytest.raises(AccuracyError, match="past 1000"):
-        specfun.meijer_g_m0_log(np.array([28.0, 28.0]), np.array([32.0, 32.0]),
-                                np.array([1e3, x]))
+    reason = (f"Bessel tail integral from 2 sqrt(x) = {2.0 * math.sqrt(x):.4g} "
+              "is past 1000, beyond which its ln G misses 1e-12")
+    (alone,), reasons = specfun.meijer_g_m0_log(np.array([28.0]),
+                                                np.array([32.0]), np.array([x]))
+    assert math.isnan(alone) and reasons == [reason]
+    # in a batch the seed refuses only itself: its neighbour keeps the
+    # bits of its one-seed call
+    got, reasons = specfun.meijer_g_m0_log(
+        np.array([28.0, 28.0]), np.array([32.0, 32.0]), np.array([1e3, x]))
+    assert math.isnan(got[1]) and reasons == ["", reason]
+    assert hexes(got[:1]) == hexes([one_seed(28.0, 32.0, 1e3)])
     # unchecked, the grid's bracket misses the integrand's e^-u edge layer:
     # ln G comes out tens of nats off, or its log meets a 0.0 integral
     monkeypatch.setattr(specfun, "_SEED_U_LO_MAX", math.inf)
@@ -568,7 +584,8 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
     # every term's own tail integral, in one (bit for bit one-element) call
     terms = [(m_2 + b - 4, m_2 - b, j * big_x)
              for j, n_b in enumerate(sizes, start=1) for b in range(n_b)]
-    want = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*terms)))
+    want, reasons = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*terms)))
+    assert not any(reasons)
     spanned = set()
     for (mu, nu, x), log_g, w in zip(terms, sum(rows, []), want.tolist()):
         # 1e-12 on log G is 1e-12 relative on the tail integral I(B)
@@ -622,7 +639,8 @@ def test_fig4_seeds_match_the_contour_oracle(air, fading, monkeypatch):
     assert [len(c) for c in calls] == [3, 12] * 8
     seeds = sum(calls, [])
     assert len(seeds) == 120
-    log_gs = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    log_gs, reasons = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    assert not any(reasons)
     for (mu, nu, x), log_g in zip(seeds, log_gs.tolist()):
         want, sign = meijer_g_m0_log_contour(
             [0.5 * (1.0 - mu)], [0.5 * nu, -0.5 * nu, -0.5 * (mu + 1.0)], x)
@@ -636,8 +654,9 @@ def test_seed_array_matches_one_element_calls(air, fading, monkeypatch):
     # the bits of its one-element call
     seeds = sum(_fig4_seed_calls(air, fading, monkeypatch), [])
     seeds += [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4), (60.0, 64.0, 5.0)]
-    got = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
-    want = [specfun.meijer_g_m0_log(*(np.array([v]) for v in seed))
+    got, reasons = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    assert not any(reasons)
+    want = [specfun.meijer_g_m0_log(*(np.array([v]) for v in seed))[0]
             for seed in seeds]
     assert all(w.shape == (1,) for w in want)
     assert hexes(got) == hexes(want)
@@ -752,8 +771,12 @@ def test_route_disagreement_surfaced_as_warning(air, fading, monkeypatch):
     cfg = ScenarioConfig(geometry=geom, air=flat_air, fading=fading, scheme=SchemeId.FCR_RS)
     want = an.zsrp_for_scheme(cfg).value
     seed = specfun.meijer_g_m0_log
-    monkeypatch.setattr(specfun, "meijer_g_m0_log",
-                        lambda *args: seed(*args) + 1e-9)
+
+    def off_by_1e9(*args):
+        log_gs, reasons = seed(*args)
+        return log_gs + 1e-9, reasons
+
+    monkeypatch.setattr(specfun, "meijer_g_m0_log", off_by_1e9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = analytic_row(cfg)

@@ -18,10 +18,14 @@ Proves:
  Group 2 — a radius past the seeds' range refuses fast
    at R = 1e40 and 1e60 m both serving rules return the quadrature value
    (pinned bits) with no closed form, in under 1 s and without a
-   RuntimeWarning: the seed calls refuse as soon as their bracketing
-   grid is not finite, before any quadrature runs;
-   in a batch that row alone loses its closed form, and its neighbours
-   keep theirs, bit for bit.
+   RuntimeWarning: their one seed call refuses each seed whose
+   bracketing grid is not finite, before it reaches the quadrature;
+   in a batch at R = 500, 1e40, 1e60 and 300 m, one seed call refuses
+   just the huge radii's seeds, those rows alone lose their closed form,
+   and their neighbours keep theirs, bit for bit; at R = 1e40 m with
+   m2 L = 4, where the seeds hold but a Bessel factor of the recurrence
+   passes the double range, the closed form is refused by its infinite
+   rounding bound, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -80,24 +84,29 @@ def seed_call_sizes(monkeypatch) -> list[int]:
     return calls
 
 
-#: the refusal of a seed call whose bracketing grid is not finite
+#: the reason of a seed whose bracketing grid is not finite
 GRID_REFUSAL = "ln of the Bessel tail integrand is not finite on the bracketing grid"
 
 
-def seed_refusals(monkeypatch) -> list[str]:
-    """Record the message of each ``AccuracyError`` a seed call raises."""
-    refusals = []
-    seed = specfun.meijer_g_m0_log
+def seed_calls(monkeypatch) -> list[tuple[list[str], int]]:
+    """Record each ``meijer_g_m0_log`` call as the reason of each seed and
+    the count of seeds that reach its tail-integral quadrature."""
+    calls, integrals = [], []
+    seed, quadrature = specfun.meijer_g_m0_log, specfun.adaptive_gl
+
+    def counting_quadrature(f, lo, hi, abs_tol, count):
+        integrals.append(count)
+        return quadrature(f, lo, hi, abs_tol, count)
 
     def recording(mu, nu, x):
-        try:
-            return seed(mu, nu, x)
-        except AccuracyError as exc:
-            refusals.append(str(exc))
-            raise
+        integrals.clear()  # the value quadratures run before the seeds
+        log_gs, reasons = seed(mu, nu, x)
+        calls.append((reasons, sum(integrals)))
+        return log_gs, reasons
 
     monkeypatch.setattr(specfun, "meijer_g_m0_log", recording)
-    return refusals
+    monkeypatch.setattr(specfun, "adaptive_gl", counting_quadrature)
+    return calls
 
 
 # --- Group 1: each row of a batch is its one-row call ---
@@ -187,15 +196,18 @@ def test_huge_radius_refuses_the_closed_form_fast(scheme, r_eve_m, monkeypatch):
     cfg = ScenarioConfig(geometry=ScenarioGeometry(r_eve_m=r_eve_m),
                          air=AirGroundParams(), fading=FadingParams(),
                          scheme=scheme)
-    refusals = seed_refusals(monkeypatch)
+    calls = seed_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         start = time.perf_counter()
         res = alone(cfg)
         elapsed = time.perf_counter() - start
-    # the seed call stops at its grid, before any quadrature runs; the
-    # row takes about 4 ms, so the bound leaves a wide margin for load
-    assert refusals and set(refusals) == {GRID_REFUSAL}
+    # one seed call, whose seeds all stop at their grid: none reaches the
+    # quadrature.  The row takes about 15 ms, so the bound leaves a wide
+    # margin for load
+    ((reasons, integrated),) = calls
+    assert reasons and set(reasons) == {GRID_REFUSAL}
+    assert integrated == 0
     assert elapsed < 1.0
     assert res.closed_form is None and res.rel_gap is None
     assert res.value.hex() == HUGE_R_VALUES[scheme, r_eve_m]
@@ -210,12 +222,31 @@ def test_huge_radius_row_alone_loses_its_closed_form(monkeypatch):
     configs = [at(r, scheme) for r in (500.0, 1e40, 1e60, 300.0)
                for scheme in FC_SCHEMES]
     want = [outcome(alone(cfg)) for cfg in configs]
-    refusals = seed_refusals(monkeypatch)
+    calls = seed_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = an.zsrp_many(configs, True)
-    # the shared seed call, then each huge-radius row's own seeds, stop
-    # at their grid; the finite-radius rows' own seeds do not refuse
-    assert refusals == [GRID_REFUSAL] * 5
+    # one seed call for the batch, 12 distinct seeds per radius (round
+    # robin's 3 are greedy's first 3): the huge radii's seeds stop at
+    # their grid, and only the finite radii's reach the quadrature
+    ((reasons, integrated),) = calls
+    assert reasons == [""] * 12 + [GRID_REFUSAL] * 24 + [""] * 12
+    assert integrated == 24
     assert [r.closed_form is None for r in got] == [False] * 2 + [True] * 4 + [False] * 2
     assert [outcome(r) for r in got] == want
+
+
+def test_recurrence_past_the_double_range_refuses_the_closed_form(caplog):
+    # at R = 1e40 m and m2 L = 4 the seeds hold, but the recurrence's
+    # K_(M-B+1)(y) at y = 2 sqrt(jX) ~ 4e-36 passes the double range: the
+    # sum's rounding bound is infinite and refuses the closed form, with
+    # no RuntimeWarning from the sum of infinite terms
+    cfg = ScenarioConfig(
+        geometry=ScenarioGeometry(h_br_m=150.0, d_rn_m=(80.0,) * 4, r_eve_m=1e40),
+        air=AirGroundParams(), fading=FadingParams(m1=3, m2=1, n_elements=4),
+        scheme=SchemeId.FCR_GCSI_PFS)
+    with warnings.catch_warnings(), caplog.at_level("INFO"):
+        warnings.simplefilter("error")
+        res = alone(cfg)
+    assert res.closed_form is None and 0.0 < res.value < 1e-100
+    assert "has rounding bound inf" in caplog.text

@@ -26,7 +26,10 @@ Proves:
 
  Group 3 — sweep runs
    a config-driven sweep writes the CSV to a file or stdout; the seed
-   resolution order is flag over environment over file; a bad or
+   resolution order is flag over environment over file; ``--trials``,
+   ``--seed``, ``--threads`` and the environment seed take an integral
+   float such as 1e3 or 5.0 as the config file does, giving the same
+   CSV, and ``--trials 1.5`` exits 2; a bad or
    negative seed (flag, environment or file) and NaN or infinite config
    values exit with the configuration code.
 
@@ -307,6 +310,29 @@ def test_bad_env_seed_is_config_error(sweep_config, capsys, caplog, monkeypatch)
     rc, _, _ = run_cli(capsys, "run", "--config", str(sweep_config))
     assert rc == 2
     assert "must be an integer" in caplog.text
+
+
+def test_integer_flags_and_env_seed_read_as_the_file_does(sweep_config, capsys,
+                                                         monkeypatch):
+    # the config file takes trials = 1e3 and seed = 5.0 as integers, and so
+    # do --trials, --seed, --threads and the environment seed
+    monkeypatch.setenv(cli.ENV_SEED, "5")
+    rc, plain, _ = run_cli(capsys, "run", "--config", str(sweep_config),
+                           "--trials", "1000", "--threads", "2")
+    monkeypatch.setenv(cli.ENV_SEED, "5.0")
+    rc_env, env_floats, _ = run_cli(capsys, "run", "--config", str(sweep_config),
+                                    "--trials", "1e3", "--threads", "2.0")
+    monkeypatch.delenv(cli.ENV_SEED)
+    rc_flag, flag_floats, _ = run_cli(capsys, "run", "--config", str(sweep_config),
+                                      "--seed", "5.0", "--trials", "1e3")
+    assert rc == rc_env == rc_flag == 0
+    assert ",1000,5," in plain
+    assert env_floats == flag_floats == plain
+    # a fractional count is no integer: argparse exits with the usage code
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(sweep_config), "--trials", "1.5"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ini,flags,env_seed", [

@@ -15,16 +15,21 @@ Proves:
    bracketing grid against the lockstep scan it replaced
    (``oracles.meijer_g_m0_log_scan``), for closed-form seeds (mu, nu, x) =
    (M + B - 4, |M - B|, jX), M <= 128, B <= 2, and general mu in [-3, 500],
-   nu <= 500, x in [1e-10, 2.5e5], alone and in batches (property), and
+   nu <= 500, x in [1e-10, 2.5e5], each seed of a batch as the scan
+   finds it alone (property), and
    the scan's cutoff at most 12 points past u_ok = max(tail floor,
    2 (mu + 1)), the bound the grid length rests on; integrals given one
    bracket and tolerance each.
 
  Group 2 — failure and cost
-   one integrand with a jump among converging ones makes the batched call
-   raise ``AccuracyError`` at the depth cap, as the recursion does for
-   that integrand alone, while the converging ones still match the
-   recursion without it; one default ``fcr-gcsi-pfs`` value makes at
+   one integrand with a jump among converging ones comes back NaN from
+   the batched call at the depth cap, where the recursion raises
+   ``AccuracyError`` for that integrand alone, while the converging ones
+   match the recursion bit for bit, and a value route given it raises
+   ``AccuracyError``; a closed-form seed whose bracketing grid is finite
+   but whose panel sums are not, (mu, nu, x) = (42, 46, 6.18148e-56),
+   refuses in place without a RuntimeWarning, its batch neighbour
+   keeping its one-seed bits; one default ``fcr-gcsi-pfs`` value makes at
    most 14 F_S calls, two per integrand call, at h = 310 m (the nested
    distance-by-W quadrature made 196, and one inner call per distance
    node 3,028) and no call gets more than 16 panels of 24 points; a
@@ -38,6 +43,7 @@ Proves:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,19 +128,23 @@ def test_tail_integral_seed_bits(mu, nu, x, monkeypatch):
     alone = [np.array([v]) for v in (mu, nu, x)]
     batch = [np.array([mu, 60.0, 28.0]), np.array([nu, 64.0, 31.0]),
              np.array([x, 5.0, 3.2])]
-    got = [*specfun.meijer_g_m0_log(*alone), *specfun.meijer_g_m0_log(*batch)]
+    got = [*specfun.meijer_g_m0_log(*alone)[0],
+           *specfun.meijer_g_m0_log(*batch)[0]]
     assert hexes(got[:1]) == hexes(got[1:2])
     monkeypatch.setattr(specfun, "adaptive_gl", adaptive_gl_each)
-    want = [*specfun.meijer_g_m0_log(*alone), *specfun.meijer_g_m0_log(*batch)]
+    want = [*specfun.meijer_g_m0_log(*alone)[0],
+            *specfun.meijer_g_m0_log(*batch)[0]]
     assert hexes(got) == hexes(want)
 
 
-def seed_log_gs(f, seeds) -> list[str] | str:
-    """``float.hex`` of each seed's ln G by ``f``, or the refusal it raises."""
+def scanned_alone(seed) -> str:
+    """``float.hex`` of one seed's ln G over the scan's bracket, or why
+    it refuses."""
     try:
-        return hexes(f(*(np.array(v) for v in zip(*seeds))))
+        (log_g,) = meijer_g_m0_log_scan(*(np.array([v]) for v in seed))
     except AccuracyError as exc:
-        return f"AccuracyError: {exc}"
+        return str(exc)
+    return "quadrature failed to converge" if math.isnan(log_g) else log_g.hex()
 
 
 seed_x = st.floats(-10.0, math.log10(2.5e5)).map(lambda e: 10.0 ** e)
@@ -149,10 +159,12 @@ general_seed = st.tuples(st.floats(-3.0, 500.0),
 @given(st.lists(st.one_of(package_seed, general_seed), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_seed_grid_matches_the_scan(seeds):
-    # the fixed grid finds the lockstep scan's cutoff and peak, alone and
-    # in a batch whose seeds need grids of different lengths
-    assert (seed_log_gs(specfun.meijer_g_m0_log, seeds)
-            == seed_log_gs(meijer_g_m0_log_scan, seeds))
+    # the fixed grid finds the lockstep scan's cutoff and peak, in a batch
+    # whose seeds need grids of different lengths, each seed as the scan
+    # finds it alone
+    log_gs, reasons = specfun.meijer_g_m0_log(*(np.array(v) for v in zip(*seeds)))
+    assert ([reason or log_g.hex() for log_g, reason in zip(log_gs.tolist(), reasons)]
+            == [scanned_alone(seed) for seed in seeds])
 
 
 def test_scan_cutoff_lies_within_12_points_past_u_ok():
@@ -201,17 +213,37 @@ def _with_jump(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def test_one_diverging_integral_raises_at_the_depth_cap():
-    with pytest.raises(AccuracyError, match="failed to converge"):
-        specfun.adaptive_gl(_with_jump, 0.0, 1.0, 1e-10, 3)
+    # the jump never converges: it comes back NaN in place, where the
+    # recursion raises, and its neighbours keep the recursion's bits
+    got = specfun.adaptive_gl(_with_jump, 0.0, 1.0, 1e-10, 3)
     with pytest.raises(AccuracyError, match="failed to converge"):
         adaptive_gl_recursive(lambda x: _with_jump(x, np.ones(x.size, int)),
                               0.0, 1.0, 1e-10)
-    # the converging integrands alone still come out as the recursion's
+    assert math.isnan(got[1])
+
     def smooth(x, rows):
         return _with_jump(x, 2 * rows)
 
-    got = specfun.adaptive_gl(smooth, 0.0, 1.0, 1e-10, 2)
-    assert hexes(got) == hexes(adaptive_gl_each(smooth, 0.0, 1.0, 1e-10, 2))
+    assert hexes(got[::2]) == hexes(adaptive_gl_each(smooth, 0.0, 1.0, 1e-10, 2))
+    # a value route given that integral raises for its batch
+    with pytest.raises(AccuracyError, match="failed to converge"):
+        an.psi_average(_with_jump, [1.0, 1.0, 1.0])
+
+
+def test_seed_with_infinite_panel_sums_refuses_in_place():
+    # at x = 6.18148e-56 the grid is finite but the panel sums are not:
+    # the quadrature splits to its depth cap, and the seed refuses in
+    # place without a RuntimeWarning, its neighbour keeping its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_gs, reasons = specfun.meijer_g_m0_log(
+            np.array([42.0, 28.0]), np.array([46.0, 32.0]),
+            np.array([6.18148e-56, 1.0]))
+    assert math.isnan(log_gs[0])
+    assert reasons == ["quadrature failed to converge", ""]
+    (alone,), _ = specfun.meijer_g_m0_log(np.array([28.0]), np.array([32.0]),
+                                          np.array([1.0]))
+    assert log_gs[1].hex() == alone.hex()
 
 
 def test_pfs_value_takes_few_integrand_calls(geometry, air, fading, monkeypatch):

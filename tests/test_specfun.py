@@ -23,7 +23,9 @@ Proves:
    lies in (1e-300, 2^-20), at shapes past the tests' m1 L: within 5e-13
    relative up to a = 256 and 3e-12 up to a = 800 (measured worst
    2.6e-13 and 1.5e-12: the exponent a ln x - x - ln a! of its prefactor
-   cancels terms that grow with a).
+   cancels terms that grow with a).  On [x_lo/2, 0.999 x_lo] below the
+   switch x_lo of ``cdf_S`` it holds 1e-12 at a = 128 and misses it at
+   a = 800 (strict xfail).
 
  Group 3 — modified Bessel K
    K0(1), K1(1) against quadrature of the integral representation
@@ -72,6 +74,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from zsrpsim import specfun
+from zsrpsim.fading import tail_cutoff
 
 from oracles import (bessel_k, bessel_k01_scaled_scalar, log_bessel_k_loop,
                      ln_gamma_complex, log_bessel_k_upto_scalar,
@@ -207,6 +210,19 @@ def test_lower_gamma_tail_at_large_shapes(a):
     got = specfun.regularized_lower_gamma_tail(a, x[tail], x_hi)
     worst = np.max(np.abs(got - ref[tail]) / ref[tail])
     assert worst <= (5e-13 if a <= 256 else 3e-12), (a, worst)
+
+
+@pytest.mark.parametrize("a", [128, pytest.param(800, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the prefactor exp(a ln x - x - ln a!) cancels terms of about 1e4 "
+           "down to about -700: 1.5e-12 off at a = 800"))])
+def test_lower_gamma_tail_holds_1e12_below_its_switch(a):
+    # cdf_S takes the series below x_lo, where 1 - Q crosses 2^-20
+    x_lo = tail_cutoff(a, 1.0 - 2.0 ** -20)
+    x = np.linspace(0.5 * x_lo, 0.999 * x_lo, 2001)
+    ref = special.gammainc(a, x)
+    got = specfun.regularized_lower_gamma_tail(a, x, x_lo)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
 def test_upper_gamma_at_zero_and_domain():

@@ -16,15 +16,15 @@ comparison, so
 
 Evaluation routes, cross-checked against each other, arrays in and out:
 
-* ``cdf_Z_single``: finite Bessel-K series for F_Z (exact up to
-  rounding), the fast route for the single-user cascade: a sum of
-  positive terms that share one argument.  One array Bessel-K
-  recurrence and one (nodes x terms) log-sum serve all distance nodes
-  of an integrand call, each node bit for bit as alone.  Round robin
-  psi-averages it with :func:`psi_average`;
+* ``psi_average``: the round-robin value, the psi-average of
+  :func:`cdf_Z_single`, the finite Bessel-K series for F_Z of the
+  single-user cascade (exact up to rounding, positive terms that share
+  one argument).  One array Bessel-K recurrence and one (nodes x terms)
+  log-sum serve all distance nodes of an integrand call;
 * ``cdf_Z_quadrature``: the proportional-fair value as one positive 1-D
   integral over the served user-side power sum, no nested distance
-  average;
+  average.  Both value routes take their rows as
+  :class:`ClosedFormParams` and return one value per row;
 * a closed-form composite reducing the psi-average to Meijer G
   functions, reported as ``closed_form`` (where the rounding bound of its
   sum admits it) next to the quadrature ``value`` with their gap.
@@ -59,9 +59,9 @@ tractable cascaded distribution here and are refused with
 
 :func:`zsrp_many` evaluates many scenarios in one batch, and
 :func:`zsrp_for_scheme` is its one-row call without the closed form.
-Rows that share (m1, m2, L, N, rule) share each integral call: one
-psi-average of the series CDF for round robin, one pair of tolerance
-passes of the 1-D integral for GCSI-PFS.  The closed forms of a batch
+Rows that share (m1, m2, L, N, rule) go to one call of their value
+route: one psi-average for round robin, one pair of tolerance passes of
+the 1-D integral for GCSI-PFS.  The closed forms of a batch
 are one pass: their distinct seeds go to one
 :func:`~zsrpsim.specfun.meijer_g_m0_log` call, their Bessel factors to
 one array recurrence, then one loop sums each; a seed that cannot be
@@ -79,7 +79,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -231,6 +231,33 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
             math.expm1, log_sum[below])
         out[pos] = np.minimum(1.0, np.fmax(0.0, vals))
     return out
+
+
+def psi_average(ps: Sequence[ClosedFormParams]) -> list[float]:
+    """psi-averaged series CDF of each row, E_psi[F_Z(G0 / psi^2)] for psi
+    uniform in the ball of radius R (density 3 r^2 / R^3), to 1e-10.
+
+    The rows share m1, m2 and L.  Each integrand call hands
+    :func:`cdf_Z_single` the distance nodes of up to
+    ``specfun._GL_PANELS_PER_CALL`` panels of any rows, each row bit for
+    bit as alone.  Returns the values clamped to [0, 1]; a row that does
+    not converge raises :class:`AccuracyError`.
+    """
+    radii = [p.r_eve_m for p in ps]
+    gains = np.array([p.ref_gain for p in ps], dtype=float)
+    scales = np.array([p.sigma1_sq * p.sigma2_sq for p in ps])
+    # the cube of each radius as a float, as one row alone takes it
+    cubes = np.array([r ** 3 for r in radii], dtype=float)
+
+    def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # float_power squares by pow, as the scalar ``r ** 2`` of one node
+        # does; ``r ** 2`` of an array multiplies, which rounds differently
+        z = gains[rows] / np.float_power(r, 2)
+        return cdf_Z_single(z, ps[0], scales[rows]) * 3.0 * r ** 2 / cubes[rows]
+
+    vals = _converged(specfun.adaptive_gl(
+        integrand, 0.0, np.array(radii, dtype=float), 1e-10, len(ps)))
+    return [min(1.0, max(0.0, v)) for v in vals.tolist()]
 
 
 def _cdf_u(b: np.ndarray, a_2: int) -> np.ndarray:
@@ -425,42 +452,6 @@ def _closed_forms(ps: Sequence[ClosedFormParams]) -> list[Optional[float]]:
     return out
 
 
-def psi_average(cdf_at_distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                r_eve_m: Sequence[float]) -> list[float]:
-    """E_psi[cdf_i(psi)] of each row i for psi uniform in the ball of
-    radius ``r_eve_m[i]``: density 3 r^2 / R^3, to 1e-10.
-
-    ``cdf_at_distance(r, rows)`` takes an array of distances (the nodes
-    of up to ``specfun._GL_PANELS_PER_CALL`` panels of any rows) and the
-    row of each, and returns the CDF of that row at each distance.  The
-    rows are integrated at once, each bit for bit as alone; a row that
-    does not converge raises :class:`AccuracyError`.
-    """
-    if not all(r > 0.0 for r in r_eve_m):
-        raise ValueError("r_eve_m must be positive")
-    # the cube of each radius as a float, as one row alone takes it
-    cubes = np.array([r ** 3 for r in r_eve_m], dtype=float)
-
-    def integrand(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return cdf_at_distance(r, rows) * 3.0 * r ** 2 / cubes[rows]
-
-    vals = _converged(specfun.adaptive_gl(
-        integrand, 0.0, np.array(r_eve_m, dtype=float), 1e-10, len(cubes)))
-    return [min(1.0, max(0.0, v)) for v in vals.tolist()]
-
-
-def _round_robin_values(ps: Sequence[ClosedFormParams]) -> list[float]:
-    """psi-averaged series CDF of each row; the rows share m1, m2 and L."""
-    gains = np.array([p.ref_gain for p in ps], dtype=float)
-    scales = np.array([p.sigma1_sq * p.sigma2_sq for p in ps])
-    # float_power squares by pow, as the scalar ``r ** 2`` of one node
-    # does; ``r ** 2`` of an array multiplies, which rounds differently
-    return psi_average(
-        lambda r, rows: cdf_Z_single(gains[rows] / np.float_power(r, 2),
-                                     ps[0], scales[rows]),
-        [p.r_eve_m for p in ps])
-
-
 def _report(value: float, closed: Optional[float]) -> AnalyticZsrp:
     if closed is None:
         return AnalyticZsrp(value=value, closed_form=None, rel_gap=None)
@@ -479,10 +470,10 @@ def zsrp_from_params(rows: Sequence[tuple[ClosedFormParams, bool]],
                      closed_form: bool) -> list[AnalyticZsrp]:
     """ZSRP of each (parameters, round robin) row.
 
-    The rule, never N, picks the route: round robin sets N = 1 and
-    psi-averages the series CDF :func:`cdf_Z_single`; proportional
-    fairness takes the one 1-D integral of :func:`cdf_Z_quadrature`.
-    Rows that share (m1, m2, L, N, rule) share one integral call, each
+    The rule, never N, picks the value route: round robin sets N = 1
+    and takes :func:`psi_average`, proportional fairness
+    :func:`cdf_Z_quadrature`.  Rows that share (m1, m2, L, N, rule) go to
+    one call of their route as a list of :class:`ClosedFormParams`, each
     row bit for bit as alone.  ``closed_form`` comes from the Meijer
     composite (:func:`_closed_forms`, all rows at once), omitted where it
     refuses or when ``closed_form`` is False.
@@ -496,8 +487,8 @@ def zsrp_from_params(rows: Sequence[tuple[ClosedFormParams, bool]],
     values = [0.0] * len(rows)
     for (*_, round_robin), members in groups.items():
         group = [params[i] for i in members]
-        for i, value in zip(members, _round_robin_values(group) if round_robin
-                            else cdf_Z_quadrature(group)):
+        for i, value in zip(members, (psi_average if round_robin
+                                      else cdf_Z_quadrature)(group)):
             values[i] = value
     closed = (_closed_forms(params) if closed_form and params
               else [None] * len(params))

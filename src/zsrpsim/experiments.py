@@ -126,7 +126,7 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in _str_list(raw))
 
 
-def _int(raw: str) -> int:
+def integer(raw: str) -> int:
     """Integer text as is (a 20-digit seed stays exact), else an integral
     float of magnitude <= 2^53 such as ``16.0`` or ``1e5``."""
     try:
@@ -139,7 +139,7 @@ def _int(raw: str) -> int:
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(_int(p) for p in _str_list(raw))
+    return tuple(integer(p) for p in _str_list(raw))
 
 
 def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
@@ -151,17 +151,18 @@ def _scheme_list(raw: str) -> tuple[SchemeId, ...]:
 #: Config keys by section, each with the parser of its raw text.  A key
 #: names its dataclass field, except ``users`` and ``elements``.
 CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
-    "geometry": {"r_br_m": float, "h_br_m": float, "users": _int,
+    "geometry": {"r_br_m": float, "h_br_m": float, "users": integer,
                  "d_rn_m": _float_list, "r_eve_m": float},
     "environment": {"a2": float, "b2": float, "alpha_zenith": float,
                     "alpha_ground": float, "ref_gain": float,
                     "gamma_b_db": float, "alpha_eve": float,
                     "eve_center": str, "eve_center_h_m": float},
-    "fading": {"m1": _int, "m2": _int, "elements": _int},
+    "fading": {"m1": integer, "m2": integer, "elements": integer},
     "experiment": {"kind": str, "schemes": _scheme_list,
                    "evaluators": _str_list, "r_grid_m": _float_list,
                    "l_grid": _int_list, "h_grid_m": _float_list,
-                   "trials": _int, "seed": _int, "threads": _int, "output": str},
+                   "trials": integer, "seed": integer, "threads": integer,
+                   "output": str},
 }
 
 

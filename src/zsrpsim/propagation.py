@@ -88,15 +88,6 @@ class ScenarioGeometry:
         return math.hypot(self.r_br_m, self.h_br_m)
 
 
-def elevation_angle(h_m: float, r_m: float) -> float:
-    """Elevation of the aerial BS seen from the RIS, in radians."""
-    if r_m <= 0.0:
-        raise ValueError("horizontal distance must be positive")
-    if h_m < 0.0:
-        raise ValueError("altitude must be nonnegative")
-    return math.atan2(h_m, r_m)
-
-
 def los_probability(theta_deg: float, params: AirGroundParams) -> float:
     """Logistic LoS probability; theta is the elevation in degrees."""
     if theta_deg < 0.0 or theta_deg > 90.0:
@@ -136,7 +127,7 @@ def large_scale_gain(ref_gain: float, d_m, alpha: float):
 
 def bs_ris_gain(geom: ScenarioGeometry, params: AirGroundParams) -> float:
     """Per-element large-scale power gain sigma_2^2 of the BS-RIS hop."""
-    theta_deg = math.degrees(elevation_angle(geom.h_br_m, geom.r_br_m))
+    theta_deg = math.degrees(math.atan2(geom.h_br_m, geom.r_br_m))
     alpha = pathloss_exponent_air(theta_deg, params)
     return large_scale_gain(params.ref_gain, geom.d_br_3d_m, alpha)
 

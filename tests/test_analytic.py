@@ -29,8 +29,8 @@ Proves:
    N <= 6 and M = 4/32; combinatorial guards reject oversized expansions.
 
  Group 4 — averaging over the wiretap sphere
-   volume-weighted radial averaging integrates (r/R)^2 to 3/5; constants
-   pass through; degenerate radius rejected.
+   the round-robin psi-average, given series CDFs of known average,
+   integrates (r/R)^2 to 3/5 and passes constants through.
 
  Group 5 — end-to-end probabilities
    frozen default-scenario values for rotation and greedy serving with the
@@ -364,20 +364,21 @@ def test_combinatorial_guards():
 # --- Group 4: sphere averaging ---
 
 
-def test_psi_average_polynomial():
-    r_max = 500.0
-    (got,) = an.psi_average(lambda r, rows: (r / r_max) ** 2, [r_max])
+def _cdf_of_r_squared(z, p, scale):
+    # (r / R)^2 at the distance r = sqrt(G0 / z) that z = G0 / r^2 came from
+    return p.ref_gain / (z * p.r_eve_m ** 2)
+
+
+def test_psi_average_polynomial(closed_params, monkeypatch):
+    monkeypatch.setattr(an, "cdf_Z_single", _cdf_of_r_squared)
+    (got,) = an.psi_average([closed_params(r_eve_m=500.0)])
     assert math.isclose(got, 0.6, rel_tol=1e-9)
 
 
-def test_psi_average_constant():
-    (got,) = an.psi_average(lambda r, rows: 0.37, [123.0])
+def test_psi_average_constant(closed_params, monkeypatch):
+    monkeypatch.setattr(an, "cdf_Z_single", lambda z, p, scale: np.full(z.shape, 0.37))
+    (got,) = an.psi_average([closed_params(r_eve_m=123.0)])
     assert math.isclose(got, 0.37, rel_tol=1e-12)
-
-
-def test_psi_average_domain():
-    with pytest.raises(ValueError):
-        an.psi_average(lambda r, rows: 1.0, [0.0])
 
 
 # --- Group 5: end-to-end probabilities ---

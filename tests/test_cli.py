@@ -29,7 +29,8 @@ Proves:
    resolution order is flag over environment over file; ``--trials``,
    ``--seed``, ``--threads`` and the environment seed take an integral
    float such as 1e3 or 5.0 as the config file does, giving the same
-   CSV, and ``--trials 1.5`` exits 2; a bad or
+   CSV, and ``--trials 1.5`` exits 2 with "invalid integer value" in
+   ``run`` and ``zsrp``; a bad or
    negative seed (flag, environment or file) and NaN or infinite config
    values exit with the configuration code.
 
@@ -329,10 +330,12 @@ def test_integer_flags_and_env_seed_read_as_the_file_does(sweep_config, capsys,
     assert ",1000,5," in plain
     assert env_floats == flag_floats == plain
     # a fractional count is no integer: argparse exits with the usage code
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--config", str(sweep_config), "--trials", "1.5"])
-    assert exc.value.code == 2
-    assert "--trials" in capsys.readouterr().err
+    # and names the flag's parser
+    for argv in (["run", "--config", str(sweep_config)], ["zsrp"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--trials", "1.5"])
+        assert exc.value.code == 2
+        assert "argument --trials: invalid integer value: '1.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ini,flags,env_seed", [

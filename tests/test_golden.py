@@ -28,7 +28,10 @@ Proves:
    value also lies within 1e-12 of a 60-digit evaluation of that series
    at L = 32 (h = 220, 310 and 450 m, and 12 users at 310 m) and at
    m1 = m2 = L = 1 (310 m), where the series cancels or the integral
-   takes its a = m2 L = 1 branch.
+   takes its a = m2 L = 1 branch; so does the round-robin value at
+   L = 16 (h = 220, 310 and 450 m), and at L = 32 it is recorded as
+   failing that (strict xfail): the psi-average of the series CDF is
+   2.0e-12 to 1.1e-11 off there.
 """
 
 from __future__ import annotations
@@ -219,12 +222,22 @@ def test_analytic_near_mpmath_truth(case):
 PFS_MP_CASES = json.loads((DATA / "analytic-pfs-mp.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "case", PFS_MP_CASES,
-    ids=[f"h{c['h_br_m']:g}-L{c['elements']}-N{c['users']}-m{c['m1']}{c['m2']}"
-         for c in PFS_MP_CASES])
+def _mp_case(case: dict):
+    rule = "" if case["scheme"] == "fcr-gcsi-pfs" else case["scheme"] + "-"
+    case_id = (f"{rule}h{case['h_br_m']:g}-L{case['elements']}-N{case['users']}"
+               f"-m{case['m1']}{case['m2']}")
+    if case["scheme"] == "fcr-rs" and case["elements"] == 32:
+        # ROADMAP direction 1 puts round robin on the 1-D integral, which
+        # is 1.04e-14 off here at N = 1, and drops this mark
+        return pytest.param(case, id=case_id, marks=pytest.mark.xfail(
+            strict=True, reason="the psi-average of the series CDF is 2.0e-12 "
+            "to 1.1e-11 off at L = 32, where the series cancels"))
+    return pytest.param(case, id=case_id)
+
+
+@pytest.mark.parametrize("case", [_mp_case(c) for c in PFS_MP_CASES])
 def test_pfs_value_near_mpmath_truth(case):
-    # value only: the closed form is about 2e-9 off at L = 32
+    # value only, for both rules: the closed form is about 2e-9 off at L = 32
     scenario, _ = load_config(None)
     geometry = scenario.geometry
     cfg = dataclasses.replace(

@@ -242,17 +242,17 @@ def test_mc_search_matches_pinned(geometry, air, fading, key):
 def test_mc_search_draws_each_block_once(geometry, air, fading, monkeypatch):
     monkeypatch.setattr(sec, "_memo", {})
     draws, altitudes = [], []
-    draw, run_mc = sec.sample_eve_distance, op.run_monte_carlo
+    draw, run_mc = sec._draw_block, op.run_monte_carlo
 
-    def counting_draw(rng, size):
-        draws.append(size)
-        return draw(rng, size=size)
+    def counting_draw(configs, seed, block_index, n):
+        draws.append(n)
+        return draw(configs, seed, block_index, n)
 
     def counting_run(cfg, trials, seed, threads=1):
         altitudes.append(cfg.geometry.h_br_m)
         return run_mc(cfg, trials, seed, threads=threads)
 
-    monkeypatch.setattr(sec, "sample_eve_distance", counting_draw)
+    monkeypatch.setattr(sec, "_draw_block", counting_draw)
     monkeypatch.setattr(op, "run_monte_carlo", counting_run)
     cfg = make_config(geometry, air, fading, SchemeId.SCR_GCSI_PFS)
     res = op.optimal_altitude(op.AltitudeSearchSpec(

@@ -1,11 +1,7 @@
-"""Air-to-ground link model: angles, LoS logistic, exponents, gains, eavesdropper distance.
+"""Air-to-ground link model: LoS logistic, exponents, gains, eavesdropper distance.
 
 Proves:
- Group 1 — elevation geometry
-   45 deg at equal height and range, 60 deg at h = sqrt(3) r, zero height
-   gives zero angle, nonpositive range rejected.
-
- Group 2 — LoS probability and the altitude-dependent exponent
+ Group 1 — LoS probability and the altitude-dependent exponent
    logistic endpoint values at 0 and 90 deg; monotone growth in angle;
    fitted (a1, b1) against an independent 2x2 linear solve; boundary
    conditions alpha(0) = alpha_ground and alpha(90) = alpha_zenith to
@@ -13,19 +9,19 @@ Proves:
    exponent stays inside [alpha_zenith, alpha_ground] and decreases with
    angle.
 
- Group 3 — power-law gains
+ Group 2 — power-law gains
    reference arithmetic 1e-3 * 100^-2 = 1e-7; homogeneity
    gain(c d) = c^-alpha gain(d); array broadcast; frozen default link
    variances recomputed from first principles.
 
- Group 4 — random eavesdropper placement
+ Group 3 — random eavesdropper placement
    inverse-cube-root sampling: mean 3R/4 within 1 m at 1e6 draws, an
    eighth of the mass below R/2, KS distance to (r/R)^3 below 0.002;
    the estimator's eavesdropper gains read distances in range: the
    sampled radius for a BS-centred ball, within |rho -+ |dz|| of it for a
    ball centred |dz| away from the BS.
 
- Group 5 — containers
+ Group 4 — containers
    user count, 3-D mast distance, validation; NaN and infinite lengths,
    distances and environment constants are refused.
 """
@@ -46,32 +42,12 @@ from zsrpsim.fading import FadingParams
 from zsrpsim.scheduling import SchemeId
 from zsrpsim.secrecy import ScenarioConfig, _Block, _eve_gain, _eve_key
 
-# frozen default link variances, recomputed from scratch in Group 3
+# frozen default link variances, recomputed from scratch in Group 2
 BS_RIS_VARIANCE = 0.1379736692021992
 RIS_USER_VARIANCE = 0.565685424949238
 
 
-# --- Group 1: elevation geometry ---
-
-
-def test_elevation_angle_values():
-    assert math.isclose(pr.elevation_angle(300.0, 300.0), math.pi / 4.0, rel_tol=1e-12)
-    assert math.isclose(
-        pr.elevation_angle(300.0 * math.sqrt(3.0), 300.0), math.pi / 3.0, rel_tol=1e-12
-    )
-    assert pr.elevation_angle(0.0, 250.0) == 0.0
-
-
-def test_elevation_angle_domain():
-    with pytest.raises(ValueError):
-        pr.elevation_angle(100.0, 0.0)
-    with pytest.raises(ValueError):
-        pr.elevation_angle(100.0, -5.0)
-    with pytest.raises(ValueError):
-        pr.elevation_angle(-1.0, 100.0)
-
-
-# --- Group 2: LoS probability and exponent fit ---
+# --- Group 1: LoS probability and exponent fit ---
 
 
 def logistic_reference(theta_deg: float, a2: float = 9.61, b2: float = 0.16) -> float:
@@ -143,7 +119,7 @@ def test_exponent_bracketed_and_decreasing(theta, dtheta):
     assert air.alpha_zenith - 1e-12 <= lo < hi <= air.alpha_ground + 1e-12
 
 
-# --- Group 3: power-law gains ---
+# --- Group 2: power-law gains ---
 
 
 def test_large_scale_gain_reference_point():
@@ -189,7 +165,7 @@ def test_default_link_variances(geometry, air):
     assert math.isclose(pr.ris_user_gain(geometry, air, 0), RIS_USER_VARIANCE, rel_tol=1e-12)
 
 
-# --- Group 4: random eavesdropper placement ---
+# --- Group 3: random eavesdropper placement ---
 
 
 def test_eve_distance_statistics(rng):
@@ -232,7 +208,7 @@ def test_eve_placement_ranges(rng, air):
     assert np.allclose(ends, [dz - 0.5 * r_max, dz + 0.5 * r_max], rtol=1e-12)
 
 
-# --- Group 5: containers ---
+# --- Group 4: containers ---
 
 
 def test_geometry_defaults_and_derived(geometry):

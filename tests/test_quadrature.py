@@ -10,9 +10,9 @@ Proves:
    depth-first restatement (``oracles.zsrp_pfs_1d_recursive``) at h = 150,
    310 and 1000 m and at N = 12 users and L = 32 elements, where it also
    lies within 1e-12 of the nested distance-by-W recursion; the
-   volume-weighted average of (r/R)^2; the tail integral of one composite
-   seed, alone and in a mixed-order batch of seeds; the seeds' fixed
-   bracketing grid against the lockstep scan it replaced
+   round-robin psi-average of a series CDF of (r/R)^2; the tail integral
+   of one composite seed, alone and in a mixed-order batch of seeds; the
+   seeds' fixed bracketing grid against the lockstep scan it replaced
    (``oracles.meijer_g_m0_log_scan``), for closed-form seeds (mu, nu, x) =
    (M + B - 4, |M - B|, jX), M <= 128, B <= 2, and general mu in [-3, 500],
    nu <= 500, x in [1e-10, 2.5e5], each seed of a batch as the scan
@@ -25,11 +25,12 @@ Proves:
    one integrand with a jump among converging ones comes back NaN from
    the batched call at the depth cap, where the recursion raises
    ``AccuracyError`` for that integrand alone, while the converging ones
-   match the recursion bit for bit, and a value route given it raises
-   ``AccuracyError``; a closed-form seed whose bracketing grid is finite
-   but whose panel sums are not, (mu, nu, x) = (42, 46, 6.18148e-56),
-   refuses in place without a RuntimeWarning, its batch neighbour
-   keeping its one-seed bits; one default ``fcr-gcsi-pfs`` value makes at
+   match the recursion bit for bit, and the round-robin route given it
+   raises ``AccuracyError``; a closed-form seed whose bracketing grid is
+   finite but whose panel sums are not, (mu, nu, x) =
+   (42, 46, 6.18148e-56), refuses in place without a RuntimeWarning, its
+   batch neighbour keeping its one-seed bits; one default
+   ``fcr-gcsi-pfs`` value makes at
    most 14 F_S calls, two per integrand call, at h = 310 m (the nested
    distance-by-W quadrature made 196, and one inner call per distance
    node 3,028) and no call gets more than 16 panels of 24 points; a
@@ -110,15 +111,21 @@ def test_pfs_value_many_users_and_elements(air):
     assert abs(got.value - nested) <= 1e-12 * nested
 
 
-def test_psi_average_polynomial_bits():
-    r_max = 37.5
+def test_psi_average_polynomial_bits(air, monkeypatch):
+    # a series CDF of (r/R)^2, read back from z = G0 / r^2; the recursion's
+    # integrand forms z and r^2 as the route does
+    p = params_at(150.0, air, r_eve_m=37.5)
 
-    def cdf(r, rows=None):
-        return (r / r_max) ** 2
+    def cdf(z, q, scale):
+        return q.ref_gain / (z * q.r_eve_m ** 2)
 
-    want = adaptive_gl_recursive(lambda r: cdf(r) * 3.0 * r ** 2 / r_max ** 3,
-                                 0.0, r_max, 1e-10)
-    assert hexes(an.psi_average(cdf, [r_max])) == hexes([min(1.0, want)])
+    def integrand(r):
+        z = p.ref_gain / np.float_power(r, 2)
+        return cdf(z, p, None) * 3.0 * r ** 2 / p.r_eve_m ** 3
+
+    monkeypatch.setattr(an, "cdf_Z_single", cdf)
+    want = adaptive_gl_recursive(integrand, 0.0, p.r_eve_m, 1e-10)
+    assert hexes(an.psi_average([p])) == hexes([min(1.0, want)])
 
 
 @pytest.mark.parametrize("mu, nu, x", [(120.0, 4.0, 0.01), (28.0, 32.0, 102.4)])
@@ -212,7 +219,7 @@ def _with_jump(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(rows == 1, (x > 0.3).astype(float), np.exp(-x * (rows + 1)))
 
 
-def test_one_diverging_integral_raises_at_the_depth_cap():
+def test_one_diverging_integral_raises_at_the_depth_cap(monkeypatch):
     # the jump never converges: it comes back NaN in place, where the
     # recursion raises, and its neighbours keep the recursion's bits
     got = specfun.adaptive_gl(_with_jump, 0.0, 1.0, 1e-10, 3)
@@ -225,9 +232,14 @@ def test_one_diverging_integral_raises_at_the_depth_cap():
         return _with_jump(x, 2 * rows)
 
     assert hexes(got[::2]) == hexes(adaptive_gl_each(smooth, 0.0, 1.0, 1e-10, 2))
-    # a value route given that integral raises for its batch
+    # the round-robin route given that integral raises for its batch: rows
+    # of unit radius and gain whose sigma1^2 sigma2^2 is the row index + 1,
+    # and a series CDF of the distance sqrt(G0 / z)
+    monkeypatch.setattr(an, "cdf_Z_single", lambda z, p, scale: _with_jump(
+        np.sqrt(p.ref_gain / z), scale.astype(int) - 1))
+    rows = [an.ClosedFormParams(1, 1, 1, s, 1.0, 1.0, 1.0) for s in (1.0, 2.0, 3.0)]
     with pytest.raises(AccuracyError, match="failed to converge"):
-        an.psi_average(_with_jump, [1.0, 1.0, 1.0])
+        an.psi_average(rows)
 
 
 def test_seed_with_infinite_panel_sums_refuses_in_place():

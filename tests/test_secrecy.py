@@ -443,13 +443,7 @@ def test_batch_equals_per_config_loop(case, threads):
 
 
 def test_batch_draws_once_per_layout_and_block(monkeypatch):
-    calls = []
-
-    def counting(rng, size):
-        calls.append(size)
-        return np.cbrt(rng.random(size))
-
-    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    calls = _counting_draws(monkeypatch)
     configs = _batch_cases()["fig3-mixed-l"] + _batch_cases()["fig2"]
     sec.run_monte_carlo_many(configs, BATCH_TRIALS, BATCH_SEED, threads=2)
     # three element counts make three layouts; fig2 shares the L = 16 one
@@ -486,16 +480,16 @@ def test_batch_edge_cases(geometry, air, fading):
 
 
 def _counting_draws(monkeypatch) -> list:
-    """Empty the memo and record the size of every block's distance draw."""
+    """Empty the memo and record the trial count of every block drawn."""
     monkeypatch.setattr(sec, "_memo", {})
     calls = []
-    draw = sec.sample_eve_distance
+    draw = sec._draw_block
 
-    def counting(rng, size):
-        calls.append(size)
-        return draw(rng, size=size)
+    def counting(configs, seed, block_index, n):
+        calls.append(n)
+        return draw(configs, seed, block_index, n)
 
-    monkeypatch.setattr(sec, "sample_eve_distance", counting)
+    monkeypatch.setattr(sec, "_draw_block", counting)
     return calls
 
 

@@ -6,11 +6,11 @@ The cascaded main-link gain of the scheduled user factors as
 
 where S (user-side element power sum) and W (BS-side element power sum)
 are independent Gamma variates with shapes m1 L and m2 L and unit-mean
-elements, and sigma1^2, sigma2^2 carry the large-scale gains of the two
-hops.  The wiretap link of an eavesdropper uniformly distributed in a
-ball of radius R around the BS has gain G0 / psi^2 with distance density
-3 r^2 / R^3, and the transmit power cancels from the secrecy-rate
-comparison, so
+elements, and the user's scale sigma1^2 sigma2^2 carries the
+large-scale gains of the two hops.  The wiretap link of an eavesdropper
+uniformly distributed in a ball of radius R around the BS has gain
+G0 / psi^2 with distance density 3 r^2 / R^3, and the transmit power
+cancels from the secrecy-rate comparison, so
 
     ZSRP = E_psi[ F_Z(G0 / psi^2) ].
 
@@ -86,7 +86,6 @@ import numpy as np
 from . import specfun
 from .errors import AccuracyError, AnalyticUnavailableError
 from .fading import cdf_S, pdf_W, tail_cutoff
-from .propagation import bs_ris_gain, ris_user_gain
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +101,7 @@ class ClosedFormParams:
     m1: int
     m2: int
     n_elements: int
-    sigma1_sq: float
-    sigma2_sq: float
+    scale: float  # the cascade's large-scale gain sigma1^2 sigma2^2
     ref_gain: float
     r_eve_m: float
     n_users: int = 1
@@ -113,15 +111,18 @@ class ClosedFormParams:
             val = getattr(self, name)
             if not isinstance(val, (int, np.integer)) or val < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        for name in ("sigma1_sq", "sigma2_sq", "ref_gain", "r_eve_m"):
+        for name in ("scale", "ref_gain", "r_eve_m"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not (self.scale * self.r_eve_m ** 2 > 0.0
+                and 0.0 < self.big_x < math.inf):
+            raise ValueError("X = m1 m2 G0 / (scale R^2) leaves the double range")
 
     @property
     def big_x(self) -> float:
-        """Composite argument m1 m2 G0 / (sigma1^2 sigma2^2 R^2)."""
+        """Composite argument m1 m2 G0 / (scale R^2)."""
         return (self.m1 * self.m2 * self.ref_gain
-                / (self.sigma1_sq * self.sigma2_sq * self.r_eve_m ** 2))
+                / (self.scale * self.r_eve_m ** 2))
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,12 @@ def _order_stat_series(m1_elements: int, m_2: int, log_x: float,
             all_logs[None], np.concatenate(signs)[None])
         bound = (np.finfo(float).eps * (1.0 + np.exp(all_logs).sum())
                  * np.maximum(1.0, np.abs(all_logs).max()))
-    # an empty or cancelled sum (sign 0) leaves F = 1
+    # a sum that is empty, cancelled (sign 0) or positive leaves F = 1
     val = 1.0
     if total_sign < 0.0:
-        # F = 1 - |sum|; expm1 keeps precision when the sum is close to 1
+        # F = 1 - |sum| in [0, 1]; expm1 keeps precision when it is near 1
         val = -math.expm1(total_log) if total_log < 0.0 else 0.0
-    elif total_sign > 0.0:
-        val = 1.0 + math.exp(total_log)
-    # max(0.0, v) maps a NaN to 0.0
-    return min(1.0, max(0.0, val)), float(bound)
+    return val, float(bound)
 
 
 def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
@@ -203,16 +201,17 @@ def cdf_Z_single(z: np.ndarray, p: ClosedFormParams,
     L.  Every order at every z comes from one array Bessel-K recurrence
     at 2 sqrt(xi), and the positive terms of all z are summed as rows of
     one array, each bit for bit as alone.  Checked in the tests against
-    direct integration over W; returns 0 for z <= 0.
+    direct integration over W; returns 0 for z <= 0, 1 for xi = inf.
     """
     z_arr = np.asarray(z, dtype=float)
-    out = np.zeros(z_arr.shape)
-    pos = ~(z_arr <= 0.0)
+    with np.errstate(over="ignore"):
+        xi = p.m1 * p.m2 * z_arr / np.broadcast_to(scale, z_arr.shape)
+    out = np.where(xi == math.inf, 1.0, 0.0)
+    pos = ~(z_arr <= 0.0) & (xi != math.inf)
     if np.any(pos):
         m_2 = p.m2 * p.n_elements
         m_1 = p.m1 * p.n_elements
-        scales = np.broadcast_to(scale, z_arr.shape)
-        xi = p.m1 * p.m2 * z_arr[pos] / scales[pos]
+        xi = xi[pos]
         t = np.arange(m_1)
         log_terms = specfun.log_bessel_k(np.abs(m_2 - t),
                                          2.0 * np.sqrt(xi)[:, None])
@@ -245,7 +244,7 @@ def psi_average(ps: Sequence[ClosedFormParams]) -> list[float]:
     """
     radii = [p.r_eve_m for p in ps]
     gains = np.array([p.ref_gain for p in ps], dtype=float)
-    scales = np.array([p.sigma1_sq * p.sigma2_sq for p in ps])
+    scales = np.array([p.scale for p in ps])
     # the cube of each radius as a float, as one row alone takes it
     cubes = np.array([r ** 3 for r in radii], dtype=float)
 
@@ -272,7 +271,8 @@ def _cdf_u(b: np.ndarray, a_2: int) -> np.ndarray:
     positive terms, each formed in log space so that none overflows
     where e^-b underflows; Gamma(n + 1/2) / Gamma(n + 2) is a product of
     ratios, which rounds less than a difference of lgammas.  At a_2 = 1,
-    Gamma(-1/2, b) = 2 (e^-b / sqrt b - sqrt(pi) erfc(sqrt b)).
+    Gamma(-1/2, b) = 2 (e^-b / sqrt b - sqrt(pi) erfc(sqrt b)).  Where
+    b^(3/2) overflows (b > 1e205) its Gamma factor, and their product, is 0.
     """
     root = np.sqrt(b)
     erfc = specfun.apply_math(math.erfc, root)
@@ -285,7 +285,9 @@ def _cdf_u(b: np.ndarray, a_2: int) -> np.ndarray:
         gamma_ratio = (math.sqrt(math.pi)
                        * math.prod((k + 0.5) / (k + 1) for k in range(n))
                        / (a_2 - 1) * (erfc + np.exp(log_terms).sum(axis=1)))
-    return cdf_S(b, 1, a_2) + b * root * gamma_ratio
+    b_root = np.multiply(b, root, out=np.zeros(b.shape),
+                         where=gamma_ratio != 0.0)
+    return cdf_S(b, 1, a_2) + b_root * gamma_ratio
 
 
 def cdf_Z_quadrature(ps: Sequence[ClosedFormParams]) -> list[float]:
@@ -495,8 +497,8 @@ def zsrp_from_params(rows: Sequence[tuple[ClosedFormParams, bool]],
     return [_report(v, c) for v, c in zip(values, closed)]
 
 
-def _cascade_params(config) -> tuple[ClosedFormParams, Counter]:
-    """Cascade parameters of ``config`` and the count of each RIS-user gain.
+def _cascade_params(config) -> dict[ClosedFormParams, int]:
+    """Row and user count of each distinct user scale, in user order.
 
     Raises :class:`AnalyticUnavailableError` where the analytic route
     does not apply (see :func:`zsrp_many`).
@@ -517,20 +519,28 @@ def _cascade_params(config) -> tuple[ClosedFormParams, Counter]:
             f"its fixed centre at {config.eve_center_h_m:g} m is offset from "
             f"the BS altitude {geometry.h_br_m:g} m; use the Monte-Carlo "
             "evaluator")
+    r_eve = geometry.r_eve_m
     try:
         # big_x squares the radius and psi_average cubes it, as floats
-        geometry.r_eve_m ** (3 if scheme.rule == "rs" else 2)
+        power = r_eve ** (3 if scheme.rule == "rs" else 2)
     except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
         raise AnalyticUnavailableError(
-            f"eavesdropper radius {geometry.r_eve_m:g} m is too large for the "
-            "analytic route; use the Monte-Carlo evaluator") from None
-    air, fading, n_users = config.air, config.fading, geometry.n_users
-    counts = Counter(ris_user_gain(geometry, air, u) for u in range(n_users))
-    p = ClosedFormParams(
-        m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
-        sigma1_sq=next(iter(counts)), sigma2_sq=bs_ris_gain(geometry, air),
-        ref_gain=air.ref_gain, r_eve_m=geometry.r_eve_m, n_users=n_users)
-    return p, counts
+            f"eavesdropper radius {r_eve:g} m is too "
+            f"{'large' if r_eve > 1.0 else 'small'} for the analytic route; "
+            "use the Monte-Carlo evaluator")
+    fading = config.fading
+    try:
+        return {ClosedFormParams(
+            m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements, scale=s,
+            ref_gain=config.air.ref_gain, r_eve_m=r_eve,
+            n_users=geometry.n_users): k
+            for s, k in Counter(config.user_scales.tolist()).items()}
+    except ValueError as exc:
+        raise AnalyticUnavailableError(
+            f"a user's cascade gain is out of range for the analytic route "
+            f"({exc}); use the Monte-Carlo evaluator") from None
 
 
 def zsrp_many(configs: Sequence, closed_form: bool
@@ -541,28 +551,26 @@ def zsrp_many(configs: Sequence, closed_form: bool
     is an :class:`AnalyticZsrp`, or the :class:`AnalyticUnavailableError`
     that refuses it, in place.  Only the fully-connected architecture is
     tractable here: single-connected schemes are refused.  Both rules
-    take any RIS-user distances: each distinct sigma1^2 is evaluated once
+    take any RIS-user distances: each distinct user scale is evaluated once
     and the values are averaged over users (see the module docstring).
     The formulas also require the free-space wiretap exponent and an
     eavesdropper ball centred on the BS: a centre offset from the current
     BS altitude is refused, and so is a radius whose square (cube for
-    round robin) overflows a double.  All rows of all configs go to one
-    :func:`zsrp_from_params` call, and each outcome is bit for bit the
-    one its config gets alone.  With ``closed_form`` False only the
-    quadrature ``value`` is computed (the altitude search uses no more),
-    and ``closed_form`` and ``rel_gap`` come back None.
+    round robin) or whose X leaves the double range.  All rows of all
+    configs go to one :func:`zsrp_from_params` call, and each outcome is
+    bit for bit the one its config gets alone.  With ``closed_form``
+    False only the quadrature ``value`` is computed (the altitude search
+    uses no more), and ``closed_form`` and ``rel_gap`` come back None.
     """
-    plans: list[Counter | AnalyticUnavailableError] = []
+    plans: list[dict | AnalyticUnavailableError] = []
     rows: list[tuple[ClosedFormParams, bool]] = []
     for config in configs:
         try:
-            p, counts = _cascade_params(config)
+            plans.append(_cascade_params(config))
         except AnalyticUnavailableError as exc:
             plans.append(exc)
             continue
-        plans.append(counts)
-        rows += [(dataclasses.replace(p, sigma1_sq=s), config.scheme.rule == "rs")
-                 for s in counts]
+        rows += [(p, config.scheme.rule == "rs") for p in plans[-1]]
     results = iter(zsrp_from_params(rows, closed_form))
     out: list[AnalyticZsrp | AnalyticUnavailableError] = []
     for config, counts in zip(configs, plans):

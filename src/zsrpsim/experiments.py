@@ -238,6 +238,12 @@ def load_config(path: Union[str, Path, None],
             geometry=geometry, air=air, fading=fading, scheme=spec.schemes[0],
             **{key: value for key, value in environment.items()
                if key not in air_fields})
+        # a hop gain past the double range is inf or raises
+        if not math.isfinite(scenario.user_scales.max()):
+            raise OverflowError
+    except OverflowError:
+        raise ConfigError("[geometry] a hop is too short: the cascade gain "
+                          "sigma2^2 sigma1^2 of a user overflows a double") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return scenario, spec

@@ -91,6 +91,13 @@ class ScenarioConfig:
         return self.geometry.n_users
 
     @property
+    def user_scales(self) -> np.ndarray:
+        """Large-scale gain sigma2^2 sigma1n^2 of each user's cascade."""
+        geom, air = self.geometry, self.air
+        return bs_ris_gain(geom, air) * np.array(
+            [ris_user_gain(geom, air, u) for u in range(self.n_users)])
+
+    @property
     def eve_offset_m(self) -> float:
         """BS altitude above the eavesdropper ball's centre; 0 if centred."""
         return (0.0 if self.eve_center_h_m is None
@@ -213,14 +220,6 @@ def _draw_block(configs: list[ScenarioConfig], seed: int, block_index: int,
     return _Block(cbrt_u, dir_z, rows)
 
 
-def _user_gains(config: ScenarioConfig) -> np.ndarray:
-    """Large-scale gain sigma2^2 sigma1^2 of each user's cascade."""
-    geom, air = config.geometry, config.air
-    sigma2_sq = bs_ris_gain(geom, air)
-    return sigma2_sq * np.array([ris_user_gain(geom, air, u)
-                                 for u in range(config.n_users)])
-
-
 def _eve_key(config: ScenarioConfig) -> tuple:
     """Every input of a row's eavesdropper gains on one block's draws:
     (radius, offset of the BS from the ball's centre, alpha_e, G0)."""
@@ -251,8 +250,8 @@ def _count_block(block: _Block, config: ScenarioConfig, user_gains: np.ndarray,
     A trial counts K users (N for round robin, the served one for PFS)
     and k of them lose to the eavesdropper; the triple is (sum k, K n,
     sum k^2) over the block's n trials.  The row applies its large-scale
-    gains, ``user_gains`` from :func:`_user_gains` and ``eve_gain`` from
-    :func:`_eve_gain`, to the block's shared small-scale samples.
+    gains, ``user_gains`` (:attr:`ScenarioConfig.user_scales`) and
+    ``eve_gain`` (:func:`_eve_gain`), to the block's small-scale samples.
     """
     users, cascade = block.rows[config.scheme.fully_connected, config.scheme.rule]
     main_gain = user_gains[users] * cascade
@@ -308,7 +307,7 @@ def run_monte_carlo_many(configs: Sequence[ScenarioConfig], trials: int,
     """
     blocks = _blocks(trials, threads, seed)
     configs = list(configs)
-    gains = [_user_gains(config) for config in configs]
+    gains = [config.user_scales for config in configs]
     eve_keys = [_eve_key(config) for config in configs]
     groups: dict[tuple, list[int]] = {}
     for k, config in enumerate(configs):
@@ -358,6 +357,6 @@ def run_monte_carlo(config: ScenarioConfig, trials: int, seed: int,
             _memo.clear()
             drawn = _memo[key] = _map(
                 lambda b: _draw_block([config], seed, *b), blocks, threads)
-    gains, eve_key = _user_gains(config), _eve_key(config)
+    gains, eve_key = config.user_scales, _eve_key(config)
     return _estimate([_count_block(b, config, gains, _eve_gain(b, eve_key))
                       for b in drawn], trials, seed)

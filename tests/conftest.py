@@ -48,8 +48,7 @@ def closed_params(geometry, air):
             m1=2,
             m2=2,
             n_elements=16,
-            sigma1_sq=bs_ris_gain(geometry, air),
-            sigma2_sq=ris_user_gain(geometry, air, 0),
+            scale=ris_user_gain(geometry, air, 0) * bs_ris_gain(geometry, air),
             ref_gain=air.ref_gain,
             r_eve_m=geometry.r_eve_m,
             n_users=n_users,

@@ -319,7 +319,7 @@ def cdf_Z_single_scalar(z: float, p: ClosedFormParams) -> float:
         return 0.0
     m_2 = p.m2 * p.n_elements
     m_1 = p.m1 * p.n_elements
-    xi = p.m1 * p.m2 * z / (p.sigma1_sq * p.sigma2_sq)
+    xi = p.m1 * p.m2 * z / p.scale
     log_k = log_bessel_k_upto_scalar(max(m_2, abs(m_2 - m_1 + 1)),
                                      2.0 * math.sqrt(xi))
     log_arg = math.log(xi)
@@ -657,7 +657,7 @@ def cdf_Z_quadrature_recursive(z: float, p: ClosedFormParams) -> float:
     """F_S(z~ / w)^N against the density of W, one recursion for one z."""
     if z <= 0.0:
         return 0.0
-    z_tilde = z / (p.sigma1_sq * p.sigma2_sq)
+    z_tilde = z / p.scale
     w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
     def integrand(w: np.ndarray) -> np.ndarray:
@@ -674,7 +674,7 @@ def cdf_Z_quadrature_batched(z: np.ndarray, p: ClosedFormParams) -> np.ndarray:
     z_arr = np.asarray(z, dtype=float)
     out = np.zeros(z_arr.shape)
     pos = z_arr > 0.0
-    z_tilde = z_arr[pos] / (p.sigma1_sq * p.sigma2_sq)
+    z_tilde = z_arr[pos] / p.scale
     w_hi = tail_cutoff(p.m2 * p.n_elements, _W_TAIL_LEVEL) / p.m2
 
     def integrand(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -795,7 +795,7 @@ def zsrp_offset_ball(p: ClosedFormParams, offset: float) -> float:
     """
     a1, a2 = p.m1 * p.n_elements, p.m2 * p.n_elements
     r, d, n = p.r_eve_m, offset, p.n_users
-    c = p.ref_gain / (p.sigma1_sq * p.sigma2_sq)
+    c = p.ref_gain / p.scale
     s_top = special.gammainccinv(a1, 1e-18) / p.m1
     w_top = special.gammainccinv(a2, 1e-18) / p.m2
 

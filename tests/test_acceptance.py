@@ -63,8 +63,8 @@ def default_config(scheme: SchemeId, **kw) -> ScenarioConfig:
 
 
 def unit_params(m1: int, m2: int, n_elements: int, n_users: int = 1) -> an.ClosedFormParams:
-    return an.ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
-                               sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0, n_users=n_users)
+    return an.ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, scale=1.0,
+                               ref_gain=1.0, r_eve_m=1.0, n_users=n_users)
 
 
 def test_criterion_01_simulation_matches_quadrature():
@@ -90,7 +90,7 @@ def test_criterion_02_series_cdf_vs_quadrature():
         p = unit_params(m1, m2, n_elements)
         grid = np.geomspace(0.05 * n_elements**2, 20.0 * n_elements**2, 20)
         quad = [cdf_Z_quadrature_recursive(z, p) for z in grid.tolist()]
-        gap = np.abs(an.cdf_Z_single(grid, p, p.sigma1_sq * p.sigma2_sq) - quad)
+        gap = np.abs(an.cdf_Z_single(grid, p, p.scale) - quad)
         worst = max(worst, float(gap.max()))
     ok = worst < 1e-8
     report(2, ok, f"worst abs gap {worst:.2e}")

@@ -3,7 +3,8 @@
 Proves:
  Group 1 — parameter container
    frozen composite argument at the default scenario, recomputed from first
-   principles; positivity and integrality validation.
+   principles; positivity and integrality validation; an X that is not a
+   positive double is refused.
 
  Group 2 — single-user cascade CDF
    the one-element unit case collapses to 1 - 2 K_1(2) (scipy cross-check);
@@ -16,7 +17,8 @@ Proves:
    and xi near 1.0065 where numpy's log and the C library's differ), an
    array gives each element's own value (property), a node whose Bessel
    recurrence passes the double range (xi = 1e-70 at m L = 32) reads 0.0
-   without a NaN sum or a warning, and a default
+   without a NaN sum or a warning, one whose xi overflows reads 1.0, the
+   ball-averaged F_U reads 1.0 where b^(3/2) overflows, and a default
    round-robin value starts one K0/K1 evaluation per distance integrand
    call, not one per node.
 
@@ -109,13 +111,13 @@ UNIT_CDF_AT_1 = 0.720268236366955
 
 
 def series_cdf(z: np.ndarray, p: an.ClosedFormParams) -> np.ndarray:
-    """The series CDF at ``p``'s own sigma1^2 sigma2^2."""
-    return an.cdf_Z_single(z, p, p.sigma1_sq * p.sigma2_sq)
+    """The series CDF at ``p``'s own scale sigma1^2 sigma2^2."""
+    return an.cdf_Z_single(z, p, p.scale)
 
 
 def unit_params(**kw) -> an.ClosedFormParams:
-    base = dict(m1=1, m2=1, n_elements=1, sigma1_sq=1.0, sigma2_sq=1.0,
-                ref_gain=1.0, r_eve_m=1.0, n_users=1)
+    base = dict(m1=1, m2=1, n_elements=1, scale=1.0, ref_gain=1.0,
+                r_eve_m=1.0, n_users=1)
     base.update(kw)
     return an.ClosedFormParams(**base)
 
@@ -141,15 +143,25 @@ def analytic_row(cfg: ScenarioConfig) -> an.AnalyticZsrp:
 
 def test_big_x_frozen_and_first_principles(closed_params):
     p = closed_params(n_users=4)
-    direct = p.m1 * p.m2 * p.ref_gain / (p.sigma1_sq * p.sigma2_sq * p.r_eve_m**2)
+    direct = p.m1 * p.m2 * p.ref_gain / (p.scale * p.r_eve_m**2)
     assert math.isclose(p.big_x, direct, rel_tol=1e-12)
     assert math.isclose(p.big_x, BIG_X_DEFAULT, rel_tol=1e-12)
 
 
 def test_params_validation():
-    for kw in (dict(m1=0), dict(m1=1.5), dict(sigma1_sq=-1.0), dict(n_users=0),
+    for kw in (dict(m1=0), dict(m1=1.5), dict(scale=-1.0), dict(n_users=0),
                dict(r_eve_m=0.0), dict(ref_gain=0.0)):
         with pytest.raises(ValueError):
+            unit_params(**kw)
+
+
+def test_params_refuse_x_outside_the_double_range():
+    # X = m1 m2 G0 / (scale R^2) must be a positive double: scale R^2
+    # underflows to 0, X overflows, or scale R^2 overflows and X is 0,
+    # where both value routes and the closed form fail
+    for kw in (dict(scale=1e-300, r_eve_m=1e-20), dict(scale=1e-310),
+               dict(scale=1e300, r_eve_m=1e10)):
+        with pytest.raises(ValueError, match="leaves the double range"):
             unit_params(**kw)
 
 
@@ -251,6 +263,30 @@ def test_series_cdf_past_the_double_range_is_zero():
         assert series_cdf(z[:1], p)[0] == 0.0
     assert got[0] == got[1] == 0.0
     assert hexes(got[2:]) == hexes([cdf_Z_single_scalar(float(z[2]), p)])
+
+
+def test_series_cdf_past_the_top_of_the_double_range_is_one():
+    # xi = m1 m2 z / scale overflows: that lane is 1.0, with no warning and
+    # no Bessel K at an infinite argument
+    p = unit_params(m1=2, m2=2, n_elements=16)
+    z = np.array([1e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = an.cdf_Z_single(z, p, np.array([1e-10, 1.0]))
+    assert got[0] == 1.0
+    assert hexes(got[1:]) == hexes(series_cdf(z[1:], p))
+
+
+@pytest.mark.parametrize("a_2", [1, 32])
+def test_cdf_u_past_the_overflow_of_its_power_is_one(a_2):
+    # b^(3/2) overflows past b ~ 1e205, where its Gamma factor is 0.0:
+    # F_U = 1.0 with no inf * 0, and the other lanes keep their bits
+    b = np.array([1e300, 1e206, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = an._cdf_u(b, a_2)
+    assert got[0] == got[1] == 1.0
+    assert hexes(got[2:]) == hexes(an._cdf_u(b[2:], a_2))
 
 
 def test_series_value_starts_one_bessel_per_integrand_call(closed_params, monkeypatch):
@@ -430,9 +466,9 @@ def test_rs_value_is_the_one_user_integral(n_elements, h_br_m, air):
     # 1-D integral of one user: two routes that share no integral
     geom = ScenarioGeometry(h_br_m=h_br_m)
     p = an.ClosedFormParams(
-        m1=2, m2=2, n_elements=n_elements, sigma1_sq=ris_user_gain(geom, air, 0),
-        sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
-        r_eve_m=geom.r_eve_m, n_users=4)
+        m1=2, m2=2, n_elements=n_elements,
+        scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air),
+        ref_gain=air.ref_gain, r_eve_m=geom.r_eve_m, n_users=4)
     rs = from_params(p, True, closed_form=False).value
     (one_user,) = an.cdf_Z_quadrature([dataclasses.replace(p, n_users=1)])
     assert abs(rs - one_user) <= 1e-12 * one_user
@@ -562,8 +598,8 @@ def test_composite_recurrence_matches_tail_integral(h_br_m, air, closed_params,
     from zsrpsim.propagation import ScenarioGeometry, bs_ris_gain, ris_user_gain
 
     geom = ScenarioGeometry(h_br_m=h_br_m)
-    p = closed_params(sigma1_sq=bs_ris_gain(geom, air),
-                      sigma2_sq=ris_user_gain(geom, air, 0), n_users=4)
+    p = closed_params(
+        scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air), n_users=4)
     big_x = p.big_x
     m_2, m_1 = 32, 32
     sizes = [j * (m_1 - 1) + 1 for j in (1, 2, 3, 4)]
@@ -623,8 +659,8 @@ def _fig4_seed_calls(air, fading, monkeypatch) -> list:
         for n_users in (1, geom.n_users):
             p = an.ClosedFormParams(
                 m1=fading.m1, m2=fading.m2, n_elements=fading.n_elements,
-                sigma1_sq=ris_user_gain(geom, air, 0),
-                sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+                scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air),
+                ref_gain=air.ref_gain,
                 r_eve_m=geom.r_eve_m, n_users=n_users)
             assert an._closed_forms([p])[0] is not None, (h, n_users)
     monkeypatch.undo()
@@ -740,8 +776,8 @@ def test_default_grids_keep_their_closed_forms(air, fading, caplog):
             for n_users in (1, geom.n_users):
                 p = an.ClosedFormParams(
                     m1=fading.m1, m2=fading.m2, n_elements=n_elements,
-                    sigma1_sq=ris_user_gain(geom, air, 0),
-                    sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+                    scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air),
+                    ref_gain=air.ref_gain,
                     r_eve_m=geom.r_eve_m, n_users=n_users)
                 assert an._closed_forms([p])[0] is not None, (geom, n_elements, n_users)
     assert "unavailable" not in caplog.text
@@ -866,7 +902,7 @@ def test_repeated_distances_are_evaluated_once(scheme, air, fading, monkeypatch)
     unwrapped = an.zsrp_from_params
 
     def counted(*args, **kwargs):
-        calls.append([p.sigma1_sq for p, _ in args[0]])
+        calls.append([p.scale for p, _ in args[0]])
         return unwrapped(*args, **kwargs)
 
     monkeypatch.setattr(an, "zsrp_from_params", counted)

@@ -47,8 +47,13 @@ Proves:
    configuration code, and so do a config file that is not UTF-8, an
    ``--out`` path in a missing directory or naming a directory (refused
    by every subcommand before anything is evaluated) and a ``run`` whose
-   analytic rows are all skipped; an accuracy failure maps to its
-   documented exit code.
+   analytic rows are all skipped; an empty scheme list and an ``--out``
+   write that fails after evaluation (a name past the file system's
+   limit) exit with the configuration code; an accuracy failure maps to
+   its documented exit code.  A geometry key past the double range (a
+   hop gain that under- or overflows, a tiny eavesdropper ball, a huge
+   altitude) gives each evaluator a probability or the configuration
+   code with a message naming what is out of range, never a traceback.
 """
 
 from __future__ import annotations
@@ -532,3 +537,56 @@ def test_accuracy_exit_code(capsys, caplog, monkeypatch):
     rc, _, _ = run_cli(capsys, "zsrp")
     assert rc == 3
     assert "accuracy failure" in caplog.text
+
+
+def test_empty_scheme_list_is_config_error(tmp_path, capsys, caplog):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[experiment]\nschemes = ,\n")
+    rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--evaluator", "mc",
+                         "--trials", "2048")
+    assert rc == 2 and out == ""
+    assert "[experiment] schemes: empty list" in caplog.text
+
+
+def test_write_failing_after_evaluation_is_config_error(tmp_path, capsys, caplog):
+    # the directory is writable, so the path passes the early check; the
+    # name is past the file system's limit, so the write itself fails
+    path = tmp_path / ("z" * 300 + ".csv")
+    rc, out, _ = run_cli(capsys, "zsrp", "--evaluator", "analytic", "--out", str(path))
+    assert rc == 2 and out == ""
+    assert f"cannot write {path}" in caplog.text
+    assert "wrote" not in caplog.text
+
+
+#: One [geometry] key past the double range: for each scheme under the
+#: analytic evaluator, then under MC, the value printed or a fragment of
+#: the exit-2 message that names what is out of range.
+_GAIN_UNDERFLOW = "cascade gain is out of range for the analytic route"
+_X_PAST_RANGE = "X = m1 m2 G0 / (scale R^2) leaves the double range"
+_OUT_OF_RANGE = {
+    "d_rn_m = 1e100": (_GAIN_UNDERFLOW, _GAIN_UNDERFLOW, "1", "1"),
+    "r_br_m = 1e200": (_GAIN_UNDERFLOW, _GAIN_UNDERFLOW, "1", "1"),
+    "h_br_m = 1e160": (_X_PAST_RANGE, _X_PAST_RANGE, "1", "1"),
+    "d_rn_m = 1e-100": ("a hop is too short",) * 4,
+    "r_eve_m = 1e-145": ("1e-145 m is too small", "1", "1", "1"),
+    "r_eve_m = 1e-160": ("1e-160 m is too small", _X_PAST_RANGE, "1", "1"),
+    "r_eve_m = 1e-170": ("1e-170 m is too small",) * 2 + ("1", "1"),
+}
+
+
+@pytest.mark.parametrize("line", list(_OUT_OF_RANGE))
+def test_geometry_past_the_double_range_is_typed(line, tmp_path, capsys, caplog):
+    # each evaluator prints a probability or exits 2 saying what is out of
+    # range: no traceback, no exit 1 and no RuntimeWarning (an error here)
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(f"[geometry]\n{line}\n")
+    runs = [(scheme, evaluator) for evaluator in ("analytic", "mc")
+            for scheme in ("fcr-rs", "fcr-gcsi-pfs")]
+    for (scheme, evaluator), want in zip(runs, _OUT_OF_RANGE[line]):
+        caplog.clear()
+        rc, out, _ = run_cli(capsys, "zsrp", "--config", str(cfg), "--scheme", scheme,
+                             "--evaluator", evaluator, "--trials", "2048")
+        if want == "1":
+            assert rc == 0 and out.splitlines()[1].split(",")[4] == "1", (scheme, out)
+        else:
+            assert rc == 2 and out == "" and want in caplog.text, (scheme, evaluator)

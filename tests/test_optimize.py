@@ -17,7 +17,8 @@ Proves:
    environment exponent removes the altitude benefit and the search
    returns the lower bound; the search builds no Meijer-G composite (its
    objective is the quadrature value alone, equal to the full result's),
-   while every analytic ``run`` row builds one.
+   while every analytic ``run`` row builds one; a pre-scan bracket already
+   within the tolerance is the answer, with no golden-section step.
 
  Group 4 — full search, simulation objective
    fixed-seed objectives make the search deterministic end to end, and
@@ -183,6 +184,23 @@ def test_analytic_search_builds_no_closed_form(geometry, air, fading,
     rows = ex.run_experiment(scenario, spec)
     # all four in one batch
     assert len(rows) == 4 and [len(c) for c in calls] == [4]
+
+
+def test_bracket_within_tolerance_skips_golden_section(geometry, air, fading,
+                                                      monkeypatch):
+    # the pre-scan's bracket, two steps of 1460 / 15 m, is already within
+    # 200 m: its best point, 332 m, is the answer after 16 evaluations
+    def never(*args):
+        raise AssertionError("golden section ran on a bracket within tol_m")
+
+    monkeypatch.setattr(op, "golden_section_min", never)
+    cfg = make_config(geometry, air, fading)
+    res = op.optimal_altitude(op.AltitudeSearchSpec(config=cfg, tol_m=200.0))
+    step = (1500.0 - 40.0) / 15
+    assert res.h_m == 40.0 + 3 * step
+    assert round(res.h_m) == 332 and res.n_evaluations == 16
+    at_h = make_config(ScenarioGeometry(h_br_m=res.h_m), air, fading)
+    assert res.zsrp.hex() == zsrp_for_scheme(at_h).value.hex()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

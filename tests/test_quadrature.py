@@ -73,8 +73,8 @@ def params_at(h_br_m: float, air, **kw) -> an.ClosedFormParams:
     """Cascade parameters as ``zsrp_for_scheme`` builds them at altitude h."""
     geom = ScenarioGeometry(h_br_m=h_br_m)
     base = dict(m1=2, m2=2, n_elements=16,
-                sigma1_sq=ris_user_gain(geom, air, 0),
-                sigma2_sq=bs_ris_gain(geom, air), ref_gain=air.ref_gain,
+                scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air),
+                ref_gain=air.ref_gain,
                 r_eve_m=geom.r_eve_m, n_users=4)
     base.update(kw)
     return an.ClosedFormParams(**base)
@@ -233,11 +233,11 @@ def test_one_diverging_integral_raises_at_the_depth_cap(monkeypatch):
 
     assert hexes(got[::2]) == hexes(adaptive_gl_each(smooth, 0.0, 1.0, 1e-10, 2))
     # the round-robin route given that integral raises for its batch: rows
-    # of unit radius and gain whose sigma1^2 sigma2^2 is the row index + 1,
+    # of unit radius and gain whose scale is the row index + 1,
     # and a series CDF of the distance sqrt(G0 / z)
     monkeypatch.setattr(an, "cdf_Z_single", lambda z, p, scale: _with_jump(
         np.sqrt(p.ref_gain / z), scale.astype(int) - 1))
-    rows = [an.ClosedFormParams(1, 1, 1, s, 1.0, 1.0, 1.0) for s in (1.0, 2.0, 3.0)]
+    rows = [an.ClosedFormParams(1, 1, 1, s, 1.0, 1.0) for s in (1.0, 2.0, 3.0)]
     with pytest.raises(AccuracyError, match="failed to converge"):
         an.psi_average(rows)
 

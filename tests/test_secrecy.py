@@ -664,8 +664,8 @@ def test_block_cascade_follows_the_series_cdf(geometry, air, shapes):
     cfg = make_config(geometry, air, FadingParams(m1=m1, m2=m2, n_elements=n_elements))
     z = np.concatenate([sec._draw_block([cfg], 2026, i, sec.BLOCK_TRIALS).rows[True, "rs"][1][0]
                         for i in range(25)])
-    unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, sigma1_sq=1.0,
-                            sigma2_sq=1.0, ref_gain=1.0, r_eve_m=1.0)
+    unit = ClosedFormParams(m1=m1, m2=m2, n_elements=n_elements, scale=1.0,
+                            ref_gain=1.0, r_eve_m=1.0)
     assert stats.kstest(z, lambda x: cdf_Z_single(x, unit, 1.0)).pvalue > 1e-4
 
 
@@ -700,7 +700,7 @@ def _cascade_params(cfg: sec.ScenarioConfig) -> ClosedFormParams:
     geom, air, fad = cfg.geometry, cfg.air, cfg.fading
     return ClosedFormParams(
         m1=fad.m1, m2=fad.m2, n_elements=fad.n_elements,
-        sigma1_sq=ris_user_gain(geom, air, 0), sigma2_sq=bs_ris_gain(geom, air),
+        scale=ris_user_gain(geom, air, 0) * bs_ris_gain(geom, air),
         ref_gain=air.ref_gain, r_eve_m=geom.r_eve_m,
         n_users=1 if cfg.scheme.rule == "rs" else cfg.n_users)
 
